@@ -25,7 +25,9 @@ def show(name, m):
     for v in d.tubes.tubes:
         print(f"  tube {v.tid} core {v.core} band {v.band}"
               f" interface {v.interface}")
-    ok, report = bl.verify_decomposition(d, bl.normalize(m))
+    k = bl.normalize(m).complex
+    sweep = bk.LevelSweep.of(k, bk.identity_embedding(k))
+    ok, report = bl.verify_decomposition(d, sweep)
     print(f"  verified: {ok} {report or ''}")
     print()
 

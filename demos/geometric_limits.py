@@ -19,7 +19,7 @@ def main():
     for name, s in scenarios:
         m, e = lm.generate(s)
         ends = bk.classify_ends(m, e)
-        comps = bk.boundary_components(m.complex, e)
+        comps = bk.boundary_components(bk.LevelSweep.of(m.complex, e))
         print(f"{name}: {len(m.complex.bricks)} bricks,"
               f" ends {sorted(x.kind for x in ends)},"
               f" boundary {sorted(c.kind for c in comps)}")

@@ -171,10 +171,10 @@ def _merge_pair(k: bk.BrickComplex, j: bk.Joint) -> bk.BrickComplex:
     return bk.BrickComplex(k.base, bricks, joints)
 
 
-def _front_cores(m: bk.LabelledBrickManifold, e: bk.LeafEmbedding, b, level):
+def _front_cores(sweep: bk.LevelSweep, b, level):
     """Boundary-annulus cores attached to the brick front at a level."""
     out = []
-    for comp in bk.boundary_components(m.complex, e):
+    for comp in bk.boundary_components(sweep):
         if level not in comp.interval:
             continue
         c = comp.core
@@ -260,13 +260,16 @@ def normalize(m: bk.LabelledBrickManifold) -> bk.LabelledBrickManifold:
                     k = _merge_pair(k, j)
                     changed = dirty = True
                     break
-        mm = bk.LabelledBrickManifold(k)
-        e = bk.identity_embedding(k)
-        for b in k.bricks:
-            if b.kind != "closed" or _is_gf(b) or b.support.kind != "full":
-                continue
-            lower = _front_cores(mm, e, b, b.lo)
-            upper = _front_cores(mm, e, b, b.hi)
+        splittable = [
+            b
+            for b in k.bricks
+            if b.kind == "closed" and not _is_gf(b) and b.support.kind == "full"
+        ]
+        if splittable:
+            sweep = bk.LevelSweep.of(k, bk.identity_embedding(k))
+        for b in splittable:
+            lower = _front_cores(sweep, b, b.lo)
+            upper = _front_cores(sweep, b, b.hi)
             offender = next(
                 (
                     c
@@ -294,14 +297,12 @@ def normalize(m: bk.LabelledBrickManifold) -> bk.LabelledBrickManifold:
 # boundary data
 
 
-def boundary_data(m: bk.LabelledBrickManifold, e: bk.LeafEmbedding):
+def boundary_data(sweep: bk.LevelSweep):
     """Marking sources: horizontal-annulus cores, per-brick pants systems
     on geometrically finite labels, per-brick lamination descriptors on
     simply degenerate labels."""
-    k = m.complex
-    ha = [
-        (comp.core, comp.interval) for comp in bk.boundary_components(k, e)
-    ]
+    k = sweep.complex
+    ha = [(comp.core, comp.interval) for comp in bk.boundary_components(sweep)]
     s = {}
     mu = {}
     for b in k.bricks:
@@ -331,11 +332,11 @@ def _joint_partners(k: bk.BrickComplex, b: bk.Brick, level):
     return out
 
 
-def _endpoint_marking(m, e, b, side, data):
+def _endpoint_marking(sweep, b, side, data):
     """Endpoint datum of a brick front: explicit record, label
     lamination, pants system of a geometrically finite neighbor across an
     inessential joint, boundary-annulus cores, or partner frontiers."""
-    k = m.complex
+    k = sweep.complex
     explicit = b.initial if side == "lower" else b.terminal
     if explicit is not None:
         return explicit
@@ -357,7 +358,7 @@ def _endpoint_marking(m, e, b, side, data):
                     sf.intersection_number(c, c2) == 0 for c2 in curves
                 ):
                     curves.append(c)
-    for c in _front_cores(m, e, b, level):
+    for c in _front_cores(sweep, b, level):
         if c not in curves and all(
             sf.intersection_number(c, c2) == 0 for c2 in curves
         ):
@@ -381,26 +382,13 @@ def _main_geodesic(base: sf.Surface, start, end, budget):
     from a marking toward a marking or lamination.  Returns the vertex
     list, the finite stand-in for the far end, and the ray tail."""
     d = sf.full_surface(base)
-    depth = max(2, min(12, budget // 100))
     tail = None
     end_marking = end
     if isinstance(end, sf.LaminationDescriptor):
+        depth = hy.lamination_depth(budget)
         end_marking = hy._truncate_lamination(d, end, depth)
         tail = end
-    universe = hy.ambient_universe(2)
-    for mk in (start, end_marking):
-        if isinstance(mk, sf.Marking):
-            for c in mk.base.curves:
-                if c not in universe:
-                    universe.append(c)
-            for _, t in mk.transversals:
-                if t not in universe:
-                    universe.append(t)
-    certificate = sf.DistanceCertificate(universe)
-    u = start.base.sorted_curves()[0]
-    w = end_marking.base.sorted_curves()[0]
-    path = hy._bfs_path(certificate.curves, u, w)
-    simplices = hy._tighten(d, path, certificate)
+    _, simplices = hy.certified_main_geodesic(d, start, end_marking)
     return [v.sorted_curves()[0] for v in simplices], end_marking, tail
 
 
@@ -422,7 +410,7 @@ def _xi4_vertices(domain, start, end, budget):
     """Vertex curves of a complexity-4 tight geodesic, plus the ray tail.
     Lamination ends are truncated at the deepest budget level whose whole
     geodesic is realizable in the domain's chart."""
-    depth = max(2, min(12, budget // 100))
+    depth = hy.lamination_depth(budget)
     u = start.base.sorted_curves()[0]
     if not isinstance(u.rep, sf.FareySlope):
         raise BudgetExceeded("endpoint marking is not in slope coordinates")
@@ -550,14 +538,11 @@ def _core_serial(c: sf.Curve):
     return (kind, str(val))
 
 
-def _between_clear(core, lo, hi, k, e, tubes):
+def _between_clear(core, lo, hi, sweep: bk.LevelSweep, tubes):
     """Product region between two bands: inside the model and crossed by
     no other tube."""
-    for iv, mid in bk._sample_intervals(k, e):
-        if iv[1] <= lo or iv[0] >= hi:
-            continue
-        if bk.curve_meets_slit(core, bk.slit_at(k, e, mid)):
-            return False
+    if sweep.meets_between(core, lo, hi):
+        return False
     for t in tubes:
         if t.band[0] >= hi or t.band[1] <= lo:
             continue
@@ -566,52 +551,9 @@ def _between_clear(core, lo, hi, k, e, tubes):
     return True
 
 
-def merge_homotopic(tubes, m: bk.LabelledBrickManifold, e: bk.LeafEmbedding):
-    """Merge tubes homotopic in the model minus the remaining tubes.
-    Pairs are processed in ascending (level, core-serial) order until no
-    merge-eligible pair remains."""
-    k = m.complex
-    out = list(tubes)
-    while True:
-        out.sort(key=lambda t: (t.band[0], _core_serial(t.core)))
-        merged = None
-        for i, a in enumerate(out):
-            for b in out[i + 1 :]:
-                if a.core != b.core:
-                    continue
-                lo, hi = min(a.band[1], b.band[1]), max(a.band[0], b.band[0])
-                if lo > hi:
-                    continue
-                rest = [t for t in out if t is not a and t is not b]
-                if not _between_clear(a.core, lo, hi, k, e, rest):
-                    continue
-                interface = (
-                    "torus"
-                    if "torus" in (a.interface, b.interface)
-                    else "annulus"
-                )
-                merged = Tube(
-                    tid=a.tid,
-                    core=a.core,
-                    band=(min(a.band[0], b.band[0]), max(a.band[1], b.band[1])),
-                    origin=a.origin,
-                    token=a.token,
-                    interface=interface,
-                    merged_from=a.merged_from | b.merged_from | {a.tid, b.tid},
-                    twist=a.twist + b.twist,
-                )
-                out = rest + [merged]
-                break
-            if merged is not None:
-                break
-        if merged is None:
-            break
-    out.sort(key=lambda t: (t.band[0], _core_serial(t.core)))
-    return out
-
-
-def _merge_eligible_pairs(tubes, k, e):
-    pairs = []
+def _merge_eligible_pairs(tubes, sweep: bk.LevelSweep):
+    """Same-core tube pairs (a, b, remaining tubes), in list order, that
+    are homotopic in the model minus the remaining tubes."""
     for i, a in enumerate(tubes):
         for b in tubes[i + 1 :]:
             if a.core != b.core:
@@ -620,9 +562,33 @@ def _merge_eligible_pairs(tubes, k, e):
             if lo > hi:
                 continue
             rest = [t for t in tubes if t is not a and t is not b]
-            if _between_clear(a.core, lo, hi, k, e, rest):
-                pairs.append((a.tid, b.tid))
-    return pairs
+            if _between_clear(a.core, lo, hi, sweep, rest):
+                yield a, b, rest
+
+
+def merge_homotopic(tubes, sweep: bk.LevelSweep):
+    """Merge tubes homotopic in the model minus the remaining tubes.
+    Pairs are processed in ascending (level, core-serial) order until no
+    merge-eligible pair remains."""
+    out = list(tubes)
+    while True:
+        out.sort(key=lambda t: (t.band[0], _core_serial(t.core)))
+        pair = next(_merge_eligible_pairs(out, sweep), None)
+        if pair is None:
+            return out
+        a, b, rest = pair
+        interface = "torus" if "torus" in (a.interface, b.interface) else "annulus"
+        merged = Tube(
+            tid=a.tid,
+            core=a.core,
+            band=(min(a.band[0], b.band[0]), max(a.band[1], b.band[1])),
+            origin=a.origin,
+            token=a.token,
+            interface=interface,
+            merged_from=a.merged_from | b.merged_from | {a.tid, b.tid},
+            twist=a.twist + b.twist,
+        )
+        out = rest + [merged]
 
 
 # ---------------------------------------------------------------------------
@@ -633,18 +599,20 @@ def decompose(m: bk.LabelledBrickManifold, budget: int = None) -> BlockDecomposi
     """Cut the model into standard blocks and a tube union."""
     if budget is None:
         budget = get_budget()
-    conds = bk.check_conditions(m, bk.identity_embedding(m.complex))
-    if not conds["EL"]:
+    sweep = bk.LevelSweep.of(m.complex, bk.identity_embedding(m.complex))
+    if not bk.check_conditions(sweep)["EL"]:
         raise ELViolation(
             "simply degenerate descriptors repeat on homotopic supports"
         )
     m = normalize(m)
     k = m.complex
-    e = bk.identity_embedding(k)
+    if k is not sweep.complex:
+        sweep = bk.LevelSweep.of(k, bk.identity_embedding(k))
+    e = sweep.embedding
     base = k.base
     full = sf.full_surface(base)
     max_rounds = base.complexity() - 3
-    data = boundary_data(m, e)
+    data = boundary_data(sweep)
 
     placed = []
     blocks = []
@@ -667,7 +635,7 @@ def decompose(m: bk.LabelledBrickManifold, budget: int = None) -> BlockDecomposi
         blocks.append(Block(blid, btype, token, interval, gap, tube, support))
 
     # round 0: tubes along the model boundary
-    for comp in bk.boundary_components(k, e):
+    for comp in bk.boundary_components(sweep):
         interface = "torus" if comp.kind == "torus" else "annulus"
         new_tube(comp.core, comp.interval, 0, "boundary", "boundary", interface)
 
@@ -688,8 +656,8 @@ def decompose(m: bk.LabelledBrickManifold, budget: int = None) -> BlockDecomposi
         if xi >= 5:
             xi5_queue.append(b)
             continue
-        start = _endpoint_marking(m, e, b, "lower", data)
-        end = _endpoint_marking(m, e, b, "upper", data)
+        start = _endpoint_marking(sweep, b, "lower", data)
+        end = _endpoint_marking(sweep, b, "upper", data)
         if b.kind == "half-open-below":
             start, end = end, start
         xi4_queue.append((b.support, (alpha, beta), b.kind, start, end, b.bid))
@@ -701,8 +669,8 @@ def decompose(m: bk.LabelledBrickManifold, budget: int = None) -> BlockDecomposi
         rounds_used += 1
         for b in xi5_queue:
             alpha, beta = e.level_of(b.bid)
-            start = _endpoint_marking(m, e, b, "lower", data)
-            end = _endpoint_marking(m, e, b, "upper", data)
+            start = _endpoint_marking(sweep, b, "lower", data)
+            end = _endpoint_marking(sweep, b, "upper", data)
             if b.kind == "half-open-below":
                 start, end = end, start
             if start is None or end is None:
@@ -790,7 +758,7 @@ def decompose(m: bk.LabelledBrickManifold, budget: int = None) -> BlockDecomposi
     if rounds_used > max_rounds:
         raise IterationOverflow("round count exceeded the complexity bound")
 
-    tubes = merge_homotopic(placed, m, e)
+    tubes = merge_homotopic(placed, sweep)
     blocks, adjustments = _enforce_bb(blocks, k)
 
     union = TubeUnion(
@@ -861,13 +829,12 @@ def _enforce_bb(blocks, k: bk.BrickComplex):
 # verification
 
 
-def verify_decomposition(d: BlockDecomposition, m: bk.LabelledBrickManifold):
+def verify_decomposition(d: BlockDecomposition, sweep: bk.LevelSweep):
     """Structural report: block types, tube interfaces, disjoint bands
     for crossing cores, no merge-eligible pair, gap bands clear of brick
-    fronts."""
+    fronts.  The sweep is of the normalized model."""
     report = []
-    k = m.complex
-    e = bk.identity_embedding(k)
+    k = sweep.complex
     for bl in d.blocks:
         if bl.btype not in BLOCK_TYPES:
             report.append(f"block {bl.blid} has type {bl.btype}")
@@ -889,8 +856,8 @@ def verify_decomposition(d: BlockDecomposition, m: bk.LabelledBrickManifold):
                 report.append(
                     f"tubes {a.tid},{b.tid} overlap with crossing cores"
                 )
-    for a, b in _merge_eligible_pairs(list(d.tubes.tubes), k, e):
-        report.append(f"tubes {a},{b} are still merge-eligible")
+    for a, b, _ in _merge_eligible_pairs(list(d.tubes.tubes), sweep):
+        report.append(f"tubes {a.tid},{b.tid} are still merge-eligible")
     adjusted = frozenset(a["front"] for a in d.adjustments)
     for blid, f in _bb_violations(d.blocks, k, adjusted):
         report.append(f"front at {f} crosses the gap of block {blid}")

@@ -170,10 +170,6 @@ def curve_tag(c: sf.Curve) -> str:
     return sf._curve_tag(c)
 
 
-def _boundary_curves(support: sf.EssentialSubsurface):
-    return list(support.boundary)
-
-
 def curve_in_domain(y: sf.EssentialSubsurface, c: sf.Curve) -> bool:
     """Whether the ambient curve class lies inside the subsurface."""
     if y.kind == "full":
@@ -315,7 +311,7 @@ def slit_at(k: BrickComplex, e: LeafEmbedding, c: Fraction) -> Slit:
         return Slit(c, ())
     cut = []
     for b in present:
-        for curve in _boundary_curves(b.support):
+        for curve in b.support.boundary:
             if curve not in cut:
                 cut.append(curve)
     simplex = sf.Simplex(full, frozenset(cut))
@@ -338,15 +334,6 @@ def slit_at(k: BrickComplex, e: LeafEmbedding, c: Fraction) -> Slit:
     return Slit(c, tuple(components))
 
 
-def _sample_intervals(k, e):
-    """(interval, midpoint) pairs between consecutive critical levels."""
-    levels = critical_levels(k, e)
-    out = []
-    for a, b in zip(levels, levels[1:]):
-        out.append(((a, b), (a + b) / 2))
-    return out
-
-
 def curve_meets_slit(c: sf.Curve, slit: Slit) -> bool:
     """Whether the curve cannot be isotoped off the slit components."""
     for y in slit.components:
@@ -363,6 +350,37 @@ def curve_meets_slit(c: sf.Curve, slit: Slit) -> bool:
     return False
 
 
+@dataclass(frozen=True)
+class LevelSweep:
+    """Every slit of an embedded complex, computed once: one per interval
+    between consecutive critical levels, sampled at its midpoint."""
+
+    complex: BrickComplex
+    embedding: LeafEmbedding
+    slits: tuple  # pairs ((lo, hi), Slit) in level order
+
+    @classmethod
+    def of(cls, k: BrickComplex, e: LeafEmbedding) -> "LevelSweep":
+        levels = critical_levels(k, e)
+        return cls(
+            k,
+            e,
+            tuple(
+                ((a, b), slit_at(k, e, (a + b) / 2))
+                for a, b in zip(levels, levels[1:])
+            ),
+        )
+
+    def meets_between(self, c: sf.Curve, lo, hi) -> bool:
+        """Whether the curve meets the slit of a sample interval (a, b)
+        with a < hi and lo < b: one overlapping the levels from lo to hi."""
+        return any(
+            curve_meets_slit(c, slit)
+            for (a, b), slit in self.slits
+            if a < hi and lo < b
+        )
+
+
 # ---------------------------------------------------------------------------
 # boundary components
 
@@ -374,15 +392,14 @@ class BoundaryComponent:
     interval: tuple  # closed hull (lo, hi) of the complement gap
 
 
-def boundary_components(k: BrickComplex, e: LeafEmbedding):
+def boundary_components(sweep: LevelSweep):
     """Boundary pieces of the embedded image: one per maximal level gap of
     an uncovered collar annulus; torus when the gap is capped at both
     ends by covered levels, open annulus otherwise."""
-    samples = _sample_intervals(k, e)
-    slits = [(iv, slit_at(k, e, mid)) for iv, mid in samples]
+    k, e = sweep.complex, sweep.embedding
     # collect annular gap cores by curve identity
     gaps = {}
-    for (iv, slit) in slits:
+    for iv, slit in sweep.slits:
         for y in slit.components:
             if y.kind == "annulus":
                 gaps.setdefault(y.boundary[0], []).append(iv)
@@ -449,8 +466,8 @@ def classify_ends(m: LabelledBrickManifold, e: LeafEmbedding):
 # admissibility conditions
 
 
-def _a2_gap_pairs(k, e):
-    comps = boundary_components(k, e)
+def _a2_gap_pairs(sweep: LevelSweep):
+    comps = boundary_components(sweep)
     pairs = []
     for i, c1 in enumerate(comps):
         for c2 in comps[i + 1 :]:
@@ -459,59 +476,60 @@ def _a2_gap_pairs(k, e):
     return pairs
 
 
-def check_a2(k: BrickComplex, e: LeafEmbedding) -> bool:
+def check_a2(sweep: LevelSweep) -> bool:
     """No properly embedded essential annulus between boundary pieces."""
-    for c1, c2 in _a2_gap_pairs(k, e):
+    for c1, c2 in _a2_gap_pairs(sweep):
         lo = c1.interval[1]
         hi = c2.interval[0]
         if lo > hi:
             continue
-        blocked = False
-        for iv, mid in _sample_intervals(k, e):
-            if iv[1] <= lo or iv[0] >= hi:
-                continue
-            if curve_meets_slit(c1.core, slit_at(k, e, mid)):
-                blocked = True
-                break
-        if not blocked:
+        if not sweep.meets_between(c1.core, lo, hi):
             return False
     return True
 
 
-def check_a2_bruteforce(k: BrickComplex, e: LeafEmbedding) -> bool:
+def clear_annulus_gaps(sweep: LevelSweep):
     """Exhaustive search over vertical annuli joining boundary pieces.
 
-    Enumerates every curve class appearing as a gap core and every pair
-    of levels bounding distinct gaps of that class, then tests whether
-    the full annulus between them avoids the complement level by level.
+    Enumerates every curve class appearing as a gap core, in order of
+    first appearance, and every pair of levels bounding distinct gaps of
+    that class; yields (core, lo, hi) when the full annulus between them
+    avoids the complement level by level.
     """
-    comps = boundary_components(k, e)
-    cores = {c.core for c in comps}
-    samples = _sample_intervals(k, e)
+    comps = boundary_components(sweep)
+    cores = []
+    for c in comps:
+        if c.core not in cores:
+            cores.append(c.core)
     for core in cores:
         gaps = sorted(c.interval for c in comps if c.core == core)
         for i in range(len(gaps)):
             for j in range(i + 1, len(gaps)):
                 lo, hi = gaps[i][1], gaps[j][0]
                 clear = True
-                for iv, mid in samples:
+                for iv, slit in sweep.slits:
                     if iv[1] <= lo or iv[0] >= hi:
                         continue
-                    if curve_meets_slit(core, slit_at(k, e, mid)):
+                    if curve_meets_slit(core, slit):
                         clear = False
                         break
                 if clear:
-                    return False
-    return True
+                    yield core, lo, hi
 
 
-def check_conditions(m: LabelledBrickManifold, e: LeafEmbedding):
-    """Admissibility report {A1, A2, A3, A4, A5, EL} of booleans."""
-    k = m.complex
-    comps = boundary_components(k, e)
+def check_a2_bruteforce(sweep: LevelSweep) -> bool:
+    """Brute-force A2: no vertical annulus found by clear_annulus_gaps."""
+    return next(clear_annulus_gaps(sweep), None) is None
+
+
+def check_conditions(sweep: LevelSweep):
+    """Admissibility report {A1, A2, A3, A4, A5, EL} of booleans for the
+    labelled model on the swept complex."""
+    k, e = sweep.complex, sweep.embedding
+    comps = boundary_components(sweep)
     a1 = all(c.kind in ("torus", "open-annulus") for c in comps)
-    a2 = check_a2(k, e)
-    ends = classify_ends(m, e)
+    a2 = check_a2(sweep)
+    ends = classify_ends(LabelledBrickManifold(k), e)
     a3 = True
     for end in ends:
         if end.kind != "wild":
@@ -563,17 +581,9 @@ def check_conditions(m: LabelledBrickManifold, e: LeafEmbedding):
                 # unless a boundary piece between them blocks the homotopy
                 lo = min(b1.hi, b2.hi)
                 hi = max(b1.lo, b2.lo)
-                blocked = False
-                for iv, mid in _sample_intervals(k, e):
-                    if iv[1] <= lo or iv[0] >= hi:
-                        continue
-                    slit = slit_at(k, e, mid)
-                    if any(
-                        curve_meets_slit(c, slit) for c in b1.support.boundary
-                    ):
-                        blocked = True
-                        break
-                if not blocked:
+                if not any(
+                    sweep.meets_between(c, lo, hi) for c in b1.support.boundary
+                ):
                     el = False
     return {"A1": a1, "A2": a2, "A3": a3, "A4": a4, "A5": a5, "EL": el}
 
@@ -613,22 +623,16 @@ def rearrange(seq):
     return out
 
 
-def _slit_chi_map(k, e):
-    return {
-        mid: slit_at(k, e, mid).chi() for _, mid in _sample_intervals(k, e)
-    }
-
-
-def extend_embedding(prev, next_complex: BrickComplex):
+def extend_embedding(prev: LevelSweep, next_complex: BrickComplex):
     """Extend an embedding of a smaller complex over a larger one.
 
-    prev is (BrickComplex, LeafEmbedding).  Old bricks keep their exact
-    level data; new bricks take their nominal levels.  Whenever a level
-    region's complement strictly shrinks, a twist record is emitted along
-    that slit with a delta-interval chosen as half the minimal gap to the
-    other critical levels.
+    prev is the sweep of the smaller embedded complex.  Old bricks keep
+    their exact level data; new bricks take their nominal levels.
+    Whenever a level region's complement strictly shrinks, a twist record
+    is emitted along that slit with a delta-interval chosen as half the
+    minimal gap to the other critical levels.
     """
-    prev_k, prev_e = prev
+    prev_k, prev_e = prev.complex, prev.embedding
     if not prev_k.ids() <= next_complex.ids():
         raise NotAscending("extension target does not contain the old complex")
     levels = list(prev_e.levels)
@@ -638,11 +642,12 @@ def extend_embedding(prev, next_complex: BrickComplex):
             levels.append((b.bid, (b.lo, b.hi)))
     next_e = LeafEmbedding(tuple(levels))
     twists = []
-    prev_chi = _slit_chi_map(prev_k, prev_e)
+    prev_chi = {slit.level: slit.chi() for _, slit in prev.slits}
     prev_crit = critical_levels(prev_k, prev_e)
     span = (prev_crit[0], prev_crit[-1])
     crit = critical_levels(next_complex, next_e)
-    for _, mid in _sample_intervals(next_complex, next_e):
+    for _, slit_new in LevelSweep.of(next_complex, next_e).slits:
+        mid = slit_new.level
         if not span[0] < mid < span[1]:
             # new territory beyond the old span glues compatibly
             continue
@@ -650,7 +655,6 @@ def extend_embedding(prev, next_complex: BrickComplex):
         if not old:
             continue
         chi_old = prev_chi[old[0]]
-        slit_new = slit_at(next_complex, next_e, mid)
         if -chi_old > -slit_new.chi():
             gaps = [abs(lv - mid) for lv in crit if lv != mid]
             delta = min(gaps) / 2 if gaps else Fraction(1, 4)

@@ -25,25 +25,11 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import flatcurves as fc
-from .farey import Slope
+from .farey import Slope, _bezout
 
 
 # ---------------------------------------------------------------------------
 # the ambient twice-punctured torus
-
-
-def _bezout(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        k = old_r // r
-        old_r, r = r, old_r - k * r
-        old_s, s = s, old_s - k * s
-        old_t, t = t, old_t - k * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
 
 
 @dataclass(frozen=True)
@@ -59,9 +45,6 @@ class CurveDesc:
             return fc.line_curve(a, b, band)
         p, q = self.data
         return fc.slot_curve(p, q)
-
-    def serial(self):
-        return (self.kind,) + tuple(self.data)
 
 
 class AmbientFlatChart:

@@ -68,7 +68,7 @@ def _block_doc(b):
 def _cmd_validate(args):
     m, e = _load_model(args.input)
     ok_structure, structure = bk.validate_complex(m.complex)
-    conditions = bk.check_conditions(m, e)
+    conditions = bk.check_conditions(bk.LevelSweep.of(m.complex, e))
     ok = ok_structure and all(conditions.values())
     _emit(
         {
@@ -83,7 +83,10 @@ def _cmd_validate(args):
 def _cmd_decompose(args):
     m, e = _load_model(args.input)
     d = bl.decompose(m)
-    ok, report = bl.verify_decomposition(d, bl.normalize(m))
+    k = bl.normalize(m).complex
+    ok, report = bl.verify_decomposition(
+        d, bk.LevelSweep.of(k, bk.identity_embedding(k))
+    )
     _emit(
         {
             "rounds": d.rounds_used,

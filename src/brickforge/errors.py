@@ -9,10 +9,6 @@ class DomainError(BrickforgeError):
     """Two curves (or a curve and an operation) live on different domains."""
 
 
-class FillingError(BrickforgeError):
-    """A pair of simplices fills its domain, so no essential boundary exists."""
-
-
 class CertificateError(BrickforgeError):
     """A distance certificate does not cover the vertices it is asked about."""
 

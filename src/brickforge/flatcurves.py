@@ -267,12 +267,6 @@ class FlatCurve:
     def normal_coords(self):
         return normal_coords_of(self.word())
 
-    def is_null(self):
-        return self.canonical() == ()
-
-    def is_peripheral(self):
-        return self.canonical() in PERIPHERAL_CLASSES
-
     def translated(self, lam):
         return FlatCurve(tuple(_add(p, lam) for p in self.points), self.disp)
 
@@ -595,16 +589,6 @@ def minimal_overlay(c1: FlatCurve, c2: FlatCurve):
 
 # ---------------------------------------------------------------------------
 # neighborhood boundary walks
-
-
-def _angle_key(v):
-    """Total order on directions by angle, exact."""
-    x, y = v
-    if y > 0 or (y == 0 and x > 0):
-        half = 0
-    else:
-        half = 1
-    return (half, Fraction(-x, y) if y != 0 else (Fraction(-10**9) if x > 0 else Fraction(10**9)), )
 
 
 def _sort_by_angle(items):

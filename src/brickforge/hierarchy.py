@@ -17,11 +17,14 @@ from . import charts
 from . import surfaces as sf
 from .errors import (
     BudgetExceeded,
+    CertificateError,
+    DomainError,
     NoTightGeodesic,
     NonSaturable,
     NotComponentDomain,
 )
 from .farey import Slope
+from .flatcurves import GenericityError
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,7 @@ def ambient_universe(budget_radius: int = 2):
     for desc in charts.AMBIENT.descs(budget_radius):
         try:
             flat = charts.AMBIENT.curve(desc)
-        except Exception:
+        except GenericityError:
             continue
         key = flat.canonical()
         if key not in seen:
@@ -253,6 +256,32 @@ def _truncate_lamination(domain, lam: sf.LaminationDescriptor, depth: int):
     raise TypeError("unknown lamination representation")
 
 
+def lamination_depth(budget: int) -> int:
+    """Continued-fraction depth at which lamination endpoints are
+    truncated: budget // 100, clipped to [2, 12]."""
+    return max(2, min(12, budget // 100))
+
+
+def certified_main_geodesic(domain, initial, terminal):
+    """Tight geodesic between the base vertices of two markings on a
+    complexity-5 surface, found by BFS over ambient_universe(2) plus the
+    markings' curves.  Returns (certificate, simplices)."""
+    universe = ambient_universe(2)
+    for m in (initial, terminal):
+        if isinstance(m, sf.Marking):
+            for c in m.base.curves:
+                if c not in universe:
+                    universe.append(c)
+            for _, t in m.transversals:
+                if t not in universe:
+                    universe.append(t)
+    certificate = sf.DistanceCertificate(universe)
+    u = _base_vertex(initial)
+    w = _base_vertex(terminal)
+    path = _bfs_path(certificate.curves, u, w)
+    return certificate, _tighten(domain, path, certificate)
+
+
 def build_hierarchy(s: sf.Surface, initial, terminal, budget: int = 10**4):
     """Hierarchy of tight geodesics from an initial to a terminal marking.
 
@@ -262,10 +291,11 @@ def build_hierarchy(s: sf.Surface, initial, terminal, budget: int = 10**4):
     if s.complexity() not in (4, 5):
         raise BudgetExceeded("hierarchies supported on complexity 4 and 5 only")
     d = sf.full_surface(s)
-    depth = max(2, min(12, budget // 100))
     terminal_record = terminal
     if isinstance(terminal, sf.LaminationDescriptor):
-        terminal_marking = _truncate_lamination(d, terminal, depth)
+        terminal_marking = _truncate_lamination(
+            d, terminal, lamination_depth(budget)
+        )
     else:
         terminal_marking = terminal
     geodesics = []
@@ -284,20 +314,9 @@ def build_hierarchy(s: sf.Surface, initial, terminal, budget: int = 10**4):
         geodesics.append(main)
         certificate = None
     else:
-        universe = ambient_universe(2)
-        for m in (initial, terminal_marking):
-            if isinstance(m, sf.Marking):
-                for c in m.base.curves:
-                    if c not in universe:
-                        universe.append(c)
-                for _, t in m.transversals:
-                    if t not in universe:
-                        universe.append(t)
-        certificate = sf.DistanceCertificate(universe)
-        u = _base_vertex(initial)
-        w = _base_vertex(terminal_marking)
-        path = _bfs_path(certificate.curves, u, w)
-        main_simplices = _tighten(d, path, certificate)
+        certificate, main_simplices = certified_main_geodesic(
+            d, initial, terminal_marking
+        )
         main = TightGeodesic(
             gid="g0",
             domain=d,
@@ -409,7 +428,7 @@ def verify_hierarchy(h: Hierarchy):
                 ok = sf.is_tight_sequence(list(g.simplices))
             if not ok:
                 violations.append(f"{g.gid} is not tight")
-        except Exception as exc:
+        except (CertificateError, DomainError, BudgetExceeded) as exc:
             violations.append(f"{g.gid} tightness check failed: {exc}")
     for g in h.geodesics:
         if g.gid == h.main_gid:

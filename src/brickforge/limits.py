@@ -275,33 +275,6 @@ def _crossing_candidates(base, core):
     return [c for _, _, c in scored]
 
 
-def _clear_annulus_gaps(k, e):
-    """Same-core boundary pairs joined by an unobstructed vertical
-    annulus, as (core, lo, hi) level gaps."""
-    comps = bk.boundary_components(k, e)
-    samples = bk._sample_intervals(k, e)
-    out = []
-    cores = []
-    for c in comps:
-        if c.core not in cores:
-            cores.append(c.core)
-    for core in cores:
-        gaps = sorted(c.interval for c in comps if c.core == core)
-        for i in range(len(gaps)):
-            for j in range(i + 1, len(gaps)):
-                lo, hi = gaps[i][1], gaps[j][0]
-                clear = True
-                for iv, mid in samples:
-                    if iv[1] <= lo or iv[0] >= hi:
-                        continue
-                    if bk.curve_meets_slit(core, bk.slit_at(k, e, mid)):
-                        clear = False
-                        break
-                if clear:
-                    out.append((core, lo, hi))
-    return out
-
-
 def _disjoint_bands(pairs):
     """Greedy maximal subset of (core, band) with pairwise disjoint
     level bands, sorted by band."""
@@ -324,15 +297,17 @@ def _assemble_z(base, removals, obstructors):
 
 def _find_obstructors(base, removals):
     """Tubes killing every unobstructed annulus between the removed
-    tubes, chosen greedily with minimal crossing cores."""
+    tubes, chosen greedily with minimal crossing cores.  Returns the
+    obstructors, the approximant Z and the level sweep of Z."""
     obstructors = []
     limit = len(removals) + 8
     for _ in range(limit):
         zm, ze = _assemble_z(base, removals, obstructors)
-        gaps = _clear_annulus_gaps(zm.complex, ze)
-        if not gaps:
-            return obstructors, zm, ze
-        core, lo, hi = gaps[0]
+        sweep = bk.LevelSweep.of(zm.complex, ze)
+        gap = next(bk.clear_annulus_gaps(sweep), None)
+        if gap is None:
+            return obstructors, zm, sweep
+        core, lo, hi = gap
         width = (hi - lo) / 8
         mid = (lo + hi) / 2
         candidates = _crossing_candidates(base, core)
@@ -354,12 +329,21 @@ def exhaust(m, e, stages: int, budget=None):
     span_lo = min(lv for lv, _ in (e.level_of(b.bid) for b in m.complex.bricks))
     span_hi = max(hv for _, hv in (e.level_of(b.bid) for b in m.complex.bricks))
     width = span_hi - span_lo
+    # a tube whose band reaches the span edge fits in no window
+    interior = sum(
+        1 for v in tubes if span_lo < v.band[0] and v.band[1] < span_hi
+    )
+    tori = [
+        c
+        for c in bk.boundary_components(bk.LevelSweep.of(m.complex, e))
+        if c.kind == "torus"
+    ]
     out = []
     margin = width / 8
     for n in range(1, stages + 1):
         margin = margin / 2
         window = (span_lo + margin, span_hi - margin)
-        want = min(n, len(tubes))
+        want = min(n, interior)
         while (
             sum(
                 1
@@ -387,15 +371,11 @@ def exhaust(m, e, stages: int, budget=None):
         # them into one homotopy class
         removals = [
             (c.core, c.interval)
-            for c in bk.boundary_components(m.complex, e)
-            if c.kind == "torus"
-            and window[0] < c.interval[1]
-            and c.interval[0] < window[1]
+            for c in tori
+            if window[0] < c.interval[1] and c.interval[0] < window[1]
         ]
-        obstructors, zm, ze = _find_obstructors(m.complex.base, removals)
-        acyl = bk.check_a2(zm.complex, ze) and bk.check_a2_bruteforce(
-            zm.complex, ze
-        )
+        obstructors, zm, z_sweep = _find_obstructors(m.complex.base, removals)
+        acyl = bk.check_a2(z_sweep) and bk.check_a2_bruteforce(z_sweep)
         out.append(
             ExhaustionState(
                 n=n,
@@ -406,7 +386,7 @@ def exhaust(m, e, stages: int, budget=None):
                 ext=ext,
                 obstructors=tuple(obstructors),
                 z=zm,
-                z_embedding=ze,
+                z_embedding=z_sweep.embedding,
                 acylindrical=acyl,
             )
         )
@@ -445,8 +425,9 @@ def exhaustion_doc(state: ExhaustionState) -> dict:
 def verify_theorem_a(m, e) -> dict:
     """End and boundary classification report for a labelled model."""
     k = m.complex
-    conditions = bk.check_conditions(m, e)
-    comps = bk.boundary_components(k, e)
+    sweep = bk.LevelSweep.of(k, e)
+    conditions = bk.check_conditions(sweep)
+    comps = bk.boundary_components(sweep)
     ends = bk.classify_ends(m, e)
     gf_bricks = [
         b.bid

@@ -28,14 +28,6 @@ TUBE_FORMULA_NOTE = "own closed form: core length 2*pi*eps1/|omega|^2"
 
 
 @dataclass(frozen=True)
-class BlockMetricDescriptor:
-    block: str
-    eps1: Fraction = EPS1
-    front_distance: int = 1
-    boundary_annulus: str = "S1(eps1)x[0,1]"
-
-
-@dataclass(frozen=True)
 class MeridianCoefficient:
     tube: str
     re: int
@@ -75,14 +67,6 @@ class GFBrickMetricDescriptor:
     pants_count: int
     flare_form: str = "tau(B)e^{2r}+dr^2"
     bilipschitz: str = "front identification uniformly bi-Lipschitz"
-
-
-# ---------------------------------------------------------------------------
-# block metrics
-
-
-def block_metric(block: bl.Block) -> BlockMetricDescriptor:
-    return BlockMetricDescriptor(block=block.blid)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import collections
 import dataclasses
 import math
 import random
+import signal
 import time
 from fractions import Fraction
 
@@ -229,12 +230,13 @@ def test_criterion_4_pipeline_termination():
     for m in models:
         bound = sf.full_surface(m.complex.base).complexity() - 3
         d = bl.decompose(m)
-        norm = bl.normalize(m)
-        e = bk.identity_embedding(norm.complex)
-        verified, _ = bl.verify_decomposition(d, norm)
+        norm = bl.normalize(m).complex
+        sweep = bk.LevelSweep.of(norm, bk.identity_embedding(norm))
+        verified, _ = bl.verify_decomposition(d, sweep)
         ok &= d.rounds_used <= bound
         ok &= all(b.btype in ("S03", "S04", "S11") for b in d.blocks)
-        ok &= not bl._merge_eligible_pairs(list(d.tubes.tubes), norm.complex, e)
+        tubes = list(d.tubes.tubes)
+        ok &= next(bl._merge_eligible_pairs(tubes, sweep), None) is None
         ok &= verified
     report(4, ok, f"{len(models)} models decomposed within round bounds")
 
@@ -298,7 +300,7 @@ def test_criterion_6_stabilization_and_ends():
             ok &= all(count <= bound for count in by_level.values())
     for d in range(1, 6):
         m, e = lm.generate(lm.Scenario("bonahon-otal", sf.TORUS_1_1, depth=d))
-        comps = bk.boundary_components(m.complex, e)
+        comps = bk.boundary_components(bk.LevelSweep.of(m.complex, e))
         ok &= sum(1 for c in comps if c.kind == "torus") == d
     report(6, ok, "families stabilize; end bounds and boundary counts hold")
 
@@ -417,12 +419,13 @@ def test_criterion_8_checkers_vs_brute_force():
         assert len(m.complex.bricks) <= 12
         e = bk.identity_embedding(m.complex)
         agreements += 1
-        ok &= bk.check_a2(m.complex, e) == bk.check_a2_bruteforce(m.complex, e)
+        sweep = bk.LevelSweep.of(m.complex, e)
+        ok &= bk.check_a2(sweep) == bk.check_a2_bruteforce(sweep)
     negatives = _negative_fixtures()
     ok &= len(negatives) >= 10
     flagged = 0
     for key, (m, e) in negatives:
-        conditions = bk.check_conditions(m, e)
+        conditions = bk.check_conditions(bk.LevelSweep.of(m.complex, e))
         if not conditions[key]:
             flagged += 1
         else:
@@ -450,9 +453,32 @@ def test_criterion_9_exhaustion_stability():
         for state in states:
             stages_checked += 1
             ok &= state.acylindrical
-            ok &= bk.check_a2(state.z.complex, state.z_embedding)
-            ok &= bk.check_a2_bruteforce(state.z.complex, state.z_embedding)
+            sweep = bk.LevelSweep.of(state.z.complex, state.z_embedding)
+            ok &= bk.check_a2(sweep)
+            ok &= bk.check_a2_bruteforce(sweep)
         for a, b in zip(states, states[1:]):
             earlier, later = dict(a.stable), dict(b.stable)
             ok &= all(later.get(bid) == doc for bid, doc in earlier.items())
     report(9, ok, f"{stages_checked} approximants acylindrical and stable")
+
+
+def test_exhaust_terminates_on_single_brick_fixtures():
+    # a band that starts at the span edge fits in no window, so the
+    # window search must not wait for one
+    def hung(signum, frame):
+        raise TimeoutError("exhaust did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    try:
+        for pair in SLOPE_PAIRS:
+            m, _ = single_brick_11(*pair)
+            e = bk.identity_embedding(m.complex)
+            for stages in range(1, 5):
+                signal.alarm(20)
+                try:
+                    states = lm.exhaust(m, e, stages)
+                finally:
+                    signal.alarm(0)
+                assert len(states) == stages, (pair, stages)
+    finally:
+        signal.signal(signal.SIGALRM, previous)

@@ -29,6 +29,10 @@ def bo(d, base=sf.TORUS_1_1):
     return lm.generate(lm.Scenario("bonahon-otal", base, depth=d))
 
 
+def identity_sweep(m):
+    return bk.LevelSweep.of(m.complex, bk.identity_embedding(m.complex))
+
+
 def slope_marking(domain, p, q):
     return sf.Marking(sf.Simplex.of(domain, sf.slope_curve(domain, p, q)))
 
@@ -174,11 +178,9 @@ class TestNormalize:
 
     def test_split_preserves_boundary(self):
         m, _ = self._split_fixture()
-        before = bk.boundary_components(m.complex, bk.identity_embedding(m.complex))
+        before = bk.boundary_components(identity_sweep(m))
         out = bl.normalize(m)
-        after = bk.boundary_components(
-            out.complex, bk.identity_embedding(out.complex)
-        )
+        after = bk.boundary_components(identity_sweep(out))
         assert sorted(c.kind for c in before) == sorted(c.kind for c in after)
         assert {c.core for c in before} == {c.core for c in after}
 
@@ -196,7 +198,7 @@ class TestNormalize:
 class TestBoundaryData:
     def test_kt_horizontal_annulus(self):
         m, e = kt()
-        data = bl.boundary_data(m, e)
+        data = bl.boundary_data(bk.LevelSweep.of(m.complex, e))
         assert len(data["H_A"]) == 1
         core, interval = data["H_A"][0]
         assert core == sf.slope_curve(sf.full_surface(sf.TORUS_1_1), 0, 1)
@@ -204,13 +206,13 @@ class TestBoundaryData:
 
     def test_gf_pants_from_label(self):
         m, e = kt()
-        data = bl.boundary_data(m, e)
+        data = bl.boundary_data(bk.LevelSweep.of(m.complex, e))
         full = sf.full_surface(sf.TORUS_1_1)
         assert data["s"]["gf0"] == (sf.slope_curve(full, 0, 1),)
 
     def test_sd_descriptors_passed_through(self):
         m, e = brock()
-        data = bl.boundary_data(m, e)
+        data = bl.boundary_data(bk.LevelSweep.of(m.complex, e))
         assert set(data["mu"]) == {"h0", "h1"}
         assert data["mu"]["h0"] != data["mu"]["h1"]
 
@@ -220,7 +222,7 @@ class TestBoundaryData:
         k = bk.BrickComplex(sf.TORUS_1_1, (b,), ())
         m = bk.LabelledBrickManifold(k)
         with pytest.raises(MissingLabel):
-            bl.boundary_data(m, bk.identity_embedding(k))
+            bl.boundary_data(identity_sweep(m))
 
 
 class TestTubeUnionFor:
@@ -310,33 +312,33 @@ class TestMerging:
         full = sf.full_surface(sf.TORUS_1_1)
         b = bk.Brick("b0", full, "closed", F(0), F(1))
         k = bk.BrickComplex(sf.TORUS_1_1, (b,), ())
-        return bk.LabelledBrickManifold(k), bk.identity_embedding(k), full
+        return identity_sweep(bk.LabelledBrickManifold(k)), full
 
     def test_same_core_clear_between_merged(self):
-        m, e, full = self._model()
+        sweep, full = self._model()
         core = sf.slope_curve(full, 0, 1)
         a = bl.Tube("a", core, (F(0), F(1, 4)), (1, "b0"), full.token)
         b = bl.Tube("b", core, (F(1, 2), F(3, 4)), (1, "b0"), full.token)
-        out = bl.merge_homotopic([a, b], m, e)
+        out = bl.merge_homotopic([a, b], sweep)
         assert len(out) == 1
         assert out[0].band == (F(0), F(3, 4))
         assert out[0].merged_from == frozenset({"a", "b"})
 
     def test_obstructing_tube_blocks_merge(self):
-        m, e, full = self._model()
+        sweep, full = self._model()
         core = sf.slope_curve(full, 0, 1)
         cross = sf.slope_curve(full, 1, 0)
         a = bl.Tube("a", core, (F(0), F(1, 4)), (1, "b0"), full.token)
         b = bl.Tube("b", core, (F(1, 2), F(3, 4)), (1, "b0"), full.token)
         c = bl.Tube("c", cross, (F(3, 8), F(7, 16)), (1, "b0"), full.token)
-        out = bl.merge_homotopic([a, b, c], m, e)
+        out = bl.merge_homotopic([a, b, c], sweep)
         assert len(out) == 3
 
     def test_distinct_cores_unchanged(self):
-        m, e, full = self._model()
+        sweep, full = self._model()
         a = bl.Tube("a", sf.slope_curve(full, 0, 1), (F(0), F(1, 4)), (1, "b0"), full.token)
         b = bl.Tube("b", sf.slope_curve(full, 1, 0), (F(1, 2), F(3, 4)), (1, "b0"), full.token)
-        assert len(bl.merge_homotopic([a, b], m, e)) == 2
+        assert len(bl.merge_homotopic([a, b], sweep)) == 2
 
     def test_kt_cusp_tube_absorbs_neighbors(self):
         m, _ = kt()
@@ -363,7 +365,7 @@ class TestDecompose:
             assert d.rounds_used <= max_rounds, name
             assert len(d.torus_tubes) == torus, name
             assert all(b.btype in bl.BLOCK_TYPES for b in d.blocks), name
-            ok, report = bl.verify_decomposition(d, bl.normalize(m))
+            ok, report = bl.verify_decomposition(d, identity_sweep(bl.normalize(m)))
             assert ok, (name, report)
 
     def test_round_bound_matches_complexity(self):
@@ -474,7 +476,7 @@ class TestConditionBB:
                 bad_blocks.append(b)
         assert mutated
         bad = replace(d, blocks=tuple(bad_blocks))
-        ok, report = bl.verify_decomposition(bad, m)
+        ok, report = bl.verify_decomposition(bad, identity_sweep(m))
         assert not ok
         assert any("crosses the gap" in r for r in report)
 
@@ -483,7 +485,7 @@ class TestVerify:
     def test_clean_on_pipeline_output(self):
         for m, _ in (kt(), kt(sf.TORUS_1_2), bo(4), brock()):
             d = bl.decompose(m)
-            ok, report = bl.verify_decomposition(d, bl.normalize(m))
+            ok, report = bl.verify_decomposition(d, identity_sweep(bl.normalize(m)))
             assert ok and not report
 
     def test_duplicated_tube_flagged(self):
@@ -492,7 +494,7 @@ class TestVerify:
         t = d.tubes.tubes[0]
         dup = replace(t, tid="dup")
         bad = replace(d, tubes=replace(d.tubes, tubes=d.tubes.tubes + (dup,)))
-        ok, report = bl.verify_decomposition(bad, m)
+        ok, report = bl.verify_decomposition(bad, identity_sweep(m))
         assert not ok
         assert any("one core" in r for r in report)
 
@@ -505,7 +507,7 @@ class TestVerify:
             "x", sf.slope_curve(full, 1, 0), t.band, (1, "b0"), full.token
         )
         bad = replace(d, tubes=replace(d.tubes, tubes=d.tubes.tubes + (cross,)))
-        ok, report = bl.verify_decomposition(bad, m)
+        ok, report = bl.verify_decomposition(bad, identity_sweep(m))
         assert not ok
         assert any("crossing cores" in r for r in report)
 

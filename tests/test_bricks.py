@@ -2,6 +2,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brickforge import bricks as bk
 from brickforge import limits as lm
@@ -132,18 +134,18 @@ class TestSlits:
 class TestBoundary:
     def test_single_tube_gives_one_torus(self):
         m, e = kt()
-        comps = bk.boundary_components(m.complex, e)
+        comps = bk.boundary_components(bk.LevelSweep.of(m.complex, e))
         assert len(comps) == 1
         assert comps[0].kind == "torus"
 
     def test_removed_leaf_has_no_boundary(self):
         m, e = brock()
-        assert bk.boundary_components(m.complex, e) == []
+        assert bk.boundary_components(bk.LevelSweep.of(m.complex, e)) == []
 
     def test_tower_torus_counts(self):
         for d in range(1, 6):
             m, e = bo(d)
-            comps = bk.boundary_components(m.complex, e)
+            comps = bk.boundary_components(bk.LevelSweep.of(m.complex, e))
             assert len(comps) == d
             assert all(c.kind == "torus" for c in comps)
 
@@ -193,16 +195,16 @@ class TestEnds:
 class TestConditions:
     def test_scenarios_satisfy_all(self):
         for m, e in (kt(), brock(), bo(2), bo(5), kt(sf.TORUS_1_2)):
-            report = bk.check_conditions(m, e)
+            report = bk.check_conditions(bk.LevelSweep.of(m.complex, e))
             assert all(report.values()), report
 
     def test_parallel_tubes_fail_a2(self):
         full = sf.full_surface(sf.TORUS_1_1)
         core = sf.slope_curve(full, 0, 1)
         m, e = lm._tower(sf.TORUS_1_1, [core, core])
-        report = bk.check_conditions(m, e)
+        report = bk.check_conditions(bk.LevelSweep.of(m.complex, e))
         assert report["A2"] is False
-        assert bk.check_a2_bruteforce(m.complex, e) is False
+        assert bk.check_a2_bruteforce(bk.LevelSweep.of(m.complex, e)) is False
 
     def test_a2_bruteforce_agrees_on_scenarios(self):
         fixtures = [kt(), brock(), bo(1), bo(3), bo(5), kt(sf.TORUS_1_2)]
@@ -211,7 +213,23 @@ class TestConditions:
         fixtures.append(lm._tower(sf.TORUS_1_1, [core, core]))
         fixtures.append(lm._tower(sf.TORUS_1_1, [core, core, core]))
         for m, e in fixtures:
-            assert bk.check_a2(m.complex, e) == bk.check_a2_bruteforce(m.complex, e)
+            sweep = bk.LevelSweep.of(m.complex, e)
+            assert bk.check_a2(sweep) == bk.check_a2_bruteforce(sweep)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([(0, 1), (1, 0), (1, 1), (2, 1)]),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_a2_bruteforce_agrees_on_random_towers(self, slopes):
+        full = sf.full_surface(sf.TORUS_1_1)
+        cores = [sf.slope_curve(full, p, q) for p, q in slopes]
+        m, e = lm._tower(sf.TORUS_1_1, cores)
+        sweep = bk.LevelSweep.of(m.complex, e)
+        assert bk.check_a2(sweep) == bk.check_a2_bruteforce(sweep)
 
     def test_interior_gf_front_fails_a4(self):
         m, e = kt()
@@ -226,7 +244,7 @@ class TestConditions:
             )
         )
         bad = bk.LabelledBrickManifold(replace(k, bricks=bricks))
-        report = bk.check_conditions(bad, bad_e)
+        report = bk.check_conditions(bk.LevelSweep.of(bad.complex, bad_e))
         assert report["A4"] is False
 
     def test_essential_gf_front_fails_a5(self):
@@ -234,7 +252,7 @@ class TestConditions:
         k = m.complex
         joints = tuple(j for j in k.joints if not ("gf1" in (j.upper, j.lower)))
         bad = bk.LabelledBrickManifold(replace(k, joints=joints))
-        report = bk.check_conditions(bad, e)
+        report = bk.check_conditions(bk.LevelSweep.of(bad.complex, e))
         assert report["A5"] is False
 
     def test_equal_sd_descriptors_fail_el(self):
@@ -248,7 +266,7 @@ class TestConditions:
             for b in k.bricks
         )
         bad = bk.LabelledBrickManifold(replace(k, bricks=bricks))
-        report = bk.check_conditions(bad, e)
+        report = bk.check_conditions(bk.LevelSweep.of(bad.complex, e))
         assert report["EL"] is False
 
 
@@ -301,14 +319,14 @@ class TestExtension:
             k1.bricks + (top,),
             k1.joints + (bk.Joint("top", "buf1", full, F(3, 4)),),
         )
-        e2, twists = bk.extend_embedding((k1, bk.identity_embedding(k1)), k2)
+        e2, twists = bk.extend_embedding(bk.LevelSweep.of(k1, bk.identity_embedding(k1)), k2)
         assert twists == []
         assert e2.level_of("top") == (F(3, 4), F(7, 8))
 
     def test_filled_slit_emits_one_twist(self):
         k1, k2 = TestRearrange().ascending_stages()
         e1 = bk.identity_embedding(k1)
-        e2, twists = bk.extend_embedding((k1, e1), k2)
+        e2, twists = bk.extend_embedding(bk.LevelSweep.of(k1, e1), k2)
         assert len(twists) == 1
         t = twists[0]
         assert t.level == F(1, 2)
@@ -319,14 +337,14 @@ class TestExtension:
     def test_old_bricks_byte_equal(self):
         k1, k2 = TestRearrange().ascending_stages()
         e1 = bk.identity_embedding(k1)
-        e2, _ = bk.extend_embedding((k1, e1), k2)
+        e2, _ = bk.extend_embedding(bk.LevelSweep.of(k1, e1), k2)
         for bid, ab in e1.levels:
             assert e2.level_of(bid) == ab
 
     def test_not_ascending_rejected(self):
         k1, k2 = TestRearrange().ascending_stages()
         with pytest.raises(NotAscending):
-            bk.extend_embedding((k2, bk.identity_embedding(k2)), k1)
+            bk.extend_embedding(bk.LevelSweep.of(k2, bk.identity_embedding(k2)), k1)
 
 
 class TestLimit:

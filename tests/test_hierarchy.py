@@ -1,5 +1,6 @@
 import pytest
 
+from brickforge import charts
 from brickforge import hierarchy as hy
 from brickforge import surfaces as sf
 from brickforge.errors import NotComponentDomain
@@ -73,6 +74,26 @@ class TestFareyHierarchy:
         ok, violations = hy.verify_hierarchy(bad)
         assert not ok
         assert any("main not unique" in v for v in violations)
+
+
+class TestErrorsPropagate:
+    def test_unexpected_error_in_ambient_curves_propagates(self, monkeypatch):
+        def broken(desc):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(charts.AMBIENT, "curve", broken)
+        with pytest.raises(TypeError):
+            hy.ambient_universe(1)
+
+    def test_unexpected_error_in_tightness_check_propagates(self, monkeypatch):
+        h = hy.build_hierarchy(sf.TORUS_1_1, torus_marking(0, 1), torus_marking(3, 5))
+
+        def broken(seq, certificate=None):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(hy.sf, "is_tight_sequence", broken)
+        with pytest.raises(TypeError):
+            hy.verify_hierarchy(h)
 
 
 class TestSubordinacy:

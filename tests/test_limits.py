@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from brickforge import bricks as bk
+from brickforge import cli
 from brickforge import limits as lm
 from brickforge import serialize as sz
 from brickforge import surfaces as sf
@@ -43,7 +44,7 @@ class TestScenarios:
 
     def test_single_tube_boundary_and_ends(self):
         m, e = kt()
-        comps = bk.boundary_components(m.complex, e)
+        comps = bk.boundary_components(bk.LevelSweep.of(m.complex, e))
         assert [c.kind for c in comps] == ["torus"]
         ends = bk.classify_ends(m, e)
         assert sorted(x.kind for x in ends) == ["GF", "GF"]
@@ -56,7 +57,7 @@ class TestScenarios:
     def test_nested_tower_boundary_counts(self):
         for d in range(1, 6):
             m, e = bo(d)
-            comps = bk.boundary_components(m.complex, e)
+            comps = bk.boundary_components(bk.LevelSweep.of(m.complex, e))
             assert sum(1 for c in comps if c.kind == "torus") == d
 
     def test_custom_round_trip(self):
@@ -79,7 +80,9 @@ class TestExhaust:
         assert state.obstructors == ()
         assert state.acylindrical
         # the approximant keeps the one removed tube
-        comps = bk.boundary_components(state.z.complex, state.z_embedding)
+        comps = bk.boundary_components(
+            bk.LevelSweep.of(state.z.complex, state.z_embedding)
+        )
         assert sum(1 for c in comps if c.kind == "torus") == 1
 
     def test_parallel_tubes_need_an_obstructor(self):
@@ -111,10 +114,9 @@ class TestExhaust:
         for m, e in (kt(), kt(sf.TORUS_1_2), bo(2), brock(), parallel_pair()):
             for state in lm.exhaust(m, e, 2):
                 assert state.acylindrical
-                assert bk.check_a2(state.z.complex, state.z_embedding)
-                assert bk.check_a2_bruteforce(
-                    state.z.complex, state.z_embedding
-                )
+                sweep = bk.LevelSweep.of(state.z.complex, state.z_embedding)
+                assert bk.check_a2(sweep)
+                assert bk.check_a2_bruteforce(sweep)
 
     def test_truncated_ends_become_closed(self):
         m, e = kt()
@@ -130,6 +132,20 @@ class TestExhaust:
         monkeypatch.setattr(lm, "_crossing_candidates", lambda base, core: [])
         with pytest.raises(ObstructionSearchFailure):
             lm.exhaust(m, e, 1)
+
+    def test_slit_work_is_bounded(self, monkeypatch):
+        # the run meets 30 distinct (complex, embedding, level) triples;
+        # each complex is swept a few times, never once per query
+        calls = []
+        slit_at = bk.slit_at
+
+        def counted(k, e, c):
+            calls.append(c)
+            return slit_at(k, e, c)
+
+        monkeypatch.setattr(bk, "slit_at", counted)
+        assert cli.run(["limit", "--scenario", "bo:6", "--stages", "4"]) == 0
+        assert len(calls) <= 120
 
     def test_stage_report_serializable(self):
         m, e = bo(2)
