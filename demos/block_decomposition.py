@@ -25,9 +25,7 @@ def show(name, m):
     for v in d.tubes.tubes:
         print(f"  tube {v.tid} core {v.core} band {v.band}"
               f" interface {v.interface}")
-    k = bl.normalize(m).complex
-    sweep = bk.LevelSweep.of(k, bk.identity_embedding(k))
-    ok, report = bl.verify_decomposition(d, sweep)
+    ok, report = bl.verify_decomposition(d)
     print(f"  verified: {ok} {report or ''}")
     print()
 

@@ -19,15 +19,16 @@ def main():
     for name, s in scenarios:
         m, e = lm.generate(s)
         ends = bk.classify_ends(m, e)
-        comps = bk.boundary_components(bk.LevelSweep.of(m.complex, e))
+        sweep = bk.LevelSweep.of(m.complex, e)
+        comps = bk.boundary_components(sweep)
         print(f"{name}: {len(m.complex.bricks)} bricks,"
               f" ends {sorted(x.kind for x in ends)},"
               f" boundary {sorted(c.kind for c in comps)}")
-        for state in lm.exhaust(m, e, 2):
+        for state in lm.exhaust(sweep, 2):
             print(f"  stage {state.n}: window {state.window},"
                   f" {len(state.obstructors)} obstructor(s),"
                   f" acylindrical = {state.acylindrical}")
-        report = lm.verify_theorem_a(m, e)
+        report = lm.verify_theorem_a(sweep)
         print(f"  classification checks: {report['checks']}")
         print(f"  overall: {'PASS' if report['pass'] else 'FAIL'}")
         print()
@@ -36,7 +37,7 @@ def main():
     c = sf.slope_curve(full, 0, 1)
     m, e = lm._tower(sf.TORUS_1_1, [c, c])
     print("two parallel tubes around the same core:")
-    state = lm.exhaust(m, e, 1)[0]
+    state = lm.exhaust(bk.LevelSweep.of(m.complex, e), 1)[0]
     for core, band in state.obstructors:
         print(f"  obstructor {core} at band {band}")
     print(f"  approximant acylindrical = {state.acylindrical}")

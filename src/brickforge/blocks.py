@@ -71,7 +71,7 @@ class Block:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    base: sf.Surface
+    sweep: bk.LevelSweep  # of the normalized model, in brick coordinates
     blocks: tuple
     tubes: TubeUnion  # after merging
     placed: tuple  # tubes before merging, for per-round accounting
@@ -239,11 +239,14 @@ def _reattach_joints(k: bk.BrickComplex, bid, pieces):
     return tuple(joints)
 
 
-def normalize(m: bk.LabelledBrickManifold) -> bk.LabelledBrickManifold:
+def normalize(sweep: bk.LevelSweep) -> bk.LevelSweep:
     """Merge internal inessential joints; split full closed bricks with a
     lower-front boundary annulus missing every upper-front one.
-    Idempotent."""
-    k = m.complex
+
+    Takes the sweep of a model in brick coordinates and returns the sweep
+    of the normalized model: the same object when nothing changed, a new
+    one only after a change.  Idempotent."""
+    k = sweep.complex
     dirty = True
     while dirty:
         dirty = False
@@ -260,13 +263,13 @@ def normalize(m: bk.LabelledBrickManifold) -> bk.LabelledBrickManifold:
                     k = _merge_pair(k, j)
                     changed = dirty = True
                     break
+        if k is not sweep.complex:
+            sweep = bk.LevelSweep.of(k, bk.identity_embedding(k))
         splittable = [
             b
             for b in k.bricks
             if b.kind == "closed" and not _is_gf(b) and b.support.kind == "full"
         ]
-        if splittable:
-            sweep = bk.LevelSweep.of(k, bk.identity_embedding(k))
         for b in splittable:
             lower = _front_cores(sweep, b, b.lo)
             upper = _front_cores(sweep, b, b.hi)
@@ -290,7 +293,7 @@ def normalize(m: bk.LabelledBrickManifold) -> bk.LabelledBrickManifold:
             k = bk.BrickComplex(k.base, bricks, joints)
             dirty = True
             break
-    return bk.LabelledBrickManifold(k)
+    return sweep
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +380,7 @@ def _endpoint_marking(sweep, b, side, data):
 # geodesics and placement
 
 
-def _main_geodesic(base: sf.Surface, start, end, budget):
+def _main_geodesic(base: sf.Surface, start, end):
     """Vertex curves of the main tight geodesic on a complexity-5 base,
     from a marking toward a marking or lamination.  Returns the vertex
     list, the finite stand-in for the far end, and the ray tail."""
@@ -385,7 +388,7 @@ def _main_geodesic(base: sf.Surface, start, end, budget):
     tail = None
     end_marking = end
     if isinstance(end, sf.LaminationDescriptor):
-        depth = hy.lamination_depth(budget)
+        depth = hy.lamination_depth(get_budget())
         end_marking = hy._truncate_lamination(d, end, depth)
         tail = end
     _, simplices = hy.certified_main_geodesic(d, start, end_marking)
@@ -406,11 +409,11 @@ def _realizable(domain, vertices):
     return all(domain.chart.realize(v.rep.slope) is not None for v in vertices)
 
 
-def _xi4_vertices(domain, start, end, budget):
+def _xi4_vertices(domain, start, end):
     """Vertex curves of a complexity-4 tight geodesic, plus the ray tail.
     Lamination ends are truncated at the deepest budget level whose whole
     geodesic is realizable in the domain's chart."""
-    depth = hy.lamination_depth(budget)
+    depth = hy.lamination_depth(get_budget())
     u = start.base.sorted_curves()[0]
     if not isinstance(u.rep, sf.FareySlope):
         raise BudgetExceeded("endpoint marking is not in slope coordinates")
@@ -445,6 +448,25 @@ def _intervals_for(n, kind, gap: bool):
         tubes = [_mirror(iv) for iv in tubes]
         wides = [_mirror(iv) for iv in wides]
     return list(zip(tubes, wides))
+
+
+def _place(domain, band, kind, start, end):
+    """One tight-geodesic placement over a level band of a domain: the
+    main geodesic above complexity 4, the complexity-4 geodesic with gap
+    bands otherwise.  Returns the vertex curves, their (tube band, wide
+    band) pairs, the finite stand-in for the far end and the ray tail."""
+    if isinstance(start, sf.LaminationDescriptor):
+        raise NoTightGeodesic("lamination datum on the closed front")
+    gap = domain.complexity() < 5
+    if gap:
+        vertices, end_marking, tail = _xi4_vertices(domain, start, end)
+    else:
+        vertices, end_marking, tail = _main_geodesic(domain.ambient, start, end)
+    pairs = [
+        (_scale(tiv, *band), _scale(wiv, *band))
+        for tiv, wiv in _intervals_for(len(vertices) - 1, kind, gap)
+    ]
+    return vertices, pairs, end_marking, tail
 
 
 def _nearby_tube_marking(domain, level, placed, side):
@@ -492,11 +514,9 @@ def _block_type(domain):
     raise DomainError(f"no block type for {domain.token}")
 
 
-def tube_union_for(b: bk.Brick, initial, terminal, budget: int = None):
+def tube_union_for(b: bk.Brick, initial, terminal):
     """Tubes realizing the tight geodesic of one brick, at the exact
     sub-intervals of its band.  Returns (tubes, ray tail or None)."""
-    if budget is None:
-        budget = get_budget()
     if initial is None or terminal is None:
         raise DomainError(f"brick {b.bid} is not connectable")
     domain = b.support
@@ -506,26 +526,17 @@ def tube_union_for(b: bk.Brick, initial, terminal, budget: int = None):
     start, end = initial, terminal
     if b.kind == "half-open-below":
         start, end = end, start
-    if isinstance(start, sf.LaminationDescriptor):
-        raise NoTightGeodesic("lamination datum on the closed front")
-    if domain.complexity() >= 5:
-        vertices, _, tail = _main_geodesic(domain.ambient, start, end, budget)
-        gap = False
-    else:
-        vertices, _, tail = _xi4_vertices(domain, start, end, budget)
-        gap = True
-    pairs = _intervals_for(len(vertices) - 1, b.kind, gap)
-    tubes = []
-    for i, (v, (tiv, _)) in enumerate(zip(vertices, pairs)):
-        tubes.append(
-            Tube(
-                tid=f"{b.bid}.v{i}",
-                core=_ambient_core(full, domain, v),
-                band=_scale(tiv, b.lo, b.hi),
-                origin=(1, b.bid),
-                token=domain.token,
-            )
+    vertices, pairs, _, tail = _place(domain, (b.lo, b.hi), b.kind, start, end)
+    tubes = [
+        Tube(
+            tid=f"{b.bid}.v{i}",
+            core=_ambient_core(full, domain, v),
+            band=tband,
+            origin=(1, b.bid),
+            token=domain.token,
         )
+        for i, (v, (tband, _)) in enumerate(zip(vertices, pairs))
+    ]
     return tubes, tail
 
 
@@ -595,19 +606,15 @@ def merge_homotopic(tubes, sweep: bk.LevelSweep):
 # decomposition
 
 
-def decompose(m: bk.LabelledBrickManifold, budget: int = None) -> BlockDecomposition:
+def decompose(m: bk.LabelledBrickManifold) -> BlockDecomposition:
     """Cut the model into standard blocks and a tube union."""
-    if budget is None:
-        budget = get_budget()
     sweep = bk.LevelSweep.of(m.complex, bk.identity_embedding(m.complex))
     if not bk.check_conditions(sweep)["EL"]:
         raise ELViolation(
             "simply degenerate descriptors repeat on homotopic supports"
         )
-    m = normalize(m)
-    k = m.complex
-    if k is not sweep.complex:
-        sweep = bk.LevelSweep.of(k, bk.identity_embedding(k))
+    sweep = normalize(sweep)
+    k = sweep.complex
     e = sweep.embedding
     base = k.base
     full = sf.full_surface(base)
@@ -645,55 +652,44 @@ def decompose(m: bk.LabelledBrickManifold, budget: int = None) -> BlockDecomposi
     xi5_queue = []
 
     for b in k.bricks:
-        alpha, beta = e.level_of(b.bid)
+        band = e.level_of(b.bid)
         if _is_gf(b):
             gf_bricks.append(b.bid)
             continue
         xi = b.support.complexity()
         if xi == 3:
-            new_block("S03", b.support.token, (alpha, beta), support=b.support)
-            continue
-        if xi >= 5:
-            xi5_queue.append(b)
+            new_block("S03", b.support.token, band, support=b.support)
             continue
         start = _endpoint_marking(sweep, b, "lower", data)
         end = _endpoint_marking(sweep, b, "upper", data)
         if b.kind == "half-open-below":
             start, end = end, start
-        xi4_queue.append((b.support, (alpha, beta), b.kind, start, end, b.bid))
+        queue = xi5_queue if xi >= 5 else xi4_queue
+        queue.append((b.support, band, b.kind, start, end, b.bid))
 
     rounds_used = 0
 
     # first round: complexity >= 5 bricks, recut into component pieces
     if xi5_queue:
         rounds_used += 1
-        for b in xi5_queue:
-            alpha, beta = e.level_of(b.bid)
-            start = _endpoint_marking(sweep, b, "lower", data)
-            end = _endpoint_marking(sweep, b, "upper", data)
-            if b.kind == "half-open-below":
-                start, end = end, start
+        for domain, band, kind, start, end, origin_id in xi5_queue:
             if start is None or end is None:
-                raise DomainError(f"brick {b.bid} is not connectable")
-            if isinstance(start, sf.LaminationDescriptor):
-                raise NoTightGeodesic("lamination datum on the closed front")
-            vertices, end_marking, tail = _main_geodesic(base, start, end, budget)
+                raise DomainError(f"brick {origin_id} is not connectable")
+            vertices, pairs, end_marking, tail = _place(domain, band, kind, start, end)
             if tail is not None:
-                tails.append((b.bid, tail))
+                tails.append((origin_id, tail))
             n = len(vertices) - 1
-            pairs = _intervals_for(n, b.kind, gap=False)
-            for i, (v, (tiv, _)) in enumerate(zip(vertices, pairs)):
-                band = _scale(tiv, alpha, beta)
-                new_tube(v, band, rounds_used, b.bid, full.token)
+            for i, (v, (tband, _)) in enumerate(zip(vertices, pairs)):
+                new_tube(v, tband, rounds_used, origin_id, full.token)
                 simplex = sf.Simplex.of(full, v)
                 for y in sf.component_domains(full, simplex):
                     if y.kind == "annulus":
                         continue
                     if y.complexity() == 3:
-                        new_block("S03", y.token, band, support=y)
+                        new_block("S03", y.token, tband, support=y)
                         continue
                     if y.chart is None:
-                        new_block(_block_type(y), y.token, band, support=y)
+                        new_block(_block_type(y), y.token, tband, support=y)
                         continue
                     if i == 0:
                         back = sf.restrict_marking(start, y)
@@ -706,9 +702,9 @@ def decompose(m: bk.LabelledBrickManifold, budget: int = None) -> BlockDecomposi
                         nxt = sf.Marking(sf.Simplex.of(full, vertices[i + 1]))
                         fwd = sf.restrict_marking(nxt, y)
                     if back is None or fwd is None:
-                        new_block(_block_type(y), y.token, band, support=y)
+                        new_block(_block_type(y), y.token, tband, support=y)
                         continue
-                    xi4_queue.append((y, band, "closed", back, fwd, b.bid))
+                    xi4_queue.append((y, tband, "closed", back, fwd, origin_id))
 
     # final round: complexity-4 placements with gap bands
     if xi4_queue:
@@ -732,16 +728,11 @@ def decompose(m: bk.LabelledBrickManifold, budget: int = None) -> BlockDecomposi
             if start is None or end is None or domain.chart is None:
                 new_block(_block_type(domain), domain.token, band, support=domain)
                 continue
-            if isinstance(start, sf.LaminationDescriptor):
-                raise NoTightGeodesic("lamination datum on the closed front")
-            vertices, _, tail = _xi4_vertices(domain, start, end, budget)
+            vertices, pairs, _, tail = _place(domain, band, kind, start, end)
             if tail is not None:
                 tails.append((origin_id, tail))
-            pairs = _intervals_for(len(vertices) - 1, kind, gap=True)
-            for v, (tiv, wiv) in zip(vertices, pairs):
+            for v, (tband, wband) in zip(vertices, pairs):
                 core = _ambient_core(full, domain, v)
-                tband = _scale(tiv, band[0], band[1])
-                wband = _scale(wiv, band[0], band[1])
                 t = new_tube(core, tband, rounds_used, origin_id, domain.token)
                 gap = (
                     (tband[1], wband[1])
@@ -772,7 +763,7 @@ def decompose(m: bk.LabelledBrickManifold, budget: int = None) -> BlockDecomposi
             if t.band[0] < bl.interval[1] and bl.interval[0] < t.band[1]:
                 graph.append((bl.blid, t.tid))
     return BlockDecomposition(
-        base=base,
+        sweep=sweep,
         blocks=tuple(blocks),
         tubes=union,
         placed=tuple(placed),
@@ -829,11 +820,12 @@ def _enforce_bb(blocks, k: bk.BrickComplex):
 # verification
 
 
-def verify_decomposition(d: BlockDecomposition, sweep: bk.LevelSweep):
+def verify_decomposition(d: BlockDecomposition):
     """Structural report: block types, tube interfaces, disjoint bands
     for crossing cores, no merge-eligible pair, gap bands clear of brick
-    fronts.  The sweep is of the normalized model."""
+    fronts of the normalized model."""
     report = []
+    sweep = d.sweep
     k = sweep.complex
     for bl in d.blocks:
         if bl.btype not in BLOCK_TYPES:
@@ -868,14 +860,12 @@ def verify_decomposition(d: BlockDecomposition, sweep: bk.LevelSweep):
 # hierarchy cross-check
 
 
-def hierarchy_crosscheck(b: bk.Brick, d: BlockDecomposition, budget: int = None) -> bool:
+def hierarchy_crosscheck(b: bk.Brick, d: BlockDecomposition) -> bool:
     """Single-brick models: the hierarchy built from the brick's endpoint
     markings must induce the same tubes, with three-holed-sphere blocks
     matched up to halving."""
-    if budget is None:
-        budget = get_budget()
     base = b.support.ambient
-    h = hy.build_hierarchy(base, b.initial, b.terminal, budget)
+    h = hy.build_hierarchy(base, b.initial, b.terminal, get_budget())
 
     expected = {}
     for g in sorted(h.geodesics, key=lambda g: g.gid):

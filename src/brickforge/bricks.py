@@ -23,7 +23,6 @@ from . import surfaces as sf
 from .errors import (
     AbsorptionFailure,
     DomainError,
-    MissingLabel,
     NonStabilizing,
     NotAscending,
 )
@@ -123,9 +122,6 @@ class LeafEmbedding:
                 return ab
         raise KeyError(bid)
 
-    def has(self, bid):
-        return any(b == bid for b, _ in self.levels)
-
 
 def identity_embedding(k: BrickComplex) -> LeafEmbedding:
     return LeafEmbedding(tuple((b.bid, (b.lo, b.hi)) for b in k.bricks))
@@ -157,9 +153,6 @@ class TwistRecord:
 @dataclass(frozen=True)
 class LabelledBrickManifold:
     complex: BrickComplex
-
-    def labels(self):
-        return tuple(b.label for b in self.complex.bricks if b.label is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +364,14 @@ class LevelSweep:
             ),
         )
 
+    @property
+    def span(self):
+        """(first level, last level) of the embedded complex."""
+        levels = critical_levels(self.complex, self.embedding)
+        # min and max raise ValueError on an empty complex, which the CLI
+        # reports as a failed run
+        return min(levels), max(levels)
+
     def meets_between(self, c: sf.Curve, lo, hi) -> bool:
         """Whether the curve meets the slit of a sample interval (a, b)
         with a < hi and lo < b: one overlapping the levels from lo to hi."""
@@ -404,8 +405,7 @@ def boundary_components(sweep: LevelSweep):
             if y.kind == "annulus":
                 gaps.setdefault(y.boundary[0], []).append(iv)
     out = []
-    span_lo = min(lv for lv, _ in (e.level_of(b.bid) for b in k.bricks))
-    span_hi = max(hv for _, hv in (e.level_of(b.bid) for b in k.bricks))
+    span_lo, span_hi = sweep.span
     ideal_levels = set()
     for b in k.bricks:
         alpha, beta = e.level_of(b.bid)
@@ -643,8 +643,7 @@ def extend_embedding(prev: LevelSweep, next_complex: BrickComplex):
     next_e = LeafEmbedding(tuple(levels))
     twists = []
     prev_chi = {slit.level: slit.chi() for _, slit in prev.slits}
-    prev_crit = critical_levels(prev_k, prev_e)
-    span = (prev_crit[0], prev_crit[-1])
+    span = prev.span
     crit = critical_levels(next_complex, next_e)
     for _, slit_new in LevelSweep.of(next_complex, next_e).slits:
         mid = slit_new.level

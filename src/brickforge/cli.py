@@ -2,7 +2,7 @@
 crosschecks, and canonical re-serialization of brick-complex documents.
 
 Exit codes: 0 success, 1 failed checks, 2 parse or usage error.  The
-environment variable BRICKFORGE_BUDGET bounds every curve enumeration.
+README says what the environment variable BRICKFORGE_BUDGET sets.
 """
 
 from __future__ import annotations
@@ -83,10 +83,7 @@ def _cmd_validate(args):
 def _cmd_decompose(args):
     m, e = _load_model(args.input)
     d = bl.decompose(m)
-    k = bl.normalize(m).complex
-    ok, report = bl.verify_decomposition(
-        d, bk.LevelSweep.of(k, bk.identity_embedding(k))
-    )
+    ok, report = bl.verify_decomposition(d)
     _emit(
         {
             "rounds": d.rounds_used,
@@ -148,8 +145,9 @@ def _parse_scenario(spec: str) -> lm.Scenario:
 def _cmd_limit(args):
     scenario = _parse_scenario(args.scenario)
     m, e = lm.generate(scenario)
-    states = lm.exhaust(m, e, args.stages)
-    theorem = lm.verify_theorem_a(m, e)
+    sweep = bk.LevelSweep.of(m.complex, e)
+    states = lm.exhaust(sweep, args.stages)
+    theorem = lm.verify_theorem_a(sweep)
     ok = theorem["pass"] and all(s.acylindrical for s in states)
     _emit(
         {

@@ -535,24 +535,35 @@ def _find_bigon(c1, c2, crossings, live):
     return None
 
 
+def _nudges(c2: FlatCurve):
+    """c2, then its tiny translates whose crossing word certifies that
+    they are in the class of c2.  A translate whose word changes (it swept
+    a puncture) or cannot be read is skipped."""
+    yield c2
+    target = c2.canonical()
+    for k in range(23):
+        tau = (Fraction(1, 911 + 37 * k) / 7, Fraction(1, 1013 + 41 * k) / 7)
+        cand = c2.translated(tau)
+        try:
+            same = cand.canonical() == target
+        except GenericityError:
+            continue
+        if same:
+            yield cand
+
+
 def generic_overlay_pair(c1: FlatCurve, c2: FlatCurve):
     """Nudge c2 by a tiny translation until the overlay is generic.
 
-    A translation small enough not to sweep a puncture is an isotopy, and
-    the crossing-word check below certifies exactly that, so the returned
-    curve is in the same class as c2.
+    Returns c2', a curve in the class of c2 whose overlay with c1 is
+    generic.
     """
-    target = c2.canonical()
-    cand = c2
-    for k in range(24):
+    for cand in _nudges(c2):
         try:
             overlay(c1, cand)
             return cand
         except GenericityError:
-            tau = (Fraction(1, 911 + 37 * k) / 7, Fraction(1, 1013 + 41 * k) / 7)
-            cand = c2.translated(tau)
-            if cand.canonical() != target:
-                continue
+            continue
     raise GenericityError("could not reach generic position by nudging")
 
 

@@ -321,23 +321,19 @@ def _find_obstructors(base, removals):
     )
 
 
-def exhaust(m, e, stages: int, budget=None):
+def exhaust(sweep: bk.LevelSweep, stages: int):
     """Ascending truncations W_n with externally crossing tubes, plus
-    acylindrical finite approximants Z_n."""
-    d = bl.decompose(m, budget)
+    acylindrical finite approximants Z_n, for the swept model."""
+    m, e = bk.LabelledBrickManifold(sweep.complex), sweep.embedding
+    d = bl.decompose(m)
     tubes = sorted(d.tubes.tubes, key=lambda v: (v.band, v.tid))
-    span_lo = min(lv for lv, _ in (e.level_of(b.bid) for b in m.complex.bricks))
-    span_hi = max(hv for _, hv in (e.level_of(b.bid) for b in m.complex.bricks))
+    span_lo, span_hi = sweep.span
     width = span_hi - span_lo
     # a tube whose band reaches the span edge fits in no window
     interior = sum(
         1 for v in tubes if span_lo < v.band[0] and v.band[1] < span_hi
     )
-    tori = [
-        c
-        for c in bk.boundary_components(bk.LevelSweep.of(m.complex, e))
-        if c.kind == "torus"
-    ]
+    tori = [c for c in bk.boundary_components(sweep) if c.kind == "torus"]
     out = []
     margin = width / 8
     for n in range(1, stages + 1):
@@ -422,10 +418,11 @@ def exhaustion_doc(state: ExhaustionState) -> dict:
 # limit classification report
 
 
-def verify_theorem_a(m, e) -> dict:
-    """End and boundary classification report for a labelled model."""
-    k = m.complex
-    sweep = bk.LevelSweep.of(k, e)
+def verify_theorem_a(sweep: bk.LevelSweep) -> dict:
+    """End and boundary classification report for the swept labelled
+    model."""
+    k, e = sweep.complex, sweep.embedding
+    m = bk.LabelledBrickManifold(k)
     conditions = bk.check_conditions(sweep)
     comps = bk.boundary_components(sweep)
     ends = bk.classify_ends(m, e)

@@ -230,13 +230,11 @@ def test_criterion_4_pipeline_termination():
     for m in models:
         bound = sf.full_surface(m.complex.base).complexity() - 3
         d = bl.decompose(m)
-        norm = bl.normalize(m).complex
-        sweep = bk.LevelSweep.of(norm, bk.identity_embedding(norm))
-        verified, _ = bl.verify_decomposition(d, sweep)
+        verified, _ = bl.verify_decomposition(d)
         ok &= d.rounds_used <= bound
         ok &= all(b.btype in ("S03", "S04", "S11") for b in d.blocks)
         tubes = list(d.tubes.tubes)
-        ok &= next(bl._merge_eligible_pairs(tubes, sweep), None) is None
+        ok &= next(bl._merge_eligible_pairs(tubes, d.sweep), None) is None
         ok &= verified
     report(4, ok, f"{len(models)} models decomposed within round bounds")
 
@@ -449,7 +447,7 @@ def test_criterion_9_exhaustion_stability():
     ok = True
     stages_checked = 0
     for m, e in scenarios:
-        states = lm.exhaust(m, e, 3)
+        states = lm.exhaust(bk.LevelSweep.of(m.complex, e), 3)
         for state in states:
             stages_checked += 1
             ok &= state.acylindrical
@@ -472,11 +470,11 @@ def test_exhaust_terminates_on_single_brick_fixtures():
     try:
         for pair in SLOPE_PAIRS:
             m, _ = single_brick_11(*pair)
-            e = bk.identity_embedding(m.complex)
+            sweep = bk.LevelSweep.of(m.complex, bk.identity_embedding(m.complex))
             for stages in range(1, 5):
                 signal.alarm(20)
                 try:
-                    states = lm.exhaust(m, e, stages)
+                    states = lm.exhaust(sweep, stages)
                 finally:
                     signal.alarm(0)
                 assert len(states) == stages, (pair, stages)

@@ -110,7 +110,7 @@ class TestNormalize:
         b2 = bk.Brick("b2", full, "closed", F(1, 2), F(1))
         j = bk.Joint("b2", "b1", full, F(1, 2))
         m = bk.LabelledBrickManifold(bk.BrickComplex(sf.TORUS_1_1, (b1, b2), (j,)))
-        out = bl.normalize(m)
+        out = bl.normalize(identity_sweep(m))
         assert len(out.complex.bricks) == 1
         merged = out.complex.bricks[0]
         assert (merged.lo, merged.hi) == (F(0), F(1))
@@ -123,23 +123,21 @@ class TestNormalize:
         b2 = bk.Brick("b2", full, "half-open-above", F(1, 2), F(1))
         j = bk.Joint("b2", "b1", full, F(1, 2))
         m = bk.LabelledBrickManifold(bk.BrickComplex(sf.TORUS_1_1, (b1, b2), (j,)))
-        out = bl.normalize(m)
+        out = bl.normalize(identity_sweep(m))
         assert len(out.complex.bricks) == 1
         assert out.complex.bricks[0].kind == "open"
 
     def test_labelled_bricks_not_merged(self):
         m, _ = kt()
-        out = bl.normalize(m)
+        out = bl.normalize(identity_sweep(m))
         assert {b.bid for b in out.complex.bricks} == {
             b.bid for b in m.complex.bricks
         }
 
     def test_scenarios_already_normalized(self):
         for m, _ in (kt(), brock(), bo(3)):
-            out = bl.normalize(m)
-            assert {b.bid for b in out.complex.bricks} == {
-                b.bid for b in m.complex.bricks
-            }
+            s = identity_sweep(m)
+            assert bl.normalize(s) is s
 
     def _split_fixture(self):
         full = sf.full_surface(sf.TORUS_1_2)
@@ -169,7 +167,7 @@ class TestNormalize:
 
     def test_non_overlapping_annulus_splits_brick(self):
         m, v0 = self._split_fixture()
-        out = bl.normalize(m)
+        out = bl.normalize(identity_sweep(m))
         bids = {b.bid for b in out.complex.bricks}
         assert "mid" not in bids
         piece = out.complex.brick("mid/0")
@@ -179,20 +177,26 @@ class TestNormalize:
     def test_split_preserves_boundary(self):
         m, _ = self._split_fixture()
         before = bk.boundary_components(identity_sweep(m))
-        out = bl.normalize(m)
-        after = bk.boundary_components(identity_sweep(out))
+        after = bk.boundary_components(bl.normalize(identity_sweep(m)))
         assert sorted(c.kind for c in before) == sorted(c.kind for c in after)
         assert {c.core for c in before} == {c.core for c in after}
 
     def test_idempotent(self):
         for m in (kt()[0], brock()[0], self._split_fixture()[0]):
-            once = bl.normalize(m)
+            once = bl.normalize(identity_sweep(m))
             twice = bl.normalize(once)
             assert {(b.bid, b.support.token, b.kind, b.lo, b.hi)
                     for b in once.complex.bricks} == {
                 (b.bid, b.support.token, b.kind, b.lo, b.hi)
                 for b in twice.complex.bricks
             }
+
+    def test_decompose_keeps_normalized_sweep(self):
+        m, _ = self._split_fixture()
+        d = bl.decompose(m)
+        assert d.sweep.complex == bl.normalize(identity_sweep(m)).complex
+        ok, report = bl.verify_decomposition(d)
+        assert ok, report
 
 
 class TestBoundaryData:
@@ -365,7 +369,7 @@ class TestDecompose:
             assert d.rounds_used <= max_rounds, name
             assert len(d.torus_tubes) == torus, name
             assert all(b.btype in bl.BLOCK_TYPES for b in d.blocks), name
-            ok, report = bl.verify_decomposition(d, identity_sweep(bl.normalize(m)))
+            ok, report = bl.verify_decomposition(d)
             assert ok, (name, report)
 
     def test_round_bound_matches_complexity(self):
@@ -476,7 +480,7 @@ class TestConditionBB:
                 bad_blocks.append(b)
         assert mutated
         bad = replace(d, blocks=tuple(bad_blocks))
-        ok, report = bl.verify_decomposition(bad, identity_sweep(m))
+        ok, report = bl.verify_decomposition(bad)
         assert not ok
         assert any("crosses the gap" in r for r in report)
 
@@ -485,7 +489,7 @@ class TestVerify:
     def test_clean_on_pipeline_output(self):
         for m, _ in (kt(), kt(sf.TORUS_1_2), bo(4), brock()):
             d = bl.decompose(m)
-            ok, report = bl.verify_decomposition(d, identity_sweep(bl.normalize(m)))
+            ok, report = bl.verify_decomposition(d)
             assert ok and not report
 
     def test_duplicated_tube_flagged(self):
@@ -494,7 +498,7 @@ class TestVerify:
         t = d.tubes.tubes[0]
         dup = replace(t, tid="dup")
         bad = replace(d, tubes=replace(d.tubes, tubes=d.tubes.tubes + (dup,)))
-        ok, report = bl.verify_decomposition(bad, identity_sweep(m))
+        ok, report = bl.verify_decomposition(bad)
         assert not ok
         assert any("one core" in r for r in report)
 
@@ -507,7 +511,7 @@ class TestVerify:
             "x", sf.slope_curve(full, 1, 0), t.band, (1, "b0"), full.token
         )
         bad = replace(d, tubes=replace(d.tubes, tubes=d.tubes.tubes + (cross,)))
-        ok, report = bl.verify_decomposition(bad, identity_sweep(m))
+        ok, report = bl.verify_decomposition(bad)
         assert not ok
         assert any("crossing cores" in r for r in report)
 

@@ -57,6 +57,19 @@ def bad_el_path(tmp_path):
     return write_model(tmp_path, "bad-el.brick", k, e)
 
 
+def count_sweeps(monkeypatch):
+    """Record every LevelSweep built from now on."""
+    builds = []
+    init = bk.LevelSweep.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(bk.LevelSweep, "__init__", counted)
+    return builds
+
+
 def run_json(capsys, argv):
     code = cli.run(argv)
     captured = capsys.readouterr()
@@ -104,6 +117,14 @@ class TestDecompose:
         assert code == 1
         assert err["error"] == "ELViolation"
 
+    def test_one_level_sweep_per_job(self, tmp_path, capsys, monkeypatch):
+        m, e = lm.generate(lm.Scenario("brock", sf.TORUS_1_2))
+        path = write_model(tmp_path, "brock.brick", m.complex, e)
+        builds = count_sweeps(monkeypatch)
+        code, doc, _ = run_json(capsys, ["decompose", path])
+        assert code == 0 and doc["pass"] is True
+        assert len(builds) == 1
+
     def test_budget_env_must_be_positive(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BRICKFORGE_BUDGET", "-3")
         code, _, err = run_json(capsys, ["decompose", kt_path(tmp_path)])
@@ -142,6 +163,16 @@ class TestLimit:
         assert len(doc["stages"]) == 2
         assert all(s["acylindrical"] for s in doc["stages"])
         assert doc["theorem"]["pass"] is True
+
+    def test_sweeps_per_job(self, capsys, monkeypatch):
+        # decompose's input, the model for exhaust and the theorem report,
+        # and the one approximant of the single stage
+        builds = count_sweeps(monkeypatch)
+        code, _, _ = run_json(
+            capsys, ["limit", "--scenario", "kt:1", "--stages", "1"]
+        )
+        assert code == 0
+        assert len(builds) == 3
 
     def test_unknown_scenario(self, capsys):
         code, _, err = run_json(capsys, ["limit", "--scenario", "bogus"])

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from brickforge import flatcurves as fc
+from brickforge import surfaces as sf
 
 
 def curves():
@@ -126,6 +127,34 @@ class TestIntersection:
         cs = curves()
         for c in cs.values():
             assert fc.flat_intersection(c, c) == 0
+
+
+class TestGenericOverlay:
+    def test_nudge_that_changes_the_class_is_skipped(self, monkeypatch):
+        full = sf.full_surface(sf.TORUS_1_2)
+        c1 = sf.line_class(full, 0, 1, 0).flat()
+        c2 = sf.line_class(full, 1, 0).flat()
+        other = sf.line_class(full, 0, 1, 1).flat()
+        assert not fc.same_class(c2, other)
+        overlay, translated = fc.overlay, fc.FlatCurve.translated
+        overlays, translates = [], []
+
+        def first_overlay_fails(a, b):
+            overlays.append(b)
+            if len(overlays) == 1:
+                raise fc.GenericityError("injected")
+            return overlay(a, b)
+
+        def first_translate_jumps(self, lam):
+            translates.append(lam)
+            if len(translates) == 1:
+                return other
+            return translated(self, lam)
+
+        monkeypatch.setattr(fc, "overlay", first_overlay_fails)
+        monkeypatch.setattr(fc.FlatCurve, "translated", first_translate_jumps)
+        cand = fc.generic_overlay_pair(c1, c2)
+        assert fc.same_class(cand, c2)
 
 
 class TestBoundaryWalks:

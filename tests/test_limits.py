@@ -25,6 +25,10 @@ def brock():
     return lm.generate(lm.Scenario("brock", sf.TORUS_1_2))
 
 
+def sweep_of(m, e):
+    return bk.LevelSweep.of(m.complex, e)
+
+
 def parallel_pair():
     """Two removed tubes around the same core with clear space between:
     an essential annulus joins their boundary tori."""
@@ -76,7 +80,7 @@ class TestScenarios:
 class TestExhaust:
     def test_single_tube_stage_one(self):
         m, e = kt()
-        state = lm.exhaust(m, e, 1)[0]
+        state = lm.exhaust(sweep_of(m, e), 1)[0]
         assert state.obstructors == ()
         assert state.acylindrical
         # the approximant keeps the one removed tube
@@ -87,7 +91,7 @@ class TestExhaust:
 
     def test_parallel_tubes_need_an_obstructor(self):
         m, e = parallel_pair()
-        state = lm.exhaust(m, e, 1)[0]
+        state = lm.exhaust(sweep_of(m, e), 1)[0]
         assert len(state.obstructors) >= 1
         assert state.acylindrical
         core = state.obstructors[0][0]
@@ -96,7 +100,7 @@ class TestExhaust:
 
     def test_windows_strictly_ascending(self):
         m, e = bo(3)
-        states = lm.exhaust(m, e, 3)
+        states = lm.exhaust(sweep_of(m, e), 3)
         for a, b in zip(states, states[1:]):
             assert b.window[0] < a.window[0]
             assert a.window[1] < b.window[1]
@@ -104,7 +108,7 @@ class TestExhaust:
 
     def test_stable_data_byte_equal_across_stages(self):
         for m, e in (kt(), bo(3), brock()):
-            states = lm.exhaust(m, e, 3)
+            states = lm.exhaust(sweep_of(m, e), 3)
             for a, b in zip(states, states[1:]):
                 earlier, later = dict(a.stable), dict(b.stable)
                 for bid, doc in earlier.items():
@@ -112,7 +116,7 @@ class TestExhaust:
 
     def test_every_approximant_acylindrical(self):
         for m, e in (kt(), kt(sf.TORUS_1_2), bo(2), brock(), parallel_pair()):
-            for state in lm.exhaust(m, e, 2):
+            for state in lm.exhaust(sweep_of(m, e), 2):
                 assert state.acylindrical
                 sweep = bk.LevelSweep.of(state.z.complex, state.z_embedding)
                 assert bk.check_a2(sweep)
@@ -120,7 +124,7 @@ class TestExhaust:
 
     def test_truncated_ends_become_closed(self):
         m, e = kt()
-        state = lm.exhaust(m, e, 1)[0]
+        state = lm.exhaust(sweep_of(m, e), 1)[0]
         w = {b.bid: b for b in state.w.bricks}
         assert w["gf0"].kind == "closed"
         assert w["gf0"].lo == state.window[0]
@@ -131,11 +135,12 @@ class TestExhaust:
         m, e = parallel_pair()
         monkeypatch.setattr(lm, "_crossing_candidates", lambda base, core: [])
         with pytest.raises(ObstructionSearchFailure):
-            lm.exhaust(m, e, 1)
+            lm.exhaust(sweep_of(m, e), 1)
 
     def test_slit_work_is_bounded(self, monkeypatch):
         # the run meets 30 distinct (complex, embedding, level) triples;
-        # each complex is swept a few times, never once per query
+        # the model is swept once for decompose and once for exhaust and
+        # the theorem report, and each stage sweeps its approximant once
         calls = []
         slit_at = bk.slit_at
 
@@ -145,11 +150,11 @@ class TestExhaust:
 
         monkeypatch.setattr(bk, "slit_at", counted)
         assert cli.run(["limit", "--scenario", "bo:6", "--stages", "4"]) == 0
-        assert len(calls) <= 120
+        assert len(calls) <= 90
 
     def test_stage_report_serializable(self):
         m, e = bo(2)
-        state = lm.exhaust(m, e, 1)[0]
+        state = lm.exhaust(sweep_of(m, e), 1)[0]
         doc = lm.exhaustion_doc(state)
         text = json.dumps(doc, sort_keys=True)
         assert json.loads(text) == doc
@@ -161,24 +166,24 @@ class TestExhaust:
 class TestVerifyTheoremA:
     def test_scenarios_pass(self):
         for m, e in (kt(), kt(sf.TORUS_1_2), bo(3), brock()):
-            report = lm.verify_theorem_a(m, e)
+            report = lm.verify_theorem_a(sweep_of(m, e))
             assert report["pass"], report["checks"]
 
     def test_parallel_tubes_fail_acylindricity(self):
         m, e = parallel_pair()
-        report = lm.verify_theorem_a(m, e)
+        report = lm.verify_theorem_a(sweep_of(m, e))
         assert not report["checks"]["acylindrical"]
         assert not report["pass"]
 
     def test_gf_end_bound(self):
         for m, e in (kt(sf.TORUS_1_2), bo(2, sf.TORUS_1_2), brock()):
-            report = lm.verify_theorem_a(m, e)
+            report = lm.verify_theorem_a(sweep_of(m, e))
             assert report["gf-end-bound"] == 4
             gf = [x for x in report["ends"] if x[0] == "GF"]
             assert len(gf) <= 4
 
     def test_report_names_basepoint(self):
         m, e = kt()
-        report = lm.verify_theorem_a(m, e)
+        report = lm.verify_theorem_a(sweep_of(m, e))
         assert report["basepoint"]["brick"] == "gf0"
         assert report["basepoint"]["level"] == "0/1"

@@ -52,8 +52,11 @@ def flanked_fixture(blocks_per_side=1, twist=0):
                 support=full,
             )
         )
+    k = bk.BrickComplex(
+        sf.TORUS_1_1, (bk.Brick("b0", full, "closed", F(0), F(1)),), ()
+    )
     d = bl.BlockDecomposition(
-        base=sf.TORUS_1_1,
+        sweep=bk.LevelSweep.of(k, bk.identity_embedding(k)),
         blocks=tuple(blocks),
         tubes=bl.TubeUnion((v,), ((0, ("t0",)),)),
         placed=(v,),
@@ -96,7 +99,7 @@ class TestMeridianCoefficient:
             support=d.blocks[0].support,
         )
         d2 = bl.BlockDecomposition(
-            base=d.base,
+            sweep=d.sweep,
             blocks=d.blocks + (extra,),
             tubes=d.tubes,
             placed=d.placed,
