@@ -138,17 +138,10 @@ def _is_gf(b: bk.Brick) -> bool:
 def _merge_pair(k: bk.BrickComplex, j: bk.Joint) -> bk.BrickComplex:
     up = k.brick(j.upper)
     low = k.brick(j.lower)
-    kind = "closed"
-    if low.open_below() and up.open_above():
-        kind = "open"
-    elif low.open_below():
-        kind = "half-open-below"
-    elif up.open_above():
-        kind = "half-open-above"
     merged = bk.Brick(
         bid=f"{j.lower}+{j.upper}",
         support=low.support,
-        kind=kind,
+        kind=bk.interval_kind(low.open_below(), up.open_above()),
         lo=low.lo,
         hi=up.hi,
         collars=tuple(sorted(set(low.collars) | set(up.collars))),

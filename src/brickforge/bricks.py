@@ -30,6 +30,11 @@ from .errors import (
 KINDS = ("closed", "half-open-below", "half-open-above", "open")
 
 
+def interval_kind(open_below: bool, open_above: bool) -> str:
+    """The interval kind with the given open ends."""
+    return KINDS[open_below + 2 * open_above]
+
+
 @dataclass(frozen=True)
 class Brick:
     bid: str
@@ -131,7 +136,6 @@ def identity_embedding(k: BrickComplex) -> LeafEmbedding:
 class Slit:
     level: Fraction
     components: tuple  # of EssentialSubsurface
-    stable: bool = True
 
     def chi(self):
         total = 0

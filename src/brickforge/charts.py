@@ -114,7 +114,19 @@ AMBIENT = AmbientFlatChart()
 # subdomain charts
 
 
-class StripChart:
+class _SlopeFanChart:
+    """A subdomain chart realizing a fan of slopes as ambient curves."""
+
+    def classify(self, canonical) -> Slope | None:
+        """Slope of an ambient class lying in the subdomain, if realizable."""
+        for s in self.realizable_slopes(8):
+            desc = self.realize(s)
+            if desc is not None and AMBIENT.curve(desc).canonical() == canonical:
+                return s
+        return None
+
+
+class StripChart(_SlopeFanChart):
     """Four-holed sphere obtained by cutting along a vertical line.
 
     wall_band 0 leaves the puncture columns x = 1, 2 inside the strip,
@@ -147,16 +159,8 @@ class StripChart:
             out.append(Slope(2 * n, 1))
         return out
 
-    def classify(self, canonical) -> Slope | None:
-        """Slope of an ambient class lying in the strip, if realizable."""
-        for s in self.realizable_slopes(8):
-            desc = self.realize(s)
-            if desc is not None and AMBIENT.curve(desc).canonical() == canonical:
-                return s
-        return None
 
-
-class TorusSideChart:
+class TorusSideChart(_SlopeFanChart):
     """One-holed torus side of a separating corridor curve.
 
     For the corridor around the straight arc from (0,0) to (u,v), the
@@ -209,13 +213,6 @@ class TorusSideChart:
         for n in range(-bound, bound + 1):
             out.append(Slope(n, 1))
         return out
-
-    def classify(self, canonical) -> Slope | None:
-        for s in self.realizable_slopes(8):
-            desc = self.realize(s)
-            if desc is not None and AMBIENT.curve(desc).canonical() == canonical:
-                return s
-        return None
 
 
 def project_to_chart(chart, w: fc.FlatCurve):

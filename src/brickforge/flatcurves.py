@@ -379,22 +379,21 @@ def slot_curve(p, q) -> FlatCurve:
             curve.word()
         except GenericityError:
             continue
-        inside = _lattice_points_inside(corners)
-        if set(inside) != {tuple(p), tuple(q)}:
+        if set(_enclosed_punctures(corners)) != {tuple(p), tuple(q)}:
             raise GenericityError("corridor swallowed an extra puncture")
         return curve
     raise GenericityError("could not build a generic corridor")
 
 
-def _lattice_points_inside(corners):
-    xs = [c[0] for c in corners]
-    ys = [c[1] for c in corners]
-    out = []
+def _enclosed_punctures(poly_points):
+    """Lattice points (punctures) about which the closed polygon winds,
+    scanned over its bounding box."""
+    xs = [p[0] for p in poly_points]
+    ys = [p[1] for p in poly_points]
     for ix in range(math.floor(min(xs)), math.ceil(max(xs)) + 1):
         for iy in range(math.floor(min(ys)), math.ceil(max(ys)) + 1):
-            if winding(list(corners), (Fraction(ix), Fraction(iy))) != 0:
-                out.append((ix, iy))
-    return out
+            if winding(poly_points, (Fraction(ix), Fraction(iy))) != 0:
+                yield (ix, iy)
 
 
 def winding(poly_points, pt):
@@ -486,13 +485,7 @@ def _loop_is_trivial(loop_pts):
     """True when the closed polygonal loop is null-homotopic on the
     punctured torus: zero displacement (checked by the caller) and zero
     winding about every puncture."""
-    xs = [p[0] for p in loop_pts]
-    ys = [p[1] for p in loop_pts]
-    for ix in range(math.floor(min(xs)), math.ceil(max(xs)) + 1):
-        for iy in range(math.floor(min(ys)), math.ceil(max(ys)) + 1):
-            if winding(loop_pts, (Fraction(ix), Fraction(iy))) != 0:
-                return False
-    return True
+    return next(_enclosed_punctures(loop_pts), None) is None
 
 
 def _cyclic_next(order, x):

@@ -10,7 +10,6 @@ BudgetExceeded instead of guessing.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 from . import charts
@@ -169,35 +168,14 @@ def ambient_universe(budget_radius: int = 2):
     return list(seen.values())
 
 
-def _bfs_path(curves, u, w):
-    index = {c: i for i, c in enumerate(curves)}
-    if u not in index or w not in index:
+def _bfs_path(certificate, u, w):
+    """Shortest path from u to w inside the certificate's enumeration."""
+    if not (certificate.contains(u) and certificate.contains(w)):
         raise BudgetExceeded("geodesic endpoint outside the enumeration")
-    if u == w:
-        return [u]
-    adj_cache = {}
-
-    def adjacent(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in adj_cache:
-            adj_cache[key] = sf.are_adjacent(curves[key[0]], curves[key[1]])
-        return adj_cache[key]
-
-    src, dst = index[u], index[w]
-    parent = {src: None}
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        for y in range(len(curves)):
-            if y not in parent and y != x and adjacent(x, y):
-                parent[y] = x
-                if y == dst:
-                    path = [y]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
-                    return [curves[i] for i in reversed(path)]
-                queue.append(y)
-    raise NoTightGeodesic("endpoints not connected inside the enumeration")
+    try:
+        return certificate.path(u, w)
+    except CertificateError as exc:
+        raise NoTightGeodesic(str(exc)) from exc
 
 
 def _tighten(domain, path, certificate):
@@ -278,7 +256,7 @@ def certified_main_geodesic(domain, initial, terminal):
     certificate = sf.DistanceCertificate(universe)
     u = _base_vertex(initial)
     w = _base_vertex(terminal)
-    path = _bfs_path(certificate.curves, u, w)
+    path = _bfs_path(certificate, u, w)
     return certificate, _tighten(domain, path, certificate)
 
 
@@ -298,37 +276,26 @@ def build_hierarchy(s: sf.Surface, initial, terminal, budget: int = 10**4):
         )
     else:
         terminal_marking = terminal
-    geodesics = []
-
     if s.complexity() == 4:
         u = _base_vertex(initial)
         w = _base_vertex(terminal_marking)
-        path = sf.farey_geodesic(u, w)
-        main = TightGeodesic(
-            gid="g0",
-            domain=d,
-            simplices=tuple(path),
-            initial=initial,
-            terminal=terminal_record,
-        )
-        geodesics.append(main)
-        certificate = None
+        certificate, main_simplices = None, tuple(sf.farey_geodesic(u, w))
     else:
         certificate, main_simplices = certified_main_geodesic(
             d, initial, terminal_marking
         )
-        main = TightGeodesic(
-            gid="g0",
-            domain=d,
-            simplices=main_simplices,
-            initial=initial,
-            terminal=terminal_record,
-        )
-        geodesics.append(main)
+    main = TightGeodesic(
+        gid="g0",
+        domain=d,
+        simplices=main_simplices,
+        initial=initial,
+        terminal=terminal_record,
+    )
+    geodesics = [main]
 
+    if s.complexity() == 5:
         # one geodesic per complexity-4 component domain with two-sided
         # subordinacy data, processed in vertex order for determinism
-        gnum = 1
         for j, v in enumerate(main_simplices):
             for y in sf.component_domains(d, v):
                 if y.kind != "proper" or y.complexity() != 4:
@@ -344,20 +311,18 @@ def build_hierarchy(s: sf.Surface, initial, terminal, budget: int = 10**4):
                     continue
                 s1 = _marking_slope(back)
                 s2 = _marking_slope(fwd)
-                sub = TightGeodesic(
-                    gid=f"g{gnum}",
-                    domain=y,
-                    simplices=_fan_geodesic(y, s1, s2),
-                    initial=back,
-                    terminal=fwd,
-                    parent=("g0", j),
+                geodesics.append(
+                    TightGeodesic(
+                        gid=f"g{len(geodesics)}",
+                        domain=y,
+                        simplices=_fan_geodesic(y, s1, s2),
+                        initial=back,
+                        terminal=fwd,
+                        parent=("g0", j),
+                    )
                 )
-                geodesics.append(sub)
-                gnum += 1
 
     # annular geodesics: one per interior vertex curve of the main geodesic
-    gnum = len(geodesics)
-    main = geodesics[0]
     for j, v in enumerate(main.simplices):
         if j == 0 or j == len(main.simplices) - 1:
             continue
@@ -371,7 +336,7 @@ def build_hierarchy(s: sf.Surface, initial, terminal, budget: int = 10**4):
             t2 = fwd.base.sorted_curves()[0].rep.twist
             geodesics.append(
                 TightGeodesic(
-                    gid=f"g{gnum}",
+                    gid=f"g{len(geodesics)}",
                     domain=y,
                     simplices=_twist_geodesic(y, t1, t2),
                     initial=back,
@@ -379,7 +344,6 @@ def build_hierarchy(s: sf.Surface, initial, terminal, budget: int = 10**4):
                     parent=("g0", j),
                 )
             )
-            gnum += 1
 
     return Hierarchy(
         domain=d,

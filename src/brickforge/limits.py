@@ -232,16 +232,9 @@ def _truncate_model(m, e, window):
         if beta <= w_lo or alpha >= w_hi:
             continue
         lo, hi = max(alpha, w_lo), min(beta, w_hi)
-        open_below = b.open_below() and lo == alpha
-        open_above = b.open_above() and hi == beta
-        if open_below and open_above:
-            kind = "open"
-        elif open_below:
-            kind = "half-open-below"
-        elif open_above:
-            kind = "half-open-above"
-        else:
-            kind = "closed"
+        kind = bk.interval_kind(
+            b.open_below() and lo == alpha, b.open_above() and hi == beta
+        )
         bricks.append(replace(b, kind=kind, lo=lo, hi=hi))
         levels.append((b.bid, (lo, hi)))
     kept = {b.bid for b in bricks}

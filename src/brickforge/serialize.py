@@ -311,6 +311,8 @@ def parse_complex(doc: dict):
         raise
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad complex document: {exc}") from exc
+    if not bricks:
+        raise ParseError("complex document has no bricks")
     k = bk.BrickComplex(base=base, bricks=bricks, joints=joints)
     emb_doc = doc.get("embedding")
     if emb_doc is None:
@@ -320,7 +322,10 @@ def parse_complex(doc: dict):
             levels = []
             for b in k.bricks:
                 ab = emb_doc[b.bid]
-                levels.append((b.bid, (parse_frac(ab[0]), parse_frac(ab[1]))))
+                alpha, beta = parse_frac(ab[0]), parse_frac(ab[1])
+                if not alpha < beta:
+                    raise ParseError(f"embedding levels of {b.bid!r} are not increasing")
+                levels.append((b.bid, (alpha, beta)))
             e = bk.LeafEmbedding(tuple(levels))
         except (KeyError, TypeError, IndexError) as exc:
             raise ParseError(f"bad embedding document: {exc}") from exc

@@ -348,7 +348,9 @@ class DistanceCertificate:
 
     Distances are exact for the induced subgraph on the enumerated
     curves; they upper-bound the true curve-graph distance and equal it
-    whenever the enumeration contains a true geodesic.
+    whenever the enumeration contains a true geodesic.  The adjacency of
+    a pair of curves is computed the first time a search reaches it and
+    kept for every later search.
     """
 
     def __init__(self, curves):
@@ -356,41 +358,44 @@ class DistanceCertificate:
         if not self.curves:
             raise CertificateError("empty enumeration")
         self._index = {c: i for i, c in enumerate(self.curves)}
-        self._adj = None
-
-    def _adjacency(self):
-        if self._adj is None:
-            n = len(self.curves)
-            adj = [[] for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if are_adjacent(self.curves[i], self.curves[j]):
-                        adj[i].append(j)
-                        adj[j].append(i)
-            self._adj = adj
-        return self._adj
+        self._adjacent = {}  # (i, j) with i < j -> bool
 
     def contains(self, c: Curve) -> bool:
         return c in self._index
 
-    def distance(self, u: Curve, w: Curve) -> int:
+    def _is_adjacent(self, i: int, j: int) -> bool:
+        key = (i, j) if i < j else (j, i)
+        if key not in self._adjacent:
+            self._adjacent[key] = are_adjacent(self.curves[key[0]], self.curves[key[1]])
+        return self._adjacent[key]
+
+    def path(self, u: Curve, w: Curve) -> list:
+        """Vertices of a shortest path from u to w: BFS that scans
+        neighbours in enumeration order, so the path is deterministic."""
         if u not in self._index or w not in self._index:
             raise CertificateError("endpoint outside the certified enumeration")
-        if u == w:
-            return 0
-        adj = self._adjacency()
         src, dst = self._index[u], self._index[w]
-        dist = {src: 0}
+        parent = {src: None}
         queue = deque([src])
-        while queue:
+        while dst not in parent and queue:
             x = queue.popleft()
-            for y in adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
+            for y in range(len(self.curves)):
+                if y not in parent and self._is_adjacent(x, y):
+                    parent[y] = x
                     if y == dst:
-                        return dist[y]
+                        break
                     queue.append(y)
-        raise CertificateError("endpoints not connected inside the enumeration")
+        if dst not in parent:
+            raise CertificateError("endpoints not connected inside the enumeration")
+        path = []
+        y = dst
+        while y is not None:
+            path.append(self.curves[y])
+            y = parent[y]
+        return path[::-1]
+
+    def distance(self, u: Curve, w: Curve) -> int:
+        return len(self.path(u, w)) - 1
 
 
 def is_tight_sequence(seq, certificate: DistanceCertificate | None = None) -> bool:
@@ -512,30 +517,20 @@ def component_domains(d: EssentialSubsurface, v: Simplex):
                     found = charts.AMBIENT.lookup(flat.canonical())
                     if found is not None and found.kind == "slot":
                         desc = found
+                side = None
                 if desc.kind == "slot":
                     p, q = desc.data
                     side = charts.TorusSideChart(q[0] - p[0], q[1] - p[1], base=p)
-                    out.append(
-                        EssentialSubsurface(
-                            ambient=d.ambient,
-                            token=f"torus-side:{_curve_tag(c)}",
-                            kind="proper",
-                            ttype=(1, 1),
-                            boundary=(c,),
-                            chart=side,
-                        )
+                out.append(
+                    EssentialSubsurface(
+                        ambient=d.ambient,
+                        token=f"torus-side:{_curve_tag(c)}",
+                        kind="proper",
+                        ttype=(1, 1),
+                        boundary=(c,),
+                        chart=side,
                     )
-                else:
-                    out.append(
-                        EssentialSubsurface(
-                            ambient=d.ambient,
-                            token=f"torus-side:{_curve_tag(c)}",
-                            kind="proper",
-                            ttype=(1, 1),
-                            boundary=(c,),
-                            chart=None,
-                        )
-                    )
+                )
                 out.append(_pants_domain(d, f"punctures:{_curve_tag(c)}", (c,)))
             else:
                 chart = None

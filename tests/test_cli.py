@@ -57,6 +57,21 @@ def bad_el_path(tmp_path):
     return write_model(tmp_path, "bad-el.brick", k, e)
 
 
+def no_bricks_path(tmp_path):
+    path = tmp_path / "no-bricks.json"
+    path.write_text(json.dumps({"base": "1,1", "bricks": []}))
+    return str(path)
+
+
+def reversed_levels_path(tmp_path):
+    with open(single_path(tmp_path)) as handle:
+        doc = json.load(handle)
+    doc["embedding"]["b0"] = ["1/1", "0/1"]
+    path = tmp_path / "reversed-levels.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def count_sweeps(monkeypatch):
     """Record every LevelSweep built from now on."""
     builds = []
@@ -232,3 +247,17 @@ class TestExport:
         assert b.initial is not None and b.terminal is not None
         (c,) = b.terminal.base.sorted_curves()
         assert sz.curve_str(c) == "F:8/5"
+
+
+@pytest.mark.parametrize("make", [no_bricks_path, reversed_levels_path])
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["decompose"], ["metric"], ["crosscheck"], ["export"],
+     ["limit", "--scenario"]],
+    ids=lambda argv: argv[0],
+)
+def test_malformed_complex_is_a_parse_error(tmp_path, capsys, argv, make):
+    code, out, err = run_json(capsys, argv + [make(tmp_path)])
+    assert code == 2
+    assert out is None
+    assert err["error"] == "parse"

@@ -3,7 +3,7 @@ import pytest
 from brickforge import charts
 from brickforge import hierarchy as hy
 from brickforge import surfaces as sf
-from brickforge.errors import NotComponentDomain
+from brickforge.errors import BudgetExceeded, NoTightGeodesic, NotComponentDomain
 from brickforge.farey import Slope
 
 
@@ -95,6 +95,15 @@ class TestErrorsPropagate:
         with pytest.raises(TypeError):
             hy.verify_hierarchy(h)
 
+    def test_main_geodesic_search_errors(self):
+        d = torus()
+        u, w = sf.slope_curve(d, 0, 1), sf.slope_curve(d, 2, 1)
+        cert = sf.DistanceCertificate([u, w])
+        with pytest.raises(BudgetExceeded):
+            hy._bfs_path(cert, u, sf.slope_curve(d, 1, 0))
+        with pytest.raises(NoTightGeodesic):
+            hy._bfs_path(cert, u, w)
+
 
 class TestSubordinacy:
     def test_not_component_domain(self):
@@ -171,6 +180,25 @@ class TestFlatHierarchy:
             base = hy.slice_base(h, s)
             assert len(base) == 2
             assert sf.intersection_number(base[0], base[1]) == 0
+
+    def test_adjacency_work_is_bounded(self, monkeypatch):
+        # the main-geodesic search, the tightness check and verification
+        # share one table of adjacencies, filled only where a search goes
+        calls = []
+        are_adjacent = sf.are_adjacent
+
+        def counted(a, b):
+            calls.append((a, b))
+            return are_adjacent(a, b)
+
+        monkeypatch.setattr(sf, "are_adjacent", counted)
+        d = sf.full_surface(sf.TORUS_1_2)
+        v0 = sf.Marking(sf.Simplex.of(d, sf.line_class(d, 0, 1, 0)))
+        v1 = sf.Marking(sf.Simplex.of(d, sf.line_class(d, 0, 1, 1)))
+        h = hy.build_hierarchy(sf.TORUS_1_2, v0, v1)
+        ok, violations = hy.verify_hierarchy(h)
+        assert ok, violations
+        assert len(calls) <= 20
 
     def test_hierarchy_curves_are_distinct(self):
         _, initial, terminal = flat_markings()

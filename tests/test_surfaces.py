@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brickforge import charts
 from brickforge import surfaces as sf
@@ -180,6 +182,39 @@ class TestTightSequences:
         path = sf.farey_geodesic(sf.slope_curve(d, 0, 1), sf.slope_curve(d, 8, 5))
         probes = [sf.Curve(d, sf.FareySlope(s)) for s in enumerate_slopes(6)]
         assert sf.tightness_consequence_holds(path, probes)
+
+
+# one certificate for every example, so later searches reuse adjacencies
+# that earlier ones computed
+SLOPE_CERTIFICATE = slope_certificate(torus(), 8)
+SMALL_SLOPES = list(enumerate_slopes(4))
+
+
+class TestDistanceCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SMALL_SLOPES), st.sampled_from(SMALL_SLOPES))
+    def test_paths_agree_with_farey_bfs_oracle(self, a, b):
+        d = torus()
+        u, w = sf.Curve(d, sf.FareySlope(a)), sf.Curve(d, sf.FareySlope(b))
+        dist = SLOPE_CERTIFICATE.distance(u, w)
+        assert dist == farey_bfs_distance(a, b, 8)
+        path = SLOPE_CERTIFICATE.path(u, w)
+        assert path[0] == u and path[-1] == w
+        assert len(path) == dist + 1
+        assert all(sf.are_adjacent(x, y) for x, y in zip(path, path[1:]))
+
+    def test_endpoint_outside_the_enumeration(self):
+        d = torus()
+        with pytest.raises(CertificateError):
+            SLOPE_CERTIFICATE.distance(sf.slope_curve(d, 0, 1), sf.slope_curve(d, 9, 10))
+
+    def test_disconnected_endpoints(self):
+        d = torus()
+        u, w = sf.slope_curve(d, 0, 1), sf.slope_curve(d, 2, 1)
+        cert = sf.DistanceCertificate([u, w])
+        assert cert.path(u, u) == [u]
+        with pytest.raises(CertificateError):
+            cert.distance(u, w)
 
 
 class TestSubsurfaceBoundary:
