@@ -104,7 +104,7 @@ class AmbientFlatChart:
         return self._by_class.get(canonical)
 
     def is_separating(self, c: fc.FlatCurve) -> bool:
-        return fc.word_displacement(fc.reduce_cyclic(c.word())) == (0, 0)
+        return fc.word_displacement(c.canonical()) == (0, 0)
 
 
 AMBIENT = AmbientFlatChart()

@@ -262,10 +262,13 @@ class FlatCurve:
         return path_word(self.points, self.disp)
 
     def canonical(self):
-        return canonical_class(self.word())
+        # kept outside the fields: equality, hash and repr see points and disp
+        if "_canonical" not in self.__dict__:
+            object.__setattr__(self, "_canonical", canonical_class(self.word()))
+        return self._canonical
 
     def normal_coords(self):
-        return normal_coords_of(self.word())
+        return normal_coords_of(self.canonical())
 
     def translated(self, lam):
         return FlatCurve(tuple(_add(p, lam) for p in self.points), self.disp)
@@ -546,15 +549,14 @@ def _nudges(c2: FlatCurve):
 
 
 def generic_overlay_pair(c1: FlatCurve, c2: FlatCurve):
-    """Nudge c2 by a tiny translation until the overlay is generic.
+    """Overlay c1 with c2, nudged by a tiny translation until generic.
 
-    Returns c2', a curve in the class of c2 whose overlay with c1 is
-    generic.
+    Returns (crossings, c2'): c2' is in the class of c2, and crossings is
+    its generic overlay with c1.
     """
     for cand in _nudges(c2):
         try:
-            overlay(c1, cand)
-            return cand
+            return overlay(c1, cand), cand
         except GenericityError:
             continue
     raise GenericityError("could not reach generic position by nudging")
@@ -564,8 +566,7 @@ def flat_intersection(c1: FlatCurve, c2: FlatCurve):
     """Geometric intersection number of two embedded curves."""
     if same_class(c1, c2):
         return 0
-    c2 = generic_overlay_pair(c1, c2)
-    crossings = overlay(c1, c2)
+    crossings, c2 = generic_overlay_pair(c1, c2)
     live = set(range(len(crossings)))
     while True:
         pair = _find_bigon(c1, c2, crossings, live)
@@ -574,21 +575,6 @@ def flat_intersection(c1: FlatCurve, c2: FlatCurve):
         live.discard(pair[0])
         live.discard(pair[1])
     return len(live)
-
-
-def minimal_overlay(c1: FlatCurve, c2: FlatCurve):
-    """Overlay, but insisting the representatives are already tight.
-
-    Returns (crossings, c2') where c2' is the possibly-nudged second
-    curve; raises GenericityError when a bigon is present, since the
-    neighborhood-boundary walk needs honest geometry.
-    """
-    c2 = generic_overlay_pair(c1, c2)
-    crossings = overlay(c1, c2)
-    live = set(range(len(crossings)))
-    if _find_bigon(c1, c2, crossings, live) is not None:
-        raise GenericityError("representatives form a bigon; not in minimal position")
-    return crossings, c2
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +603,9 @@ def boundary_walk_classes(c1: FlatCurve, c2: FlatCurve):
     walk of the union.  When the curves are disjoint the neighborhood is
     just two annuli and the classes are those of the curves themselves.
     """
-    crossings, c2 = minimal_overlay(c1, c2)
+    crossings, c2 = generic_overlay_pair(c1, c2)
+    if _find_bigon(c1, c2, crossings, set(range(len(crossings)))) is not None:
+        raise GenericityError("representatives form a bigon; not in minimal position")
     if not crossings:
         return [c1.canonical(), c2.canonical()]
     order1 = sorted(range(len(crossings)), key=lambda k: crossings[k].key1)

@@ -156,16 +156,14 @@ def ambient_universe(budget_radius: int = 2):
     """Deduplicated curve enumeration on the twice-punctured torus."""
     d = sf.full_surface(sf.TORUS_1_2)
     charts.AMBIENT.ensure_enumerated(budget_radius)
-    seen = {}
+    curves = []
     for desc in charts.AMBIENT.descs(budget_radius):
         try:
-            flat = charts.AMBIENT.curve(desc)
+            charts.AMBIENT.curve(desc)
         except GenericityError:
             continue
-        key = flat.canonical()
-        if key not in seen:
-            seen[key] = sf.flat_curve(d, desc)
-    return list(seen.values())
+        curves.append(sf.flat_curve(d, desc))
+    return list(dict.fromkeys(curves))
 
 
 def _bfs_path(certificate, u, w):

@@ -23,6 +23,8 @@ def frac_str(x) -> str:
 
 
 def parse_frac(s: str) -> Fraction:
+    if not isinstance(s, str):
+        raise ParseError(f"bad rational {s!r}")
     try:
         num, den = s.split("/")
         return Fraction(int(num), int(den))
@@ -39,6 +41,8 @@ def surface_str(s: sf.Surface) -> str:
 
 
 def parse_surface(s: str) -> sf.Surface:
+    if not isinstance(s, str):
+        raise ParseError(f"bad surface {s!r}")
     try:
         g, p = (int(x) for x in s.split(","))
         return sf.Surface(g, p)
@@ -72,6 +76,8 @@ def _normal_curve_from_coords(domain, coords):
 
 
 def parse_curve(s: str, domain: sf.EssentialSubsurface) -> sf.Curve:
+    if not isinstance(s, str):
+        raise ParseError(f"bad curve {s!r}")
     try:
         kind, _, val = s.partition(":")
         if kind == "F":
@@ -313,6 +319,10 @@ def parse_complex(doc: dict):
         raise ParseError(f"bad complex document: {exc}") from exc
     if not bricks:
         raise ParseError("complex document has no bricks")
+    ids = [b.bid for b in bricks]
+    unknown = [bid for j in joints for bid in (j.upper, j.lower) if bid not in ids]
+    if unknown:
+        raise ParseError(f"joint names an unknown brick {unknown[0]!r}")
     k = bk.BrickComplex(base=base, bricks=bricks, joints=joints)
     emb_doc = doc.get("embedding")
     if emb_doc is None:

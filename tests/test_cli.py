@@ -63,13 +63,40 @@ def no_bricks_path(tmp_path):
     return str(path)
 
 
-def reversed_levels_path(tmp_path):
-    with open(single_path(tmp_path)) as handle:
-        doc = json.load(handle)
-    doc["embedding"]["b0"] = ["1/1", "0/1"]
-    path = tmp_path / "reversed-levels.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
+def malformed(name, source, keys, value):
+    """Maker of the document of `source` with the entry at `keys` set to
+    `value`; `name` is the maker's test id and file name."""
+
+    def make(tmp_path):
+        with open(source(tmp_path)) as handle:
+            doc = json.load(handle)
+        *parents, last = keys
+        entry = doc
+        for key in parents:
+            entry = entry[key]
+        entry[last] = value
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    make.__name__ = name
+    return make
+
+
+reversed_levels_path = malformed(
+    "reversed_levels_path", single_path, ("embedding", "b0"), ["1/1", "0/1"]
+)
+MALFORMED = [
+    no_bricks_path,
+    reversed_levels_path,
+    malformed("int_base", single_path, ("base",), 11),
+    malformed("int_brick_level", single_path, ("bricks", 0, "lo"), 0),
+    malformed(
+        "int_marking_curve", single_path, ("bricks", 0, "initial", "curves", 0), 1
+    ),
+    malformed("bool_embedding_level", single_path, ("embedding", "b0", 0), True),
+    malformed("unknown_joint_brick", kt_path, ("joints", 0, "upper"), "nope"),
+]
 
 
 def count_sweeps(monkeypatch):
@@ -249,7 +276,7 @@ class TestExport:
         assert sz.curve_str(c) == "F:8/5"
 
 
-@pytest.mark.parametrize("make", [no_bricks_path, reversed_levels_path])
+@pytest.mark.parametrize("make", MALFORMED)
 @pytest.mark.parametrize(
     "argv",
     [["validate"], ["decompose"], ["metric"], ["crosscheck"], ["export"],

@@ -2,7 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from brickforge import charts
 from brickforge import flatcurves as fc
 from brickforge import surfaces as sf
 
@@ -20,6 +23,8 @@ def curves():
         "A2": fc.slot_curve((1, 0), (2, 2)),
     }
 
+
+RADIUS_2 = charts.AMBIENT.descs(2)
 
 # frozen intersection table for the fixture curves
 EXPECTED = {
@@ -75,6 +80,15 @@ class TestWords:
     def test_peripheral_loops_detected(self):
         assert len(fc.PERIPHERAL_CLASSES) == 2
 
+    def test_class_is_computed_once_per_curve(self, count_calls):
+        calls = count_calls(fc, "canonical_class")
+        c = fc.line_curve(1, 2)
+        for _ in range(2):
+            assert c.canonical()
+            assert c.normal_coords() == fc.normal_coords_of(c.word())
+            assert not charts.AMBIENT.is_separating(c)
+        assert len(calls) == 1
+
 
 class TestConstructors:
     def test_line_needs_primitive_direction(self):
@@ -128,6 +142,28 @@ class TestIntersection:
         for c in cs.values():
             assert fc.flat_intersection(c, c) == 0
 
+    def test_one_overlay_per_pair(self, count_calls):
+        calls = count_calls(fc, "overlay")
+        assert fc.flat_intersection(fc.line_curve(0, 1, 0), fc.line_curve(1, 0, 0)) == 1
+        assert len(calls) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(RADIUS_2),
+        st.sampled_from(RADIUS_2),
+        st.integers(-2, 2),
+        st.integers(-2, 2),
+    )
+    def test_symmetric_and_translation_invariant(self, d1, d2, a, b):
+        try:
+            c1, c2 = d1.build(), d2.build()
+        except fc.GenericityError:
+            assume(False)
+        n = fc.flat_intersection(c1, c2)
+        assert fc.flat_intersection(c2, c1) == n
+        assert fc.flat_intersection(c1, c2.translated((2 * a, b))) == n
+        assert fc.flat_intersection(c1, c1) == 0
+
 
 class TestGenericOverlay:
     def test_nudge_that_changes_the_class_is_skipped(self, monkeypatch):
@@ -153,7 +189,7 @@ class TestGenericOverlay:
 
         monkeypatch.setattr(fc, "overlay", first_overlay_fails)
         monkeypatch.setattr(fc.FlatCurve, "translated", first_translate_jumps)
-        cand = fc.generic_overlay_pair(c1, c2)
+        _, cand = fc.generic_overlay_pair(c1, c2)
         assert fc.same_class(cand, c2)
 
 

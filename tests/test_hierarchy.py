@@ -1,6 +1,7 @@
 import pytest
 
 from brickforge import charts
+from brickforge import flatcurves as fc
 from brickforge import hierarchy as hy
 from brickforge import surfaces as sf
 from brickforge.errors import BudgetExceeded, NoTightGeodesic, NotComponentDomain
@@ -36,6 +37,15 @@ def flat_markings():
     )
     terminal = sf.Marking(sf.Simplex.of(d, hc, s0b), transversals=((hc, v0),))
     return d, initial, terminal
+
+
+def build_and_verify_v0_v1():
+    d = sf.full_surface(sf.TORUS_1_2)
+    v0 = sf.Marking(sf.Simplex.of(d, sf.line_class(d, 0, 1, 0)))
+    v1 = sf.Marking(sf.Simplex.of(d, sf.line_class(d, 0, 1, 1)))
+    h = hy.build_hierarchy(sf.TORUS_1_2, v0, v1)
+    ok, violations = hy.verify_hierarchy(h)
+    assert ok, violations
 
 
 class TestFareyHierarchy:
@@ -181,24 +191,18 @@ class TestFlatHierarchy:
             assert len(base) == 2
             assert sf.intersection_number(base[0], base[1]) == 0
 
-    def test_adjacency_work_is_bounded(self, monkeypatch):
+    def test_adjacency_work_is_bounded(self, count_calls):
         # the main-geodesic search, the tightness check and verification
         # share one table of adjacencies, filled only where a search goes
-        calls = []
-        are_adjacent = sf.are_adjacent
-
-        def counted(a, b):
-            calls.append((a, b))
-            return are_adjacent(a, b)
-
-        monkeypatch.setattr(sf, "are_adjacent", counted)
-        d = sf.full_surface(sf.TORUS_1_2)
-        v0 = sf.Marking(sf.Simplex.of(d, sf.line_class(d, 0, 1, 0)))
-        v1 = sf.Marking(sf.Simplex.of(d, sf.line_class(d, 0, 1, 1)))
-        h = hy.build_hierarchy(sf.TORUS_1_2, v0, v1)
-        ok, violations = hy.verify_hierarchy(h)
-        assert ok, violations
+        calls = count_calls(sf, "are_adjacent")
+        build_and_verify_v0_v1()
         assert len(calls) <= 20
+
+    def test_overlay_work_is_bounded(self, count_calls):
+        # each curve pair is overlaid once per intersection or boundary walk
+        calls = count_calls(fc, "overlay")
+        build_and_verify_v0_v1()
+        assert len(calls) <= 18
 
     def test_hierarchy_curves_are_distinct(self):
         _, initial, terminal = flat_markings()
