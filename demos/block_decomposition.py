@@ -15,8 +15,8 @@ from brickforge import surfaces as sf
 F = Fraction
 
 
-def show(name, m):
-    d = bl.decompose(m)
+def show(name, m, e):
+    d = bl.decompose(bk.LevelSweep.of(m.complex, e))
     print(f"{name}: {d.rounds_used} round(s)")
     for b in d.blocks:
         gap = f" gap {b.gap}" if b.gap else ""
@@ -31,11 +31,11 @@ def show(name, m):
 
 
 def main():
-    m, _ = lm.generate(lm.Scenario("kerckhoff-thurston", sf.TORUS_1_1))
-    show("single twist tube", m)
+    m, e = lm.generate(lm.Scenario("kerckhoff-thurston", sf.TORUS_1_1))
+    show("single twist tube", m, e)
 
-    m, _ = lm.generate(lm.Scenario("brock", sf.TORUS_1_2))
-    show("removed leaf", m)
+    m, e = lm.generate(lm.Scenario("brock", sf.TORUS_1_2))
+    show("removed leaf", m, e)
 
     full = sf.full_surface(sf.TORUS_1_1)
 
@@ -45,8 +45,7 @@ def main():
     b = bk.Brick("b0", full, "closed", F(0), F(1),
                  initial=mark(0, 1), terminal=mark(5, 3))
     k = bk.BrickComplex(sf.TORUS_1_1, (b,), ())
-    m = bk.LabelledBrickManifold(k)
-    d = bl.decompose(m)
+    d = bl.decompose(bk.LevelSweep.of(k, bk.identity_embedding(k)))
     print("single brick 0/1 -> 5/3:")
     print("  tube cores:", [str(v.core) for v in d.tubes.tubes])
     print("  agrees with the hierarchy:", bl.hierarchy_crosscheck(b, d))

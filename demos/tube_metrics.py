@@ -6,14 +6,15 @@ filtration that releases short tubes back into the model.
 """
 
 from brickforge import blocks as bl
+from brickforge import bricks as bk
 from brickforge import limits as lm
 from brickforge import metrics as mt
 from brickforge import surfaces as sf
 
 
 def main():
-    m, _ = lm.generate(lm.Scenario("bonahon-otal", sf.TORUS_1_1, depth=3))
-    d = bl.decompose(m)
+    m, e = lm.generate(lm.Scenario("bonahon-otal", sf.TORUS_1_1, depth=3))
+    d = bl.decompose(bk.LevelSweep.of(m.complex, e))
     print(f"{len(d.torus_tubes)} torus-interface tubes")
     for tid in d.torus_tubes:
         omega = mt.boundary_torus_geometry(d.tubes.tube(tid), d)

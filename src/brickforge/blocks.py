@@ -71,7 +71,7 @@ class Block:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    sweep: bk.LevelSweep  # of the normalized model, in brick coordinates
+    sweep: bk.LevelSweep  # of the normalized model, in its embedding's levels
     blocks: tuple
     tubes: TubeUnion  # after merging
     placed: tuple  # tubes before merging, for per-round accounting
@@ -135,7 +135,9 @@ def _is_gf(b: bk.Brick) -> bool:
     return b.label is not None and b.label.kind == "geometrically-finite"
 
 
-def _merge_pair(k: bk.BrickComplex, j: bk.Joint) -> bk.BrickComplex:
+def _merge_pair(k: bk.BrickComplex, j: bk.Joint, levels) -> bk.BrickComplex:
+    """Merge the two bricks of a joint, recording in `levels` the merged
+    brick's embedded levels: the lower brick's bottom, the upper's top."""
     up = k.brick(j.upper)
     low = k.brick(j.lower)
     merged = bk.Brick(
@@ -148,6 +150,7 @@ def _merge_pair(k: bk.BrickComplex, j: bk.Joint) -> bk.BrickComplex:
         initial=low.initial,
         terminal=up.terminal,
     )
+    levels[merged.bid] = (levels[j.lower][0], levels[j.upper][1])
     rename = {j.lower: merged.bid, j.upper: merged.bid}
     bricks = tuple(
         b for b in k.bricks if b.bid not in (j.lower, j.upper)
@@ -165,9 +168,10 @@ def _merge_pair(k: bk.BrickComplex, j: bk.Joint) -> bk.BrickComplex:
 
 
 def _front_cores(sweep: bk.LevelSweep, b, level):
-    """Boundary-annulus cores attached to the brick front at a level."""
+    """Boundary-annulus cores attached to the brick front at an embedded
+    level."""
     out = []
-    for comp in bk.boundary_components(sweep):
+    for comp in sweep.boundary:
         if level not in comp.interval:
             continue
         c = comp.core
@@ -184,7 +188,7 @@ def _split_brick(b: bk.Brick, c: sf.Curve):
     full = sf.full_surface(b.support.ambient)
     domains = sf.component_domains(full, sf.Simplex.of(full, c))
     pieces = [y for y in domains if y.kind == "proper"]
-    tag = bk.curve_tag(c)
+    tag = sf.curve_tag(c)
     out = []
     for i, y in enumerate(pieces):
         out.append(
@@ -236,10 +240,12 @@ def normalize(sweep: bk.LevelSweep) -> bk.LevelSweep:
     """Merge internal inessential joints; split full closed bricks with a
     lower-front boundary annulus missing every upper-front one.
 
-    Takes the sweep of a model in brick coordinates and returns the sweep
-    of the normalized model: the same object when nothing changed, a new
-    one only after a change.  Idempotent."""
+    Takes the sweep of an embedded model and returns the sweep of the
+    normalized model in the same levels: the same object when nothing
+    changed, a new one only after a change.  Split pieces keep their
+    parent's levels.  Idempotent."""
     k = sweep.complex
+    levels = dict(sweep.embedding.levels)
     dirty = True
     while dirty:
         dirty = False
@@ -253,19 +259,21 @@ def normalize(sweep: bk.LevelSweep) -> bk.LevelSweep:
                 if set(up.collars) != set(low.collars):
                     continue
                 if j.is_inessential(k):
-                    k = _merge_pair(k, j)
+                    k = _merge_pair(k, j, levels)
                     changed = dirty = True
                     break
         if k is not sweep.complex:
-            sweep = bk.LevelSweep.of(k, bk.identity_embedding(k))
+            e = tuple((b.bid, levels[b.bid]) for b in k.bricks)
+            sweep = bk.LevelSweep.of(k, bk.LeafEmbedding(e))
         splittable = [
             b
             for b in k.bricks
             if b.kind == "closed" and not _is_gf(b) and b.support.kind == "full"
         ]
         for b in splittable:
-            lower = _front_cores(sweep, b, b.lo)
-            upper = _front_cores(sweep, b, b.hi)
+            lo, hi = levels[b.bid]
+            lower = _front_cores(sweep, b, lo)
+            upper = _front_cores(sweep, b, hi)
             offender = next(
                 (
                     c
@@ -281,6 +289,7 @@ def normalize(sweep: bk.LevelSweep) -> bk.LevelSweep:
             if offender is None:
                 continue
             pieces = _split_brick(b, offender)
+            levels.update((piece.bid, (lo, hi)) for piece in pieces)
             bricks = tuple(bb for bb in k.bricks if bb.bid != b.bid) + pieces
             joints = _reattach_joints(k, b.bid, pieces)
             k = bk.BrickComplex(k.base, bricks, joints)
@@ -298,7 +307,7 @@ def boundary_data(sweep: bk.LevelSweep):
     on geometrically finite labels, per-brick lamination descriptors on
     simply degenerate labels."""
     k = sweep.complex
-    ha = [(comp.core, comp.interval) for comp in bk.boundary_components(sweep)]
+    ha = [(comp.core, comp.interval) for comp in sweep.boundary]
     s = {}
     mu = {}
     for b in k.bricks:
@@ -341,7 +350,9 @@ def _endpoint_marking(sweep, b, side, data):
         if b.label is not None and b.label.kind == "simply-degenerate":
             return b.label.lamination
         return None
-    level = b.lo if side == "lower" else b.hi
+    # joints sit at brick-coordinate levels, boundary annuli at embedded ones
+    alpha, beta = sweep.embedding.level_of(b.bid)
+    level, front = (b.lo, alpha) if side == "lower" else (b.hi, beta)
     curves = []
     for partner, j in _joint_partners(k, b, level):
         if _is_gf(partner) and j.is_inessential(k):
@@ -354,7 +365,7 @@ def _endpoint_marking(sweep, b, side, data):
                     sf.intersection_number(c, c2) == 0 for c2 in curves
                 ):
                     curves.append(c)
-    for c in _front_cores(sweep, b, level):
+    for c in _front_cores(sweep, b, front):
         if c not in curves and all(
             sf.intersection_number(c, c2) == 0 for c2 in curves
         ):
@@ -485,17 +496,6 @@ def _nearby_tube_marking(domain, level, placed, side):
     return None
 
 
-def _ambient_core(full, domain, curve):
-    if domain.kind == "full":
-        return curve
-    desc = domain.chart.realize(curve.rep.slope)
-    if desc is None:
-        raise BudgetExceeded(
-            f"slope {curve.rep.slope} has no realization in {domain.token}"
-        )
-    return sf.flat_curve(full, desc)
-
-
 def _block_type(domain):
     g, ends = domain.ttype
     if (g, ends) == (1, 1):
@@ -515,7 +515,6 @@ def tube_union_for(b: bk.Brick, initial, terminal):
     domain = b.support
     if domain.complexity() < 4:
         raise DomainError("tube placement needs complexity at least 4")
-    full = sf.full_surface(domain.ambient)
     start, end = initial, terminal
     if b.kind == "half-open-below":
         start, end = end, start
@@ -523,7 +522,7 @@ def tube_union_for(b: bk.Brick, initial, terminal):
     tubes = [
         Tube(
             tid=f"{b.bid}.v{i}",
-            core=_ambient_core(full, domain, v),
+            core=hy.ambient_curve(v),
             band=tband,
             origin=(1, b.bid),
             token=domain.token,
@@ -599,9 +598,9 @@ def merge_homotopic(tubes, sweep: bk.LevelSweep):
 # decomposition
 
 
-def decompose(m: bk.LabelledBrickManifold) -> BlockDecomposition:
-    """Cut the model into standard blocks and a tube union."""
-    sweep = bk.LevelSweep.of(m.complex, bk.identity_embedding(m.complex))
+def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
+    """Cut the swept model into standard blocks and a tube union, in the
+    levels of its embedding."""
     if not bk.check_conditions(sweep)["EL"]:
         raise ELViolation(
             "simply degenerate descriptors repeat on homotopic supports"
@@ -635,7 +634,7 @@ def decompose(m: bk.LabelledBrickManifold) -> BlockDecomposition:
         blocks.append(Block(blid, btype, token, interval, gap, tube, support))
 
     # round 0: tubes along the model boundary
-    for comp in bk.boundary_components(sweep):
+    for comp in sweep.boundary:
         interface = "torus" if comp.kind == "torus" else "annulus"
         new_tube(comp.core, comp.interval, 0, "boundary", "boundary", interface)
 
@@ -725,7 +724,7 @@ def decompose(m: bk.LabelledBrickManifold) -> BlockDecomposition:
             if tail is not None:
                 tails.append((origin_id, tail))
             for v, (tband, wband) in zip(vertices, pairs):
-                core = _ambient_core(full, domain, v)
+                core = hy.ambient_curve(v)
                 t = new_tube(core, tband, rounds_used, origin_id, domain.token)
                 gap = (
                     (tband[1], wband[1])
@@ -743,7 +742,7 @@ def decompose(m: bk.LabelledBrickManifold) -> BlockDecomposition:
         raise IterationOverflow("round count exceeded the complexity bound")
 
     tubes = merge_homotopic(placed, sweep)
-    blocks, adjustments = _enforce_bb(blocks, k)
+    blocks, adjustments = _enforce_bb(blocks, sweep)
 
     union = TubeUnion(
         tubes=tuple(tubes),
@@ -773,9 +772,9 @@ def decompose(m: bk.LabelledBrickManifold) -> BlockDecomposition:
 # vertical re-leveling of fronts crossing gap bands
 
 
-def _bb_violations(blocks, k: bk.BrickComplex, adjusted=frozenset()):
+def _bb_violations(blocks, sweep: bk.LevelSweep, adjusted=frozenset()):
     out = []
-    fronts = sorted({b.lo for b in k.bricks} | {b.hi for b in k.bricks})
+    fronts = bk.critical_levels(sweep.complex, sweep.embedding)
     for bl in blocks:
         if bl.gap is None:
             continue
@@ -787,12 +786,12 @@ def _bb_violations(blocks, k: bk.BrickComplex, adjusted=frozenset()):
     return out
 
 
-def _enforce_bb(blocks, k: bk.BrickComplex):
-    """Re-level brick fronts landing inside a complexity-4 gap band to
-    the tube boundary just below the gap."""
+def _enforce_bb(blocks, sweep: bk.LevelSweep):
+    """Re-level embedded brick fronts landing inside a complexity-4 gap
+    band to the tube boundary just below the gap."""
     adjustments = []
     moved = {}
-    for blid, f in _bb_violations(blocks, k):
+    for blid, f in _bb_violations(blocks, sweep):
         bl = next(b for b in blocks if b.blid == blid)
         if f not in moved:
             moved[f] = bl.gap[0]
@@ -819,7 +818,6 @@ def verify_decomposition(d: BlockDecomposition):
     fronts of the normalized model."""
     report = []
     sweep = d.sweep
-    k = sweep.complex
     for bl in d.blocks:
         if bl.btype not in BLOCK_TYPES:
             report.append(f"block {bl.blid} has type {bl.btype}")
@@ -844,7 +842,7 @@ def verify_decomposition(d: BlockDecomposition):
     for a, b, _ in _merge_eligible_pairs(list(d.tubes.tubes), sweep):
         report.append(f"tubes {a.tid},{b.tid} are still merge-eligible")
     adjusted = frozenset(a["front"] for a in d.adjustments)
-    for blid, f in _bb_violations(d.blocks, k, adjusted):
+    for blid, f in _bb_violations(d.blocks, sweep, adjusted):
         report.append(f"front at {f} crosses the gap of block {blid}")
     return (not report, report)
 
@@ -867,7 +865,7 @@ def hierarchy_crosscheck(b: bk.Brick, d: BlockDecomposition) -> bool:
         seq = expected.setdefault(g.domain.token, [])
         for v in g.simplices:
             for c in v.sorted_curves():
-                seq.append(hy.ambient_curve(h, c))
+                seq.append(hy.ambient_curve(c))
 
     tubes = [t for t in d.placed if t.origin[1] != "boundary"]
     got = {}

@@ -16,7 +16,8 @@ models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 
 from . import surfaces as sf
@@ -161,10 +162,6 @@ class LabelledBrickManifold:
 
 # ---------------------------------------------------------------------------
 # support geometry helpers
-
-
-def curve_tag(c: sf.Curve) -> str:
-    return sf._curve_tag(c)
 
 
 def curve_in_domain(y: sf.EssentialSubsurface, c: sf.Curve) -> bool:
@@ -321,7 +318,7 @@ def slit_at(k: BrickComplex, e: LeafEmbedding, c: Fraction) -> Slit:
             if y.token not in present_tokens:
                 components.append(y)
         elif y.kind == "annulus":
-            if curve_tag(y.boundary[0]) not in collar_tags:
+            if sf.curve_tag(y.boundary[0]) not in collar_tags:
                 components.append(y)
     for token in present_tokens:
         if token not in {y.token for y in domains}:
@@ -367,6 +364,11 @@ class LevelSweep:
                 for a, b in zip(levels, levels[1:])
             ),
         )
+
+    @cached_property
+    def boundary(self):
+        """The boundary components of the embedded image, computed once."""
+        return tuple(boundary_components(self))
 
     @property
     def span(self):
@@ -471,7 +473,7 @@ def classify_ends(m: LabelledBrickManifold, e: LeafEmbedding):
 
 
 def _a2_gap_pairs(sweep: LevelSweep):
-    comps = boundary_components(sweep)
+    comps = sweep.boundary
     pairs = []
     for i, c1 in enumerate(comps):
         for c2 in comps[i + 1 :]:
@@ -500,7 +502,7 @@ def clear_annulus_gaps(sweep: LevelSweep):
     that class; yields (core, lo, hi) when the full annulus between them
     avoids the complement level by level.
     """
-    comps = boundary_components(sweep)
+    comps = sweep.boundary
     cores = []
     for c in comps:
         if c.core not in cores:
@@ -530,7 +532,7 @@ def check_conditions(sweep: LevelSweep):
     """Admissibility report {A1, A2, A3, A4, A5, EL} of booleans for the
     labelled model on the swept complex."""
     k, e = sweep.complex, sweep.embedding
-    comps = boundary_components(sweep)
+    comps = sweep.boundary
     a1 = all(c.kind in ("torus", "open-annulus") for c in comps)
     a2 = check_a2(sweep)
     ends = classify_ends(LabelledBrickManifold(k), e)
@@ -583,8 +585,8 @@ def check_conditions(sweep: LevelSweep):
             if l1 is not None and l1 == l2:
                 # homotopic supports demand distinct ending laminations,
                 # unless a boundary piece between them blocks the homotopy
-                lo = min(b1.hi, b2.hi)
-                hi = max(b1.lo, b2.lo)
+                (lo1, hi1), (lo2, hi2) = e.level_of(b1.bid), e.level_of(b2.bid)
+                lo, hi = min(hi1, hi2), max(lo1, lo2)
                 if not any(
                     sweep.meets_between(c, lo, hi) for c in b1.support.boundary
                 ):

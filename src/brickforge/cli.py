@@ -32,9 +32,8 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_model(path: str):
-    k, e = sz.parse_complex(sz.loads(_read(path)))
-    return bk.LabelledBrickManifold(k), e
+def _load_model(path: str) -> bk.LevelSweep:
+    return bk.LevelSweep.of(*sz.parse_complex(sz.loads(_read(path))))
 
 
 def _emit(doc, stream=None):
@@ -66,9 +65,9 @@ def _block_doc(b):
 
 
 def _cmd_validate(args):
-    m, e = _load_model(args.input)
-    ok_structure, structure = bk.validate_complex(m.complex)
-    conditions = bk.check_conditions(bk.LevelSweep.of(m.complex, e))
+    sweep = _load_model(args.input)
+    ok_structure, structure = bk.validate_complex(sweep.complex)
+    conditions = bk.check_conditions(sweep)
     ok = ok_structure and all(conditions.values())
     _emit(
         {
@@ -81,8 +80,7 @@ def _cmd_validate(args):
 
 
 def _cmd_decompose(args):
-    m, e = _load_model(args.input)
-    d = bl.decompose(m)
+    d = bl.decompose(_load_model(args.input))
     ok, report = bl.verify_decomposition(d)
     _emit(
         {
@@ -106,8 +104,9 @@ def _cmd_decompose(args):
 
 
 def _cmd_metric(args):
-    m, e = _load_model(args.input)
-    d = bl.decompose(m)
+    if args.k is not None and args.k < 0:
+        raise ParseError(f"--k must be non-negative, not {args.k}")
+    d = bl.decompose(_load_model(args.input))
     ks = (0, args.k) if args.k else (0,)
     _emit(mt.metric_report(d, ks=ks))
     return EXIT_OK
@@ -137,12 +136,14 @@ def _parse_scenario(spec: str) -> lm.Scenario:
                 base = sz.parse_surface(part)
             else:
                 depth = int(part)
+        return lm.Scenario(kind, base, depth=depth)
     except (ValueError, ParseError) as exc:
         raise ParseError(f"bad scenario spec {spec!r}") from exc
-    return lm.Scenario(kind, base, depth=depth)
 
 
 def _cmd_limit(args):
+    if args.stages < 1:
+        raise ParseError(f"--stages must be at least 1, not {args.stages}")
     scenario = _parse_scenario(args.scenario)
     m, e = lm.generate(scenario)
     sweep = bk.LevelSweep.of(m.complex, e)
@@ -161,17 +162,17 @@ def _cmd_limit(args):
 
 
 def _cmd_crosscheck(args):
-    m, e = _load_model(args.input)
+    sweep = _load_model(args.input)
     endpointed = [
         b
-        for b in m.complex.bricks
+        for b in sweep.complex.bricks
         if b.initial is not None and b.terminal is not None
     ]
     if len(endpointed) != 1:
         raise ParseError(
             "crosscheck needs exactly one brick with endpoint markings"
         )
-    d = bl.decompose(m)
+    d = bl.decompose(sweep)
     ok = bl.hierarchy_crosscheck(endpointed[0], d)
     _emit({"brick": endpointed[0].bid, "pass": ok})
     return EXIT_OK if ok else EXIT_FAIL

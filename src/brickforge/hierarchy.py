@@ -481,8 +481,8 @@ def resolve(h: Hierarchy):
     return out
 
 
-def ambient_curve(h: Hierarchy, c: sf.Curve) -> sf.Curve:
-    """Realize a hierarchy vertex as a curve on the full surface."""
+def ambient_curve(c: sf.Curve) -> sf.Curve:
+    """Realize a curve of a subsurface as a curve on the full surface."""
     if c.domain.kind == "full":
         return c
     if c.domain.kind == "annulus":
@@ -495,7 +495,7 @@ def ambient_curve(h: Hierarchy, c: sf.Curve) -> sf.Curve:
     desc = chart.realize(c.rep.slope)
     if desc is None:
         raise BudgetExceeded(f"slope {c.rep.slope} is outside the realizable fan")
-    return sf.flat_curve(h.domain, desc)
+    return sf.flat_curve(sf.full_surface(c.domain.ambient), desc)
 
 
 def slice_base(h: Hierarchy, s: Slice):
@@ -507,7 +507,7 @@ def slice_base(h: Hierarchy, s: Slice):
         g = h.geodesic(gid)
         for c in g.simplex(idx).curves:
             if realize:
-                c = ambient_curve(h, c)
+                c = ambient_curve(c)
             if c not in curves:
                 curves.append(c)
     return curves

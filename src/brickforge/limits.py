@@ -149,7 +149,7 @@ def _generate_brock(s: Scenario):
     domains = sf.component_domains(full, sf.Simplex.of(full, sigma))
     torus_side = next(y for y in domains if y.token.startswith("torus-side"))
     pants_side = next(y for y in domains if y.token.startswith("pants"))
-    tag = bk.curve_tag(sigma)
+    tag = sf.curve_tag(sigma)
     half = Fraction(1, 2)
     a, b = Fraction(2, 5), Fraction(3, 5)
     lo_m, hi_m = Fraction(1, 8), Fraction(7, 8)
@@ -318,7 +318,7 @@ def exhaust(sweep: bk.LevelSweep, stages: int):
     """Ascending truncations W_n with externally crossing tubes, plus
     acylindrical finite approximants Z_n, for the swept model."""
     m, e = bk.LabelledBrickManifold(sweep.complex), sweep.embedding
-    d = bl.decompose(m)
+    d = bl.decompose(sweep)
     tubes = sorted(d.tubes.tubes, key=lambda v: (v.band, v.tid))
     span_lo, span_hi = sweep.span
     width = span_hi - span_lo
@@ -326,7 +326,7 @@ def exhaust(sweep: bk.LevelSweep, stages: int):
     interior = sum(
         1 for v in tubes if span_lo < v.band[0] and v.band[1] < span_hi
     )
-    tori = [c for c in bk.boundary_components(sweep) if c.kind == "torus"]
+    tori = [c for c in sweep.boundary if c.kind == "torus"]
     out = []
     margin = width / 8
     for n in range(1, stages + 1):
@@ -417,7 +417,7 @@ def verify_theorem_a(sweep: bk.LevelSweep) -> dict:
     k, e = sweep.complex, sweep.embedding
     m = bk.LabelledBrickManifold(k)
     conditions = bk.check_conditions(sweep)
-    comps = bk.boundary_components(sweep)
+    comps = sweep.boundary
     ends = bk.classify_ends(m, e)
     gf_bricks = [
         b.bid

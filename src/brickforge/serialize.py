@@ -92,8 +92,6 @@ def parse_curve(s: str, domain: sf.EssentialSubsurface) -> sf.Curve:
             if len(coords) != 6:
                 raise ValueError(val)
             return _normal_curve_from_coords(domain, coords)
-    except ParseError:
-        raise
     except (ValueError, TypeError) as exc:
         raise ParseError(f"bad curve {s!r}") from exc
     raise ParseError(f"bad curve {s!r}")
@@ -191,8 +189,6 @@ def parse_label(doc: dict, support: sf.EssentialSubsurface) -> bk.EndLabel:
             return bk.EndLabel(bid, kind, conformal=conformal)
         if kind == "simply-degenerate":
             return bk.EndLabel(bid, kind, lamination=_parse_lamination(doc["lamination"]))
-    except ParseError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad label document: {exc}") from exc
     raise ParseError(f"bad label kind {kind!r}")
@@ -218,8 +214,6 @@ def _parse_marking(doc: dict, support: sf.EssentialSubsurface):
         if doc["kind"] == "marking":
             curves = [parse_curve(s, support) for s in doc["curves"]]
             return sf.Marking(sf.Simplex.of(support, *curves))
-    except ParseError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad marking document: {exc}") from exc
     raise ParseError(f"bad marking kind {doc.get('kind')!r}")
@@ -265,8 +259,6 @@ def parse_brick(doc: dict) -> bk.Brick:
             initial=initial,
             terminal=terminal,
         )
-    except ParseError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad brick document: {exc}") from exc
 
@@ -288,8 +280,6 @@ def parse_joint(doc: dict) -> bk.Joint:
             surface=parse_support(doc["surface"]),
             level=parse_frac(doc["level"]),
         )
-    except ParseError:
-        raise
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad joint document: {exc}") from exc
 
@@ -313,8 +303,6 @@ def parse_complex(doc: dict):
         base = parse_surface(doc["base"])
         bricks = tuple(parse_brick(b) for b in doc["bricks"])
         joints = tuple(parse_joint(j) for j in doc.get("joints", ()))
-    except ParseError:
-        raise
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad complex document: {exc}") from exc
     if not bricks:

@@ -456,7 +456,7 @@ def tightness_consequence_holds(seq, probe_curves) -> bool:
 # component domains
 
 
-def _curve_tag(c: Curve) -> str:
+def curve_tag(c: Curve) -> str:
     """Short deterministic token piece identifying a curve class."""
     kind, val = c.key()
     if kind == "F":
@@ -470,7 +470,7 @@ def _curve_tag(c: Curve) -> str:
 def _annulus_domain(d: EssentialSubsurface, c: Curve) -> EssentialSubsurface:
     return EssentialSubsurface(
         ambient=d.ambient,
-        token=f"annulus:{_curve_tag(c)}",
+        token=f"annulus:{curve_tag(c)}",
         kind="annulus",
         ttype=(0, 2),
         boundary=(c,),
@@ -503,7 +503,7 @@ def component_domains(d: EssentialSubsurface, v: Simplex):
             raise BudgetExceeded("complexity-4 simplices have one vertex")
         npants = 1 if d.ambient == TORUS_1_1 else 2
         for k in range(npants):
-            out.append(_pants_domain(d, f"{_curve_tag(c)}:{k}", (c,)))
+            out.append(_pants_domain(d, f"{curve_tag(c)}:{k}", (c,)))
         out.append(_annulus_domain(d, c))
         return out
     if d.ambient == TORUS_1_2 and d.kind == "full":
@@ -524,14 +524,14 @@ def component_domains(d: EssentialSubsurface, v: Simplex):
                 out.append(
                     EssentialSubsurface(
                         ambient=d.ambient,
-                        token=f"torus-side:{_curve_tag(c)}",
+                        token=f"torus-side:{curve_tag(c)}",
                         kind="proper",
                         ttype=(1, 1),
                         boundary=(c,),
                         chart=side,
                     )
                 )
-                out.append(_pants_domain(d, f"punctures:{_curve_tag(c)}", (c,)))
+                out.append(_pants_domain(d, f"punctures:{curve_tag(c)}", (c,)))
             else:
                 chart = None
                 for band in (0, 1):
@@ -542,7 +542,7 @@ def component_domains(d: EssentialSubsurface, v: Simplex):
                 out.append(
                     EssentialSubsurface(
                         ambient=d.ambient,
-                        token=f"strip:{_curve_tag(c)}",
+                        token=f"strip:{curve_tag(c)}",
                         kind="proper",
                         ttype=(0, 4),
                         boundary=(c,),
@@ -553,7 +553,7 @@ def component_domains(d: EssentialSubsurface, v: Simplex):
             return out
         if len(curves) == 2:
             for k in range(2):
-                out.append(_pants_domain(d, f"{_curve_tag(curves[0])}:{_curve_tag(curves[1])}:{k}", curves))
+                out.append(_pants_domain(d, f"{curve_tag(curves[0])}:{curve_tag(curves[1])}:{k}", curves))
             for c in curves:
                 out.append(_annulus_domain(d, c))
             return out

@@ -25,6 +25,10 @@ def report(num, ok, detail):
     assert ok, f"criterion {num} failed: {detail}"
 
 
+def identity_sweep(m):
+    return bk.LevelSweep.of(m.complex, bk.identity_embedding(m.complex))
+
+
 def single_brick_11(p1, q1, p2, q2):
     full = sf.full_surface(sf.TORUS_1_1)
 
@@ -229,7 +233,7 @@ def test_criterion_4_pipeline_termination():
     ok = len(models) >= 20
     for m in models:
         bound = sf.full_surface(m.complex.base).complexity() - 3
-        d = bl.decompose(m)
+        d = bl.decompose(identity_sweep(m))
         verified, _ = bl.verify_decomposition(d)
         ok &= d.rounds_used <= bound
         ok &= all(b.btype in ("S03", "S04", "S11") for b in d.blocks)
@@ -255,7 +259,7 @@ def test_criterion_5_hierarchy_block_agreement():
     )
     ok = len(fixtures) >= 10
     for m, b in fixtures:
-        d = bl.decompose(m)
+        d = bl.decompose(identity_sweep(m))
         ok &= bl.hierarchy_crosscheck(b, d)
     report(5, ok, f"{len(fixtures)} single-brick fixtures crosschecked")
 
@@ -321,7 +325,7 @@ def test_criterion_7_filtration_exactness():
         kept_next = {o.tube for o in table if o.abs2() >= (k + 3) ** 2}
         ok &= kept_next <= kept_k
     m, _ = lm.generate(lm.Scenario("bonahon-otal", sf.TORUS_1_1, depth=3))
-    d = bl.decompose(m)
+    d = bl.decompose(identity_sweep(m))
     for k in range(0, 6):
         f = mt.filtration(d, k)
         ok &= set(f.tubes) | set(f.released) == set(d.torus_tubes)

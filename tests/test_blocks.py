@@ -1,11 +1,14 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from brickforge import blocks as bl
 from brickforge import bricks as bk
 from brickforge import limits as lm
+from brickforge import serialize as sz
 from brickforge import surfaces as sf
 from brickforge.errors import (
     DomainError,
@@ -15,6 +18,7 @@ from brickforge.errors import (
 )
 
 F = Fraction
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.json"
 
 
 def kt(base=sf.TORUS_1_1):
@@ -172,7 +176,7 @@ class TestNormalize:
         assert "mid" not in bids
         piece = out.complex.brick("mid/0")
         assert piece.support.kind == "proper"
-        assert bk.curve_tag(v0) in piece.collars
+        assert sf.curve_tag(v0) in piece.collars
 
     def test_split_preserves_boundary(self):
         m, _ = self._split_fixture()
@@ -193,7 +197,7 @@ class TestNormalize:
 
     def test_decompose_keeps_normalized_sweep(self):
         m, _ = self._split_fixture()
-        d = bl.decompose(m)
+        d = bl.decompose(identity_sweep(m))
         assert d.sweep.complex == bl.normalize(identity_sweep(m)).complex
         ok, report = bl.verify_decomposition(d)
         assert ok, report
@@ -346,7 +350,7 @@ class TestMerging:
 
     def test_kt_cusp_tube_absorbs_neighbors(self):
         m, _ = kt()
-        d = bl.decompose(m)
+        d = bl.decompose(identity_sweep(m))
         assert len(d.tubes.tubes) == 1
         tube = d.tubes.tubes[0]
         assert tube.interface == "torus"
@@ -365,7 +369,7 @@ class TestDecompose:
             "brock": (brock(), 2, 0),
         }
         for name, ((m, e), max_rounds, torus) in cases.items():
-            d = bl.decompose(m)
+            d = bl.decompose(identity_sweep(m))
             assert d.rounds_used <= max_rounds, name
             assert len(d.torus_tubes) == torus, name
             assert all(b.btype in bl.BLOCK_TYPES for b in d.blocks), name
@@ -374,12 +378,12 @@ class TestDecompose:
 
     def test_round_bound_matches_complexity(self):
         m, _ = kt(sf.TORUS_1_2)
-        d = bl.decompose(m)
+        d = bl.decompose(identity_sweep(m))
         assert d.rounds_used <= sf.TORUS_1_2.complexity() - 3
 
     def test_gap_per_tube_block(self):
         for m, _ in (kt(), bo(3), brock()):
-            d = bl.decompose(m)
+            d = bl.decompose(identity_sweep(m))
             for b in d.blocks:
                 if b.tube is not None:
                     assert b.gap is not None
@@ -387,7 +391,7 @@ class TestDecompose:
 
     def test_single_brick_tube_per_vertex(self):
         m, b = single_brick_model(0, 1, 5, 3)
-        d = bl.decompose(m)
+        d = bl.decompose(identity_sweep(m))
         h_len = len(sf.farey_geodesic(
             sf.slope_curve(b.support, 0, 1), sf.slope_curve(b.support, 5, 3)
         ))
@@ -396,14 +400,14 @@ class TestDecompose:
 
     def test_gf_bricks_left_out(self):
         m, _ = kt()
-        d = bl.decompose(m)
+        d = bl.decompose(identity_sweep(m))
         assert set(d.gf_bricks) == {"gf0", "gf1"}
         for bid in d.gf_bricks:
             assert all(t.origin[1] != bid for t in d.placed)
 
     def test_gluing_graph_touches_every_tube(self):
         m, _ = bo(3)
-        d = bl.decompose(m)
+        d = bl.decompose(identity_sweep(m))
         linked = {tid for _, tid in d.graph}
         assert linked == {t.tid for t in d.tubes.tubes}
 
@@ -418,7 +422,7 @@ class TestDecompose:
         )
         bad = bk.LabelledBrickManifold(replace(k, bricks=bricks))
         with pytest.raises(ELViolation):
-            bl.decompose(bad)
+            bl.decompose(identity_sweep(bad))
 
     def test_empty_ray_prefix_raises(self):
         full = sf.full_surface(sf.TORUS_1_1)
@@ -429,7 +433,7 @@ class TestDecompose:
         )
         m = bk.LabelledBrickManifold(bk.BrickComplex(sf.TORUS_1_1, (b,), ()))
         with pytest.raises(NoTightGeodesic):
-            bl.decompose(m)
+            bl.decompose(identity_sweep(m))
 
     def test_sd_ray_truncated_with_tail(self):
         full = sf.full_surface(sf.TORUS_1_1)
@@ -439,7 +443,7 @@ class TestDecompose:
             initial=slope_marking(full, 0, 1), terminal=lam,
         )
         m = bk.LabelledBrickManifold(bk.BrickComplex(sf.TORUS_1_1, (b,), ()))
-        d = bl.decompose(m)
+        d = bl.decompose(identity_sweep(m))
         assert d.tails == (("b0", lam),)
         assert len(d.placed) >= 2
 
@@ -447,7 +451,7 @@ class TestDecompose:
 class TestConditionBB:
     def test_clean_fixtures_have_no_adjustments(self):
         for m, _ in (kt(), bo(2), brock()):
-            assert bl.decompose(m).adjustments == ()
+            assert bl.decompose(identity_sweep(m)).adjustments == ()
 
     def test_front_inside_gap_is_relevelled(self):
         full = sf.full_surface(sf.TORUS_1_1)
@@ -460,13 +464,14 @@ class TestConditionBB:
         k = bk.BrickComplex(
             sf.TORUS_1_1, (b1, b2), (bk.Joint("b2", "b1", full, F(3, 8)),)
         )
-        out, adjustments = bl._enforce_bb(blocks, k)
+        sweep = bk.LevelSweep.of(k, bk.identity_embedding(k))
+        out, adjustments = bl._enforce_bb(blocks, sweep)
         assert adjustments == ({"front": F(3, 8), "to": F(1, 4), "flag": "bb"},)
-        assert bl._bb_violations(out, k, adjusted=frozenset({F(3, 8)})) == []
+        assert bl._bb_violations(out, sweep, adjusted=frozenset({F(3, 8)})) == []
 
     def test_verify_reports_unadjusted_front(self):
         m, _ = kt()
-        d = bl.decompose(m)
+        d = bl.decompose(identity_sweep(m))
         bad_blocks = []
         mutated = False
         front = m.complex.brick("buf0").hi
@@ -488,13 +493,13 @@ class TestConditionBB:
 class TestVerify:
     def test_clean_on_pipeline_output(self):
         for m, _ in (kt(), kt(sf.TORUS_1_2), bo(4), brock()):
-            d = bl.decompose(m)
+            d = bl.decompose(identity_sweep(m))
             ok, report = bl.verify_decomposition(d)
             assert ok and not report
 
     def test_duplicated_tube_flagged(self):
         m, _ = kt()
-        d = bl.decompose(m)
+        d = bl.decompose(identity_sweep(m))
         t = d.tubes.tubes[0]
         dup = replace(t, tid="dup")
         bad = replace(d, tubes=replace(d.tubes, tubes=d.tubes.tubes + (dup,)))
@@ -504,7 +509,7 @@ class TestVerify:
 
     def test_crossing_cores_with_overlapping_bands_flagged(self):
         m, _ = kt()
-        d = bl.decompose(m)
+        d = bl.decompose(identity_sweep(m))
         full = sf.full_surface(sf.TORUS_1_1)
         t = d.tubes.tubes[0]
         cross = bl.Tube(
@@ -526,7 +531,7 @@ class TestHierarchyCrosscheck:
     def test_single_brick_models_match(self):
         for p1, q1, p2, q2 in self.pairs:
             m, b = single_brick_model(p1, q1, p2, q2)
-            d = bl.decompose(m)
+            d = bl.decompose(identity_sweep(m))
             assert bl.hierarchy_crosscheck(b, d), (p1, q1, p2, q2)
 
     def test_complexity_five_fixture_matches(self):
@@ -540,18 +545,18 @@ class TestHierarchyCrosscheck:
         ]
         for initial, terminal in fixtures:
             m, b = single_brick_model_12(initial, terminal)
-            d = bl.decompose(m)
+            d = bl.decompose(identity_sweep(m))
             assert bl.hierarchy_crosscheck(b, d)
 
     def test_dropped_tube_mismatch(self):
         m, b = single_brick_model(0, 1, 5, 3)
-        d = bl.decompose(m)
+        d = bl.decompose(identity_sweep(m))
         bad = replace(d, placed=d.placed[:-1])
         assert not bl.hierarchy_crosscheck(b, bad)
 
     def test_reordered_bands_mismatch(self):
         m, b = single_brick_model(0, 1, 5, 3)
-        d = bl.decompose(m)
+        d = bl.decompose(identity_sweep(m))
         t0, t1 = d.placed[0], d.placed[1]
         swapped = (
             replace(t0, band=t1.band),
@@ -562,8 +567,54 @@ class TestHierarchyCrosscheck:
 
     def test_foreign_core_mismatch(self):
         m, b = single_brick_model(0, 1, 1, 0)
-        d = bl.decompose(m)
+        d = bl.decompose(identity_sweep(m))
         full = sf.full_surface(sf.TORUS_1_1)
         alien = replace(d.placed[0], core=sf.slope_curve(full, 5, 7))
         bad = replace(d, placed=(alien,) + d.placed[1:])
         assert not bl.hierarchy_crosscheck(b, bad)
+
+
+class TestEmbeddedLevels:
+    """decompose works in the levels of the sweep it is given: re-leveling
+    the embedding by an increasing affine map moves every band, interval,
+    gap and adjustment front by the same map, and changes nothing else."""
+
+    DOCS = json.loads(BENCH_INPUTS.read_text())
+
+    @staticmethod
+    def phi(x):
+        return F(1, 4) + x / 2
+
+    @staticmethod
+    def summary(d, f=lambda x: x):
+        def iv(pair):
+            return None if pair is None else (f(pair[0]), f(pair[1]))
+
+        return {
+            "rounds": d.rounds_used,
+            "tubes": [
+                (t.tid, t.core, iv(t.band), t.interface, t.token)
+                for t in d.tubes.tubes
+            ],
+            "placed": [(t.tid, iv(t.band)) for t in d.placed],
+            "blocks": [
+                (b.blid, b.btype, b.support_token, iv(b.interval), iv(b.gap), b.tube)
+                for b in d.blocks
+            ],
+            "adjustments": [(f(a["front"]), f(a["to"])) for a in d.adjustments],
+        }
+
+    @pytest.mark.parametrize(
+        "name",
+        sorted(n for n in DOCS if n.startswith("sb11_") or n in ("kt12", "brock")),
+    )
+    def test_decompose_follows_the_embedding(self, name):
+        k, e = sz.parse_complex(sz.loads(self.DOCS[name]))
+        moved = bk.LeafEmbedding(
+            tuple((bid, (self.phi(a), self.phi(b))) for bid, (a, b) in e.levels)
+        )
+        d = bl.decompose(bk.LevelSweep.of(k, e))
+        d_moved = bl.decompose(bk.LevelSweep.of(k, moved))
+        assert self.summary(d_moved) == self.summary(d, self.phi)
+        ok, report = bl.verify_decomposition(d_moved)
+        assert ok, report

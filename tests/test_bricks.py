@@ -396,6 +396,24 @@ class TestSerialization:
         assert k2 == m.complex
         assert sz.dumps(sz.complex_doc(k2, e2)) == text
 
+    @pytest.mark.parametrize("a, b", [
+        (F(0), F(1)), (F(1, 4), F(1, 2)), (F(1, 8), F(3, 4)),
+        (F(0), F(1, 2)), (F(1, 3), F(1, 3)),
+    ])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["kerckhoff-thurston", "bonahon-otal", "brock"])
+    def test_round_trip_under_affine_embedding(self, kind, depth, a, b):
+        base = sf.TORUS_1_2 if kind == "brock" else sf.TORUS_1_1
+        m, e = lm.generate(lm.Scenario(kind, base, depth=depth))
+        moved = bk.LeafEmbedding(
+            tuple((bid, (a + b * lo, a + b * hi)) for bid, (lo, hi) in e.levels)
+        )
+        text = sz.dumps(sz.complex_doc(m.complex, moved))
+        k2, e2 = sz.parse_complex(sz.loads(text))
+        assert k2 == m.complex
+        assert e2 == moved
+        assert sz.dumps(sz.complex_doc(k2, e2)) == text
+
     def test_custom_scenario_from_document(self):
         m, e = kt()
         text = sz.dumps(sz.complex_doc(m.complex, e))

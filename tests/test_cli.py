@@ -26,7 +26,7 @@ def kt_path(tmp_path):
     return write_model(tmp_path, "kt.brick", m.complex, e)
 
 
-def single_path(tmp_path, p2=5, q2=3):
+def single_complex(p2=5, q2=3):
     full = sf.full_surface(sf.TORUS_1_1)
 
     def mk(p, q):
@@ -35,8 +35,11 @@ def single_path(tmp_path, p2=5, q2=3):
     b = bk.Brick(
         "b0", full, "closed", F(0), F(1), initial=mk(0, 1), terminal=mk(p2, q2)
     )
-    k = bk.BrickComplex(sf.TORUS_1_1, (b,), ())
-    return write_model(tmp_path, "single.brick", k)
+    return bk.BrickComplex(sf.TORUS_1_1, (b,), ())
+
+
+def single_path(tmp_path, p2=5, q2=3):
+    return write_model(tmp_path, "single.brick", single_complex(p2, q2))
 
 
 def bad_el_path(tmp_path):
@@ -159,13 +162,17 @@ class TestDecompose:
         assert code == 1
         assert err["error"] == "ELViolation"
 
-    def test_one_level_sweep_per_job(self, tmp_path, capsys, monkeypatch):
+    def test_one_level_sweep_per_job(
+        self, tmp_path, capsys, monkeypatch, count_calls
+    ):
         m, e = lm.generate(lm.Scenario("brock", sf.TORUS_1_2))
         path = write_model(tmp_path, "brock.brick", m.complex, e)
         builds = count_sweeps(monkeypatch)
+        boundaries = count_calls(bk, "boundary_components")
         code, doc, _ = run_json(capsys, ["decompose", path])
         assert code == 0 and doc["pass"] is True
         assert len(builds) == 1
+        assert len(boundaries) == 1
 
     def test_budget_env_must_be_positive(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BRICKFORGE_BUDGET", "-3")
@@ -207,14 +214,24 @@ class TestLimit:
         assert doc["theorem"]["pass"] is True
 
     def test_sweeps_per_job(self, capsys, monkeypatch):
-        # decompose's input, the model for exhaust and the theorem report,
-        # and the one approximant of the single stage
+        # the model, swept once for decompose, exhaust and the theorem
+        # report, and the one approximant of the single stage
         builds = count_sweeps(monkeypatch)
         code, _, _ = run_json(
             capsys, ["limit", "--scenario", "kt:1", "--stages", "1"]
         )
         assert code == 0
-        assert len(builds) == 3
+        assert len(builds) == 2
+
+    def test_external_tubes_follow_the_embedding(self, tmp_path, capsys):
+        # the 0/1 -> 2/1 single brick with every level halved
+        halved = bk.LeafEmbedding((("b0", (F(0), F(1, 2))),))
+        path = write_model(tmp_path, "halved.json", single_complex(2, 1), halved)
+        code, doc, _ = run_json(
+            capsys, ["limit", "--scenario", path, "--stages", "2"]
+        )
+        assert code == 0
+        assert [s["external-tubes"] for s in doc["stages"]] == [["v0"], ["v0"]]
 
     def test_unknown_scenario(self, capsys):
         code, _, err = run_json(capsys, ["limit", "--scenario", "bogus"])
@@ -285,6 +302,25 @@ class TestExport:
 )
 def test_malformed_complex_is_a_parse_error(tmp_path, capsys, argv, make):
     code, out, err = run_json(capsys, argv + [make(tmp_path)])
+    assert code == 2
+    assert out is None
+    assert err["error"] == "parse"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["limit", "--scenario", "kt:1", "--stages", "0"],
+        ["limit", "--scenario", "kt:1", "--stages", "-2"],
+        ["limit", "--scenario", "bo:0"],
+        ["metric", "--k", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_argument_is_a_usage_error(tmp_path, capsys, argv):
+    if argv[0] == "metric":
+        argv = argv + [kt_path(tmp_path)]
+    code, out, err = run_json(capsys, argv)
     assert code == 2
     assert out is None
     assert err["error"] == "parse"

@@ -22,6 +22,10 @@ def bo(d, base=sf.TORUS_1_1):
     return lm.generate(lm.Scenario("bonahon-otal", base, depth=d))
 
 
+def identity_sweep(m):
+    return bk.LevelSweep.of(m.complex, bk.identity_embedding(m.complex))
+
+
 def torus_tube(core, band, twist=0):
     return bl.Tube(
         tid="t0",
@@ -215,7 +219,7 @@ class TestFiltration:
 
     def test_filtration_nested(self):
         m, _ = kt()
-        d = bl.decompose(m)
+        d = bl.decompose(identity_sweep(m))
         prev = None
         for k in range(0, 8):
             f = mt.filtration(d, k)
@@ -226,7 +230,7 @@ class TestFiltration:
 
     def test_level_zero_keeps_everything(self):
         m, _ = bo(3)
-        d = bl.decompose(m)
+        d = bl.decompose(identity_sweep(m))
         f = mt.filtration(d, 0)
         assert set(f.tubes) == set(d.torus_tubes)
         assert not f.released
@@ -234,7 +238,7 @@ class TestFiltration:
     def test_negative_level_rejected(self):
         m, _ = kt()
         with pytest.raises(ValueError):
-            mt.filtration(bl.decompose(m), -1)
+            mt.filtration(bl.decompose(identity_sweep(m)), -1)
 
 
 class TestTubeMetric:
@@ -313,7 +317,7 @@ class TestGFDescriptor:
 class TestMetricReport:
     def test_report_structure(self):
         m, _ = kt()
-        d = bl.decompose(m)
+        d = bl.decompose(identity_sweep(m))
         doc = mt.metric_report(d, ks=(0, 2, 5))
         assert doc["convention"] == "right-handed twisting counts positive"
         assert doc["eps1"] == "1/10"
@@ -333,6 +337,6 @@ class TestMetricReport:
         import json
 
         m, _ = bo(2)
-        doc = mt.metric_report(bl.decompose(m), ks=(0, 3))
+        doc = mt.metric_report(bl.decompose(identity_sweep(m)), ks=(0, 3))
         text = json.dumps(doc, sort_keys=True)
         assert json.loads(text) == doc
