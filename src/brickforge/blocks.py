@@ -601,7 +601,7 @@ def merge_homotopic(tubes, sweep: bk.LevelSweep):
 def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
     """Cut the swept model into standard blocks and a tube union, in the
     levels of its embedding."""
-    if not bk.check_conditions(sweep)["EL"]:
+    if not bk.check_el(sweep):
         raise ELViolation(
             "simply degenerate descriptors repeat on homotopic supports"
         )

@@ -16,7 +16,7 @@ models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -63,15 +63,6 @@ class Brick:
 
     def open_above(self):
         return self.kind in ("half-open-above", "open")
-
-    def covers(self, level) -> bool:
-        if self.lo < level < self.hi:
-            return True
-        if level == self.lo and not self.open_below():
-            return True
-        if level == self.hi and not self.open_above():
-            return True
-        return False
 
 
 @dataclass(frozen=True)
@@ -286,11 +277,15 @@ def critical_levels(k: BrickComplex, e: LeafEmbedding):
 
 
 def _present(k: BrickComplex, e: LeafEmbedding, c: Fraction):
+    """Bricks whose embedded interval, with its closed ends, contains c."""
     out = []
     for b in k.bricks:
         alpha, beta = e.level_of(b.bid)
-        shifted = replace(b, lo=alpha, hi=beta)
-        if shifted.covers(c):
+        if (
+            alpha < c < beta
+            or (c == alpha and not b.open_below())
+            or (c == beta and not b.open_above())
+        ):
             out.append(b)
     return out
 
@@ -373,10 +368,7 @@ class LevelSweep:
     @property
     def span(self):
         """(first level, last level) of the embedded complex."""
-        levels = critical_levels(self.complex, self.embedding)
-        # min and max raise ValueError on an empty complex, which the CLI
-        # reports as a failed run
-        return min(levels), max(levels)
+        return self.slits[0][0][0], self.slits[-1][0][1]
 
     def meets_between(self, c: sf.Curve, lo, hi) -> bool:
         """Whether the curve meets the slit of a sample interval (a, b)
@@ -528,6 +520,31 @@ def check_a2_bruteforce(sweep: LevelSweep) -> bool:
     return next(clear_annulus_gaps(sweep), None) is None
 
 
+def check_el(sweep: LevelSweep) -> bool:
+    """EL: simply degenerate bricks on homotopic supports carry distinct
+    ending laminations, unless a boundary piece between them blocks the
+    homotopy."""
+    k, e = sweep.complex, sweep.embedding
+    sd = [
+        b
+        for b in k.bricks
+        if b.label is not None and b.label.kind == "simply-degenerate"
+    ]
+    for i, b1 in enumerate(sd):
+        for b2 in sd[i + 1 :]:
+            if b1.support.token != b2.support.token:
+                continue
+            l1, l2 = b1.label.lamination, b2.label.lamination
+            if l1 is not None and l1 == l2:
+                (lo1, hi1), (lo2, hi2) = e.level_of(b1.bid), e.level_of(b2.bid)
+                lo, hi = min(hi1, hi2), max(lo1, lo2)
+                if not any(
+                    sweep.meets_between(c, lo, hi) for c in b1.support.boundary
+                ):
+                    return False
+    return True
+
+
 def check_conditions(sweep: LevelSweep):
     """Admissibility report {A1, A2, A3, A4, A5, EL} of booleans for the
     labelled model on the swept complex."""
@@ -571,27 +588,9 @@ def check_conditions(sweep: LevelSweep):
             ]
             if not any(j.is_inessential(k) for j in joints):
                 a5 = False
-    el = True
-    sd = [
-        b
-        for b in k.bricks
-        if b.label is not None and b.label.kind == "simply-degenerate"
-    ]
-    for i, b1 in enumerate(sd):
-        for b2 in sd[i + 1 :]:
-            if b1.support.token != b2.support.token:
-                continue
-            l1, l2 = b1.label.lamination, b2.label.lamination
-            if l1 is not None and l1 == l2:
-                # homotopic supports demand distinct ending laminations,
-                # unless a boundary piece between them blocks the homotopy
-                (lo1, hi1), (lo2, hi2) = e.level_of(b1.bid), e.level_of(b2.bid)
-                lo, hi = min(hi1, hi2), max(lo1, lo2)
-                if not any(
-                    sweep.meets_between(c, lo, hi) for c in b1.support.boundary
-                ):
-                    el = False
-    return {"A1": a1, "A2": a2, "A3": a3, "A4": a4, "A5": a5, "EL": el}
+    return {
+        "A1": a1, "A2": a2, "A3": a3, "A4": a4, "A5": a5, "EL": check_el(sweep)
+    }
 
 
 # ---------------------------------------------------------------------------

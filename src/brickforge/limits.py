@@ -431,8 +431,7 @@ def verify_theorem_a(sweep: bk.LevelSweep) -> dict:
         (e.level_of(b.bid), b.bid) for b in k.bricks
     )
     checks = {
-        "boundary-types": conditions["A1"]
-        and all(c.kind in ("torus", "open-annulus") for c in comps),
+        "boundary-types": conditions["A1"],
         "acylindrical": conditions["A2"],
         "wild-ends": conditions["A3"],
         "leaf-embedding": conditions["A4"] and conditions["A5"],

@@ -26,6 +26,26 @@ def bo(d, base=sf.TORUS_1_1):
     return lm.generate(lm.Scenario("bonahon-otal", base, depth=d))
 
 
+# increasing affine maps x -> a + b x of the level line
+AFFINE_MAPS = [
+    (F(0), F(1)), (F(1, 4), F(1, 2)), (F(1, 8), F(3, 4)),
+    (F(0), F(1, 2)), (F(1, 3), F(1, 3)),
+]
+SCENARIO_KINDS = ["kerckhoff-thurston", "bonahon-otal", "brock"]
+
+
+def scenario(kind, depth):
+    base = sf.TORUS_1_2 if kind == "brock" else sf.TORUS_1_1
+    return lm.generate(lm.Scenario(kind, base, depth=depth))
+
+
+def moved(e, a, b):
+    """The embedding e followed by x -> a + b x."""
+    return bk.LeafEmbedding(
+        tuple((bid, (a + b * lo, a + b * hi)) for bid, (lo, hi) in e.levels)
+    )
+
+
 def product_complex():
     full = sf.full_surface(sf.TORUS_1_1)
     b1 = bk.Brick("b1", full, "half-open-below", F(0), F(1, 2))
@@ -129,6 +149,32 @@ class TestSlits:
         m, e = brock()
         for c in (F(9, 20), F(11, 20)):
             assert bk.slit_at(m.complex, e, c).components == ()
+
+    @pytest.mark.parametrize("a, b", AFFINE_MAPS)
+    def test_open_ends_are_not_covered(self, a, b):
+        # b1 is open at its embedded bottom, b2 at its embedded top, and
+        # they meet at their closed ends
+        k = product_complex()
+        e = moved(bk.identity_embedding(k), a, b)
+        for c, kinds in ((F(0), ["full"]), (F(1, 2), []), (F(1), ["full"])):
+            slit = bk.slit_at(k, e, a + b * c)
+            assert [y.kind for y in slit.components] == kinds, c
+
+    @pytest.mark.parametrize("a, b", AFFINE_MAPS)
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_slits_follow_affine_embedding(self, kind, depth, a, b):
+        # a brick covers its embedded closed ends and not its open ones,
+        # wherever the embedding puts them
+        m, e = scenario(kind, depth)
+        k, e_moved = m.complex, moved(e, a, b)
+        levels = bk.critical_levels(k, e)
+        mids = [(lo + hi) / 2 for lo, hi in zip(levels, levels[1:])]
+        for c in levels + mids:
+            assert (
+                bk.slit_at(k, e_moved, a + b * c).components
+                == bk.slit_at(k, e, c).components
+            ), c
 
 
 class TestBoundary:
@@ -396,22 +442,16 @@ class TestSerialization:
         assert k2 == m.complex
         assert sz.dumps(sz.complex_doc(k2, e2)) == text
 
-    @pytest.mark.parametrize("a, b", [
-        (F(0), F(1)), (F(1, 4), F(1, 2)), (F(1, 8), F(3, 4)),
-        (F(0), F(1, 2)), (F(1, 3), F(1, 3)),
-    ])
+    @pytest.mark.parametrize("a, b", AFFINE_MAPS)
     @pytest.mark.parametrize("depth", [1, 2, 3])
-    @pytest.mark.parametrize("kind", ["kerckhoff-thurston", "bonahon-otal", "brock"])
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
     def test_round_trip_under_affine_embedding(self, kind, depth, a, b):
-        base = sf.TORUS_1_2 if kind == "brock" else sf.TORUS_1_1
-        m, e = lm.generate(lm.Scenario(kind, base, depth=depth))
-        moved = bk.LeafEmbedding(
-            tuple((bid, (a + b * lo, a + b * hi)) for bid, (lo, hi) in e.levels)
-        )
-        text = sz.dumps(sz.complex_doc(m.complex, moved))
+        m, e = scenario(kind, depth)
+        e_moved = moved(e, a, b)
+        text = sz.dumps(sz.complex_doc(m.complex, e_moved))
         k2, e2 = sz.parse_complex(sz.loads(text))
         assert k2 == m.complex
-        assert e2 == moved
+        assert e2 == e_moved
         assert sz.dumps(sz.complex_doc(k2, e2)) == text
 
     def test_custom_scenario_from_document(self):

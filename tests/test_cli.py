@@ -1,8 +1,14 @@
+import contextlib
 import dataclasses
+import io
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brickforge import bricks as bk
 from brickforge import cli
@@ -169,10 +175,14 @@ class TestDecompose:
         path = write_model(tmp_path, "brock.brick", m.complex, e)
         builds = count_sweeps(monkeypatch)
         boundaries = count_calls(bk, "boundary_components")
+        reports = count_calls(bk, "check_conditions")
+        a2_checks = count_calls(bk, "check_a2")
         code, doc, _ = run_json(capsys, ["decompose", path])
         assert code == 0 and doc["pass"] is True
         assert len(builds) == 1
         assert len(boundaries) == 1
+        # decompose asks the sweep for EL only, not for A1-A5
+        assert reports == [] and a2_checks == []
 
     def test_budget_env_must_be_positive(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BRICKFORGE_BUDGET", "-3")
@@ -222,6 +232,16 @@ class TestLimit:
         )
         assert code == 0
         assert len(builds) == 2
+
+    def test_one_conditions_report_per_job(self, capsys, count_calls):
+        # the theorem report builds it; decompose inside exhaust checks
+        # only EL
+        reports = count_calls(bk, "check_conditions")
+        code, _, _ = run_json(
+            capsys, ["limit", "--scenario", "bo:3", "--stages", "2"]
+        )
+        assert code == 0
+        assert len(reports) == 1
 
     def test_external_tubes_follow_the_embedding(self, tmp_path, capsys):
         # the 0/1 -> 2/1 single brick with every level halved
@@ -324,3 +344,75 @@ def test_out_of_range_argument_is_a_usage_error(tmp_path, capsys, argv):
     assert code == 2
     assert out is None
     assert err["error"] == "parse"
+
+
+BENCH_INPUTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "inputs.json").read_text()
+)
+SB11 = sorted(name for name in BENCH_INPUTS if name.startswith("sb11_"))
+# wrong-typed, out-of-range and malformed stand-ins for a leaf
+BAD_LEAVES = [
+    None, True, 0, -1, 2, 0.5, "", "x", "1/0", "-1/2", "3/2", "F:1/0",
+    "annulus", "open", [], {},
+]
+
+
+def entry_paths(entry, path=()):
+    """(key path, whether its parent is an object, whether it is a scalar)
+    for every entry below the root of a JSON document."""
+    if isinstance(entry, dict):
+        items = entry.items()
+    elif isinstance(entry, list):
+        items = enumerate(entry)
+    else:
+        return []
+    out = []
+    for key, child in items:
+        here = path + (key,)
+        scalar = not isinstance(child, (dict, list))
+        out.append((here, isinstance(entry, dict), scalar))
+        out.extend(entry_paths(child, here))
+    return out
+
+
+@st.composite
+def mutated_documents(draw):
+    """A bench document with one key dropped or one leaf replaced."""
+    doc = json.loads(BENCH_INPUTS[draw(st.just("kt12") | st.sampled_from(SB11))])
+    paths = entry_paths(doc)
+    drop = draw(st.booleans())
+    *parents, last = draw(
+        st.sampled_from(
+            [p for p, in_object, scalar in paths if (in_object if drop else scalar)]
+        )
+    )
+    entry = doc
+    for key in parents:
+        entry = entry[key]
+    if drop:
+        del entry[last]
+    else:
+        entry[last] = draw(st.sampled_from(BAD_LEAVES))
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=mutated_documents())
+def test_mutated_document_never_raises(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "mutated.json")
+        Path(path).write_text(json.dumps(doc))
+        for argv in (
+            ["validate", path],
+            ["export", path],
+            ["decompose", path],
+            ["metric", "--k", "2", path],
+            ["crosscheck", path],
+            ["limit", "--scenario", path, "--stages", "1"],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run(argv)
+            assert code in (0, 1, 2), argv
+            if code == 2:
+                assert json.loads(err.getvalue())["error"] == "parse", argv
