@@ -856,7 +856,7 @@ def hierarchy_crosscheck(b: bk.Brick, d: BlockDecomposition) -> bool:
     markings must induce the same tubes, with three-holed-sphere blocks
     matched up to halving."""
     base = b.support.ambient
-    h = hy.build_hierarchy(base, b.initial, b.terminal, get_budget())
+    h = hy.build_hierarchy(base, b.initial, b.terminal)
 
     expected = {}
     for g in sorted(h.geodesics, key=lambda g: g.gid):

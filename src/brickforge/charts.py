@@ -142,7 +142,8 @@ class StripChart(_SlopeFanChart):
         self.c1 = 1 + wall_band
         self.c2 = 2 + wall_band
 
-    def wall_desc(self):
+    def cut_desc(self):
+        """The vertical line the strip is cut along."""
         return CurveDesc("lin", (0, 1, self.wall_band))
 
     def realize(self, s: Slope) -> CurveDesc | None:
@@ -173,7 +174,6 @@ class TorusSideChart(_SlopeFanChart):
     def __init__(self, u: int, v: int, base=(0, 0)):
         self.u, self.v = u, v
         self.base = base
-        fy, fx = None, None
         s, t = _bezout(u, v)
         # s*u + t*v = 1; we need u*fy - v*fx = 1
         fx, fy = -t, s
@@ -182,11 +182,12 @@ class TorusSideChart(_SlopeFanChart):
         assert fx % 2 == 0 and u * fy - v * fx == 1
         self.f = (fx, fy)
 
-    def sigma_desc(self):
+    def cut_desc(self):
+        """The separating corridor curve sigma that bounds the side."""
         return CurveDesc("slot", (self.base, (self.base[0] + self.u, self.base[1] + self.v)))
 
     def realize(self, s: Slope) -> CurveDesc | None:
-        sigma = AMBIENT.curve(self.sigma_desc())
+        sigma = AMBIENT.curve(self.cut_desc())
         if s.q == 0:
             cands = [CurveDesc("lin", (self.u, self.v, 0))]
         elif s.q == 1:
@@ -223,10 +224,7 @@ def project_to_chart(chart, w: fc.FlatCurve):
     down to classes the chart can realize.  Curves already inside the
     chart classify directly.
     """
-    if isinstance(chart, StripChart):
-        cut = AMBIENT.curve(chart.wall_desc())
-    else:
-        cut = AMBIENT.curve(chart.sigma_desc())
+    cut = AMBIENT.curve(chart.cut_desc())
     if fc.same_class(cut, w):
         return []
     if fc.flat_intersection(cut, w) == 0:

@@ -24,6 +24,7 @@ Everything is exact rational arithmetic; no floats anywhere.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -112,39 +113,35 @@ def _inv_letter(letter):
     return (fam, cls, -sign)
 
 
+# each family of grid lines is a linear functional's level sets at the integers
+_FAMILIES = (
+    ("V", lambda pt: pt[0]),
+    ("H", lambda pt: pt[1]),
+    ("D", lambda pt: pt[1] - pt[0]),
+)
+
+
 def _segment_word(p: Point, q: Point):
-    """Grid-crossing letters along the open segment p -> q, in order."""
+    """Grid-crossing letters along the open segment p -> q, in order.
+
+    A crossing's class is the parity of floor(x); it lies on a puncture
+    exactly when both of its coordinates are integers.
+    """
     d = _sub(q, p)
     events = []
-    if d[0] != 0:
-        lo, hi = sorted([p[0], q[0]])
-        for a in range(math.floor(lo) + 1, math.ceil(hi)):
-            t = (Fraction(a) - p[0]) / d[0]
-            y = p[1] + t * d[1]
-            if _is_int(y):
-                raise GenericityError("segment passes through a puncture")
-            events.append((t, ("V", a % 2, 1 if d[0] > 0 else -1)))
-    if d[1] != 0:
-        lo, hi = sorted([p[1], q[1]])
-        for b in range(math.floor(lo) + 1, math.ceil(hi)):
-            t = (Fraction(b) - p[1]) / d[1]
+    for fam, f in _FAMILIES:
+        fp, fq = Fraction(f(p)), f(q)  # t and x are Fractions even at integer vertices
+        df = fq - fp
+        if df == 0:
+            continue
+        sign = 1 if df > 0 else -1
+        for k in range(math.floor(min(fp, fq)) + 1, math.ceil(max(fp, fq))):
+            t = (k - fp) / df
             x = p[0] + t * d[0]
-            if _is_int(x):
+            # y is needed only when x is an integer
+            if x.denominator == 1 and (p[1] + t * d[1]).denominator == 1:
                 raise GenericityError("segment passes through a puncture")
-            cls = math.floor(x) % 2
-            events.append((t, ("H", cls, 1 if d[1] > 0 else -1)))
-    dd = d[1] - d[0]
-    if dd != 0:
-        v1 = p[1] - p[0]
-        v2 = q[1] - q[0]
-        lo, hi = sorted([v1, v2])
-        for k in range(math.floor(lo) + 1, math.ceil(hi)):
-            t = (Fraction(k) - v1) / dd
-            x = p[0] + t * d[0]
-            if _is_int(x):
-                raise GenericityError("segment crosses a diagonal at a puncture")
-            cls = math.floor(x) % 2
-            events.append((t, ("D", cls, 1 if dd > 0 else -1)))
+            events.append((t, (fam, math.floor(x) % 2, sign)))
     events.sort(key=lambda e: e[0])
     for (t1, _), (t2, _) in zip(events, events[1:]):
         if t1 == t2:
@@ -298,17 +295,30 @@ def _lattice_range(bb1, bb2):
     return out
 
 
+def _segment_hits(segs1, segs2, lams):
+    """Transverse crossings of the segments segs1 with the translates
+    segs2 + lam, as (lam, i, j, (t, u, point)) in order of lam, i, j."""
+    for lam in lams:
+        moved = [(_add(b1, lam), _add(b2, lam)) for b1, b2 in segs2]
+        for i, (a1, a2) in enumerate(segs1):
+            for j, (b1, b2) in enumerate(moved):
+                hit = seg_cross(a1, a2, b1, b2)
+                if hit is not None:
+                    yield lam, i, j, hit
+
+
 def validate_embedded(c: FlatCurve):
     """Check that the curve is embedded on the torus."""
     segs = c.segments()
-    for lam in _lattice_range(c.bbox(), c.bbox()):
-        for i, (a1, a2) in enumerate(segs):
-            for j, (b1, b2) in enumerate(segs):
-                if lam == (0, 0) and j <= i:
-                    continue
-                hit = seg_cross(a1, a2, _add(b1, lam), _add(b2, lam))
-                if hit is not None:
-                    raise GenericityError("curve is not embedded")
+    zero = (0, 0)
+    lams = [lam for lam in _lattice_range(c.bbox(), c.bbox()) if lam != zero]
+    hits = itertools.chain(
+        _segment_hits(segs, segs, lams),
+        # untranslated, each pair of distinct segments once
+        *(_segment_hits([s], segs[i + 1 :], [zero]) for i, s in enumerate(segs)),
+    )
+    if next(hits, None) is not None:
+        raise GenericityError("curve is not embedded")
     return True
 
 
@@ -340,11 +350,9 @@ def line_curve(a: int, b: int, band: int = 0, anchor=Fraction(3, 7)) -> FlatCurv
         else:
             x0 = c / b if b > 0 else -c / b
             y0 = anchor + Fraction(num, 97)
-        if _on_grid((x0, y0)):
-            continue
         curve = FlatCurve(((x0, y0),), disp)
         try:
-            curve.word()
+            curve.canonical()
         except GenericityError:
             continue
         return curve
@@ -375,11 +383,9 @@ def slot_curve(p, q) -> FlatCurve:
             _add(_add(qf, _scale(d, e1)), _scale(n, -e2)),
             _add(_add(qf, _scale(d, e1)), _scale(n, e2)),
         )
-        if any(_on_grid(c) for c in corners):
-            continue
         curve = FlatCurve(corners, (0, 0))
         try:
-            curve.word()
+            curve.canonical()
         except GenericityError:
             continue
         if set(_enclosed_punctures(corners)) != {tuple(p), tuple(q)}:
@@ -423,27 +429,21 @@ def winding(poly_points, pt):
 class Crossing:
     key1: tuple  # (segment index, parameter) on curve 1
     key2: tuple  # (segment index, parameter) on curve 2
-    lam: tuple  # lattice translate applied to curve 2
     point: Point  # location in curve 1's frame
-    sign: int
+
+    def key(self, side: int):
+        """The crossing's key on curve 1 (side 0) or curve 2 (side 1)."""
+        return self.key2 if side else self.key1
 
 
 def overlay(c1: FlatCurve, c2: FlatCurve):
     """All torus crossings between two embedded curves, with exact data."""
-    segs1 = c1.segments()
-    segs2 = c2.segments()
+    lams = _lattice_range(c1.bbox(), c2.bbox())
     out = []
-    for lam in _lattice_range(c1.bbox(), c2.bbox()):
-        for i, (a1, a2) in enumerate(segs1):
-            for j, (b1, b2) in enumerate(segs2):
-                hit = seg_cross(a1, a2, _add(b1, lam), _add(b2, lam))
-                if hit is None:
-                    continue
-                t, u, point = hit
-                if _on_grid(point):
-                    raise GenericityError("crossing point on a grid line")
-                sign = 1 if _cross(_sub(a2, a1), _sub(b2, b1)) > 0 else -1
-                out.append(Crossing((i, t), (j, u), lam, point, sign))
+    for _, i, j, (t, u, point) in _segment_hits(c1.segments(), c2.segments(), lams):
+        if _on_grid(point):
+            raise GenericityError("crossing point on a grid line")
+        out.append(Crossing((i, t), (j, u), point))
     return out
 
 
@@ -454,33 +454,22 @@ def arc_points(curve: FlatCurve, key_from, key_to, start_point, direction=1):
     n = len(segs)
     i, t = key_from
     j, u = key_to
-    pos = curve.point_at(key_from)
-    off = _sub(start_point, pos)
+    off = _sub(start_point, curve.point_at(key_from))
+    end = 1 if direction == 1 else 0  # the segment end a step passes
+    wrap = _scale(curve.disp, direction)
     pts = [start_point]
     cur = i
     steps = 0
-    if direction == 1:
-        while not (cur == j and (steps > 0 or u > t)):
-            pts.append(_add(segs[cur][1], off))
-            cur += 1
-            if cur == n:
-                cur = 0
-                off = _add(off, curve.disp)
-            steps += 1
-            if steps > 2 * n + 2:
-                raise RuntimeError("arc walk failed to terminate")
-    else:
-        while not (cur == j and (steps > 0 or u < t)):
-            pts.append(_add(segs[cur][0], off))
-            cur -= 1
-            if cur < 0:
-                cur = n - 1
-                off = _sub(off, curve.disp)
-            steps += 1
-            if steps > 2 * n + 2:
-                raise RuntimeError("arc walk failed to terminate")
-    end = _add(curve.point_at(key_to), off)
-    pts.append(end)
+    while not (cur == j and (steps > 0 or (u - t) * direction > 0)):
+        pts.append(_add(segs[cur][end], off))
+        cur += direction
+        if not 0 <= cur < n:
+            cur %= n
+            off = _add(off, wrap)
+        steps += 1
+        if steps > 2 * n + 2:
+            raise RuntimeError("arc walk failed to terminate")
+    pts.append(_add(curve.point_at(key_to), off))
     return pts
 
 
@@ -491,32 +480,21 @@ def _loop_is_trivial(loop_pts):
     return next(_enclosed_punctures(loop_pts), None) is None
 
 
-def _cyclic_next(order, x):
-    i = order.index(x)
-    return order[(i + 1) % len(order)]
-
-
 def _find_bigon(c1, c2, crossings, live):
     """Search for a removable bigon pair among live crossings."""
-    lv = [crossings[k] for k in sorted(live)]
-    if len(lv) < 2:
+    if len(live) < 2:
         return None
     order1 = sorted(live, key=lambda k: crossings[k].key1)
     order2 = sorted(live, key=lambda k: crossings[k].key2)
     for idx, ka in enumerate(order1):
         kb = order1[(idx + 1) % len(order1)]
-        if ka == kb:
-            continue
         x = crossings[ka]
         y = crossings[kb]
+        at2 = order2.index(ka)
         # adjacency along curve 2, in either direction
         for direction in (1, -1):
-            if direction == 1:
-                if _cyclic_next(order2, ka) != kb:
-                    continue
-            else:
-                if _cyclic_next(order2, kb) != ka:
-                    continue
+            if order2[(at2 + direction) % len(order2)] != kb:
+                continue
             arc1 = arc_points(c1, x.key1, y.key1, x.point, 1)
             start2 = x.point  # lift of x on the translated copy of c2
             arc2 = arc_points(c2, x.key2, y.key2, start2, direction)
@@ -608,15 +586,12 @@ def boundary_walk_classes(c1: FlatCurve, c2: FlatCurve):
         raise GenericityError("representatives form a bigon; not in minimal position")
     if not crossings:
         return [c1.canonical(), c2.canonical()]
-    order1 = sorted(range(len(crossings)), key=lambda k: crossings[k].key1)
-    order2 = sorted(range(len(crossings)), key=lambda k: crossings[k].key2)
-
     # arcs: (curve index, from crossing, to crossing) following the curve
     arcs = []
-    for cidx, order, curve in ((0, order1, c1), (1, order2, c2)):
+    for cidx in (0, 1):
+        order = sorted(range(len(crossings)), key=lambda k: crossings[k].key(cidx))
         for pos, ka in enumerate(order):
-            kb = order[(pos + 1) % len(order)]
-            arcs.append((cidx, ka, kb))
+            arcs.append((cidx, ka, order[(pos + 1) % len(order)]))
 
     # half-edges: (arc index, direction); direction +1 from ka to kb
     # at each crossing, the four outgoing half-edges with their tangents
@@ -624,10 +599,8 @@ def boundary_walk_classes(c1: FlatCurve, c2: FlatCurve):
     segs = (c1.segments(), c2.segments())
     curves = (c1, c2)
     for aidx, (cidx, ka, kb) in enumerate(arcs):
-        key_a = crossings[ka].key1 if cidx == 0 else crossings[ka].key2
-        key_b = crossings[kb].key1 if cidx == 0 else crossings[kb].key2
-        sa, _ = key_a
-        sb, _ = key_b
+        sa, _ = crossings[ka].key(cidx)
+        sb, _ = crossings[kb].key(cidx)
         da = _sub(segs[cidx][sa][1], segs[cidx][sa][0])
         db = _sub(segs[cidx][sb][1], segs[cidx][sb][0])
         outgoing[ka].append((da, (aidx, 1)))
@@ -660,18 +633,12 @@ def boundary_walk_classes(c1: FlatCurve, c2: FlatCurve):
         guard = 0
         while True:
             visited.add((at, he))
-            aidx, d = he
-            cidx, ka, kb = arcs[aidx]
-            curve = curves[cidx]
-            key_from = crossings[ka].key1 if cidx == 0 else crossings[ka].key2
-            key_to = crossings[kb].key1 if cidx == 0 else crossings[kb].key2
-            if d == 1:
-                pts = arc_points(curve, key_from, key_to, cur_pt, 1)
-            else:
-                pts = arc_points(curve, key_to, key_from, cur_pt, -1)
+            cidx = arcs[he[0]][0]
+            src, end = he_endpoints(he)
+            key_from, key_to = crossings[src].key(cidx), crossings[end].key(cidx)
+            pts = arc_points(curves[cidx], key_from, key_to, cur_pt, he[1])
             walk_points.extend(pts[:-1])
             cur_pt = pts[-1]
-            _, end = he_endpoints(he)
             rev = (he[0], -he[1])
             he = rotation[(end, rev)]
             at = end

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from . import charts
 from . import surfaces as sf
+from .config import get_budget
 from .errors import (
     BudgetExceeded,
     CertificateError,
@@ -258,11 +259,12 @@ def certified_main_geodesic(domain, initial, terminal):
     return certificate, _tighten(domain, path, certificate)
 
 
-def build_hierarchy(s: sf.Surface, initial, terminal, budget: int = 10**4):
+def build_hierarchy(s: sf.Surface, initial, terminal):
     """Hierarchy of tight geodesics from an initial to a terminal marking.
 
     The terminal datum may be a lamination descriptor; it is truncated to
-    a certified finite prefix and kept as the geodesic's terminal record.
+    a certified finite prefix, at the depth the enumeration budget sets,
+    and kept as the geodesic's terminal record.
     """
     if s.complexity() not in (4, 5):
         raise BudgetExceeded("hierarchies supported on complexity 4 and 5 only")
@@ -270,7 +272,7 @@ def build_hierarchy(s: sf.Surface, initial, terminal, budget: int = 10**4):
     terminal_record = terminal
     if isinstance(terminal, sf.LaminationDescriptor):
         terminal_marking = _truncate_lamination(
-            d, terminal, lamination_depth(budget)
+            d, terminal, lamination_depth(get_budget())
         )
     else:
         terminal_marking = terminal

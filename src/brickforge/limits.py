@@ -52,12 +52,6 @@ def _gf_label(bid, full, twist=Fraction(0)):
     return bk.EndLabel(bid, "geometrically-finite", conformal=conformal)
 
 
-def _default_core(full):
-    if full.ambient == sf.TORUS_1_2:
-        return sf.line_class(full, 0, 1, 0)
-    return sf.slope_curve(full, 0, 1)
-
-
 def _proper_pieces(full, core):
     domains = sf.component_domains(full, sf.Simplex.of(full, core))
     return [y for y in domains if y.kind == "proper"]
@@ -124,7 +118,7 @@ def _tower(base, cores, top_twist=Fraction(0)):
 
 def _generate_kt(s: Scenario):
     full = sf.full_surface(s.base)
-    core = s.curve if s.curve is not None else _default_core(full)
+    core = s.curve if s.curve is not None else _pants_curves(full)[0]
     return _tower(s.base, [core], top_twist=Fraction(s.depth))
 
 

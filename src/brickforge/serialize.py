@@ -14,7 +14,7 @@ from . import bricks as bk
 from . import charts
 from . import surfaces as sf
 from .config import get_budget
-from .errors import ParseError
+from .errors import DomainError, ParseError
 
 
 def frac_str(x) -> str:
@@ -92,7 +92,7 @@ def parse_curve(s: str, domain: sf.EssentialSubsurface) -> sf.Curve:
             if len(coords) != 6:
                 raise ValueError(val)
             return _normal_curve_from_coords(domain, coords)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, DomainError) as exc:
         raise ParseError(f"bad curve {s!r}") from exc
     raise ParseError(f"bad curve {s!r}")
 

@@ -475,6 +475,15 @@ class TestSerialization:
         with pytest.raises(ParseError):
             sz.parse_curve("X:3", full)
 
+    @pytest.mark.parametrize(
+        "curve, base",
+        [("F:1/0", sf.TORUS_1_2), ("A:1", sf.TORUS_1_2), ("N:[0,0,1,0,1,0]", sf.TORUS_1_1)],
+        ids=["slope-on-T12", "arc-on-T12", "normal-on-T11"],
+    )
+    def test_curve_off_its_domain_rejected(self, curve, base):
+        with pytest.raises(ParseError):
+            sz.parse_curve(curve, sf.full_surface(base))
+
     def test_rational_and_curve_formats(self):
         assert sz.frac_str(F(1, 2)) == "1/2"
         assert sz.parse_frac("3/4") == F(3, 4)

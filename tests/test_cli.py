@@ -396,23 +396,56 @@ def mutated_documents(draw):
     return doc
 
 
+def document_commands(path):
+    """The six subcommands that read a brick-complex document."""
+    return [
+        ["validate", path],
+        ["export", path],
+        ["decompose", path],
+        ["metric", "--k", "2", path],
+        ["crosscheck", path],
+        ["limit", "--scenario", path, "--stages", "1"],
+    ]
+
+
 @settings(max_examples=100, deadline=None)
 @given(doc=mutated_documents())
 def test_mutated_document_never_raises(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "mutated.json")
         Path(path).write_text(json.dumps(doc))
-        for argv in (
-            ["validate", path],
-            ["export", path],
-            ["decompose", path],
-            ["metric", "--k", "2", path],
-            ["crosscheck", path],
-            ["limit", "--scenario", path, "--stages", "1"],
-        ):
+        for argv in document_commands(path):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.run(argv)
             assert code in (0, 1, 2), argv
             if code == 2:
                 assert json.loads(err.getvalue())["error"] == "parse", argv
+
+
+# curves their domain cannot carry: a slope and an arc on the full
+# twice-punctured torus, normal coordinates on the full one-holed torus
+OFF_DOMAIN_CURVES = [
+    ("kt12", ("bricks", 0, "label", "conformal", 0, 0), "F:1/0"),
+    ("kt12", ("bricks", 0, "label", "conformal", 0, 0), "A:1"),
+    ("sb11_0-1_1-0", ("bricks", 0, "initial", "curves", 0), "N:[0,0,1,0,1,0]"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, path, curve",
+    OFF_DOMAIN_CURVES,
+    ids=[f"{name}-{curve}" for name, _, curve in OFF_DOMAIN_CURVES],
+)
+def test_curve_off_its_domain_is_a_parse_error(tmp_path, capsys, name, path, curve):
+    doc = json.loads(BENCH_INPUTS[name])
+    entry = doc
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = curve
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc))
+    for argv in document_commands(str(file)):
+        code, out, err = run_json(capsys, argv)
+        assert (code, err["error"]) == (2, "parse"), argv
+        assert out is None

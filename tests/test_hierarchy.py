@@ -68,10 +68,11 @@ class TestFareyHierarchy:
         for g in annulars:
             assert g.parent is not None and g.parent[0] == "g0"
 
-    def test_lamination_endpoint_truncated(self):
+    def test_lamination_endpoint_truncated(self, monkeypatch):
+        monkeypatch.setenv("BRICKFORGE_BUDGET", "600")
         d = torus()
         lam = sf.LaminationDescriptor(d, sf.IrrationalSlope((1,) * 10))
-        h = hy.build_hierarchy(sf.TORUS_1_1, torus_marking(0, 1), lam, budget=600)
+        h = hy.build_hierarchy(sf.TORUS_1_1, torus_marking(0, 1), lam)
         assert isinstance(h.terminal, sf.LaminationDescriptor)
         assert len(h.main.simplices) > 2
 

@@ -375,7 +375,7 @@ class TestChartConsistency:
 
         slopes = [Slope(1, 0), Slope(0, 1), Slope(1, 1), Slope(-1, 1)]
         built = {s: charts.AMBIENT.curve(side.realize(s)) for s in slopes}
-        sigma = charts.AMBIENT.curve(side.sigma_desc())
+        sigma = charts.AMBIENT.curve(side.cut_desc())
         for s, c in built.items():
             assert fc.flat_intersection(c, sigma) == 0
         for i, s1 in enumerate(slopes):
