@@ -22,7 +22,7 @@ def show(name, m, e):
         gap = f" gap {b.gap}" if b.gap else ""
         print(f"  block {b.blid} [{b.btype}] on {b.support_token}"
               f" over {b.interval}{gap}")
-    for v in d.tubes.tubes:
+    for v in d.tubes:
         print(f"  tube {v.tid} core {v.core} band {v.band}"
               f" interface {v.interface}")
     ok, report = bl.verify_decomposition(d)
@@ -47,7 +47,7 @@ def main():
     k = bk.BrickComplex(sf.TORUS_1_1, (b,), ())
     d = bl.decompose(bk.LevelSweep.of(k, bk.identity_embedding(k)))
     print("single brick 0/1 -> 5/3:")
-    print("  tube cores:", [str(v.core) for v in d.tubes.tubes])
+    print("  tube cores:", [str(v.core) for v in d.tubes])
     print("  agrees with the hierarchy:", bl.hierarchy_crosscheck(b, d))
 
 

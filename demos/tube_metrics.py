@@ -17,7 +17,7 @@ def main():
     d = bl.decompose(bk.LevelSweep.of(m.complex, e))
     print(f"{len(d.torus_tubes)} torus-interface tubes")
     for tid in d.torus_tubes:
-        omega = mt.boundary_torus_geometry(d.tubes.tube(tid), d)
+        omega = mt.boundary_torus_geometry(d.tube(tid), d)
         tm = mt.tube_metric(omega)
         print(f"  tube {tid}: omega = {omega.re} + {omega.im}i,"
               f" |omega|^2 = {omega.abs2()}")

@@ -17,14 +17,12 @@ from fractions import Fraction
 from . import bricks as bk
 from . import hierarchy as hy
 from . import surfaces as sf
-from .config import get_budget
 from .errors import (
     BudgetExceeded,
     DomainError,
     ELViolation,
     IterationOverflow,
     MissingLabel,
-    NoTightGeodesic,
 )
 
 BLOCK_TYPES = ("S03", "S04", "S11")
@@ -40,18 +38,6 @@ class Tube:
     interface: str = "annulus"  # M[0]-interface: "torus" or "annulus"
     merged_from: frozenset = frozenset()
     twist: int = 0
-
-
-@dataclass(frozen=True)
-class TubeUnion:
-    tubes: tuple
-    rounds: tuple  # pairs (round number, tuple of tube ids)
-
-    def tube(self, tid) -> Tube:
-        for t in self.tubes:
-            if t.tid == tid:
-                return t
-        raise KeyError(tid)
 
 
 @dataclass(frozen=True)
@@ -73,7 +59,7 @@ class Block:
 class BlockDecomposition:
     sweep: bk.LevelSweep  # of the normalized model, in its embedding's levels
     blocks: tuple
-    tubes: TubeUnion  # after merging
+    tubes: tuple  # after merging
     placed: tuple  # tubes before merging, for per-round accounting
     torus_tubes: tuple  # tube ids with torus interface
     gf_bricks: tuple
@@ -81,6 +67,12 @@ class BlockDecomposition:
     adjustments: tuple  # (BB) re-leveling records
     tails: tuple  # truncated-ray descriptors
     rounds_used: int
+
+    def tube(self, tid) -> Tube:
+        for t in self.tubes:
+            if t.tid == tid:
+                return t
+        raise KeyError(tid)
 
 
 # ---------------------------------------------------------------------------
@@ -384,59 +376,13 @@ def _endpoint_marking(sweep, b, side, data):
 # geodesics and placement
 
 
-def _main_geodesic(base: sf.Surface, start, end):
-    """Vertex curves of the main tight geodesic on a complexity-5 base,
-    from a marking toward a marking or lamination.  Returns the vertex
-    list, the finite stand-in for the far end, and the ray tail."""
-    d = sf.full_surface(base)
-    tail = None
-    end_marking = end
-    if isinstance(end, sf.LaminationDescriptor):
-        depth = hy.lamination_depth(get_budget())
-        end_marking = hy._truncate_lamination(d, end, depth)
-        tail = end
-    _, simplices = hy.certified_main_geodesic(d, start, end_marking)
+def _main_geodesic(domain, start, end):
+    """Vertex curves of a placement's tight geodesic, from a marking
+    toward a marking or lamination.  Returns the vertex list, the finite
+    stand-in for the far end, and the ray tail."""
+    _, simplices, end_marking = hy.tight_geodesic(domain, start, end)
+    tail = None if end_marking is end else end
     return [v.sorted_curves()[0] for v in simplices], end_marking, tail
-
-
-def _xi4_path(domain, u, w):
-    if domain.kind == "full":
-        simplices = sf.farey_geodesic(u, w)
-    else:
-        simplices = hy._fan_geodesic(domain, u.rep.slope, w.rep.slope)
-    return [v.sorted_curves()[0] for v in simplices]
-
-
-def _realizable(domain, vertices):
-    if domain.kind == "full":
-        return True
-    return all(domain.chart.realize(v.rep.slope) is not None for v in vertices)
-
-
-def _xi4_vertices(domain, start, end):
-    """Vertex curves of a complexity-4 tight geodesic, plus the ray tail.
-    Lamination ends are truncated at the deepest budget level whose whole
-    geodesic is realizable in the domain's chart."""
-    depth = hy.lamination_depth(get_budget())
-    u = start.base.sorted_curves()[0]
-    if not isinstance(u.rep, sf.FareySlope):
-        raise BudgetExceeded("endpoint marking is not in slope coordinates")
-    if isinstance(end, sf.LaminationDescriptor):
-        tail = end
-        for dep in range(depth, 0, -1):
-            finite = hy._truncate_lamination(domain, end, dep)
-            w = finite.base.sorted_curves()[0]
-            vertices = _xi4_path(domain, u, w)
-            if _realizable(domain, vertices):
-                return vertices, finite, tail
-        raise BudgetExceeded("no realizable truncation of the lamination ray")
-    w = end.base.sorted_curves()[0]
-    if not isinstance(w.rep, sf.FareySlope):
-        raise BudgetExceeded("endpoint marking is not in slope coordinates")
-    vertices = _xi4_path(domain, u, w)
-    if not _realizable(domain, vertices):
-        raise BudgetExceeded("geodesic leaves the chart's realizable slopes")
-    return vertices, end, None
 
 
 def _intervals_for(n, kind, gap: bool):
@@ -459,13 +405,8 @@ def _place(domain, band, kind, start, end):
     main geodesic above complexity 4, the complexity-4 geodesic with gap
     bands otherwise.  Returns the vertex curves, their (tube band, wide
     band) pairs, the finite stand-in for the far end and the ray tail."""
-    if isinstance(start, sf.LaminationDescriptor):
-        raise NoTightGeodesic("lamination datum on the closed front")
+    vertices, end_marking, tail = _main_geodesic(domain, start, end)
     gap = domain.complexity() < 5
-    if gap:
-        vertices, end_marking, tail = _xi4_vertices(domain, start, end)
-    else:
-        vertices, end_marking, tail = _main_geodesic(domain.ambient, start, end)
     pairs = [
         (_scale(tiv, *band), _scale(wiv, *band))
         for tiv, wiv in _intervals_for(len(vertices) - 1, kind, gap)
@@ -473,7 +414,7 @@ def _place(domain, band, kind, start, end):
     return vertices, pairs, end_marking, tail
 
 
-def _nearby_tube_marking(domain, level, placed, side):
+def _nearby_tube_marking(domain, placed, level, side):
     """Marking read off the nearest placed tube beyond a brick front, by
     projecting its core into the brick's chart."""
     if side == "below":
@@ -505,31 +446,6 @@ def _block_type(domain):
     if (g, ends) == (0, 3):
         return "S03"
     raise DomainError(f"no block type for {domain.token}")
-
-
-def tube_union_for(b: bk.Brick, initial, terminal):
-    """Tubes realizing the tight geodesic of one brick, at the exact
-    sub-intervals of its band.  Returns (tubes, ray tail or None)."""
-    if initial is None or terminal is None:
-        raise DomainError(f"brick {b.bid} is not connectable")
-    domain = b.support
-    if domain.complexity() < 4:
-        raise DomainError("tube placement needs complexity at least 4")
-    start, end = initial, terminal
-    if b.kind == "half-open-below":
-        start, end = end, start
-    vertices, pairs, _, tail = _place(domain, (b.lo, b.hi), b.kind, start, end)
-    tubes = [
-        Tube(
-            tid=f"{b.bid}.v{i}",
-            core=hy.ambient_curve(v),
-            band=tband,
-            origin=(1, b.bid),
-            token=domain.token,
-        )
-        for i, (v, (tband, _)) in enumerate(zip(vertices, pairs))
-    ]
-    return tubes, tail
 
 
 # ---------------------------------------------------------------------------
@@ -616,22 +532,14 @@ def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
     placed = []
     blocks = []
     tails = []
-    rounds = {}
-    counter = [0]
-    bcounter = [0]
 
     def new_tube(core, band, rnd, origin_id, token, interface="annulus"):
-        tid = f"v{counter[0]}"
-        counter[0] += 1
-        t = Tube(tid, core, band, (rnd, origin_id), token, interface)
+        t = Tube(f"v{len(placed)}", core, band, (rnd, origin_id), token, interface)
         placed.append(t)
-        rounds.setdefault(rnd, []).append(tid)
         return t
 
     def new_block(btype, token, interval, gap=None, tube=None, support=None):
-        blid = f"b{bcounter[0]}"
-        bcounter[0] += 1
-        blocks.append(Block(blid, btype, token, interval, gap, tube, support))
+        blocks.append(Block(f"b{len(blocks)}", btype, token, interval, gap, tube, support))
 
     # round 0: tubes along the model boundary
     for comp in sweep.boundary:
@@ -670,11 +578,15 @@ def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
             vertices, pairs, end_marking, tail = _place(domain, band, kind, start, end)
             if tail is not None:
                 tails.append((origin_id, tail))
-            n = len(vertices) - 1
+            # the markings around vertex i are markings[i] and markings[i + 2]
+            markings = [
+                start,
+                *(sf.Marking(sf.Simplex.of(full, v)) for v in vertices),
+                end_marking,
+            ]
             for i, (v, (tband, _)) in enumerate(zip(vertices, pairs)):
                 new_tube(v, tband, rounds_used, origin_id, full.token)
-                simplex = sf.Simplex.of(full, v)
-                for y in sf.component_domains(full, simplex):
+                for y in sf.component_domains(full, markings[i + 1].base):
                     if y.kind == "annulus":
                         continue
                     if y.complexity() == 3:
@@ -683,16 +595,8 @@ def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
                     if y.chart is None:
                         new_block(_block_type(y), y.token, tband, support=y)
                         continue
-                    if i == 0:
-                        back = sf.restrict_marking(start, y)
-                    else:
-                        prev = sf.Marking(sf.Simplex.of(full, vertices[i - 1]))
-                        back = sf.restrict_marking(prev, y)
-                    if i == n:
-                        fwd = sf.restrict_marking(end_marking, y)
-                    else:
-                        nxt = sf.Marking(sf.Simplex.of(full, vertices[i + 1]))
-                        fwd = sf.restrict_marking(nxt, y)
+                    back = sf.restrict_marking(markings[i], y)
+                    fwd = sf.restrict_marking(markings[i + 2], y)
                     if back is None or fwd is None:
                         new_block(_block_type(y), y.token, tband, support=y)
                         continue
@@ -703,20 +607,14 @@ def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
         rounds_used += 1
         for domain, band, kind, start, end, origin_id in xi4_queue:
             if domain.chart is not None:
+                # the fronts the start and end data lie beyond
+                fronts = [(band[0], "below"), (band[1], "above")]
+                if kind == "half-open-below":
+                    fronts.reverse()
                 if start is None:
-                    level, side = (
-                        (band[1], "above")
-                        if kind == "half-open-below"
-                        else (band[0], "below")
-                    )
-                    start = _nearby_tube_marking(domain, level, placed, side)
+                    start = _nearby_tube_marking(domain, placed, *fronts[0])
                 if end is None:
-                    level, side = (
-                        (band[0], "below")
-                        if kind == "half-open-below"
-                        else (band[1], "above")
-                    )
-                    end = _nearby_tube_marking(domain, level, placed, side)
+                    end = _nearby_tube_marking(domain, placed, *fronts[1])
             if start is None or end is None or domain.chart is None:
                 new_block(_block_type(domain), domain.token, band, support=domain)
                 continue
@@ -744,10 +642,6 @@ def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
     tubes = merge_homotopic(placed, sweep)
     blocks, adjustments = _enforce_bb(blocks, sweep)
 
-    union = TubeUnion(
-        tubes=tuple(tubes),
-        rounds=tuple((r, tuple(tids)) for r, tids in sorted(rounds.items())),
-    )
     torus = tuple(t.tid for t in tubes if t.interface == "torus")
     graph = []
     for bl in blocks:
@@ -757,7 +651,7 @@ def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
     return BlockDecomposition(
         sweep=sweep,
         blocks=tuple(blocks),
-        tubes=union,
+        tubes=tuple(tubes),
         placed=tuple(placed),
         torus_tubes=torus,
         gf_bricks=tuple(gf_bricks),
@@ -825,11 +719,11 @@ def verify_decomposition(d: BlockDecomposition):
             bl.interval[0] <= bl.gap[0] <= bl.gap[1] <= bl.interval[1]
         ):
             report.append(f"block {bl.blid} gap outside its interval")
-    for t in d.tubes.tubes:
+    for t in d.tubes:
         if t.interface not in ("torus", "annulus"):
             report.append(f"tube {t.tid} interface {t.interface}")
-    for i, a in enumerate(d.tubes.tubes):
-        for b in d.tubes.tubes[i + 1 :]:
+    for i, a in enumerate(d.tubes):
+        for b in d.tubes[i + 1 :]:
             overlap = a.band[0] < b.band[1] and b.band[0] < a.band[1]
             if not overlap:
                 continue
@@ -839,7 +733,7 @@ def verify_decomposition(d: BlockDecomposition):
                 report.append(
                     f"tubes {a.tid},{b.tid} overlap with crossing cores"
                 )
-    for a, b, _ in _merge_eligible_pairs(list(d.tubes.tubes), sweep):
+    for a, b, _ in _merge_eligible_pairs(list(d.tubes), sweep):
         report.append(f"tubes {a.tid},{b.tid} are still merge-eligible")
     adjusted = frozenset(a["front"] for a in d.adjustments)
     for blid, f in _bb_violations(d.blocks, sweep, adjusted):

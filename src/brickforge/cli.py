@@ -86,7 +86,7 @@ def _cmd_decompose(args):
         {
             "rounds": d.rounds_used,
             "blocks": [_block_doc(b) for b in d.blocks],
-            "tubes": [_tube_doc(v) for v in d.tubes.tubes],
+            "tubes": [_tube_doc(v) for v in d.tubes],
             "torus-tubes": sorted(d.torus_tubes),
             "adjustments": [
                 {

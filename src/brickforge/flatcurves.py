@@ -271,9 +271,14 @@ class FlatCurve:
         return FlatCurve(tuple(_add(p, lam) for p in self.points), self.disp)
 
     def point_at(self, key):
-        i, t = key
-        a, b = self.segments()[i]
-        return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+        return _point_on(self.segments(), key)
+
+
+def _point_on(segs, key):
+    """The point at parameter t of segment i, for key (i, t)."""
+    i, t = key
+    a, b = segs[i]
+    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
 
 
 def same_class(c1: FlatCurve, c2: FlatCurve) -> bool:
@@ -454,7 +459,7 @@ def arc_points(curve: FlatCurve, key_from, key_to, start_point, direction=1):
     n = len(segs)
     i, t = key_from
     j, u = key_to
-    off = _sub(start_point, curve.point_at(key_from))
+    off = _sub(start_point, _point_on(segs, key_from))
     end = 1 if direction == 1 else 0  # the segment end a step passes
     wrap = _scale(curve.disp, direction)
     pts = [start_point]
@@ -469,7 +474,7 @@ def arc_points(curve: FlatCurve, key_from, key_to, start_point, direction=1):
         steps += 1
         if steps > 2 * n + 2:
             raise RuntimeError("arc walk failed to terminate")
-    pts.append(_add(curve.point_at(key_to), off))
+    pts.append(_add(_point_on(segs, key_to), off))
     return pts
 
 

@@ -259,37 +259,63 @@ def certified_main_geodesic(domain, initial, terminal):
     return certificate, _tighten(domain, path, certificate)
 
 
+def _realizable(domain, simplices) -> bool:
+    """True when every vertex curve has an ambient model: always on a full
+    surface, otherwise when the domain's chart realizes its slope."""
+    return domain.kind == "full" or all(
+        domain.chart.realize(c.rep.slope) is not None
+        for v in simplices
+        for c in v.curves
+    )
+
+
+def tight_geodesic(domain, initial, terminal):
+    """The tight geodesic of a domain from a marking toward a marking or
+    a lamination: certified on complexity 5, the Farey geodesic on a full
+    complexity-4 surface, the fan geodesic on a complexity-4 component
+    domain.  A lamination end is truncated at the deepest budget depth
+    whose whole geodesic the domain's chart realizes.
+
+    Returns (certificate or None, simplices, finite terminal marking).
+    Raises NoTightGeodesic for a lamination start and BudgetExceeded when
+    no geodesic is realizable."""
+    ends = [terminal]
+    if isinstance(terminal, sf.LaminationDescriptor):
+        depths = range(lamination_depth(get_budget()), 0, -1)
+        ends = [_truncate_lamination(domain, terminal, k) for k in depths]
+        ends = list(dict.fromkeys(ends))  # depths past a finite prefix repeat
+    for finite in ends:
+        certificate = None
+        if domain.complexity() >= 5:
+            certificate, simplices = certified_main_geodesic(domain, initial, finite)
+        elif domain.kind == "full":
+            u, w = _base_vertex(initial), _base_vertex(finite)
+            simplices = tuple(sf.farey_geodesic(u, w))
+        else:
+            s1, s2 = _marking_slope(initial), _marking_slope(finite)
+            simplices = _fan_geodesic(domain, s1, s2)
+        if _realizable(domain, simplices):
+            return certificate, simplices, finite
+    raise BudgetExceeded(f"no geodesic in {domain.token} stays in its chart")
+
+
 def build_hierarchy(s: sf.Surface, initial, terminal):
     """Hierarchy of tight geodesics from an initial to a terminal marking.
 
-    The terminal datum may be a lamination descriptor; it is truncated to
-    a certified finite prefix, at the depth the enumeration budget sets,
-    and kept as the geodesic's terminal record.
+    The terminal datum may be a lamination descriptor; the main geodesic
+    runs to its truncation at the depth the enumeration budget sets, and
+    the descriptor is kept as the geodesic's terminal record.
     """
     if s.complexity() not in (4, 5):
         raise BudgetExceeded("hierarchies supported on complexity 4 and 5 only")
     d = sf.full_surface(s)
-    terminal_record = terminal
-    if isinstance(terminal, sf.LaminationDescriptor):
-        terminal_marking = _truncate_lamination(
-            d, terminal, lamination_depth(get_budget())
-        )
-    else:
-        terminal_marking = terminal
-    if s.complexity() == 4:
-        u = _base_vertex(initial)
-        w = _base_vertex(terminal_marking)
-        certificate, main_simplices = None, tuple(sf.farey_geodesic(u, w))
-    else:
-        certificate, main_simplices = certified_main_geodesic(
-            d, initial, terminal_marking
-        )
+    certificate, main_simplices, terminal_marking = tight_geodesic(d, initial, terminal)
     main = TightGeodesic(
         gid="g0",
         domain=d,
         simplices=main_simplices,
         initial=initial,
-        terminal=terminal_record,
+        terminal=terminal,
     )
     geodesics = [main]
 
@@ -305,17 +331,16 @@ def build_hierarchy(s: sf.Surface, initial, terminal):
                         f"no coordinate chart for component domain {y.token}"
                     )
                 kind, back, fwd = subordinacy(
-                    replace(main, initial=initial, terminal=terminal_marking), j, y
+                    replace(main, terminal=terminal_marking), j, y
                 )
                 if kind != "both":
                     continue
-                s1 = _marking_slope(back)
-                s2 = _marking_slope(fwd)
+                _, simplices, _ = tight_geodesic(y, back, fwd)
                 geodesics.append(
                     TightGeodesic(
                         gid=f"g{len(geodesics)}",
                         domain=y,
-                        simplices=_fan_geodesic(y, s1, s2),
+                        simplices=simplices,
                         initial=back,
                         terminal=fwd,
                         parent=("g0", j),
@@ -350,13 +375,13 @@ def build_hierarchy(s: sf.Surface, initial, terminal):
         geodesics=tuple(geodesics),
         main_gid="g0",
         initial=initial,
-        terminal=terminal_record,
+        terminal=terminal,
         certificate=certificate,
     )
 
 
-def _marking_slope(m: sf.Marking) -> Slope:
-    c = m.base.sorted_curves()[0]
+def _marking_slope(m) -> Slope:
+    c = _base_vertex(m)
     if not isinstance(c.rep, sf.FareySlope):
         raise BudgetExceeded("restricted marking is not in slope coordinates")
     return c.rep.slope

@@ -126,7 +126,7 @@ def filtration(d: bl.BlockDecomposition, k: int) -> Filtration:
     kept = []
     released = []
     for tid in d.torus_tubes:
-        v = d.tubes.tube(tid)
+        v = d.tube(tid)
         omega = boundary_torus_geometry(v, d)
         coefficients.append((tid, omega))
         if omega.abs2() >= k * k:
@@ -205,7 +205,7 @@ def metric_report(d: bl.BlockDecomposition, ks=(0,)) -> dict:
         "filtrations": {},
     }
     for tid in d.torus_tubes:
-        omega = boundary_torus_geometry(d.tubes.tube(tid), d)
+        omega = boundary_torus_geometry(d.tube(tid), d)
         metric = tube_metric(omega)
         doc["tubes"].append(
             {

@@ -1,4 +1,9 @@
+from dataclasses import replace
+
 import pytest
+
+from brickforge import blocks as bl
+from brickforge import bricks as bk
 
 
 @pytest.fixture
@@ -18,3 +23,19 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def brick_tubes():
+    """brick_tubes(b, initial, terminal) decomposes the model made of the
+    one brick b with those endpoint data, in its own levels, and returns
+    the round-1 tubes (the placement of the brick's tight geodesic) and
+    the decomposition."""
+
+    def place(b, initial, terminal):
+        b = replace(b, initial=initial, terminal=terminal)
+        k = bk.BrickComplex(b.support.ambient, (b,), ())
+        d = bl.decompose(bk.LevelSweep.of(k, bk.identity_embedding(k)))
+        return [t for t in d.placed if t.origin[0] == 1], d
+
+    return place

@@ -158,7 +158,7 @@ def test_criterion_2_tightness_round_trip():
     )
 
 
-def test_criterion_3_tube_interval_exactness():
+def test_criterion_3_tube_interval_exactness(brick_tubes):
     ok = True
     for n in range(11):
         ok &= bl.tube_intervals(n, "closed-wide") == [
@@ -179,21 +179,21 @@ def test_criterion_3_tube_interval_exactness():
         return sf.Marking(sf.Simplex.of(full11, sf.slope_curve(full11, p, q)))
 
     b = bk.Brick("b0", full11, "closed", F(0), F(1))
-    tubes, _ = bl.tube_union_for(b, mark(0, 1), mark(1, 0))
+    tubes, _ = brick_tubes(b, mark(0, 1), mark(1, 0))
     ok &= [t.band for t in tubes] == [(F(0), F(1, 4)), (F(1, 2), F(3, 4))]
     b = bk.Brick("b0", full11, "half-open-above", F(0), F(1))
     lam = sf.LaminationDescriptor(full11, sf.IrrationalSlope((1,) * 6))
-    tubes, _ = bl.tube_union_for(b, mark(0, 1), lam)
+    tubes, _ = brick_tubes(b, mark(0, 1), lam)
     m = len(tubes) - 1
     ok &= m >= 1 and [t.band for t in tubes] == [
         (1 - F(1, 2**i), 1 - F(3, 2 ** (i + 2))) for i in range(m + 1)
     ]
     b = bk.Brick("b0", full11, "half-open-below", F(0), F(1))
-    tubes, _ = bl.tube_union_for(b, lam, mark(0, 1))
+    tubes, _ = brick_tubes(b, lam, mark(0, 1))
     ok &= tubes[0].band == (F(3, 4), F(1))
     amb = ambient_12()
     b = bk.Brick("b0", amb["full"], "closed", F(0), F(1))
-    tubes, _ = bl.tube_union_for(
+    tubes, _ = brick_tubes(
         b, marking(amb["full"], amb["v0"]), marking(amb["full"], amb["sigma"])
     )
     thirds = [t.band for t in tubes] == [
@@ -237,7 +237,7 @@ def test_criterion_4_pipeline_termination():
         verified, _ = bl.verify_decomposition(d)
         ok &= d.rounds_used <= bound
         ok &= all(b.btype in ("S03", "S04", "S11") for b in d.blocks)
-        tubes = list(d.tubes.tubes)
+        tubes = list(d.tubes)
         ok &= next(bl._merge_eligible_pairs(tubes, d.sweep), None) is None
         ok &= verified
     report(4, ok, f"{len(models)} models decomposed within round bounds")

@@ -234,23 +234,26 @@ class TestBoundaryData:
 
 
 class TestTubeUnionFor:
-    def test_adjacent_slopes_closed_brick(self):
+    """The tubes placed along one brick's tight geodesic: the round-1
+    tubes of the decomposition of a one-brick model."""
+
+    def test_adjacent_slopes_closed_brick(self, brick_tubes):
         full = sf.full_surface(sf.TORUS_1_1)
         b = bk.Brick("b0", full, "closed", F(0), F(1))
-        tubes, tail = bl.tube_union_for(
+        tubes, d = brick_tubes(
             b, slope_marking(full, 0, 1), slope_marking(full, 1, 0)
         )
-        assert tail is None
+        assert d.tails == ()
         assert [t.band for t in tubes] == [(F(0), F(1, 4)), (F(1, 2), F(3, 4))]
         assert [t.core.rep.slope for t in tubes] == [
             sf.slope_curve(full, 0, 1).rep.slope,
             sf.slope_curve(full, 1, 0).rep.slope,
         ]
 
-    def test_band_scaled_to_brick(self):
+    def test_band_scaled_to_brick(self, brick_tubes):
         full = sf.full_surface(sf.TORUS_1_1)
         b = bk.Brick("b0", full, "closed", F(1, 4), F(3, 4))
-        tubes, _ = bl.tube_union_for(
+        tubes, _ = brick_tubes(
             b, slope_marking(full, 0, 1), slope_marking(full, 1, 0)
         )
         assert [t.band for t in tubes] == [
@@ -258,12 +261,12 @@ class TestTubeUnionFor:
             (F(1, 2), F(5, 8)),
         ]
 
-    def test_high_complexity_uses_full_partition(self):
+    def test_high_complexity_uses_full_partition(self, brick_tubes):
         full = sf.full_surface(sf.TORUS_1_2)
         v0 = sf.line_class(full, 0, 1, 0)
         sigma = sf.slot_class(full, (0, 0), (1, 0))
         b = bk.Brick("b0", full, "closed", F(0), F(1))
-        tubes, _ = bl.tube_union_for(
+        tubes, _ = brick_tubes(
             b,
             sf.Marking(sf.Simplex.of(full, v0)),
             sf.Marking(sf.Simplex.of(full, sigma)),
@@ -276,33 +279,34 @@ class TestTubeUnionFor:
         assert tubes[0].core == v0
         assert tubes[-1].core == sigma
 
-    def test_lamination_ray_has_tail(self):
+    def test_lamination_ray_has_tail(self, brick_tubes):
         full = sf.full_surface(sf.TORUS_1_1)
         b = bk.Brick("b0", full, "half-open-above", F(0), F(1))
         lam = sf.LaminationDescriptor(full, sf.IrrationalSlope((1, 1, 1, 1, 1, 1)))
-        tubes, tail = bl.tube_union_for(b, slope_marking(full, 0, 1), lam)
-        assert tail is lam
+        tubes, d = brick_tubes(b, slope_marking(full, 0, 1), lam)
+        assert d.tails == (("b0", lam),)
         n = len(tubes) - 1
         assert n >= 1
         assert [t.band for t in tubes] == [
             (1 - F(1, 2**i), 1 - F(3, 2 ** (i + 2))) for i in range(n + 1)
         ]
 
-    def test_half_open_below_mirrors_bands(self):
+    def test_half_open_below_mirrors_bands(self, brick_tubes):
         full = sf.full_surface(sf.TORUS_1_1)
         b = bk.Brick("b0", full, "half-open-below", F(0), F(1))
         lam = sf.LaminationDescriptor(full, sf.IrrationalSlope((2, 2, 2, 2)))
-        tubes, _ = bl.tube_union_for(b, lam, slope_marking(full, 0, 1))
+        tubes, _ = brick_tubes(b, lam, slope_marking(full, 0, 1))
         assert tubes[0].band == (F(3, 4), F(1))
         assert all(t.band[1] <= F(1) for t in tubes)
 
-    def test_not_connectable(self):
-        full = sf.full_surface(sf.TORUS_1_1)
+    def test_not_connectable(self, brick_tubes):
+        full = sf.full_surface(sf.TORUS_1_2)
+        v0 = sf.line_class(full, 0, 1, 0)
         b = bk.Brick("b0", full, "closed", F(0), F(1))
-        with pytest.raises(DomainError):
-            bl.tube_union_for(b, None, slope_marking(full, 0, 1))
+        with pytest.raises(DomainError, match="not connectable"):
+            brick_tubes(b, sf.Marking(sf.Simplex.of(full, v0)), None)
 
-    def test_pants_brick_rejected(self):
+    def test_pants_brick_rejected(self, brick_tubes):
         full = sf.full_surface(sf.TORUS_1_2)
         sigma = sf.slot_class(full, (0, 0), (1, 0))
         pants = next(
@@ -311,8 +315,9 @@ class TestTubeUnionFor:
             if y.complexity() == 3
         )
         b = bk.Brick("b0", pants, "closed", F(0), F(1))
-        with pytest.raises(DomainError):
-            bl.tube_union_for(b, slope_marking, slope_marking)
+        tubes, d = brick_tubes(b, None, None)
+        assert tubes == []
+        assert [(x.btype, x.interval) for x in d.blocks] == [("S03", (F(0), F(1)))]
 
 
 class TestMerging:
@@ -351,8 +356,8 @@ class TestMerging:
     def test_kt_cusp_tube_absorbs_neighbors(self):
         m, _ = kt()
         d = bl.decompose(identity_sweep(m))
-        assert len(d.tubes.tubes) == 1
-        tube = d.tubes.tubes[0]
+        assert len(d.tubes) == 1
+        tube = d.tubes[0]
         assert tube.interface == "torus"
         assert len(tube.merged_from) >= 2
 
@@ -409,7 +414,7 @@ class TestDecompose:
         m, _ = bo(3)
         d = bl.decompose(identity_sweep(m))
         linked = {tid for _, tid in d.graph}
-        assert linked == {t.tid for t in d.tubes.tubes}
+        assert linked == {t.tid for t in d.tubes}
 
     def test_el_violation_raises(self):
         m, _ = brock()
@@ -500,9 +505,9 @@ class TestVerify:
     def test_duplicated_tube_flagged(self):
         m, _ = kt()
         d = bl.decompose(identity_sweep(m))
-        t = d.tubes.tubes[0]
+        t = d.tubes[0]
         dup = replace(t, tid="dup")
-        bad = replace(d, tubes=replace(d.tubes, tubes=d.tubes.tubes + (dup,)))
+        bad = replace(d, tubes=d.tubes + (dup,))
         ok, report = bl.verify_decomposition(bad)
         assert not ok
         assert any("one core" in r for r in report)
@@ -511,11 +516,11 @@ class TestVerify:
         m, _ = kt()
         d = bl.decompose(identity_sweep(m))
         full = sf.full_surface(sf.TORUS_1_1)
-        t = d.tubes.tubes[0]
+        t = d.tubes[0]
         cross = bl.Tube(
             "x", sf.slope_curve(full, 1, 0), t.band, (1, "b0"), full.token
         )
-        bad = replace(d, tubes=replace(d.tubes, tubes=d.tubes.tubes + (cross,)))
+        bad = replace(d, tubes=d.tubes + (cross,))
         ok, report = bl.verify_decomposition(bad)
         assert not ok
         assert any("crossing cores" in r for r in report)
@@ -594,7 +599,7 @@ class TestEmbeddedLevels:
             "rounds": d.rounds_used,
             "tubes": [
                 (t.tid, t.core, iv(t.band), t.interface, t.token)
-                for t in d.tubes.tubes
+                for t in d.tubes
             ],
             "placed": [(t.tid, iv(t.band)) for t in d.placed],
             "blocks": [

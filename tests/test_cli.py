@@ -253,6 +253,16 @@ class TestLimit:
         assert code == 0
         assert [s["external-tubes"] for s in doc["stages"]] == [["v0"], ["v0"]]
 
+    def test_small_budget_refuses(self, capsys, monkeypatch):
+        # the model has 2 ends: at budget 2 the finite-ends bound refuses
+        monkeypatch.setenv("BRICKFORGE_BUDGET", "2")
+        code, doc, err = run_json(
+            capsys, ["limit", "--scenario", "kt:1", "--stages", "1"]
+        )
+        assert code == 1
+        assert doc is None
+        assert err["error"] == "BudgetExceeded"
+
     def test_unknown_scenario(self, capsys):
         code, _, err = run_json(capsys, ["limit", "--scenario", "bogus"])
         assert code == 2

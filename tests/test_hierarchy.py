@@ -1,9 +1,14 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brickforge import charts
 from brickforge import flatcurves as fc
 from brickforge import hierarchy as hy
 from brickforge import surfaces as sf
+from brickforge.config import get_budget
 from brickforge.errors import BudgetExceeded, NoTightGeodesic, NotComponentDomain
 from brickforge.farey import Slope
 
@@ -114,6 +119,84 @@ class TestErrorsPropagate:
             hy._bfs_path(cert, u, sf.slope_curve(d, 1, 0))
         with pytest.raises(NoTightGeodesic):
             hy._bfs_path(cert, u, w)
+
+
+def proper_domains():
+    """The complexity-4 component domains of T(1,2) that have charts: the
+    strip cut by the vertical line v0 and the torus side of a slot curve."""
+    d = sf.full_surface(sf.TORUS_1_2)
+    v0 = sf.line_class(d, 0, 1, 0)
+    sigma = sf.slot_class(d, (0, 0), (1, 0))
+    return {
+        kind: next(
+            y
+            for y in sf.component_domains(d, sf.Simplex.of(d, c))
+            if y.kind == "proper" and y.complexity() == 4
+        )
+        for kind, c in (("strip", v0), ("torus side", sigma))
+    }
+
+
+PROPER = proper_domains()
+
+
+def convergent(coeffs) -> Slope:
+    """The slope [a1; a2, ..., ak] of a continued-fraction prefix."""
+    x = Fraction(coeffs[-1])
+    for a in reversed(coeffs[:-1]):
+        x = a + 1 / x
+    return Slope(x.numerator, x.denominator)
+
+
+def fan_realizes(y, end: Slope) -> bool:
+    path = hy._fan_geodesic(y, Slope(0, 1), end)
+    return all(
+        y.chart.realize(v.sorted_curves()[0].rep.slope) is not None for v in path
+    )
+
+
+class TestTightGeodesicOnProperDomains:
+    """A lamination end on a component domain is truncated at the deepest
+    budget depth whose whole geodesic the domain's chart realizes."""
+
+    @staticmethod
+    def build(y, coeffs):
+        start = sf.Marking(sf.Simplex.of(y, sf.slope_curve(y, 0, 1)))
+        lam = sf.LaminationDescriptor(y, sf.IrrationalSlope(tuple(coeffs)))
+        return hy.tight_geodesic(y, start, lam)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(PROPER)),
+        coeffs=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+    )
+    def test_deepest_realizable_truncation(self, kind, coeffs):
+        y = PROPER[kind]
+        # truncations deeper than the prefix repeat its last convergent
+        top = min(hy.lamination_depth(get_budget()), len(coeffs))
+        try:
+            certificate, simplices, finite = self.build(y, coeffs)
+        except BudgetExceeded:
+            depth = 0
+        else:
+            assert certificate is None
+            slopes = [v.sorted_curves()[0].rep.slope for v in simplices]
+            assert all(y.chart.realize(s) is not None for s in slopes)
+            assert slopes[-1] == hy._marking_slope(finite)
+            depth = max(
+                k for k in range(1, top + 1) if convergent(coeffs[:k]) == slopes[-1]
+            )
+        for k in range(depth + 1, top + 1):
+            assert not fan_realizes(y, convergent(coeffs[:k])), (coeffs, k)
+
+    def test_known_truncations(self):
+        for y in PROPER.values():
+            _, simplices, _ = self.build(y, (1, 1, 1, 1))
+            assert [v.sorted_curves()[0].rep.slope for v in simplices] == [
+                Slope(0, 1), Slope(1, 0), Slope(2, 1)
+            ]
+        with pytest.raises(BudgetExceeded):
+            self.build(PROPER["strip"], (5,))
 
 
 class TestSubordinacy:

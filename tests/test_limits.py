@@ -98,6 +98,13 @@ class TestExhaust:
         original = sf.slope_curve(sf.full_surface(sf.TORUS_1_1), 0, 1)
         assert sf.intersection_number(core, original) > 0
 
+    def test_small_budget_keeps_the_obstructor(self, monkeypatch):
+        # the candidate pool has a fixed size; the budget does not cut it
+        m, e = parallel_pair()
+        monkeypatch.setenv("BRICKFORGE_BUDGET", "2")
+        state = lm.exhaust(sweep_of(m, e), 1)[0]
+        assert sz.curve_str(state.obstructors[0][0]) == "F:-1/1"
+
     def test_windows_strictly_ascending(self):
         m, e = bo(3)
         states = lm.exhaust(sweep_of(m, e), 3)

@@ -62,7 +62,7 @@ def flanked_fixture(blocks_per_side=1, twist=0):
     d = bl.BlockDecomposition(
         sweep=bk.LevelSweep.of(k, bk.identity_embedding(k)),
         blocks=tuple(blocks),
-        tubes=bl.TubeUnion((v,), ((0, ("t0",)),)),
+        tubes=(v,),
         placed=(v,),
         torus_tubes=("t0",),
         gf_bricks=(),
