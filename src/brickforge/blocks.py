@@ -457,32 +457,22 @@ def _core_serial(c: sf.Curve):
     return (kind, str(val))
 
 
-def _between_clear(core, lo, hi, sweep: bk.LevelSweep, tubes):
-    """Product region between two bands: inside the model and crossed by
-    no other tube."""
-    if sweep.meets_between(core, lo, hi):
-        return False
-    for t in tubes:
-        if t.band[0] >= hi or t.band[1] <= lo:
-            continue
-        if t.core != core and sf.intersection_number(t.core, core) > 0:
-            return False
-    return True
-
-
 def _merge_eligible_pairs(tubes, sweep: bk.LevelSweep):
     """Same-core tube pairs (a, b, remaining tubes), in list order, that
-    are homotopic in the model minus the remaining tubes."""
-    for i, a in enumerate(tubes):
-        for b in tubes[i + 1 :]:
-            if a.core != b.core:
-                continue
-            lo, hi = min(a.band[1], b.band[1]), max(a.band[0], b.band[0])
-            if lo > hi:
-                continue
-            rest = [t for t in tubes if t is not a and t is not b]
-            if _between_clear(a.core, lo, hi, sweep, rest):
-                yield a, b, rest
+    are homotopic in the model minus the remaining tubes: the sweep joins
+    their bands, and no remaining tube with a crossing core overlaps the
+    gap."""
+    for i, j, lo, hi in sweep.joined([(t.core, t.band) for t in tubes]):
+        a, b = tubes[i], tubes[j]
+        rest = [t for t in tubes if t is not a and t is not b]
+        if not any(
+            t.band[0] < hi
+            and lo < t.band[1]
+            and t.core != a.core
+            and sf.intersection_number(t.core, a.core) > 0
+            for t in rest
+        ):
+            yield a, b, rest
 
 
 def merge_homotopic(tubes, sweep: bk.LevelSweep):

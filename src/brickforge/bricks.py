@@ -379,6 +379,20 @@ class LevelSweep:
             if a < hi and lo < b
         )
 
+    def joined(self, pieces):
+        """The one merge-eligibility test.  Yields (i, j, lo, hi), i < j in
+        list order, for each pair of level pieces (core, (lo, hi)) with one
+        core and disjoint or touching bands whose gap, from lo to hi, a
+        clear vertical annulus spans: the core meets no slit there."""
+        for i, (core, (lo_i, hi_i)) in enumerate(pieces):
+            for j in range(i + 1, len(pieces)):
+                other, (lo_j, hi_j) = pieces[j]
+                lo, hi = min(hi_i, hi_j), max(lo_i, lo_j)
+                if other != core or lo > hi:
+                    continue
+                if not self.meets_between(core, lo, hi):
+                    yield i, j, lo, hi
+
 
 # ---------------------------------------------------------------------------
 # boundary components
@@ -464,26 +478,18 @@ def classify_ends(m: LabelledBrickManifold, e: LeafEmbedding):
 # admissibility conditions
 
 
-def _a2_gap_pairs(sweep: LevelSweep):
+def boundary_gaps(sweep: LevelSweep):
+    """(core, lo, hi) for each pair of boundary pieces that a clear
+    vertical annulus joins, grouped by core in order of first appearance
+    and by level within a core, as clear_annulus_gaps orders them."""
     comps = sweep.boundary
-    pairs = []
-    for i, c1 in enumerate(comps):
-        for c2 in comps[i + 1 :]:
-            if c1.core == c2.core:
-                pairs.append(tuple(sorted([c1, c2], key=lambda x: x.interval)))
-    return pairs
+    for i, _, lo, hi in sweep.joined([(c.core, c.interval) for c in comps]):
+        yield comps[i].core, lo, hi
 
 
 def check_a2(sweep: LevelSweep) -> bool:
     """No properly embedded essential annulus between boundary pieces."""
-    for c1, c2 in _a2_gap_pairs(sweep):
-        lo = c1.interval[1]
-        hi = c2.interval[0]
-        if lo > hi:
-            continue
-        if not sweep.meets_between(c1.core, lo, hi):
-            return False
-    return True
+    return next(boundary_gaps(sweep), None) is None
 
 
 def clear_annulus_gaps(sweep: LevelSweep):

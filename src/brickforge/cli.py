@@ -136,9 +136,14 @@ def _parse_scenario(spec: str) -> lm.Scenario:
                 base = sz.parse_surface(part)
             else:
                 depth = int(part)
-        return lm.Scenario(kind, base, depth=depth)
+        scenario = lm.Scenario(kind, base, depth=depth)
     except (ValueError, ParseError) as exc:
         raise ParseError(f"bad scenario spec {spec!r}") from exc
+    if kind == "brock" and base != sf.TORUS_1_2:
+        raise ParseError(f"scenario {spec!r} needs the base 1,2")
+    if sf.full_surface(base).chart is None:
+        raise ParseError(f"scenario {spec!r} has a base with no chart")
+    return scenario
 
 
 def _cmd_limit(args):

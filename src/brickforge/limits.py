@@ -290,7 +290,7 @@ def _find_obstructors(base, removals):
     for _ in range(limit):
         zm, ze = _assemble_z(base, removals, obstructors)
         sweep = bk.LevelSweep.of(zm.complex, ze)
-        gap = next(bk.clear_annulus_gaps(sweep), None)
+        gap = next(bk.boundary_gaps(sweep), None)
         if gap is None:
             return obstructors, zm, sweep
         core, lo, hi = gap
@@ -357,7 +357,9 @@ def exhaust(sweep: bk.LevelSweep, stages: int):
             if window[0] < c.interval[1] and c.interval[0] < window[1]
         ]
         obstructors, zm, z_sweep = _find_obstructors(m.complex.base, removals)
-        acyl = bk.check_a2(z_sweep) and bk.check_a2_bruteforce(z_sweep)
+        # the search has shown A2 on Z; the flag is the brute-force
+        # oracle's independent verdict on that answer
+        acyl = bk.check_a2_bruteforce(z_sweep)
         out.append(
             ExhaustionState(
                 n=n,

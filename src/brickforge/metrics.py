@@ -119,26 +119,26 @@ def boundary_torus_geometry(
 # filtration
 
 
-def filtration(d: bl.BlockDecomposition, k: int) -> Filtration:
+def _coefficients(d: bl.BlockDecomposition) -> tuple:
+    """(tube id, meridian coefficient) for each torus tube, in order."""
+    return tuple(
+        (tid, boundary_torus_geometry(d.tube(tid), d)) for tid in d.torus_tubes
+    )
+
+
+def _split(coefficients, k: int) -> Filtration:
+    """The filtration at level k of a table of meridian coefficients."""
     if k < 0:
         raise ValueError("filtration level must be non-negative")
-    coefficients = []
-    kept = []
-    released = []
-    for tid in d.torus_tubes:
-        v = d.tube(tid)
-        omega = boundary_torus_geometry(v, d)
-        coefficients.append((tid, omega))
-        if omega.abs2() >= k * k:
-            kept.append(tid)
-        else:
-            released.append(tid)
+    kept = tuple(tid for tid, omega in coefficients if omega.abs2() >= k * k)
+    released = tuple(tid for tid, _ in coefficients if tid not in kept)
     return Filtration(
-        k=k,
-        tubes=tuple(kept),
-        released=tuple(released),
-        coefficients=tuple(coefficients),
+        k=k, tubes=kept, released=released, coefficients=coefficients
     )
+
+
+def filtration(d: bl.BlockDecomposition, k: int) -> Filtration:
+    return _split(_coefficients(d), k)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +204,8 @@ def metric_report(d: bl.BlockDecomposition, ks=(0,)) -> dict:
         "tubes": [],
         "filtrations": {},
     }
-    for tid in d.torus_tubes:
-        omega = boundary_torus_geometry(d.tube(tid), d)
+    coefficients = _coefficients(d)
+    for tid, omega in coefficients:
         metric = tube_metric(omega)
         doc["tubes"].append(
             {
@@ -220,7 +220,7 @@ def metric_report(d: bl.BlockDecomposition, ks=(0,)) -> dict:
             }
         )
     for k in ks:
-        f = filtration(d, k)
+        f = _split(coefficients, k)
         doc["filtrations"][str(k)] = {
             "kept": list(f.tubes),
             "released": list(f.released),

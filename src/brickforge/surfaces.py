@@ -44,10 +44,6 @@ class Surface:
         return 2 - 2 * self.genus - self.punctures
 
 
-def complexity(s: Surface) -> int:
-    return s.complexity()
-
-
 TORUS_1_1 = Surface(1, 1)
 SPHERE_0_4 = Surface(0, 4)
 TORUS_1_2 = Surface(1, 2)

@@ -243,6 +243,20 @@ class TestLimit:
         assert code == 0
         assert len(reports) == 1
 
+    def test_a2_oracle_stays_off_the_search_path(self, capsys, count_calls):
+        # the obstructor search asks the sweep; the brute-force oracle
+        # checks each stage's approximant once, and the theorem report
+        # checks A2 on the model once
+        a2_checks = count_calls(bk, "check_a2")
+        oracle_checks = count_calls(bk, "check_a2_bruteforce")
+        oracle_searches = count_calls(bk, "clear_annulus_gaps")
+        code, _, _ = run_json(
+            capsys, ["limit", "--scenario", "bo:3", "--stages", "3"]
+        )
+        assert code == 0
+        assert len(a2_checks) == 1
+        assert len(oracle_checks) == len(oracle_searches) == 3
+
     def test_external_tubes_follow_the_embedding(self, tmp_path, capsys):
         # the 0/1 -> 2/1 single brick with every level halved
         halved = bk.LeafEmbedding((("b0", (F(0), F(1, 2))),))
@@ -344,6 +358,12 @@ def test_malformed_complex_is_a_parse_error(tmp_path, capsys, argv, make):
         ["limit", "--scenario", "kt:1", "--stages", "-2"],
         ["limit", "--scenario", "bo:0"],
         ["metric", "--k", "-1"],
+        # scenarios on a base they cannot be built on
+        ["limit", "--scenario", "brock:1,1"],
+        ["limit", "--scenario", "brock:0,4"],
+        ["limit", "--scenario", "kt:2,1"],
+        ["limit", "--scenario", "kt:0,5"],
+        ["limit", "--scenario", "bo:2,1:1"],
     ],
     ids=" ".join,
 )

@@ -333,6 +333,19 @@ class TestMetricReport:
                 d.torus_tubes
             )
 
+    def test_one_coefficient_per_torus_tube(self, count_calls):
+        m, _ = bo(3)
+        d = bl.decompose(identity_sweep(m))
+        calls = count_calls(mt, "boundary_torus_geometry")
+        doc = mt.metric_report(d, ks=(0, 5))
+        assert len(d.torus_tubes) == 3
+        assert len(calls) == 3
+        for k in (0, 5):
+            f = mt.filtration(d, k)
+            assert doc["filtrations"][str(k)] == {
+                "kept": list(f.tubes), "released": list(f.released)
+            }
+
     def test_report_json_serializable(self):
         import json
 

@@ -30,9 +30,9 @@ def slope_certificate(domain, bound):
 
 class TestSurface:
     def test_complexity(self):
-        assert sf.complexity(sf.Surface(1, 1)) == 4
-        assert sf.complexity(sf.Surface(0, 3)) == 3
-        assert sf.complexity(sf.Surface(1, 2)) == 5
+        assert sf.Surface(1, 1).complexity() == 4
+        assert sf.Surface(0, 3).complexity() == 3
+        assert sf.Surface(1, 2).complexity() == 5
 
     def test_invariants(self):
         with pytest.raises(ValueError):
