@@ -19,7 +19,11 @@ topology here:
 * boundary walks of a regular neighborhood of a union of two curves,
   which yield the subsurface boundary that tightness checks need.
 
-Everything is exact rational arithmetic; no floats anywhere.
+Points are exact rationals.  Every segment crossing is decided in
+integers: the segment scan scales both curves by the common denominator
+of their coordinates, skips the segment pairs whose bounding boxes do not
+meet, and builds rational crossing data only for a hit.  No floats
+anywhere.
 """
 
 from __future__ import annotations
@@ -69,37 +73,44 @@ def _on_grid(p: Point) -> bool:
     return _is_int(p[0]) or _is_int(p[1]) or _is_int(p[1] - p[0])
 
 
-def seg_cross(a1: Point, a2: Point, b1: Point, b2: Point):
-    """Interior transverse crossing of segments a and b.
+def seg_cross(a1, a2, b1, b2, scale: int):
+    """Interior transverse crossing of segments a and b, given by int
+    points: the rational points times the common denominator `scale`.
 
-    Returns (t, u, point) with t, u strictly in (0,1), or None.  Collinear
-    overlaps and endpoint touches raise GenericityError so the caller
-    knows the representatives need a nudge.
+    Returns (t, u, point) with t, u strictly in (0,1) and the rational
+    crossing point, or None.  Collinear overlaps and endpoint touches raise
+    GenericityError so the caller knows the representatives need a nudge.
+    Every decision is an integer sign test; Fractions are built for a hit.
     """
     d1 = _sub(a2, a1)
     d2 = _sub(b2, b1)
-    denom = _cross(d1, d2)
+    den = _cross(d1, d2)
     diff = _sub(b1, a1)
-    if denom == 0:
+    if den == 0:
         if _cross(d1, diff) == 0:
-            def param(p):
-                if d1[0] != 0:
-                    return (p[0] - a1[0]) / d1[0]
-                return (p[1] - a1[1]) / d1[1]
-
-            lo, hi = sorted([param(b1), param(b2)])
-            if hi > 0 and lo < 1:
+            # positions of b1, b2 along a, as multiples k/n of d1
+            c = 0 if d1[0] != 0 else 1
+            n, k1, k2 = d1[c], b1[c] - a1[c], b2[c] - a1[c]
+            if n < 0:
+                n, k1, k2 = -n, -k1, -k2
+            if max(k1, k2) > 0 and min(k1, k2) < n:
                 raise GenericityError("collinear overlapping segments")
         return None
-    t = _cross(diff, d2) / denom
-    u = _cross(diff, d1) / denom
-    if 0 < t < 1 and 0 < u < 1:
-        point = (a1[0] + t * d1[0], a1[1] + t * d1[1])
-        return (t, u, point)
-    if 0 <= t <= 1 and 0 <= u <= 1 and (t in (0, 1) or u in (0, 1)):
+    tn = _cross(diff, d2)
+    un = _cross(diff, d1)
+    if den < 0:
+        den, tn, un = -den, -tn, -un
+    if 0 < tn < den and 0 < un < den:
+        den_xy = den * scale
+        point = (
+            Fraction(a1[0] * den + tn * d1[0], den_xy),
+            Fraction(a1[1] * den + tn * d1[1], den_xy),
+        )
+        return (Fraction(tn, den), Fraction(un, den), point)
+    if 0 <= tn <= den and 0 <= un <= den:
         # endpoint contact between otherwise transverse segments: only a
         # genuine degeneracy when the touch is not a shared polyline vertex
-        if not (t in (0, 1) and u in (0, 1)):
+        if not (tn in (0, den) and un in (0, den)):
             raise GenericityError("segment touches the interior of another")
     return None
 
@@ -300,27 +311,62 @@ def _lattice_range(bb1, bb2):
     return out
 
 
+def _common_denominator(*seg_lists) -> int:
+    """The lcm of every coordinate denominator in the segment lists."""
+    return math.lcm(*(x.denominator for segs in seg_lists for s in segs for p in s for x in p))
+
+
+def _int_segments(segs, scale: int):
+    """Each segment as (p, q, box): its endpoints times `scale` as int
+    points, and the closed box (x_lo, x_hi, y_lo, y_hi) around them."""
+    out = []
+    for seg in segs:
+        p, q = [
+            (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+            for x, y in seg
+        ]
+        box = (min(p[0], q[0]), max(p[0], q[0]), min(p[1], q[1]), max(p[1], q[1]))
+        out.append((p, q, box))
+    return out
+
+
+def _int_hits(isegs1, isegs2, lams, scale: int):
+    """`_segment_hits` on segments already scaled by `_int_segments`.
+
+    A pair whose closed boxes do not meet is skipped: a crossing, a touch
+    and a collinear overlap each need a common point.
+    """
+    for lam in lams:
+        lx, ly = lam[0] * scale, lam[1] * scale
+        for i, (a1, a2, (ax0, ax1, ay0, ay1)) in enumerate(isegs1):
+            # a's box moved by -lam, against the unmoved boxes of segs2
+            ax0, ax1, ay0, ay1 = ax0 - lx, ax1 - lx, ay0 - ly, ay1 - ly
+            for j, (b1, b2, (bx0, bx1, by0, by1)) in enumerate(isegs2):
+                if bx0 > ax1 or ax0 > bx1 or by0 > ay1 or ay0 > by1:
+                    continue
+                hit = seg_cross(a1, a2, (b1[0] + lx, b1[1] + ly), (b2[0] + lx, b2[1] + ly), scale)
+                if hit is not None:
+                    yield lam, i, j, hit
+
+
 def _segment_hits(segs1, segs2, lams):
     """Transverse crossings of the segments segs1 with the translates
     segs2 + lam, as (lam, i, j, (t, u, point)) in order of lam, i, j."""
-    for lam in lams:
-        moved = [(_add(b1, lam), _add(b2, lam)) for b1, b2 in segs2]
-        for i, (a1, a2) in enumerate(segs1):
-            for j, (b1, b2) in enumerate(moved):
-                hit = seg_cross(a1, a2, b1, b2)
-                if hit is not None:
-                    yield lam, i, j, hit
+    scale = _common_denominator(segs1, segs2)
+    yield from _int_hits(_int_segments(segs1, scale), _int_segments(segs2, scale), lams, scale)
 
 
 def validate_embedded(c: FlatCurve):
     """Check that the curve is embedded on the torus."""
     segs = c.segments()
+    scale = _common_denominator(segs)
+    isegs = _int_segments(segs, scale)
     zero = (0, 0)
     lams = [lam for lam in _lattice_range(c.bbox(), c.bbox()) if lam != zero]
     hits = itertools.chain(
-        _segment_hits(segs, segs, lams),
+        _int_hits(isegs, isegs, lams, scale),
         # untranslated, each pair of distinct segments once
-        *(_segment_hits([s], segs[i + 1 :], [zero]) for i, s in enumerate(segs)),
+        *(_int_hits([s], isegs[i + 1 :], [zero], scale) for i, s in enumerate(isegs)),
     )
     if next(hits, None) is not None:
         raise GenericityError("curve is not embedded")

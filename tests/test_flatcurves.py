@@ -104,6 +104,31 @@ class TestConstructors:
         for c in curves().values():
             assert fc.validate_embedded(c)
 
+    def test_every_buildable_curve_of_radius_4_is_embedded(self):
+        built = 0
+        for desc in charts.AMBIENT.descs(4):
+            try:
+                c = desc.build()
+            except fc.GenericityError:
+                continue
+            assert fc.validate_embedded(c), desc
+            built += 1
+        assert built == 126
+
+    def test_self_crossing_bowtie_is_not_embedded(self):
+        bowtie = [(Fraction(1, 5), Fraction(1, 5)), (Fraction(4, 5), Fraction(4, 5)),
+                  (Fraction(4, 5), Fraction(1, 5)), (Fraction(1, 5), Fraction(4, 5))]
+        with pytest.raises(fc.GenericityError, match="curve is not embedded"):
+            fc.validate_embedded(fc.FlatCurve(tuple(bowtie), (0, 0)))
+
+    def test_curve_meeting_its_lattice_translate_is_not_embedded(self):
+        # a simple triangle taller than the lattice vector (0, 1): its
+        # translate's bottom edge crosses both of its upper edges
+        triangle = ((Fraction(1, 10), Fraction(1, 10)), (Fraction(3, 10), Fraction(8, 5)),
+                    (Fraction(1, 2), Fraction(3, 20)))
+        with pytest.raises(fc.GenericityError, match="curve is not embedded"):
+            fc.validate_embedded(fc.FlatCurve(triangle, (0, 0)))
+
     def test_displacements(self):
         cs = curves()
         assert cs["v0"].disp == (0, 1)
@@ -164,6 +189,21 @@ class TestIntersection:
         assert fc.flat_intersection(c2, c1) == n
         assert fc.flat_intersection(c1, c2.translated((2 * a, b))) == n
         assert fc.flat_intersection(c1, c1) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(RADIUS_2), st.sampled_from(RADIUS_2))
+    def test_invariant_under_point_reflection(self, d1, d2):
+        # x -> -x maps the grid lines, the punctures and both parity
+        # classes to themselves
+        def reflected(c):
+            return fc.FlatCurve(tuple((-x, -y) for x, y in c.points), (-c.disp[0], -c.disp[1]))
+
+        try:
+            c1, c2 = d1.build(), d2.build()
+        except fc.GenericityError:
+            assume(False)
+        n = fc.flat_intersection(c1, c2)
+        assert fc.flat_intersection(reflected(c1), reflected(c2)) == n
 
 
 class TestGenericOverlay:
@@ -284,3 +324,122 @@ def test_backward_arc_reverses_forward_arc(case, a, b):
     start = fc._add(c.point_at(k1), (2 * a, b))
     fwd = fc.arc_points(c, k1, k2, start, 1)
     assert fc.arc_points(c, k2, k1, fwd[-1], -1) == fwd[::-1]
+
+
+# ---------------------------------------------------------------------------
+# the integer segment kernel against the Fraction reference
+
+
+def fraction_seg_cross(a1, a2, b1, b2):
+    """The reference kernel: the same predicate in Fraction arithmetic."""
+    d1 = fc._sub(a2, a1)
+    d2 = fc._sub(b2, b1)
+    denom = fc._cross(d1, d2)
+    diff = fc._sub(b1, a1)
+    if denom == 0:
+        if fc._cross(d1, diff) == 0:
+            def param(p):
+                if d1[0] != 0:
+                    return (p[0] - a1[0]) / d1[0]
+                return (p[1] - a1[1]) / d1[1]
+
+            lo, hi = sorted([param(b1), param(b2)])
+            if hi > 0 and lo < 1:
+                raise fc.GenericityError("collinear overlapping segments")
+        return None
+    t = fc._cross(diff, d2) / denom
+    u = fc._cross(diff, d1) / denom
+    if 0 < t < 1 and 0 < u < 1:
+        point = (a1[0] + t * d1[0], a1[1] + t * d1[1])
+        return (t, u, point)
+    if 0 <= t <= 1 and 0 <= u <= 1 and (t in (0, 1) or u in (0, 1)):
+        if not (t in (0, 1) and u in (0, 1)):
+            raise fc.GenericityError("segment touches the interior of another")
+    return None
+
+
+def _over(lo, hi):
+    """Fractions k/n with 2 <= n <= 6 and lo < k/n < hi, for integers lo < hi."""
+    return st.integers(2, 6).flatmap(
+        lambda n: st.integers(lo * n + 1, hi * n - 1).map(lambda k: Fraction(k, n))
+    )
+
+
+RATIONALS = _over(-3, 3)
+POINTS = st.tuples(RATIONALS, RATIONALS)
+
+
+@st.composite
+def segment_pairs(draw):
+    """Two segments of nonzero length with small-denominator rational
+    ends, in general or in a deliberately degenerate position."""
+    a1, a2 = draw(POINTS), draw(POINTS)
+    assume(a1 != a2)
+    d = fc._sub(a2, a1)
+
+    def along(s):  # the point a1 + s * (a2 - a1)
+        return fc._add(a1, fc._scale(d, s))
+
+    inside = _over(0, 1)
+    beyond = st.one_of(st.just(Fraction(1)), _over(0, 3).map(lambda s: 1 + s))  # a2 or past it
+    kind = draw(st.sampled_from(
+        ["general", "crossing", "collinear overlap", "collinear disjoint", "endpoint on interior",
+         "shared vertex", "parallel"]
+    ))
+    if kind == "general":
+        b1, b2 = draw(POINTS), draw(POINTS)
+    elif kind == "crossing":  # through an interior point of a
+        p, v = along(draw(inside)), draw(POINTS)
+        b1, b2 = fc._add(p, v), fc._sub(p, fc._scale(v, draw(inside)))
+    elif kind == "collinear overlap":
+        b1, b2 = along(draw(inside)), along(draw(RATIONALS))
+    elif kind == "collinear disjoint":
+        s1, s2 = draw(beyond), draw(beyond)
+        if draw(st.booleans()):  # before a1 instead
+            s1, s2 = 1 - s1, 1 - s2
+        b1, b2 = along(s1), along(s2)
+    elif kind == "endpoint on interior":
+        b1, b2 = along(draw(inside)), draw(POINTS)
+    elif kind == "shared vertex":
+        b1, b2 = draw(st.sampled_from([a1, a2])), draw(POINTS)
+    else:
+        b1 = fc._add(a1, draw(POINTS))
+        b2 = fc._add(b1, fc._scale(d, draw(RATIONALS)))
+    assume(b1 != b2)
+    a, b = (a1, a2), (b1, b2)
+    if draw(st.booleans()):
+        b = b[::-1]
+    if draw(st.booleans()):
+        a, b = b, a
+    return a, b
+
+
+def _hits_or_error(hits):
+    try:
+        return list(hits())
+    except fc.GenericityError as exc:
+        return str(exc)
+
+
+def _boxes_meet(a, b):
+    return all(
+        min(a[0][k], a[1][k]) <= max(b[0][k], b[1][k])
+        and min(b[0][k], b[1][k]) <= max(a[0][k], a[1][k])
+        for k in (0, 1)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(segment_pairs(), st.integers(-1, 1), st.integers(-1, 1))
+def test_integer_kernel_agrees_with_fraction_reference(pair, i, j):
+    a, b = pair
+    lam = (2 * i, j)
+    # b is reached as the translate by lam of b - lam
+    moved_back = [tuple(fc._sub(p, lam) for p in b)]
+    kernel = _hits_or_error(
+        lambda: (hit for _, _, _, hit in fc._segment_hits([a], moved_back, [lam]))
+    )
+    reference = _hits_or_error(lambda: filter(None, [fraction_seg_cross(*a, *b)]))
+    assert kernel == reference
+    if not _boxes_meet(a, b):
+        assert kernel == []

@@ -165,10 +165,10 @@ class TestTightGeodesicOnProperDomains:
         lam = sf.LaminationDescriptor(y, sf.IrrationalSlope(tuple(coeffs)))
         return hy.tight_geodesic(y, start, lam)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         kind=st.sampled_from(sorted(PROPER)),
-        coeffs=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+        coeffs=st.lists(st.integers(1, 12), min_size=1, max_size=6),
     )
     def test_deepest_realizable_truncation(self, kind, coeffs):
         y = PROPER[kind]
