@@ -8,6 +8,7 @@ README says what the environment variable BRICKFORGE_BUDGET sets.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import blocks as bl
@@ -189,7 +190,12 @@ def _cmd_export(args):
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser():
+    """The one parser of the process, built by the first `run`, not at
+    import.  argparse keeps no per-call state in it: `parse_args` returns a
+    new Namespace, and help and errors look up sys.stdout and sys.stderr
+    when they write."""
     parser = argparse.ArgumentParser(
         prog="brickforge",
         description="exact combinatorial brick-manifold toolkit",

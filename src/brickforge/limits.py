@@ -207,7 +207,7 @@ class ExhaustionState:
     window: tuple  # (lo, hi) truncation levels of this stage
     w: bk.BrickComplex  # W_n, the truncated sub-brick-manifold
     w_embedding: bk.LeafEmbedding
-    stable: tuple  # (brick id, canonical doc) for untruncated bricks
+    stable: tuple  # (brick id, brick) for untruncated bricks
     ext: tuple  # tube ids whose band crosses the window boundary
     obstructors: tuple  # added (core, band) pairs
     z: bk.LabelledBrickManifold  # product minus tubes and obstructors
@@ -338,7 +338,7 @@ def exhaust(sweep: bk.LevelSweep, stages: int):
             window = (span_lo + margin, span_hi - margin)
         wm, we = _truncate_model(m, e, window)
         stable = tuple(
-            (b.bid, sz.dumps(sz.brick_doc(b)))
+            (b.bid, b)
             for b in wm.complex.bricks
             if e.level_of(b.bid) == we.level_of(b.bid)
         )

@@ -308,6 +308,10 @@ def parse_complex(doc: dict):
     if not bricks:
         raise ParseError("complex document has no bricks")
     ids = [b.bid for b in bricks]
+    # joints and the embedding name bricks by id
+    repeated = [bid for i, bid in enumerate(ids) if bid in ids[:i]]
+    if repeated:
+        raise ParseError(f"duplicate brick id {repeated[0]!r}")
     unknown = [bid for j in joints for bid in (j.upper, j.lower) if bid not in ids]
     if unknown:
         raise ParseError(f"joint names an unknown brick {unknown[0]!r}")
@@ -330,8 +334,62 @@ def parse_complex(doc: dict):
     return k, e
 
 
+_encode_str = json.encoder.encode_basestring
+
+
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The canonical text of a document: what
+    `json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)` writes,
+    plus a newline.  `json` gives up its C encoder whenever `indent` is set,
+    so this one direct encoder writes the text instead.  A document holds
+    only dicts with str keys, lists, tuples, strs, ints, bools and None;
+    any other value, a float or a Fraction included, raises TypeError."""
+    out = []
+    _encode(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(value, newline: str, out: list) -> None:
+    """Append the text of `value`, whose nested lines start with `newline`."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"document key {key!r} is not a str")
+            out.append(sep + _encode_str(key) + ": ")
+            _encode(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _encode(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(
+            f"a document holds no {type(value).__name__} value: {value!r}"
+        )
 
 
 def loads(text: str) -> dict:

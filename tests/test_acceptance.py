@@ -15,6 +15,7 @@ from brickforge import farey as fy
 from brickforge import hierarchy as hy
 from brickforge import limits as lm
 from brickforge import metrics as mt
+from brickforge import serialize as sz
 from brickforge import surfaces as sf
 
 F = Fraction
@@ -459,8 +460,13 @@ def test_criterion_9_exhaustion_stability():
             ok &= bk.check_a2(sweep)
             ok &= bk.check_a2_bruteforce(sweep)
         for a, b in zip(states, states[1:]):
-            earlier, later = dict(a.stable), dict(b.stable)
-            ok &= all(later.get(bid) == doc for bid, doc in earlier.items())
+            later = dict(b.stable)
+            ok &= all(
+                bid in later
+                and sz.dumps(sz.brick_doc(later[bid]))
+                == sz.dumps(sz.brick_doc(brick))
+                for bid, brick in a.stable
+            )
     report(9, ok, f"{stages_checked} approximants acylindrical and stable")
 
 

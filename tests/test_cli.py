@@ -72,6 +72,17 @@ def no_bricks_path(tmp_path):
     return str(path)
 
 
+def duplicate_brick_path(tmp_path):
+    """A kt12 document with a second copy of its last brick."""
+    m, e = lm.generate(lm.Scenario("kerckhoff-thurston", sf.TORUS_1_2))
+    with open(write_model(tmp_path, "kt12.brick", m.complex, e)) as handle:
+        doc = json.load(handle)
+    doc["bricks"].append(doc["bricks"][-1])
+    path = tmp_path / "duplicate-brick.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def malformed(name, source, keys, value):
     """Maker of the document of `source` with the entry at `keys` set to
     `value`; `name` is the maker's test id and file name."""
@@ -105,6 +116,7 @@ MALFORMED = [
     ),
     malformed("bool_embedding_level", single_path, ("embedding", "b0", 0), True),
     malformed("unknown_joint_brick", kt_path, ("joints", 0, "upper"), "nope"),
+    duplicate_brick_path,
 ]
 
 
@@ -374,6 +386,26 @@ def test_out_of_range_argument_is_a_usage_error(tmp_path, capsys, argv):
     assert code == 2
     assert out is None
     assert err["error"] == "parse"
+
+
+def test_one_parser_serves_every_job(tmp_path, capsys):
+    """The first run of a process builds the parser, and a usage error,
+    --help or an out-of-range argument leaves nothing in it that changes
+    a later job."""
+    path = single_path(tmp_path)
+    cli._build_parser.cache_clear()
+    assert cli.run(["export", path]) == 0
+    fresh = capsys.readouterr().out
+    cli._build_parser.cache_clear()
+    assert cli.run(["frobnicate"]) == 2
+    assert "usage:" in capsys.readouterr().err
+    assert cli.run(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+    assert cli.run(["limit", "--scenario", "kt:1", "--stages", "0"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "parse"
+    assert cli.run(["export", path]) == 0
+    assert capsys.readouterr().out == fresh
+    assert cli._build_parser.cache_info().misses == 1
 
 
 BENCH_INPUTS = json.loads(
