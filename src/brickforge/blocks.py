@@ -480,8 +480,10 @@ def merge_homotopic(tubes, sweep: bk.LevelSweep):
     Pairs are processed in ascending (level, core-serial) order until no
     merge-eligible pair remains."""
     out = list(tubes)
+    # keyed by core object, which a merged tube keeps from its first part
+    serial = {id(t.core): _core_serial(t.core) for t in tubes}
     while True:
-        out.sort(key=lambda t: (t.band[0], _core_serial(t.core)))
+        out.sort(key=lambda t: (t.band[0], serial[id(t.core)]))
         pair = next(_merge_eligible_pairs(out, sweep), None)
         if pair is None:
             return out
@@ -658,14 +660,13 @@ def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
 
 def _bb_violations(blocks, sweep: bk.LevelSweep, adjusted=frozenset()):
     out = []
-    fronts = bk.critical_levels(sweep.complex, sweep.embedding)
+    fronts = sweep.levels
     for bl in blocks:
         if bl.gap is None:
             continue
-        for f in fronts:
-            if f in adjusted:
-                continue
-            if bl.gap[0] < f < bl.gap[1]:
+        lo, hi = bl.gap
+        for f in fronts[sweep.rank(lo, right=True) : sweep.rank(hi)]:
+            if f not in adjusted:
                 out.append((bl.blid, f))
     return out
 

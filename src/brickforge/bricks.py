@@ -16,6 +16,8 @@ models.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -109,15 +111,46 @@ class EndLabel:
             raise ValueError(f"unknown label kind {self.kind}")
 
 
+def _integer_keys(levels):
+    """(d, keys): the common denominator d of the rational levels, and each
+    level's numerator over d, an exact integer key in the levels' order."""
+    d = math.lcm(*(x.denominator for x in levels))
+    return d, [x.numerator * (d // x.denominator) for x in levels]
+
+
 @dataclass(frozen=True)
 class LeafEmbedding:
     levels: tuple  # pairs (brick id, (alpha, beta))
 
+    # The cached properties below are not dataclass fields: equality, hash
+    # and repr read `levels` alone.
+
+    @cached_property
+    def _by_id(self):
+        """brick id -> (alpha, beta), from the first entry of each id."""
+        out = {}
+        for bid, ab in self.levels:
+            out.setdefault(bid, ab)
+        return out
+
+    @cached_property
+    def level_index(self):
+        """(sorted distinct levels, brick id -> (first, last)): the indices
+        of each brick's alpha and beta in those levels."""
+        ends = [x for ab in self._by_id.values() for x in ab]
+        # order and deduplicate by integer keys: no Fraction is hashed or
+        # compared
+        _, keys = _integer_keys(ends)
+        level_at = dict(zip(keys, ends))
+        order = sorted(level_at)
+        pos = {key: i for i, key in enumerate(order)}
+        return [level_at[key] for key in order], {
+            bid: (pos[keys[2 * n]], pos[keys[2 * n + 1]])
+            for n, bid in enumerate(self._by_id)
+        }
+
     def level_of(self, bid):
-        for b, ab in self.levels:
-            if b == bid:
-                return ab
-        raise KeyError(bid)
+        return self._by_id[bid]
 
 
 def identity_embedding(k: BrickComplex) -> LeafEmbedding:
@@ -268,16 +301,19 @@ def validate_complex(k: BrickComplex):
 
 
 def critical_levels(k: BrickComplex, e: LeafEmbedding):
-    levels = set()
-    for b in k.bricks:
-        alpha, beta = e.level_of(b.bid)
-        levels.add(alpha)
-        levels.add(beta)
-    return sorted(levels)
+    levels, index = e.level_index
+    used = {i for b in k.bricks for i in index[b.bid]}
+    return [levels[i] for i in sorted(used)]
 
 
 def _present(k: BrickComplex, e: LeafEmbedding, c: Fraction):
     """Bricks whose embedded interval, with its closed ends, contains c."""
+    levels, index = e.level_index
+    j = bisect_left(levels, c)
+    if j == len(levels) or levels[j] != c:
+        # levels[j - 1] < c < levels[j]: a brick is present exactly when
+        # its interval spans that gap
+        return [b for b in k.bricks if index[b.bid][0] < j <= index[b.bid][1]]
     out = []
     for b in k.bricks:
         alpha, beta = e.level_of(b.bid)
@@ -347,6 +383,7 @@ class LevelSweep:
     complex: BrickComplex
     embedding: LeafEmbedding
     slits: tuple  # pairs ((lo, hi), Slit) in level order
+    levels: tuple  # the critical levels the slits were cut from
 
     @classmethod
     def of(cls, k: BrickComplex, e: LeafEmbedding) -> "LevelSweep":
@@ -358,6 +395,7 @@ class LevelSweep:
                 ((a, b), slit_at(k, e, (a + b) / 2))
                 for a, b in zip(levels, levels[1:])
             ),
+            tuple(levels),
         )
 
     @cached_property
@@ -372,25 +410,43 @@ class LevelSweep:
 
     def meets_between(self, c: sf.Curve, lo, hi) -> bool:
         """Whether the curve meets the slit of a sample interval (a, b)
-        with a < hi and lo < b: one overlapping the levels from lo to hi."""
+        with a < hi and lo < b: one overlapping the levels from lo to hi.
+        Sample interval i is (levels[i], levels[i + 1]), so those are the
+        intervals from the last level <= lo to the last level < hi."""
+        first = max(self.rank(lo, right=True) - 1, 0)
         return any(
             curve_meets_slit(c, slit)
-            for (a, b), slit in self.slits
-            if a < hi and lo < b
+            for _, slit in self.slits[first : self.rank(hi)]
         )
+
+    @cached_property
+    def _keys(self):
+        return _integer_keys(self.levels)
+
+    def rank(self, x, right=False):
+        """bisect_left(levels, x), or bisect_right when right, in integers.
+        With x d = k + r / q for the integer k = floor(x d): a level with
+        key n lies below x when n < k, or n = k and r > 0, and at most x
+        when n <= k."""
+        d, keys = self._keys
+        k, r = divmod(x.numerator * d, x.denominator)
+        return (bisect_right if right or r else bisect_left)(keys, k)
 
     def joined(self, pieces):
         """The one merge-eligibility test.  Yields (i, j, lo, hi), i < j in
         list order, for each pair of level pieces (core, (lo, hi)) with one
         core and disjoint or touching bands whose gap, from lo to hi, a
         clear vertical annulus spans: the core meets no slit there."""
+        later = {}  # core -> indices of its pieces not yet visited
+        for i, (core, _) in enumerate(pieces):
+            later.setdefault(core, []).append(i)
         for i, (core, (lo_i, hi_i)) in enumerate(pieces):
-            for j in range(i + 1, len(pieces)):
-                other, (lo_j, hi_j) = pieces[j]
+            same = later[core]
+            del same[0]  # i itself
+            for j in same:
+                lo_j, hi_j = pieces[j][1]
                 lo, hi = min(hi_i, hi_j), max(lo_i, lo_j)
-                if other != core or lo > hi:
-                    continue
-                if not self.meets_between(core, lo, hi):
+                if lo <= hi and not self.meets_between(core, lo, hi):
                     yield i, j, lo, hi
 
 
@@ -655,8 +711,8 @@ def extend_embedding(prev: LevelSweep, next_complex: BrickComplex):
     twists = []
     prev_chi = {slit.level: slit.chi() for _, slit in prev.slits}
     span = prev.span
-    crit = critical_levels(next_complex, next_e)
-    for _, slit_new in LevelSweep.of(next_complex, next_e).slits:
+    sweep = LevelSweep.of(next_complex, next_e)
+    for _, slit_new in sweep.slits:
         mid = slit_new.level
         if not span[0] < mid < span[1]:
             # new territory beyond the old span glues compatibly
@@ -666,7 +722,7 @@ def extend_embedding(prev: LevelSweep, next_complex: BrickComplex):
             continue
         chi_old = prev_chi[old[0]]
         if -chi_old > -slit_new.chi():
-            gaps = [abs(lv - mid) for lv in crit if lv != mid]
+            gaps = [abs(lv - mid) for lv in sweep.levels if lv != mid]
             delta = min(gaps) / 2 if gaps else Fraction(1, 4)
             token = (
                 slit_new.components[0].token if slit_new.components else "empty"

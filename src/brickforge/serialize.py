@@ -18,7 +18,7 @@ from .errors import DomainError, ParseError
 
 
 def frac_str(x) -> str:
-    f = Fraction(x)
+    f = x if type(x) is Fraction else Fraction(x)
     return f"{f.numerator}/{f.denominator}"
 
 

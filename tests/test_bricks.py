@@ -1,8 +1,9 @@
+from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from brickforge import bricks as bk
@@ -327,6 +328,178 @@ class TestConditions:
         bad = bk.LabelledBrickManifold(replace(k, bricks=bricks))
         report = bk.check_conditions(bk.LevelSweep.of(bad.complex, e))
         assert report["EL"] is False
+
+
+# Reference oracles for the level index: each level question answered by
+# scanning every brick or every slit.
+
+
+def level_by_scan(e, bid):
+    for b, ab in e.levels:
+        if b == bid:
+            return ab
+    raise KeyError(bid)
+
+
+def present_by_scan(k, e, c):
+    out = []
+    for b in k.bricks:
+        alpha, beta = level_by_scan(e, b.bid)
+        if (
+            alpha < c < beta
+            or (c == alpha and not b.open_below())
+            or (c == beta and not b.open_above())
+        ):
+            out.append(b)
+    return out
+
+
+def meets_by_scan(sweep, c, lo, hi):
+    return any(
+        bk.curve_meets_slit(c, slit)
+        for (a, b), slit in sweep.slits
+        if a < hi and lo < b
+    )
+
+
+def joined_by_scan(sweep, pieces):
+    for i, (core, (lo_i, hi_i)) in enumerate(pieces):
+        for j in range(i + 1, len(pieces)):
+            other, (lo_j, hi_j) = pieces[j]
+            lo, hi = min(hi_i, hi_j), max(lo_i, lo_j)
+            if other != core or lo > hi:
+                continue
+            if not meets_by_scan(sweep, core, lo, hi):
+                yield i, j, lo, hi
+
+
+TOWER_SLOPES = [(0, 1), (1, 0), (1, 1), (2, 1)]
+
+
+@st.composite
+def embedded_models(draw):
+    """(complex, embedding): a random slope tower or a built-in scenario,
+    moved by an increasing affine map of the level line."""
+    if draw(st.booleans()):
+        slopes = draw(st.lists(st.sampled_from(TOWER_SLOPES), min_size=1, max_size=5))
+        m, e = slope_tower(slopes)
+    else:
+        m, e = scenario(draw(st.sampled_from(SCENARIO_KINDS)), draw(st.integers(1, 3)))
+    a, b = draw(st.sampled_from(AFFINE_MAPS))
+    return m.complex, moved(e, a, b)
+
+
+def model_curves(sweep):
+    """The curves a sweep is asked about: brick frontiers and the cores of
+    annular slit components, plus every tower slope on T(1,1)."""
+    curves = [c for b in sweep.complex.bricks for c in b.support.boundary]
+    curves += [
+        y.boundary[0]
+        for _, slit in sweep.slits
+        for y in slit.components
+        if y.kind == "annulus"
+    ]
+    if sweep.complex.base == sf.TORUS_1_1:
+        full = sf.full_surface(sf.TORUS_1_1)
+        curves += [sf.slope_curve(full, p, q) for p, q in TOWER_SLOPES]
+    return list(dict.fromkeys(curves))
+
+
+def probe_levels(levels):
+    """Every critical level, every midpoint, and levels outside the span."""
+    mids = [(lo + hi) / 2 for lo, hi in zip(levels, levels[1:])]
+    outside = [levels[0] - 1, levels[0] / 2, (levels[-1] + 1) / 2, levels[-1] + 1]
+    return levels + mids + outside
+
+
+class TestLevelIndex:
+    """The level index answers every level question as the scans did."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(embedded_models())
+    def test_present_agrees_with_scan(self, model):
+        k, e = model
+        for c in probe_levels(bk.critical_levels(k, e)):
+            assert bk._present(k, e, c) == present_by_scan(k, e, c), c
+
+    @settings(max_examples=40, deadline=None)
+    @given(embedded_models(), st.lists(st.fractions(-1, 2, max_denominator=256)))
+    def test_rank_is_bisection(self, model, xs):
+        sweep = bk.LevelSweep.of(*model)
+        levels = list(sweep.levels)
+        for x in xs + probe_levels(levels):
+            assert sweep.rank(x) == bisect_left(levels, x), x
+            assert sweep.rank(x, right=True) == bisect_right(levels, x), x
+
+    @settings(max_examples=40, deadline=None)
+    @given(embedded_models(), st.data())
+    def test_meets_between_agrees_with_scan(self, model, data):
+        sweep = bk.LevelSweep.of(*model)
+        curves = model_curves(sweep)
+        assume(curves)
+        ends = probe_levels(list(sweep.levels))
+        fractions = st.fractions(-1, 2, max_denominator=64)
+        for _ in range(12):
+            c = data.draw(st.sampled_from(curves))
+            lo = data.draw(st.sampled_from(ends) | fractions)
+            hi = data.draw(st.sampled_from(ends) | fractions | st.just(lo))
+            for a, b in ((lo, hi), (hi, lo), (lo, lo)):
+                assert sweep.meets_between(c, a, b) == meets_by_scan(sweep, c, a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(embedded_models(), st.data())
+    def test_joined_agrees_with_scan(self, model, data):
+        sweep = bk.LevelSweep.of(*model)
+        curves = model_curves(sweep)
+        assume(curves)
+        levels = list(sweep.levels)
+        # bands between critical levels and midpoints, so that pieces touch,
+        # overlap and nest; few cores, so that they repeat
+        ends = sorted(set(probe_levels(levels)))
+        band = st.lists(st.sampled_from(ends), min_size=2, max_size=2, unique=True).map(
+            lambda ab: tuple(sorted(ab))
+        )
+        cores = data.draw(st.lists(st.sampled_from(curves), min_size=1, max_size=3))
+        pieces = data.draw(
+            st.lists(st.tuples(st.sampled_from(cores), band), max_size=8)
+        )
+        assert list(sweep.joined(pieces)) == list(joined_by_scan(sweep, pieces))
+
+    def test_level_of_reads_the_first_entry(self):
+        e = bk.LeafEmbedding((("a", (F(0), F(1, 2))), ("b", (F(1, 2), F(1))),
+                              ("a", (F(1, 4), F(3, 4)))))
+        for bid in ("a", "b"):
+            assert e.level_of(bid) == level_by_scan(e, bid)
+        with pytest.raises(KeyError):
+            e.level_of("c")
+
+    def test_distinct_cores_are_never_swept(self, count_calls):
+        m, e = slope_tower(TOWER_SLOPES)
+        sweep = bk.LevelSweep.of(m.complex, e)
+        full = sf.full_surface(sf.TORUS_1_1)
+        lo, hi = sweep.span
+        pieces = [
+            (sf.slope_curve(full, p, q), (lo, hi))
+            for p, q in TOWER_SLOPES + [(1, 2), (3, 1)]
+        ]
+        sweeps = count_calls(bk.LevelSweep, "meets_between")
+        assert list(sweep.joined(pieces)) == []
+        assert sweeps == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(embedded_models(), st.sampled_from(AFFINE_MAPS))
+    def test_index_does_not_leak_into_identity(self, model, ab):
+        k, e = model
+        fresh = bk.LeafEmbedding(e.levels)
+        bk.LevelSweep.of(k, e)  # builds the index of e
+        assert "level_index" in vars(e)
+        assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)
+        assert replace(e) == fresh and "level_index" not in vars(replace(e))
+        # a replaced embedding indexes its own levels
+        shifted = replace(e, levels=moved(e, *ab).levels)
+        assert shifted == moved(fresh, *ab)
+        assert bk.critical_levels(k, shifted) == bk.critical_levels(k, moved(fresh, *ab))
+        assert sz.parse_complex(sz.loads(sz.dumps(sz.complex_doc(k, e)))) == (k, e)
 
 
 class TestRearrange:

@@ -161,6 +161,17 @@ class TestExhaust:
         assert cli.run(["limit", "--scenario", "bo:6", "--stages", "4"]) == 0
         assert len(calls) <= 90
 
+    def test_level_comparisons_are_bounded(self, count_calls):
+        # slits, clear-annulus tests and gap fronts bisect level indices; a
+        # warm rerun made 10,521 Fraction comparisons when each level
+        # question scanned every level, and makes 3,562 now
+        args = ["limit", "--scenario", "bo:6", "--stages", "4"]
+        assert cli.run(args) == 0
+        ordered = count_calls(Fraction, "_richcmp")
+        equal = count_calls(Fraction, "__eq__")
+        assert cli.run(args) == 0
+        assert len(ordered) + len(equal) <= 3562
+
     def test_stage_report_serializable(self):
         m, e = bo(2)
         state = lm.exhaust(sweep_of(m, e), 1)[0]
