@@ -24,7 +24,6 @@ from fractions import Fraction
 
 from . import surfaces as sf
 from .errors import (
-    AbsorptionFailure,
     DomainError,
     NonStabilizing,
     NotAscending,
@@ -161,22 +160,6 @@ def identity_embedding(k: BrickComplex) -> LeafEmbedding:
 class Slit:
     level: Fraction
     components: tuple  # of EssentialSubsurface
-
-    def chi(self):
-        total = 0
-        for y in self.components:
-            if y.kind == "annulus":
-                continue
-            total += 2 - 2 * y.ttype[0] - y.ttype[1]
-        return total
-
-
-@dataclass(frozen=True)
-class TwistRecord:
-    level: Fraction
-    mapping_class: str  # symbolic Dehn-twist word
-    affected_support: str  # subsurface token
-    affected_interval: tuple  # (lo, hi)
 
 
 @dataclass(frozen=True)
@@ -656,7 +639,7 @@ def check_conditions(sweep: LevelSweep):
 
 
 # ---------------------------------------------------------------------------
-# rearrangement, extension, and limits of ascending sequences
+# rearrangement and limits of ascending sequences
 
 
 def rearrange(seq):
@@ -688,59 +671,6 @@ def rearrange(seq):
             levels.append((b.bid, pinned[b.bid]))
         out.append((k, LeafEmbedding(tuple(levels)), tuple(notes)))
     return out
-
-
-def extend_embedding(prev: LevelSweep, next_complex: BrickComplex):
-    """Extend an embedding of a smaller complex over a larger one.
-
-    prev is the sweep of the smaller embedded complex.  Old bricks keep
-    their exact level data; new bricks take their nominal levels.
-    Whenever a level region's complement strictly shrinks, a twist record
-    is emitted along that slit with a delta-interval chosen as half the
-    minimal gap to the other critical levels.
-    """
-    prev_k, prev_e = prev.complex, prev.embedding
-    if not prev_k.ids() <= next_complex.ids():
-        raise NotAscending("extension target does not contain the old complex")
-    levels = list(prev_e.levels)
-    old_ids = prev_k.ids()
-    for b in next_complex.bricks:
-        if b.bid not in old_ids:
-            levels.append((b.bid, (b.lo, b.hi)))
-    next_e = LeafEmbedding(tuple(levels))
-    twists = []
-    prev_chi = {slit.level: slit.chi() for _, slit in prev.slits}
-    span = prev.span
-    sweep = LevelSweep.of(next_complex, next_e)
-    for _, slit_new in sweep.slits:
-        mid = slit_new.level
-        if not span[0] < mid < span[1]:
-            # new territory beyond the old span glues compatibly
-            continue
-        old = [c for c in prev_chi if abs(c - mid) == min(abs(c2 - mid) for c2 in prev_chi)]
-        if not old:
-            continue
-        chi_old = prev_chi[old[0]]
-        if -chi_old > -slit_new.chi():
-            gaps = [abs(lv - mid) for lv in sweep.levels if lv != mid]
-            delta = min(gaps) / 2 if gaps else Fraction(1, 4)
-            token = (
-                slit_new.components[0].token if slit_new.components else "empty"
-            )
-            record = TwistRecord(
-                level=mid,
-                mapping_class=f"twist[{token}]",
-                affected_support=token,
-                affected_interval=(mid - delta, mid + delta),
-            )
-            for b in prev_k.bricks:
-                alpha, beta = prev_e.level_of(b.bid)
-                if record.affected_interval[0] <= alpha and beta <= record.affected_interval[1]:
-                    raise AbsorptionFailure(
-                        f"twist region at {mid} swallows stabilized brick {b.bid}"
-                    )
-            twists.append(record)
-    return next_e, twists
 
 
 def limit_embedding(stabilized):

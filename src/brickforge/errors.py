@@ -21,16 +21,8 @@ class BudgetExceeded(BrickforgeError):
     """A construction needed a curve outside the enumeration budget."""
 
 
-class NonSaturable(BrickforgeError):
-    """A slice cannot be extended to a saturated slice; the input is corrupt."""
-
-
 class NotAscending(BrickforgeError):
     """A sequence of brick complexes is not ascending."""
-
-
-class AbsorptionFailure(BrickforgeError):
-    """A twist's affected region could not be absorbed into a delta region."""
 
 
 class NonStabilizing(BrickforgeError):
@@ -51,10 +43,6 @@ class IterationOverflow(BrickforgeError):
 
 class ELViolation(BrickforgeError):
     """Two simply degenerate bricks carry homotopic ending laminations."""
-
-
-class MissingFNData(BrickforgeError):
-    """A geometrically finite label lacks Fenchel-Nielsen data."""
 
 
 class NotTorusInterface(BrickforgeError):

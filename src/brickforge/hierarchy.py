@@ -1,4 +1,4 @@
-"""Tight geodesics with markings, hierarchies, resolutions, cut systems.
+"""Tight geodesics with markings and hierarchies.
 
 A hierarchy is a finite family of tight geodesics: one main geodesic on
 the full surface, one geodesic per complexity-4 component domain arising
@@ -20,7 +20,6 @@ from .errors import (
     CertificateError,
     DomainError,
     NoTightGeodesic,
-    NonSaturable,
     NotComponentDomain,
 )
 from .farey import Slope
@@ -61,18 +60,6 @@ class Hierarchy:
             if g.gid == gid:
                 return g
         raise KeyError(gid)
-
-    def vertex_curves(self):
-        """All distinct non-annular curves across the hierarchy, keyed."""
-        out = []
-        for g in self.geodesics:
-            if g.domain.kind == "annulus":
-                continue
-            for s in g.simplices:
-                for c in s.curves:
-                    if c not in out:
-                        out.append(c)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -453,61 +440,6 @@ def verify_hierarchy(h: Hierarchy):
     return (not violations, violations)
 
 
-# ---------------------------------------------------------------------------
-# resolutions
-
-
-@dataclass(frozen=True)
-class Slice:
-    pairs: tuple  # of (gid, simplex index); pairs[0] is the bottom pair
-
-    @property
-    def bottom(self):
-        return self.pairs[0]
-
-
-def resolve(h: Hierarchy):
-    """Sweep the hierarchy into a list of non-annular saturated slices.
-
-    Consecutive slices differ by elementary moves: advancing one simplex
-    along one geodesic, with subdomain geodesics traversed completely
-    while their supporting main vertex is current.
-    """
-    ok, violations = verify_hierarchy(h)
-    if not ok:
-        raise NonSaturable("; ".join(violations))
-    main = h.main
-    subs_at = {}
-    for g in h.geodesics:
-        if g.gid == h.main_gid or g.domain.kind == "annulus":
-            continue
-        if g.parent is None or g.parent[0] != h.main_gid:
-            raise NonSaturable(f"{g.gid} is not anchored on the main geodesic")
-        subs_at.setdefault(g.parent[1], []).append(g)
-    slices = []
-    for j in range(len(main.simplices)):
-        subs = subs_at.get(j, [])
-        if not subs:
-            slices.append(Slice(((h.main_gid, j),)))
-            continue
-        if len(subs) > 1:
-            # simultaneous disjoint supports advance together
-            length = max(len(g.simplices) for g in subs)
-        else:
-            length = len(subs[0].simplices)
-        for t in range(length):
-            pairs = [(h.main_gid, j)]
-            for g in subs:
-                pairs.append((g.gid, min(t, len(g.simplices) - 1)))
-            slices.append(Slice(tuple(pairs)))
-    # drop exact repeats produced by uneven subdomain lengths
-    out = [slices[0]]
-    for s in slices[1:]:
-        if s != out[-1]:
-            out.append(s)
-    return out
-
-
 def ambient_curve(c: sf.Curve) -> sf.Curve:
     """Realize a curve of a subsurface as a curve on the full surface."""
     if c.domain.kind == "full":
@@ -523,97 +455,3 @@ def ambient_curve(c: sf.Curve) -> sf.Curve:
     if desc is None:
         raise BudgetExceeded(f"slope {c.rep.slope} is outside the realizable fan")
     return sf.flat_curve(sf.full_surface(c.domain.ambient), desc)
-
-
-def slice_base(h: Hierarchy, s: Slice):
-    """The multicurve carried by a slice, expressed on the full surface
-    when the hierarchy has an ambient curve model."""
-    realize = h.domain.ambient == sf.TORUS_1_2
-    curves = []
-    for gid, idx in s.pairs:
-        g = h.geodesic(gid)
-        for c in g.simplex(idx).curves:
-            if realize:
-                c = ambient_curve(c)
-            if c not in curves:
-                curves.append(c)
-    return curves
-
-
-# ---------------------------------------------------------------------------
-# cut systems
-
-
-@dataclass(frozen=True)
-class CutSystem:
-    hierarchy: Hierarchy
-    d1: int
-    slices: tuple  # of Slice
-
-    def bottom_indices(self, gid):
-        return sorted(idx for s in self.slices for (g, idx) in [s.bottom] if g == gid)
-
-
-def build_cut_system(h: Hierarchy, d1: int) -> CutSystem:
-    """Greedy slice placement along each long geodesic.
-
-    Bottom simplices march from the initial vertex at stride 2*d1 and the
-    final stretch is adjusted so every gap lies in [d1, 3*d1]; geodesics
-    shorter than d1 contribute no slices.
-    """
-    if d1 <= 5:
-        raise ValueError("the spacing constant must exceed 5")
-    ok, violations = verify_hierarchy(h)
-    if not ok:
-        raise NonSaturable("; ".join(violations))
-    slices = []
-    used_bottoms = set()
-    for g in h.geodesics:
-        n = len(g.simplices) - 1
-        if n < d1:
-            continue
-        positions = list(range(2 * d1, n + 1, 2 * d1))
-        if positions and n - positions[-1] < d1:
-            # re-balance the final stretch so both closing gaps stay legal
-            prev = positions[-2] if len(positions) > 1 else 0
-            positions[-1] = (prev + n) // 2
-            if positions[-1] - prev < d1:
-                positions.pop()
-        cuts = []
-        for idx in positions:
-            key = (g.gid, idx)
-            if key in used_bottoms:
-                continue
-            used_bottoms.add(key)
-            pairs = [(g.gid, idx)]
-            # saturate with first vertices of geodesics supported on
-            # component domains of the bottom simplex
-            for other in h.geodesics:
-                if other.gid == g.gid or other.domain.kind == "annulus":
-                    continue
-                if other.parent == (g.gid, idx):
-                    pairs.append((other.gid, 0))
-            cuts.append(Slice(tuple(pairs)))
-        slices.extend(cuts)
-    system = CutSystem(hierarchy=h, d1=d1, slices=tuple(slices))
-    _check_cut_spacing(system)
-    return system
-
-
-def _check_cut_spacing(cs: CutSystem):
-    for g in cs.hierarchy.geodesics:
-        n = len(g.simplices) - 1
-        idxs = cs.bottom_indices(g.gid)
-        if not idxs:
-            continue
-        gaps = []
-        prev = 0
-        for i in idxs:
-            gaps.append(i - prev)
-            prev = i
-        gaps.append(n - prev)
-        for gap in gaps:
-            if not (cs.d1 <= gap <= 3 * cs.d1):
-                raise NonSaturable(
-                    f"cut spacing {gap} outside [{cs.d1}, {3 * cs.d1}] on {g.gid}"
-                )

@@ -1,4 +1,4 @@
-"""Metric descriptors on blocks, tubes, and geometrically finite bricks.
+"""Metric descriptors on blocks and tubes.
 
 Blocks carry a fixed product-like metric: unit distance between fronts
 and boundary annuli isometric to S^1(eps1) x [0,1].  Each torus-interface
@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import blocks as bl
 from . import bricks as bk
 from . import surfaces as sf
-from .errors import MissingFNData, NotTorusInterface
+from .errors import NotTorusInterface
 
 # eps1 stands for a positive constant below the three-dimensional
 # Margulis constant; lengths are stored as multiples of it.
@@ -58,15 +58,6 @@ class TubeMetricDescriptor:
 
     def core_length(self) -> float:
         return float(self.core_length_eps1_pi) * math.pi * float(EPS1)
-
-
-@dataclass(frozen=True)
-class GFBrickMetricDescriptor:
-    brick: str
-    thin_cylinders: tuple  # FN curves shorter than eps1
-    pants_count: int
-    flare_form: str = "tau(B)e^{2r}+dr^2"
-    bilipschitz: str = "front identification uniformly bi-Lipschitz"
 
 
 # ---------------------------------------------------------------------------
@@ -155,29 +146,6 @@ def tube_metric(omega: MeridianCoefficient) -> TubeMetricDescriptor:
     radius = math.asinh(sinh2r) / 2
     return TubeMetricDescriptor(
         tube=omega.tube, core_length_eps1_pi=core, radius=radius
-    )
-
-
-# ---------------------------------------------------------------------------
-# geometrically finite bricks
-
-
-def gf_metric_descriptor(label: bk.EndLabel) -> GFBrickMetricDescriptor:
-    if label.kind != "geometrically-finite":
-        raise MissingFNData(
-            f"label on {label.brick_id} carries no Fenchel-Nielsen record"
-        )
-    if not label.conformal:
-        raise MissingFNData(
-            f"geometrically finite label on {label.brick_id} has no curves"
-        )
-    thin = tuple(
-        c for c, length, _ in label.conformal if Fraction(length) < EPS1
-    )
-    base = label.conformal[0][0].domain.ambient
-    pants = 2 * base.genus - 2 + base.punctures
-    return GFBrickMetricDescriptor(
-        brick=label.brick_id, thin_cylinders=thin, pants_count=pants
     )
 
 

@@ -437,17 +437,6 @@ def is_tight_sequence(seq, certificate: DistanceCertificate | None = None) -> bo
     return True
 
 
-def tightness_consequence_holds(seq, probe_curves) -> bool:
-    """Any probe curve crossing an interior vertex must cross a neighbor."""
-    for i in range(1, len(seq) - 1):
-        for w in probe_curves:
-            if any(intersection_number(w, c) > 0 for c in seq[i].curves):
-                near = list(seq[i - 1].curves) + list(seq[i + 1].curves)
-                if not any(intersection_number(w, c) > 0 for c in near):
-                    return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # component domains
 

@@ -163,6 +163,20 @@ class TestValidate:
         assert cli.run([]) == 2
         capsys.readouterr()
 
+    def test_normal_lookup_over_budget_is_a_parse_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path = tmp_path / "sb12.json"
+        path.write_text(BENCH_INPUTS["sb12_v0_v1"])
+        monkeypatch.delenv("BRICKFORGE_BUDGET", raising=False)
+        code, _, _ = run_json(capsys, ["validate", str(path)])
+        assert code == 0
+        monkeypatch.setenv("BRICKFORGE_BUDGET", "2")
+        code, out, err = run_json(capsys, ["validate", str(path)])
+        assert (code, err["error"]) == (2, "parse")
+        assert "enumeration budget" in err["detail"]
+        assert out is None
+
 
 class TestDecompose:
     def test_clean_model(self, tmp_path, capsys):

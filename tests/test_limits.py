@@ -37,6 +37,23 @@ def parallel_pair():
     return lm._tower(sf.TORUS_1_1, [c, c])
 
 
+# scenarios whose exhaustions are checked against the rearrangement and
+# limit lemmas, by their `limit --scenario` names
+EXHAUST_SCENARIOS = {
+    **{
+        f"kt:{d}": lm.Scenario("kerckhoff-thurston", sf.TORUS_1_1, depth=d)
+        for d in range(1, 7)
+    },
+    **{
+        f"bo:{d}": lm.Scenario("bonahon-otal", sf.TORUS_1_1, depth=d)
+        for d in range(1, 7)
+    },
+    "brock": lm.Scenario("brock", sf.TORUS_1_2),
+    "kt:1,2:2": lm.Scenario("kerckhoff-thurston", sf.TORUS_1_2, depth=2),
+    "bo:1,2:1": lm.Scenario("bonahon-otal", sf.TORUS_1_2, depth=1),
+}
+
+
 class TestScenarios:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -130,6 +147,19 @@ class TestExhaust:
                 sweep = bk.LevelSweep.of(state.z.complex, state.z_embedding)
                 assert bk.check_a2(sweep)
                 assert bk.check_a2_bruteforce(sweep)
+
+    @pytest.mark.parametrize("spec", list(EXHAUST_SCENARIOS))
+    def test_stages_ascend_to_the_model(self, spec):
+        m, e = lm.generate(EXHAUST_SCENARIOS[spec])
+        states = lm.exhaust(sweep_of(m, e), 4)
+        # raises NotAscending when a stage drops a brick of an earlier one
+        stabilized = bk.rearrange([(s.w, s.w_embedding) for s in states])
+        limit, _ = bk.limit_embedding(stabilized)
+        for a, b in zip(states, states[1:]):
+            assert {bid for bid, _ in a.stable} <= {bid for bid, _ in b.stable}
+        for state in states:
+            for bid, _ in state.stable:
+                assert limit.level_of(bid) == e.level_of(bid)
 
     def test_truncated_ends_become_closed(self):
         m, e = kt()

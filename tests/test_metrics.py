@@ -9,7 +9,7 @@ from brickforge import bricks as bk
 from brickforge import limits as lm
 from brickforge import metrics as mt
 from brickforge import surfaces as sf
-from brickforge.errors import MissingFNData, NotTorusInterface
+from brickforge.errors import NotTorusInterface
 
 F = Fraction
 
@@ -274,44 +274,6 @@ class TestTubeMetric:
     def test_formula_flagged(self):
         note = mt.tube_metric(mt.MeridianCoefficient("t", 0, 2)).note
         assert "own closed form" in note
-
-
-class TestGFDescriptor:
-    def test_thin_cylinders_and_pants_count(self):
-        full = sf.full_surface(sf.TORUS_1_2)
-        curves = (sf.line_class(full, 0, 1, 0), sf.line_class(full, 0, 1, 1))
-        conformal = (
-            (curves[0], F(1, 20), F(0)),
-            (curves[1], F(2), F(1, 2)),
-        )
-        label = bk.EndLabel("b0", "geometrically-finite", conformal=conformal)
-        desc = mt.gf_metric_descriptor(label)
-        assert desc.thin_cylinders == (curves[0],)
-        assert desc.pants_count == 2
-        assert "e^{2r}" in desc.flare_form
-
-    def test_scenario_labels_have_no_thin_part(self):
-        m, _ = kt()
-        for b in m.complex.bricks:
-            if b.label is not None and b.label.kind == "geometrically-finite":
-                desc = mt.gf_metric_descriptor(b.label)
-                assert desc.thin_cylinders == ()
-                assert desc.pants_count == 1
-
-    def test_degenerate_label_rejected(self):
-        m, _ = lm.generate(lm.Scenario("brock", sf.TORUS_1_2))
-        sd = next(
-            b.label
-            for b in m.complex.bricks
-            if b.label is not None and b.label.kind == "simply-degenerate"
-        )
-        with pytest.raises(MissingFNData):
-            mt.gf_metric_descriptor(sd)
-
-    def test_empty_record_rejected(self):
-        label = bk.EndLabel("b0", "geometrically-finite", conformal=())
-        with pytest.raises(MissingFNData):
-            mt.gf_metric_descriptor(label)
 
 
 class TestMetricReport:

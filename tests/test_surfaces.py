@@ -1,13 +1,19 @@
-import math
+from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from brickforge import charts
+from brickforge import flatcurves as fc
 from brickforge import surfaces as sf
 from brickforge.errors import CertificateError, DomainError
-from brickforge.farey import Slope, enumerate_slopes, farey_bfs_distance
+from brickforge.farey import (
+    Slope,
+    enumerate_slopes,
+    farey_bfs_distance,
+    slope_intersection,
+)
 
 
 def torus():
@@ -26,6 +32,17 @@ def slope_certificate(domain, bound):
     return sf.DistanceCertificate(
         [sf.Curve(domain, sf.FareySlope(s)) for s in enumerate_slopes(bound)]
     )
+
+
+def tightness_consequence_holds(seq, probe_curves) -> bool:
+    """Any probe curve crossing an interior vertex must cross a neighbor."""
+    for i in range(1, len(seq) - 1):
+        for w in probe_curves:
+            if any(sf.intersection_number(w, c) > 0 for c in seq[i].curves):
+                near = list(seq[i - 1].curves) + list(seq[i + 1].curves)
+                if not any(sf.intersection_number(w, c) > 0 for c in near):
+                    return False
+    return True
 
 
 class TestSurface:
@@ -181,7 +198,7 @@ class TestTightSequences:
         d = torus()
         path = sf.farey_geodesic(sf.slope_curve(d, 0, 1), sf.slope_curve(d, 8, 5))
         probes = [sf.Curve(d, sf.FareySlope(s)) for s in enumerate_slopes(6)]
-        assert sf.tightness_consequence_holds(path, probes)
+        assert tightness_consequence_holds(path, probes)
 
 
 # one certificate for every example, so later searches reuse adjacencies
@@ -354,25 +371,60 @@ class TestRestrictMarking:
         assert sf.restrict_marking(m, pants) is None
 
 
+@cache
+def domain_charts():
+    """The charts component_domains builds: both strip bands, and the
+    torus sides of four corridor curves."""
+    d = twice_punctured()
+    walls = [sf.line_class(d, 0, 1, band) for band in (0, 1)]
+    corridors = [
+        sf.slot_class(d, p, q)
+        for p, q in (
+            ((0, 0), (1, 0)),
+            ((1, 0), (2, 0)),
+            ((0, 0), (1, 1)),
+            ((0, 0), (-1, 1)),
+        )
+    ]
+    return tuple(
+        y.chart
+        for c in walls + corridors
+        for y in sf.component_domains(d, sf.Simplex.of(d, c))
+        if y.chart is not None
+    )
+
+
 class TestChartConsistency:
+    def test_domain_charts_cover_both_kinds(self):
+        kinds = [type(chart) for chart in domain_charts()]
+        assert kinds.count(charts.StripChart) == 2
+        assert kinds.count(charts.TorusSideChart) == 4
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_realized_intersections_match_slopes(self, data):
+        chart = data.draw(st.sampled_from(domain_charts()))
+        fan = chart.realizable_slopes(3)
+        a, b = data.draw(st.sampled_from(fan)), data.draw(st.sampled_from(fan))
+        da, db = chart.realize(a), chart.realize(b)
+        assume(da is not None and db is not None)
+        ca, cb = charts.AMBIENT.curve(da), charts.AMBIENT.curve(db)
+        assert fc.flat_intersection(ca, cb) == slope_intersection(
+            a, b, chart.doubled
+        )
+
     def test_strip_slopes_match_ambient_intersections(self):
         strip = charts.StripChart(0)
         for s1 in (Slope(0, 1), Slope(2, 1), Slope(1, 0)):
             for s2 in (Slope(0, 1), Slope(-2, 1)):
                 c1 = charts.AMBIENT.curve(strip.realize(s1))
                 c2 = charts.AMBIENT.curve(strip.realize(s2))
-                from brickforge import flatcurves as fc
-                from brickforge.farey import slope_intersection
-
                 assert fc.flat_intersection(c1, c2) == slope_intersection(
                     s1, s2, doubled=True
                 )
 
     def test_torus_side_fan_is_farey(self):
         side = charts.TorusSideChart(1, 0)
-        from brickforge import flatcurves as fc
-        from brickforge.farey import slope_intersection
-
         slopes = [Slope(1, 0), Slope(0, 1), Slope(1, 1), Slope(-1, 1)]
         built = {s: charts.AMBIENT.curve(side.realize(s)) for s in slopes}
         sigma = charts.AMBIENT.curve(side.cut_desc())
@@ -385,8 +437,6 @@ class TestChartConsistency:
                 )
 
     def test_projection_of_transversals(self):
-        from brickforge import flatcurves as fc
-
         strip = charts.StripChart(0)
         assert charts.project_to_chart(strip, fc.line_curve(1, 0)) == [Slope(0, 1)]
         assert charts.project_to_chart(strip, fc.line_curve(1, 1)) == [Slope(2, 1)]
