@@ -33,14 +33,8 @@ class Slope:
     def __str__(self):
         return f"{self.p}/{self.q}"
 
-    @staticmethod
-    def parse(text: str) -> "Slope":
-        num, den = text.split("/")
-        return Slope(int(num), int(den))
-
 
 INFINITY = Slope(1, 0)
-ZERO = Slope(0, 1)
 
 
 def slope_det(a: Slope, b: Slope) -> int:

@@ -19,10 +19,12 @@ topology here:
 * boundary walks of a regular neighborhood of a union of two curves,
   which yield the subsurface boundary that tightness checks need.
 
-Points are exact rationals.  Every segment crossing is decided in
-integers: the segment scan scales both curves by the common denominator
-of their coordinates, skips the segment pairs whose bounding boxes do not
-meet, and builds rational crossing data only for a hit.  No floats
+Points are exact rationals, and the topology is decided in integers.  A
+polyline is scaled once by the common denominator of its coordinates
+(`_int_frame`); crossing words and winding numbers about the punctures
+are then read with integer divisions and cross products, and the segment
+scan of an overlay skips the segment pairs whose bounding boxes do not
+meet and builds rational crossing data only for a hit.  No floats
 anywhere.
 """
 
@@ -35,8 +37,6 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import BrickforgeError
-
-LATTICE = ((2, 0), (0, 1))
 
 Point = tuple[Fraction, Fraction]
 
@@ -65,12 +65,18 @@ def _cross(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _is_int(x) -> bool:
-    return Fraction(x).denominator == 1
-
-
 def _on_grid(p: Point) -> bool:
-    return _is_int(p[0]) or _is_int(p[1]) or _is_int(p[1] - p[0])
+    return p[0].denominator == 1 or p[1].denominator == 1 or (p[1] - p[0]).denominator == 1
+
+
+def _int_frame(*polylines):
+    """(scale, int polylines): the lcm of every coordinate denominator of
+    the polylines, and each polyline's points times it as int points."""
+    scale = math.lcm(*(x.denominator for pts in polylines for p in pts for x in p))
+    return scale, [
+        [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator)) for x, y in pts]
+        for pts in polylines
+    ]
 
 
 def seg_cross(a1, a2, b1, b2, scale: int):
@@ -124,57 +130,51 @@ def _inv_letter(letter):
     return (fam, cls, -sign)
 
 
-# each family of grid lines is a linear functional's level sets at the integers
-_FAMILIES = (
-    ("V", lambda pt: pt[0]),
-    ("H", lambda pt: pt[1]),
-    ("D", lambda pt: pt[1] - pt[0]),
-)
-
-
-def _segment_word(p: Point, q: Point):
-    """Grid-crossing letters along the open segment p -> q, in order.
-
-    A crossing's class is the parity of floor(x); it lies on a puncture
-    exactly when both of its coordinates are integers.
-    """
-    d = _sub(q, p)
-    events = []
-    for fam, f in _FAMILIES:
-        fp, fq = Fraction(f(p)), f(q)  # t and x are Fractions even at integer vertices
-        df = fq - fp
-        if df == 0:
-            continue
-        sign = 1 if df > 0 else -1
-        for k in range(math.floor(min(fp, fq)) + 1, math.ceil(max(fp, fq))):
-            t = (k - fp) / df
-            x = p[0] + t * d[0]
-            # y is needed only when x is an integer
-            if x.denominator == 1 and (p[1] + t * d[1]).denominator == 1:
-                raise GenericityError("segment passes through a puncture")
-            events.append((t, (fam, math.floor(x) % 2, sign)))
-    events.sort(key=lambda e: e[0])
-    for (t1, _), (t2, _) in zip(events, events[1:]):
-        if t1 == t2:
-            raise GenericityError("segment crosses two grid lines at one point")
-    return [letter for _, letter in events]
+# each family of grid lines is the level sets at the integers of the
+# functional cx * x + cy * y
+_FAMILIES = (("V", 1, 0), ("H", 0, 1), ("D", -1, 1))
 
 
 def path_word(points, closed_disp=None):
     """Crossing word of a polygonal path.
 
     If closed_disp is given, the path closes up from the last vertex to
-    points[0] + closed_disp.
+    points[0] + closed_disp.  In the int frame of scale d, a segment
+    crosses a family's lines at the multiples of d strictly between the
+    family's values f at its ends, at t = num / |df|.  A crossing's class
+    is the parity of floor(x); it lies on a puncture exactly when both of
+    its coordinates are integers.  A segment's crossings are ordered by t
+    as integers over the lcm of its |df|.
     """
-    for p in points:
-        if _on_grid(p):
+    d, (pts,) = _int_frame(points)
+    for x, y in pts:
+        if x % d == 0 or y % d == 0 or (y - x) % d == 0:
             raise GenericityError("vertex lies on a grid line")
-    pts = list(points)
     if closed_disp is not None:
-        pts = pts + [_add(points[0], closed_disp)]
+        pts.append((pts[0][0] + closed_disp[0] * d, pts[0][1] + closed_disp[1] * d))
     word = []
-    for p, q in zip(pts, pts[1:]):
-        word.extend(_segment_word(p, q))
+    for (x, y), (qx, qy) in zip(pts, pts[1:]):
+        dx, dy = qx - x, qy - y
+        dfs = [cx * dx + cy * dy for _, cx, cy in _FAMILIES]
+        lcm = math.lcm(*(abs(df) for df in dfs if df))
+        events = []
+        for (fam, cx, cy), df in zip(_FAMILIES, dfs):
+            if df == 0:
+                continue
+            fp = cx * x + cy * y
+            sign, a = (1, df) if df > 0 else (-1, -df)
+            den = d * a
+            for k in range(min(fp, fp + df) // d + 1, -(-max(fp, fp + df) // d)):
+                num = (k * d - fp) * sign
+                xn = x * a + num * dx
+                if xn % den == 0 and (y * a + num * dy) % den == 0:
+                    raise GenericityError("segment passes through a puncture")
+                events.append((num * (lcm // a), (fam, xn // den % 2, sign)))
+        events.sort(key=lambda e: e[0])
+        for (t1, _), (t2, _) in zip(events, events[1:]):
+            if t1 == t2:
+                raise GenericityError("segment crosses two grid lines at one point")
+        word.extend(letter for _, letter in events)
     return word
 
 
@@ -281,9 +281,6 @@ class FlatCurve:
     def translated(self, lam):
         return FlatCurve(tuple(_add(p, lam) for p in self.points), self.disp)
 
-    def point_at(self, key):
-        return _point_on(self.segments(), key)
-
 
 def _point_on(segs, key):
     """The point at parameter t of segment i, for key (i, t)."""
@@ -311,23 +308,14 @@ def _lattice_range(bb1, bb2):
     return out
 
 
-def _common_denominator(*seg_lists) -> int:
-    """The lcm of every coordinate denominator in the segment lists."""
-    return math.lcm(*(x.denominator for segs in seg_lists for s in segs for p in s for x in p))
-
-
-def _int_segments(segs, scale: int):
-    """Each segment as (p, q, box): its endpoints times `scale` as int
-    points, and the closed box (x_lo, x_hi, y_lo, y_hi) around them."""
-    out = []
-    for seg in segs:
-        p, q = [
-            (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
-            for x, y in seg
-        ]
-        box = (min(p[0], q[0]), max(p[0], q[0]), min(p[1], q[1]), max(p[1], q[1]))
-        out.append((p, q, box))
-    return out
+def _int_segments(*segs):
+    """(scale, int segments): the `_int_frame` of the segments, each as
+    (p, q, box) with the closed box (x_lo, x_hi, y_lo, y_hi) around it."""
+    scale, isegs = _int_frame(*segs)
+    return scale, [
+        (p, q, (min(p[0], q[0]), max(p[0], q[0]), min(p[1], q[1]), max(p[1], q[1])))
+        for p, q in isegs
+    ]
 
 
 def _int_hits(isegs1, isegs2, lams, scale: int):
@@ -352,15 +340,14 @@ def _int_hits(isegs1, isegs2, lams, scale: int):
 def _segment_hits(segs1, segs2, lams):
     """Transverse crossings of the segments segs1 with the translates
     segs2 + lam, as (lam, i, j, (t, u, point)) in order of lam, i, j."""
-    scale = _common_denominator(segs1, segs2)
-    yield from _int_hits(_int_segments(segs1, scale), _int_segments(segs2, scale), lams, scale)
+    scale, isegs = _int_segments(*segs1, *segs2)
+    yield from _int_hits(isegs[: len(segs1)], isegs[len(segs1) :], lams, scale)
 
 
 def validate_embedded(c: FlatCurve):
     """Check that the curve is embedded on the torus."""
     segs = c.segments()
-    scale = _common_denominator(segs)
-    isegs = _int_segments(segs, scale)
+    scale, isegs = _int_segments(*segs)
     zero = (0, 0)
     lams = [lam for lam in _lattice_range(c.bbox(), c.bbox()) if lam != zero]
     hits = itertools.chain(
@@ -447,29 +434,25 @@ def slot_curve(p, q) -> FlatCurve:
 
 def _enclosed_punctures(poly_points):
     """Lattice points (punctures) about which the closed polygon winds,
-    scanned over its bounding box."""
-    xs = [p[0] for p in poly_points]
-    ys = [p[1] for p in poly_points]
-    for ix in range(math.floor(min(xs)), math.ceil(max(xs)) + 1):
-        for iy in range(math.floor(min(ys)), math.ceil(max(ys)) + 1):
-            if winding(poly_points, (Fraction(ix), Fraction(iy))) != 0:
+    scanned over its bounding box.  Each winding number is counted in the
+    polygon's int frame, by the signs of integer cross products."""
+    d, (pts,) = _int_frame(poly_points)
+    edges = list(zip(pts, pts[1:] + pts[:1]))
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    for ix in range(min(xs) // d, -(-max(xs) // d) + 1):
+        px = ix * d
+        for iy in range(min(ys) // d, -(-max(ys) // d) + 1):
+            py = iy * d
+            wn = 0
+            for (ax, ay), (bx, by) in edges:
+                if ay <= py:
+                    if by > py and (bx - ax) * (py - ay) > (by - ay) * (px - ax):
+                        wn += 1
+                elif by <= py and (bx - ax) * (py - ay) < (by - ay) * (px - ax):
+                    wn -= 1
+            if wn:
                 yield (ix, iy)
-
-
-def winding(poly_points, pt):
-    """Winding number of the closed polygon around pt (not on the polygon)."""
-    wn = 0
-    m = len(poly_points)
-    for i in range(m):
-        a = poly_points[i]
-        b = poly_points[(i + 1) % m]
-        if a[1] <= pt[1]:
-            if b[1] > pt[1] and _cross(_sub(b, a), _sub(pt, a)) > 0:
-                wn += 1
-        else:
-            if b[1] <= pt[1] and _cross(_sub(b, a), _sub(pt, a)) < 0:
-                wn -= 1
-    return wn
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,6 @@ class Surface:
     def complexity(self) -> int:
         return 3 * self.genus + self.punctures
 
-    def euler(self) -> int:
-        return 2 - 2 * self.genus - self.punctures
-
 
 TORUS_1_1 = Surface(1, 1)
 SPHERE_0_4 = Surface(0, 4)

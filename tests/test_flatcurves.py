@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -321,7 +322,7 @@ def arc_cases(draw):
 @given(arc_cases(), st.integers(-2, 2), st.integers(-2, 2))
 def test_backward_arc_reverses_forward_arc(case, a, b):
     c, k1, k2 = case
-    start = fc._add(c.point_at(k1), (2 * a, b))
+    start = fc._add(fc._point_on(c.segments(), k1), (2 * a, b))
     fwd = fc.arc_points(c, k1, k2, start, 1)
     assert fc.arc_points(c, k2, k1, fwd[-1], -1) == fwd[::-1]
 
@@ -443,3 +444,184 @@ def test_integer_kernel_agrees_with_fraction_reference(pair, i, j):
     assert kernel == reference
     if not _boxes_meet(a, b):
         assert kernel == []
+
+
+# ---------------------------------------------------------------------------
+# the integer word and winding kernels against the Fraction reference
+
+
+# each family of grid lines is a linear functional's level sets at the integers
+FAMILY_FUNCTIONALS = (
+    ("V", lambda pt: pt[0]),
+    ("H", lambda pt: pt[1]),
+    ("D", lambda pt: pt[1] - pt[0]),
+)
+
+
+def fraction_segment_word(p, q):
+    """Grid-crossing letters along the open segment p -> q, in order, in
+    Fraction arithmetic."""
+    d = fc._sub(q, p)
+    events = []
+    for fam, f in FAMILY_FUNCTIONALS:
+        fp, fq = Fraction(f(p)), f(q)
+        df = fq - fp
+        if df == 0:
+            continue
+        sign = 1 if df > 0 else -1
+        for k in range(math.floor(min(fp, fq)) + 1, math.ceil(max(fp, fq))):
+            t = (k - fp) / df
+            x = p[0] + t * d[0]
+            if x.denominator == 1 and (p[1] + t * d[1]).denominator == 1:
+                raise fc.GenericityError("segment passes through a puncture")
+            events.append((t, (fam, math.floor(x) % 2, sign)))
+    events.sort(key=lambda e: e[0])
+    for (t1, _), (t2, _) in zip(events, events[1:]):
+        if t1 == t2:
+            raise fc.GenericityError("segment crosses two grid lines at one point")
+    return [letter for _, letter in events]
+
+
+def fraction_path_word(points, closed_disp=None):
+    """The reference `path_word`: the same word in Fraction arithmetic."""
+    for p in points:
+        if any(Fraction(f(p)).denominator == 1 for _, f in FAMILY_FUNCTIONALS):
+            raise fc.GenericityError("vertex lies on a grid line")
+    pts = list(points)
+    if closed_disp is not None:
+        pts = pts + [fc._add(points[0], closed_disp)]
+    word = []
+    for p, q in zip(pts, pts[1:]):
+        word.extend(fraction_segment_word(p, q))
+    return word
+
+
+def winding(poly_points, pt):
+    """Winding number of the closed polygon around pt, in Fraction arithmetic."""
+    wn = 0
+    m = len(poly_points)
+    for i in range(m):
+        a = poly_points[i]
+        b = poly_points[(i + 1) % m]
+        if a[1] <= pt[1]:
+            if b[1] > pt[1] and fc._cross(fc._sub(b, a), fc._sub(pt, a)) > 0:
+                wn += 1
+        else:
+            if b[1] <= pt[1] and fc._cross(fc._sub(b, a), fc._sub(pt, a)) < 0:
+                wn -= 1
+    return wn
+
+
+def fraction_enclosed_punctures(poly_points):
+    """The reference `_enclosed_punctures`: `winding` at every lattice point
+    of the bounding box, in the same order."""
+    xs = [p[0] for p in poly_points]
+    ys = [p[1] for p in poly_points]
+    return [
+        (ix, iy)
+        for ix in range(math.floor(min(xs)), math.ceil(max(xs)) + 1)
+        for iy in range(math.floor(min(ys)), math.ceil(max(ys)) + 1)
+        if winding(poly_points, (Fraction(ix), Fraction(iy))) != 0
+    ]
+
+
+def _word_or_error(word, points, disp):
+    try:
+        return word(points, disp)
+    except fc.GenericityError as exc:
+        return str(exc)
+
+
+OFF_GRID = POINTS.filter(lambda p: all(Fraction(f(p)).denominator > 1 for _, f in FAMILY_FUNCTIONALS))
+
+
+@st.composite
+def polygons(draw):
+    """A polygon with small-denominator rational vertices and a closing
+    displacement (or none), mostly off the grid, with one deliberate
+    degeneracy: a vertex on a grid line, or an edge through a puncture,
+    where lines of all three families meet."""
+    pts = draw(st.lists(OFF_GRID, min_size=1, max_size=5))
+    kind = draw(st.sampled_from(["random", "vertex on a grid line", "edge through a puncture"]))
+    at = draw(st.integers(0, len(pts)))
+    if kind == "vertex on a grid line":
+        k = Fraction(draw(st.integers(-3, 3)))
+        x, y = draw(POINTS)
+        pts.insert(at, draw(st.sampled_from([(k, y), (x, k), (x, x + k)])))
+    elif kind == "edge through a puncture":
+        c = (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
+        v = draw(OFF_GRID)
+        pts[at:at] = [fc._add(c, v), fc._sub(c, fc._scale(v, draw(_over(0, 2))))]
+    disp = draw(st.one_of(st.none(), st.tuples(st.integers(-2, 2), st.integers(-2, 2))))
+    return pts, disp
+
+
+@settings(max_examples=300, deadline=None)
+@given(polygons())
+def test_integer_word_agrees_with_fraction_reference(case):
+    pts, disp = case
+    assert _word_or_error(fc.path_word, pts, disp) == _word_or_error(fraction_path_word, pts, disp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(POINTS, min_size=1, max_size=6), st.integers(-2, 2), st.integers(-2, 2))
+def test_integer_winding_agrees_with_fraction_reference(loop, a, b):
+    loop = [fc._add(p, (a, b)) for p in loop]
+    assert list(fc._enclosed_punctures(loop)) == fraction_enclosed_punctures(loop)
+
+
+def test_words_and_windings_build_no_fraction(monkeypatch):
+    built = [desc.build() for desc in RADIUS_2]
+    assert len(built) == 42
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    words = [fc.path_word(c.points, c.disp) for c in built]
+    punctures = [list(fc._enclosed_punctures(c.points)) for c in built]
+    monkeypatch.undo()
+    assert made == []
+    for desc, c, word, enclosed in zip(RADIUS_2, built, words, punctures):
+        assert word == fraction_path_word(c.points, c.disp)
+        assert enclosed == fraction_enclosed_punctures(c.points)
+        if desc.kind == "slot":
+            assert sorted(enclosed) == sorted(desc.data)
+
+
+def reference_class(c):
+    return fc.canonical_class(fraction_path_word(c.points, c.disp))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(RADIUS_2), _over(-1, 1), _over(-1, 1))
+def test_kept_nudges_keep_the_class(desc, tx, ty):
+    c2 = desc.build().translated((tx, ty))
+    try:
+        target = reference_class(c2)
+    except fc.GenericityError:
+        assume(False)
+    kept = list(fc._nudges(c2))
+    assert kept[0] is c2
+    for cand in kept[1:]:
+        assert reference_class(cand) == target
+
+
+def test_boundary_classes_invariant_under_swap_and_nudge(monkeypatch):
+    monkeypatch.setattr(fc, "path_word", fraction_path_word)
+
+    def walks(c1, c2):
+        got = _walks_or_error(c1, c2)
+        return got if isinstance(got, str) else sorted(got)
+
+    built = 0
+    for c1, c2 in itertools.combinations(curves().values(), 2):
+        nudged = next(itertools.islice(fc._nudges(c2), 1, None))
+        here = walks(c1, c2)
+        assert walks(c2, c1) == here
+        assert walks(c1, nudged) == here
+        built += not isinstance(here, str)
+    assert built == 31

@@ -1,9 +1,10 @@
-"""Every top-level function and class of the library has a caller.
+"""Every top-level function, class and constant of the library, and every
+method other than a dunder, has a caller.
 
-A definition counts as used when its name appears as a `Name`, an
-`Attribute` or an import alias anywhere in `src/` or `demos/`.  Tests and
-the bench harness do not count: code that only they reach is not part of
-any command.
+A definition counts as used when its name is loaded, as a `Name` or an
+`Attribute`, or imported as an alias anywhere in `src/` or `demos/`.  An
+assignment target is not a use of itself.  Tests and the bench harness do
+not count: code that only they reach is not part of any command.
 """
 
 import ast
@@ -28,13 +29,36 @@ def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _assigned_names(node):
+    """Names bound by a module-level assignment statement."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def definitions():
-    """(name, "module.py:line") of every top-level function and class."""
+    """(name, "module.py:line") of every top-level function, class and
+    constant, and of every method that is not a dunder."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in _parse(path).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                out.append((node.name, f"{path.name}:{node.lineno}"))
+            where = f"{path.name}:{node.lineno}"
+            if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+                out.append((node.name, where))
+            out.extend((name, where) for name in _assigned_names(node) if not name.startswith("__"))
+            if isinstance(node, ast.ClassDef):
+                out.extend(
+                    (item.name, f"{path.name}:{item.lineno}")
+                    for item in node.body
+                    if isinstance(item, FUNCTIONS) and not item.name.startswith("__")
+                )
     return out
 
 
@@ -43,9 +67,9 @@ def referenced_names():
     for top in CALLER_DIRS:
         for path in sorted(top.rglob("*.py")):
             for node in ast.walk(_parse(path)):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     names.add(node.id)
-                elif isinstance(node, ast.Attribute):
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                     names.add(node.attr)
                 elif isinstance(node, ast.alias):
                     names.add(node.name)
