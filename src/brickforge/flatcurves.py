@@ -574,10 +574,24 @@ def generic_overlay_pair(c1: FlatCurve, c2: FlatCurve):
     raise GenericityError("could not reach generic position by nudging")
 
 
+# (class, class) in sorted order -> intersection number; errors are not kept
+_INTERSECTIONS: dict = {}
+
+
 def flat_intersection(c1: FlatCurve, c2: FlatCurve):
-    """Geometric intersection number of two embedded curves."""
-    if same_class(c1, c2):
+    """Geometric intersection number of two embedded curves.  It is a class
+    invariant, so the engine runs once per unordered pair of classes."""
+    a, b = c1.canonical(), c2.canonical()
+    if a == b:
         return 0
+    key = (a, b) if a <= b else (b, a)
+    if key not in _INTERSECTIONS:
+        _INTERSECTIONS[key] = _minimal_crossing_count(c1, c2)
+    return _INTERSECTIONS[key]
+
+
+def _minimal_crossing_count(c1: FlatCurve, c2: FlatCurve):
+    """Crossings of a generic overlay left after every bigon is removed."""
     crossings, c2 = generic_overlay_pair(c1, c2)
     live = set(range(len(crossings)))
     while True:

@@ -140,18 +140,25 @@ def _twist_geodesic(domain, t1: int, t2: int):
     )
 
 
+# radius -> the deduplicated curves; a desc always builds the same curve
+_UNIVERSES: dict = {}
+
+
 def ambient_universe(budget_radius: int = 2):
-    """Deduplicated curve enumeration on the twice-punctured torus."""
-    d = sf.full_surface(sf.TORUS_1_2)
-    charts.AMBIENT.ensure_enumerated(budget_radius)
-    curves = []
-    for desc in charts.AMBIENT.descs(budget_radius):
-        try:
-            charts.AMBIENT.curve(desc)
-        except GenericityError:
-            continue
-        curves.append(sf.flat_curve(d, desc))
-    return list(dict.fromkeys(curves))
+    """Deduplicated curve enumeration on the twice-punctured torus, built
+    once per radius.  Each call returns its own list."""
+    if budget_radius not in _UNIVERSES:
+        d = sf.full_surface(sf.TORUS_1_2)
+        charts.AMBIENT.ensure_enumerated(budget_radius)
+        curves = []
+        for desc in charts.AMBIENT.descs(budget_radius):
+            try:
+                charts.AMBIENT.curve(desc)
+            except GenericityError:
+                continue
+            curves.append(sf.flat_curve(d, desc))
+        _UNIVERSES[budget_radius] = list(dict.fromkeys(curves))
+    return list(_UNIVERSES[budget_radius])
 
 
 def _bfs_path(certificate, u, w):

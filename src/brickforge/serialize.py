@@ -176,10 +176,18 @@ def label_doc(label: bk.EndLabel) -> dict:
     return doc
 
 
+def _text(value, what: str) -> str:
+    """A field that names a brick or a curve tag: anything but a string
+    would reach a set, or the output, as is."""
+    if not isinstance(value, str):
+        raise ParseError(f"{what} {value!r} is not a string")
+    return value
+
+
 def parse_label(doc: dict, support: sf.EssentialSubsurface) -> bk.EndLabel:
     try:
         kind = doc["kind"]
-        bid = doc["brick"]
+        bid = _text(doc["brick"], "label brick")
         if kind == "geometrically-finite":
             full = sf.full_surface(support.ambient)
             conformal = tuple(
@@ -249,12 +257,12 @@ def parse_brick(doc: dict) -> bk.Brick:
         if doc.get("terminal") is not None:
             terminal = _parse_marking(doc["terminal"], support)
         return bk.Brick(
-            bid=doc["id"],
+            bid=_text(doc["id"], "brick id"),
             support=support,
             kind=doc["kind"],
             lo=parse_frac(doc["lo"]),
             hi=parse_frac(doc["hi"]),
-            collars=tuple(doc.get("collars", ())),
+            collars=tuple(_text(tag, "collar") for tag in doc.get("collars", ())),
             label=label,
             initial=initial,
             terminal=terminal,

@@ -116,7 +116,11 @@ class Curve:
             return ("F", self.rep.slope)
         if isinstance(self.rep, AnnulusArc):
             return ("A", self.rep.twist)
-        return ("N", self.flat().canonical())
+        # kept outside the fields, like FlatCurve.canonical: a desc always
+        # builds the same class, so hashing builds no flat curve twice
+        if "_key" not in self.__dict__:
+            object.__setattr__(self, "_key", ("N", self.flat().canonical()))
+        return self._key
 
     def flat(self) -> fc.FlatCurve:
         if not isinstance(self.rep, NormalRep):

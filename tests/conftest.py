@@ -4,6 +4,8 @@ import pytest
 
 from brickforge import blocks as bl
 from brickforge import bricks as bk
+from brickforge import flatcurves as fc
+from brickforge import hierarchy as hy
 
 
 @pytest.fixture
@@ -23,6 +25,23 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty the process-wide class-keyed caches before the test, and
+    return the function that empties them, for a test to call again.
+
+    The caches are the intersection memo, the ambient universes, and the
+    keys that `surfaces.Curve` keeps: a key lives on its curve, and the
+    curves that outlive a job are the universes' own."""
+
+    def empty():
+        fc._INTERSECTIONS.clear()
+        hy._UNIVERSES.clear()
+
+    empty()
+    return empty
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import pytest
 
 from brickforge import blocks as bl
 from brickforge import bricks as bk
+from brickforge import flatcurves as fc
 from brickforge import limits as lm
 from brickforge import serialize as sz
 from brickforge import surfaces as sf
@@ -577,6 +578,22 @@ class TestHierarchyCrosscheck:
         alien = replace(d.placed[0], core=sf.slope_curve(full, 5, 7))
         bad = replace(d, placed=(alien,) + d.placed[1:])
         assert not bl.hierarchy_crosscheck(b, bad)
+
+
+def test_repeated_decompose_runs_no_intersection_engine(cold_caches, count_calls):
+    """Every intersection number of a second, identical decompose comes
+    from the class-keyed memo; its only overlays are those of the
+    boundary walks, which always run."""
+    text = json.loads(BENCH_INPUTS.read_text())["sb12_v0v1_sigma"]
+    engine = count_calls(fc, "_minimal_crossing_count")
+    overlays = count_calls(fc, "overlay")
+    walks = count_calls(fc, "boundary_walk_classes")
+    bl.decompose(bk.LevelSweep.of(*sz.parse_complex(sz.loads(text))))
+    assert engine and len(overlays) > len(walks)
+    for calls in (engine, overlays, walks):
+        calls.clear()
+    bl.decompose(bk.LevelSweep.of(*sz.parse_complex(sz.loads(text))))
+    assert engine == [] and len(overlays) == len(walks) > 0
 
 
 class TestEmbeddedLevels:

@@ -525,3 +525,41 @@ def test_curve_off_its_domain_is_a_parse_error(tmp_path, capsys, name, path, cur
         code, out, err = run_json(capsys, argv)
         assert (code, err["error"]) == (2, "parse"), argv
         assert out is None
+
+
+# fields that name a brick or a curve tag, which must be strings
+NAME_FIELDS = [
+    ("collar", ("bricks", 2, "collars", 0)),
+    ("label-brick", ("bricks", 0, "label", "brick")),
+]
+
+
+@pytest.mark.parametrize("bad", [0.5, [], {}], ids=["float", "list", "dict"])
+@pytest.mark.parametrize("path", [p for _, p in NAME_FIELDS], ids=[n for n, _ in NAME_FIELDS])
+@pytest.mark.parametrize("command", range(6), ids=lambda i: document_commands("")[i][0])
+def test_name_field_of_another_type_is_a_parse_error(tmp_path, capsys, path, bad, command):
+    doc = json.loads(BENCH_INPUTS["brock"])
+    entry = doc
+    for key in path[:-1]:
+        entry = entry[key]
+    assert isinstance(entry[path[-1]], str)
+    entry[path[-1]] = bad
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc))
+    code, out, err = run_json(capsys, document_commands(str(file))[command])
+    assert (code, err["error"]) == (2, "parse")
+    assert out is None
+
+
+def test_brick_id_of_another_type_is_a_parse_error(tmp_path, capsys):
+    # without an embedding no other field names the brick, so before the
+    # parser checked ids `export` reached the encoder with a float id
+    doc = json.loads(BENCH_INPUTS["sb11_0-1_1-0"])
+    doc["bricks"][0]["id"] = 0.5
+    del doc["embedding"]
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc))
+    for argv in document_commands(str(file)):
+        code, out, err = run_json(capsys, argv)
+        assert (code, err["error"]) == (2, "parse"), argv
+        assert out is None

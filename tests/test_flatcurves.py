@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -158,9 +159,10 @@ class TestIntersection:
             assert fc.flat_intersection(cs[n1], cs[n2]) == expected, (n1, n2)
 
     def test_symmetry(self):
+        # the engine itself: the memo would answer the swapped pair
         cs = curves()
         for n1, n2 in itertools.combinations(cs, 2):
-            assert fc.flat_intersection(cs[n1], cs[n2]) == fc.flat_intersection(
+            assert fc._minimal_crossing_count(cs[n1], cs[n2]) == fc._minimal_crossing_count(
                 cs[n2], cs[n1]
             )
 
@@ -169,10 +171,22 @@ class TestIntersection:
         for c in cs.values():
             assert fc.flat_intersection(c, c) == 0
 
-    def test_one_overlay_per_pair(self, count_calls):
+    def test_one_overlay_per_pair(self, cold_caches, count_calls):
         calls = count_calls(fc, "overlay")
         assert fc.flat_intersection(fc.line_curve(0, 1, 0), fc.line_curve(1, 0, 0)) == 1
         assert len(calls) == 1
+
+    def test_an_error_is_not_memoised(self, cold_caches, monkeypatch):
+        def stuck(c1, c2):
+            raise fc.GenericityError("could not reach generic position by nudging")
+
+        c1, c2 = fc.line_curve(0, 1, 0), fc.line_curve(1, 0, 0)
+        monkeypatch.setattr(fc, "generic_overlay_pair", stuck)
+        for _ in range(2):
+            with pytest.raises(fc.GenericityError):
+                fc.flat_intersection(c1, c2)
+        monkeypatch.undo()
+        assert fc.flat_intersection(c1, c2) == 1
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -186,9 +200,9 @@ class TestIntersection:
             c1, c2 = d1.build(), d2.build()
         except fc.GenericityError:
             assume(False)
-        n = fc.flat_intersection(c1, c2)
-        assert fc.flat_intersection(c2, c1) == n
-        assert fc.flat_intersection(c1, c2.translated((2 * a, b))) == n
+        n = fc._minimal_crossing_count(c1, c2)
+        assert fc._minimal_crossing_count(c2, c1) == n
+        assert fc._minimal_crossing_count(c1, c2.translated((2 * a, b))) == n
         assert fc.flat_intersection(c1, c1) == 0
 
     @settings(max_examples=150, deadline=None)
@@ -203,8 +217,45 @@ class TestIntersection:
             c1, c2 = d1.build(), d2.build()
         except fc.GenericityError:
             assume(False)
-        n = fc.flat_intersection(c1, c2)
-        assert fc.flat_intersection(reflected(c1), reflected(c2)) == n
+        # the engine itself: a reflected line is its own class, so the
+        # memo would answer the reflected pair
+        n = fc._minimal_crossing_count(c1, c2)
+        assert fc._minimal_crossing_count(reflected(c1), reflected(c2)) == n
+
+
+@functools.lru_cache(maxsize=None)
+def representatives_by_class():
+    """The curves of AMBIENT.descs(3), grouped by canonical class (two
+    representatives for each of the 43 classes)."""
+    charts.AMBIENT.ensure_enumerated(3)
+    by_class = {}
+    for desc in charts.AMBIENT.descs(3):
+        c = charts.AMBIENT.curve(desc)
+        by_class.setdefault(c.canonical(), []).append(c)
+    return by_class
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_memo_answers_as_the_engine_does_for_every_representative(data):
+    """The intersection number is a class invariant: the engine gives one
+    answer over every pair of representatives of two classes, in both
+    orders and under lattice translation, and the class-keyed memo of
+    flat_intersection returns that answer."""
+    by_class = representatives_by_class()
+    classes = sorted(by_class)
+    a, b = data.draw(st.sampled_from(classes)), data.draw(st.sampled_from(classes))
+    lam = (2 * data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2)))
+    answers = set()
+    for r1 in by_class[a]:
+        for r2 in by_class[b]:
+            for x, y in ((r1, r2), (r2, r1), (r1, r2.translated(lam)), (r1.translated(lam), r2)):
+                answers.add(fc._minimal_crossing_count(x, y))
+    assert len(answers) == 1
+    n = answers.pop()
+    for r1 in by_class[a]:
+        for r2 in by_class[b]:
+            assert fc.flat_intersection(r1, r2) == fc.flat_intersection(r2, r1) == n
 
 
 class TestGenericOverlay:

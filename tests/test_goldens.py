@@ -27,22 +27,45 @@ def load_workloads():
     return module
 
 
-def test_pool_jobs_print_their_goldens(tmp_path, monkeypatch):
+def bench_setup(tmp_path, monkeypatch):
+    """The workloads and the goldens, with the working directory set to a
+    temporary one that holds the model documents."""
     wl = load_workloads()
-    goldens = json.loads((BENCH / "goldens.json").read_text())
     inputs = tmp_path / wl.INPUT_DIR
     inputs.mkdir(parents=True)
     for name, text in json.loads((BENCH / "inputs.json").read_text()).items():
         (inputs / f"{name}.json").write_text(text)
     monkeypatch.chdir(tmp_path)
+    return wl, json.loads((BENCH / "goldens.json").read_text())
+
+
+def stdout_digest(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        cli.run(argv)
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+def test_pool_jobs_print_their_goldens(tmp_path, monkeypatch):
+    wl, goldens = bench_setup(tmp_path, monkeypatch)
     jobs = {" ".join(j): j for w in wl.WORKLOADS for j in wl.pool(w)}
     assert set(jobs) == set(goldens)
+    wrong = [key for key, argv in jobs.items() if stdout_digest(argv) != goldens[key]]
+    assert wrong == []
+
+
+def test_caches_never_change_an_answer(tmp_path, monkeypatch, cold_caches):
+    """The complexity-5 warm pool prints its goldens with the class-keyed
+    caches emptied before each job, and again in reverse order with the
+    caches warm."""
+    wl, goldens = bench_setup(tmp_path, monkeypatch)
+    jobs = wl.pool("c5-warm")
     wrong = []
-    for key, argv in jobs.items():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            cli.run(argv)
-        digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
-        if digest != goldens[key]:
-            wrong.append(key)
+    for argv in jobs:
+        cold_caches()
+        if stdout_digest(argv) != goldens[" ".join(argv)]:
+            wrong.append(("cold", " ".join(argv)))
+    for argv in reversed(jobs):
+        if stdout_digest(argv) != goldens[" ".join(argv)]:
+            wrong.append(("warm", " ".join(argv)))
     assert wrong == []

@@ -86,7 +86,7 @@ class TestFareyHierarchy:
 
 
 class TestErrorsPropagate:
-    def test_unexpected_error_in_ambient_curves_propagates(self, monkeypatch):
+    def test_unexpected_error_in_ambient_curves_propagates(self, cold_caches, monkeypatch):
         def broken(desc):
             raise TypeError("injected")
 
@@ -250,14 +250,23 @@ class TestFlatHierarchy:
             assert isinstance(g.initial, sf.Marking)
             assert isinstance(g.terminal, sf.Marking)
 
-    def test_adjacency_work_is_bounded(self, count_calls):
+    def test_adjacency_work_is_bounded(self, cold_caches, count_calls):
         # the main-geodesic search, the tightness check and verification
         # share one table of adjacencies, filled only where a search goes
         calls = count_calls(sf, "are_adjacent")
         build_and_verify_v0_v1()
         assert len(calls) <= 20
 
-    def test_overlay_work_is_bounded(self, count_calls):
+    def test_ambient_universe_is_built_once(self, cold_caches, count_calls):
+        built = count_calls(sf, "flat_curve")
+        first = hy.ambient_universe(2)
+        first.append(first[0])  # a caller may extend its own list
+        for _ in range(2):
+            again = hy.ambient_universe(2)
+            assert again == first[:-1] and again is not first
+        assert len(built) == len(charts.AMBIENT.descs(2))
+
+    def test_overlay_work_is_bounded(self, cold_caches, count_calls):
         # each curve pair is overlaid once per intersection or boundary walk
         calls = count_calls(fc, "overlay")
         build_and_verify_v0_v1()

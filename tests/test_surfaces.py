@@ -80,6 +80,14 @@ class TestIntersection:
         h = sf.line_class(d, 1, 0)
         assert sf.intersection_number(v0, h) == 1
 
+    def test_hashing_a_curve_again_builds_no_flat_curve(self, count_calls):
+        d = twice_punctured()
+        c, same = sf.line_class(d, 1, 2), sf.line_class(d, 1, 2)
+        assert hash(c) == hash(same) and c == same
+        built = count_calls(charts.AMBIENT, "curve")
+        assert hash(c) == hash(same) and c == same and len({c, same}) == 1
+        assert built == []
+
     def test_annulus_arcs(self):
         d = twice_punctured()
         core = sf.line_class(d, 0, 1, 0)
@@ -409,7 +417,7 @@ class TestChartConsistency:
         da, db = chart.realize(a), chart.realize(b)
         assume(da is not None and db is not None)
         ca, cb = charts.AMBIENT.curve(da), charts.AMBIENT.curve(db)
-        assert fc.flat_intersection(ca, cb) == slope_intersection(
+        assert fc._minimal_crossing_count(ca, cb) == slope_intersection(
             a, b, chart.doubled
         )
 
@@ -419,7 +427,7 @@ class TestChartConsistency:
             for s2 in (Slope(0, 1), Slope(-2, 1)):
                 c1 = charts.AMBIENT.curve(strip.realize(s1))
                 c2 = charts.AMBIENT.curve(strip.realize(s2))
-                assert fc.flat_intersection(c1, c2) == slope_intersection(
+                assert fc._minimal_crossing_count(c1, c2) == slope_intersection(
                     s1, s2, doubled=True
                 )
 
@@ -429,10 +437,10 @@ class TestChartConsistency:
         built = {s: charts.AMBIENT.curve(side.realize(s)) for s in slopes}
         sigma = charts.AMBIENT.curve(side.cut_desc())
         for s, c in built.items():
-            assert fc.flat_intersection(c, sigma) == 0
+            assert fc._minimal_crossing_count(c, sigma) == 0
         for i, s1 in enumerate(slopes):
             for s2 in slopes[i + 1 :]:
-                assert fc.flat_intersection(built[s1], built[s2]) == slope_intersection(
+                assert fc._minimal_crossing_count(built[s1], built[s2]) == slope_intersection(
                     s1, s2
                 )
 
