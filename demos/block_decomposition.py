@@ -1,8 +1,8 @@
 """Cutting a labelled brick manifold into standard blocks and tubes.
 
 Decomposes a twist-family model and a removed-leaf model, prints the
-resulting blocks, tubes, and gluing graph, and crosschecks a single
-brick against the hierarchy it induces.
+resulting blocks and tubes, and crosschecks a single brick against the
+hierarchy it induces.
 """
 
 from fractions import Fraction

@@ -36,7 +36,6 @@ class Tube:
     origin: tuple  # (round number, brick id or "boundary")
     token: str  # placement domain token
     interface: str = "annulus"  # M[0]-interface: "torus" or "annulus"
-    merged_from: frozenset = frozenset()
     twist: int = 0
 
 
@@ -62,10 +61,7 @@ class BlockDecomposition:
     tubes: tuple  # after merging
     placed: tuple  # tubes before merging, for per-round accounting
     torus_tubes: tuple  # tube ids with torus interface
-    gf_bricks: tuple
-    graph: tuple  # gluing edges (block id, tube id)
     adjustments: tuple  # (BB) re-leveling records
-    tails: tuple  # truncated-ray descriptors
     rounds_used: int
 
     def tube(self, tid) -> Tube:
@@ -291,30 +287,7 @@ def normalize(sweep: bk.LevelSweep) -> bk.LevelSweep:
 
 
 # ---------------------------------------------------------------------------
-# boundary data
-
-
-def boundary_data(sweep: bk.LevelSweep):
-    """Marking sources: horizontal-annulus cores, per-brick pants systems
-    on geometrically finite labels, per-brick lamination descriptors on
-    simply degenerate labels."""
-    k = sweep.complex
-    ha = [(comp.core, comp.interval) for comp in sweep.boundary]
-    s = {}
-    mu = {}
-    for b in k.bricks:
-        if b.label is None:
-            continue
-        if b.label.kind == "geometrically-finite":
-            s[b.bid] = tuple(c for c, _, _ in (b.label.conformal or ()))
-        else:
-            mu[b.bid] = b.label.lamination
-    has_explicit = any(
-        b.initial is not None or b.terminal is not None for b in k.bricks
-    )
-    if not ha and not s and not mu and not has_explicit:
-        raise MissingLabel("model carries no marking data")
-    return {"H_A": ha, "s": s, "mu": mu}
+# endpoint markings
 
 
 def _joint_partners(k: bk.BrickComplex, b: bk.Brick, level):
@@ -329,7 +302,7 @@ def _joint_partners(k: bk.BrickComplex, b: bk.Brick, level):
     return out
 
 
-def _endpoint_marking(sweep, b, side, data):
+def _endpoint_marking(sweep, b, side):
     """Endpoint datum of a brick front: explicit record, label
     lamination, pants system of a geometrically finite neighbor across an
     inessential joint, boundary-annulus cores, or partner frontiers."""
@@ -348,7 +321,7 @@ def _endpoint_marking(sweep, b, side, data):
     curves = []
     for partner, j in _joint_partners(k, b, level):
         if _is_gf(partner) and j.is_inessential(k):
-            for c in data["s"].get(partner.bid, ()):
+            for c, _, _ in partner.label.conformal or ():
                 if c not in curves:
                     curves.append(c)
         elif partner.support.kind == "proper":
@@ -378,11 +351,10 @@ def _endpoint_marking(sweep, b, side, data):
 
 def _main_geodesic(domain, start, end):
     """Vertex curves of a placement's tight geodesic, from a marking
-    toward a marking or lamination.  Returns the vertex list, the finite
-    stand-in for the far end, and the ray tail."""
+    toward a marking or lamination.  Returns the vertex list and the
+    finite stand-in for the far end."""
     _, simplices, end_marking = hy.tight_geodesic(domain, start, end)
-    tail = None if end_marking is end else end
-    return [v.sorted_curves()[0] for v in simplices], end_marking, tail
+    return [v.sorted_curves()[0] for v in simplices], end_marking
 
 
 def _intervals_for(n, kind, gap: bool):
@@ -404,14 +376,14 @@ def _place(domain, band, kind, start, end):
     """One tight-geodesic placement over a level band of a domain: the
     main geodesic above complexity 4, the complexity-4 geodesic with gap
     bands otherwise.  Returns the vertex curves, their (tube band, wide
-    band) pairs, the finite stand-in for the far end and the ray tail."""
-    vertices, end_marking, tail = _main_geodesic(domain, start, end)
+    band) pairs and the finite stand-in for the far end."""
+    vertices, end_marking = _main_geodesic(domain, start, end)
     gap = domain.complexity() < 5
     pairs = [
         (_scale(tiv, *band), _scale(wiv, *band))
         for tiv, wiv in _intervals_for(len(vertices) - 1, kind, gap)
     ]
-    return vertices, pairs, end_marking, tail
+    return vertices, pairs, end_marking
 
 
 def _nearby_tube_marking(domain, placed, level, side):
@@ -496,7 +468,6 @@ def merge_homotopic(tubes, sweep: bk.LevelSweep):
             origin=a.origin,
             token=a.token,
             interface=interface,
-            merged_from=a.merged_from | b.merged_from | {a.tid, b.tid},
             twist=a.twist + b.twist,
         )
         out = rest + [merged]
@@ -519,11 +490,15 @@ def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
     base = k.base
     full = sf.full_surface(base)
     max_rounds = base.complexity() - 3
-    data = boundary_data(sweep)
+    # marking sources: boundary-annulus cores, end labels, explicit records
+    if not sweep.boundary and all(
+        b.label is None and b.initial is None and b.terminal is None
+        for b in k.bricks
+    ):
+        raise MissingLabel("model carries no marking data")
 
     placed = []
     blocks = []
-    tails = []
 
     def new_tube(core, band, rnd, origin_id, token, interface="annulus"):
         t = Tube(f"v{len(placed)}", core, band, (rnd, origin_id), token, interface)
@@ -538,7 +513,6 @@ def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
         interface = "torus" if comp.kind == "torus" else "annulus"
         new_tube(comp.core, comp.interval, 0, "boundary", "boundary", interface)
 
-    gf_bricks = []
     # queue entries: (domain, band, kind, start datum, end datum, origin id)
     xi4_queue = []
     xi5_queue = []
@@ -546,14 +520,13 @@ def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
     for b in k.bricks:
         band = e.level_of(b.bid)
         if _is_gf(b):
-            gf_bricks.append(b.bid)
             continue
         xi = b.support.complexity()
         if xi == 3:
             new_block("S03", b.support.token, band, support=b.support)
             continue
-        start = _endpoint_marking(sweep, b, "lower", data)
-        end = _endpoint_marking(sweep, b, "upper", data)
+        start = _endpoint_marking(sweep, b, "lower")
+        end = _endpoint_marking(sweep, b, "upper")
         if b.kind == "half-open-below":
             start, end = end, start
         queue = xi5_queue if xi >= 5 else xi4_queue
@@ -567,9 +540,7 @@ def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
         for domain, band, kind, start, end, origin_id in xi5_queue:
             if start is None or end is None:
                 raise DomainError(f"brick {origin_id} is not connectable")
-            vertices, pairs, end_marking, tail = _place(domain, band, kind, start, end)
-            if tail is not None:
-                tails.append((origin_id, tail))
+            vertices, pairs, end_marking = _place(domain, band, kind, start, end)
             # the markings around vertex i are markings[i] and markings[i + 2]
             markings = [
                 start,
@@ -610,9 +581,7 @@ def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
             if start is None or end is None or domain.chart is None:
                 new_block(_block_type(domain), domain.token, band, support=domain)
                 continue
-            vertices, pairs, _, tail = _place(domain, band, kind, start, end)
-            if tail is not None:
-                tails.append((origin_id, tail))
+            vertices, pairs, _ = _place(domain, band, kind, start, end)
             for v, (tband, wband) in zip(vertices, pairs):
                 core = hy.ambient_curve(v)
                 t = new_tube(core, tband, rounds_used, origin_id, domain.token)
@@ -635,21 +604,13 @@ def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
     blocks, adjustments = _enforce_bb(blocks, sweep)
 
     torus = tuple(t.tid for t in tubes if t.interface == "torus")
-    graph = []
-    for bl in blocks:
-        for t in tubes:
-            if t.band[0] < bl.interval[1] and bl.interval[0] < t.band[1]:
-                graph.append((bl.blid, t.tid))
     return BlockDecomposition(
         sweep=sweep,
         blocks=tuple(blocks),
         tubes=tuple(tubes),
         placed=tuple(placed),
         torus_tubes=torus,
-        gf_bricks=tuple(gf_bricks),
-        graph=tuple(graph),
         adjustments=tuple(adjustments),
-        tails=tuple(tails),
         rounds_used=rounds_used,
     )
 

@@ -157,12 +157,6 @@ def identity_embedding(k: BrickComplex) -> LeafEmbedding:
 
 
 @dataclass(frozen=True)
-class Slit:
-    level: Fraction
-    components: tuple  # of EssentialSubsurface
-
-
-@dataclass(frozen=True)
 class LabelledBrickManifold:
     complex: BrickComplex
 
@@ -309,14 +303,15 @@ def _present(k: BrickComplex, e: LeafEmbedding, c: Fraction):
     return out
 
 
-def slit_at(k: BrickComplex, e: LeafEmbedding, c: Fraction) -> Slit:
-    """Complement of the embedded image at one level."""
+def slit_at(k: BrickComplex, e: LeafEmbedding, c: Fraction) -> tuple:
+    """Complement of the embedded image at one level: its components, as
+    essential subsurfaces."""
     full = sf.full_surface(k.base)
     present = _present(k, e, c)
     if not present:
-        return Slit(c, (full,))
+        return (full,)
     if any(b.support.kind == "full" for b in present):
-        return Slit(c, ())
+        return ()
     cut = []
     for b in present:
         for curve in b.support.boundary:
@@ -339,12 +334,12 @@ def slit_at(k: BrickComplex, e: LeafEmbedding, c: Fraction) -> Slit:
             raise DomainError(
                 f"support {token} is not a component domain of the level cut"
             )
-    return Slit(c, tuple(components))
+    return tuple(components)
 
 
-def curve_meets_slit(c: sf.Curve, slit: Slit) -> bool:
+def curve_meets_slit(c: sf.Curve, slit: tuple) -> bool:
     """Whether the curve cannot be isotoped off the slit components."""
-    for y in slit.components:
+    for y in slit:
         if y.kind == "full":
             return True
         if y.kind == "annulus":
@@ -365,7 +360,7 @@ class LevelSweep:
 
     complex: BrickComplex
     embedding: LeafEmbedding
-    slits: tuple  # pairs ((lo, hi), Slit) in level order
+    slits: tuple  # pairs ((lo, hi), slit components) in level order
     levels: tuple  # the critical levels the slits were cut from
 
     @classmethod
@@ -452,7 +447,7 @@ def boundary_components(sweep: LevelSweep):
     # collect annular gap cores by curve identity
     gaps = {}
     for iv, slit in sweep.slits:
-        for y in slit.components:
+        for y in slit:
             if y.kind == "annulus":
                 gaps.setdefault(y.boundary[0], []).append(iv)
     out = []

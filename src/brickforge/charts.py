@@ -96,11 +96,12 @@ class AmbientFlatChart:
                 continue
         self._enumerated = radius
 
-    def lookup(self, canonical, radius: int = 3):
-        """Find a constructive description realizing a canonical class."""
+    def lookup(self, canonical):
+        """Find a constructive description realizing a canonical class
+        among the curves built so far and those of `descs(3)`."""
         if canonical in self._by_class:
             return self._by_class[canonical]
-        self.ensure_enumerated(radius)
+        self.ensure_enumerated(3)
         return self._by_class.get(canonical)
 
     def is_separating(self, c: fc.FlatCurve) -> bool:
@@ -114,12 +115,17 @@ AMBIENT = AmbientFlatChart()
 # subdomain charts
 
 
+# the fan a chart classifies against: 1/0 and the slopes of the integers
+# n (2n on a strip) with |n| <= FAN_BOUND
+FAN_BOUND = 8
+
+
 class _SlopeFanChart:
     """A subdomain chart realizing a fan of slopes as ambient curves."""
 
     def classify(self, canonical) -> Slope | None:
         """Slope of an ambient class lying in the subdomain, if realizable."""
-        for s in self.realizable_slopes(8):
+        for s in self.realizable_slopes():
             desc = self.realize(s)
             if desc is not None and AMBIENT.curve(desc).canonical() == canonical:
                 return s
@@ -154,9 +160,9 @@ class StripChart(_SlopeFanChart):
             return CurveDesc("slot", ((self.c1, 0), (self.c2, n)))
         return None
 
-    def realizable_slopes(self, bound: int):
+    def realizable_slopes(self):
         out = [Slope(1, 0)]
-        for n in range(-bound, bound + 1):
+        for n in range(-FAN_BOUND, FAN_BOUND + 1):
             out.append(Slope(2 * n, 1))
         return out
 
@@ -209,9 +215,9 @@ class TorusSideChart(_SlopeFanChart):
                 return desc
         return None
 
-    def realizable_slopes(self, bound: int):
+    def realizable_slopes(self):
         out = [Slope(1, 0)]
-        for n in range(-bound, bound + 1):
+        for n in range(-FAN_BOUND, FAN_BOUND + 1):
             out.append(Slope(n, 1))
         return out
 

@@ -364,7 +364,7 @@ def validate_embedded(c: FlatCurve):
 # constructors
 
 
-def line_curve(a: int, b: int, band: int = 0, anchor=Fraction(3, 7)) -> FlatCurve:
+def line_curve(a: int, b: int, band: int = 0) -> FlatCurve:
     """Straight closed geodesic in direction (a, b).
 
     Parallel geodesics fall into puncture-free bands; `band` selects one.
@@ -377,7 +377,7 @@ def line_curve(a: int, b: int, band: int = 0, anchor=Fraction(3, 7)) -> FlatCurv
     # deterministic per-direction jitter so distinct fixture curves do not
     # share rational alignments
     salt = (3 * a + 5 * b + 7 * band) % 11
-    anchor = anchor + Fraction(salt, 113)
+    anchor = Fraction(3, 7) + Fraction(salt, 113)
     for num in (3, 4, 5, 9, 11, 13, 17, 19, 23):
         # keep the transversal constant inside the band but off every
         # rational alignment that the other fixture curves use

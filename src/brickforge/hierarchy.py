@@ -47,8 +47,6 @@ class Hierarchy:
     domain: sf.EssentialSubsurface
     geodesics: tuple
     main_gid: str
-    initial: object = None
-    terminal: object = None
     certificate: object = field(default=None, compare=False, repr=False)
 
     @property
@@ -211,7 +209,8 @@ def _base_vertex(m):
 
 def _truncate_lamination(domain, lam: sf.LaminationDescriptor, depth: int):
     """Finite marking standing in for a lamination endpoint: the convergent
-    of an irrational slope at the budget depth, or the last prefix vertex."""
+    of an irrational slope at the budget depth.  A symbolic filling has
+    none."""
     rep = lam.rep
     if isinstance(rep, sf.IrrationalSlope):
         coeffs = rep.coefficients[: max(depth, 1)]
@@ -220,10 +219,7 @@ def _truncate_lamination(domain, lam: sf.LaminationDescriptor, depth: int):
             num, den = a * num + den, num
         return sf.Marking(sf.Simplex.of(domain, sf.slope_curve(domain, num, den)))
     if isinstance(rep, sf.SymbolicFilling):
-        if not rep.prefix:
-            raise NoTightGeodesic("symbolic lamination has an empty prefix")
-        last = rep.prefix[-1]
-        return sf.Marking(sf.Simplex.of(domain, last))
+        raise NoTightGeodesic("symbolic lamination has an empty prefix")
     raise TypeError("unknown lamination representation")
 
 
@@ -368,8 +364,6 @@ def build_hierarchy(s: sf.Surface, initial, terminal):
         domain=d,
         geodesics=tuple(geodesics),
         main_gid="g0",
-        initial=initial,
-        terminal=terminal,
         certificate=certificate,
     )
 

@@ -28,8 +28,6 @@ SCENARIO_KINDS = ("kerckhoff-thurston", "brock", "bonahon-otal", "custom")
 class Scenario:
     kind: str
     base: sf.Surface
-    curve: object = None  # tube core for kerckhoff-thurston
-    subsurface: object = None  # removed leaf support for brock
     depth: int = 1
     document: object = None  # parsed JSON for custom
 
@@ -118,8 +116,7 @@ def _tower(base, cores, top_twist=Fraction(0)):
 
 def _generate_kt(s: Scenario):
     full = sf.full_surface(s.base)
-    core = s.curve if s.curve is not None else _pants_curves(full)[0]
-    return _tower(s.base, [core], top_twist=Fraction(s.depth))
+    return _tower(s.base, [_pants_curves(full)[0]], top_twist=Fraction(s.depth))
 
 
 def _generate_bo(s: Scenario):
@@ -136,10 +133,7 @@ def _generate_brock(s: Scenario):
     if s.base != sf.TORUS_1_2:
         raise ValueError("removed-leaf scenarios need a separating curve")
     full = sf.full_surface(s.base)
-    if s.subsurface is not None:
-        sigma = s.subsurface.boundary[0]
-    else:
-        sigma = sf.slot_class(full, (0, 0), (1, 0))
+    sigma = sf.slot_class(full, (0, 0), (1, 0))
     domains = sf.component_domains(full, sf.Simplex.of(full, sigma))
     torus_side = next(y for y in domains if y.token.startswith("torus-side"))
     pants_side = next(y for y in domains if y.token.startswith("pants"))

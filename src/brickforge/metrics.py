@@ -43,10 +43,8 @@ class MeridianCoefficient:
 
 @dataclass(frozen=True)
 class Filtration:
-    k: int
     tubes: tuple  # tube ids with |omega| >= k
     released: tuple  # tube ids of 𝒱[0] minus 𝒱[k], reattached to M[k]
-    coefficients: tuple  # pairs (tube id, MeridianCoefficient)
 
 
 @dataclass(frozen=True)
@@ -54,7 +52,6 @@ class TubeMetricDescriptor:
     tube: str
     core_length_eps1_pi: Fraction  # core length = this * pi * eps1
     radius: float
-    note: str = TUBE_FORMULA_NOTE
 
     def core_length(self) -> float:
         return float(self.core_length_eps1_pi) * math.pi * float(EPS1)
@@ -123,9 +120,7 @@ def _split(coefficients, k: int) -> Filtration:
         raise ValueError("filtration level must be non-negative")
     kept = tuple(tid for tid, omega in coefficients if omega.abs2() >= k * k)
     released = tuple(tid for tid, _ in coefficients if tid not in kept)
-    return Filtration(
-        k=k, tubes=kept, released=released, coefficients=coefficients
-    )
+    return Filtration(tubes=kept, released=released)
 
 
 def filtration(d: bl.BlockDecomposition, k: int) -> Filtration:

@@ -62,11 +62,14 @@ def curve_str(c: sf.Curve) -> str:
 
 def _normal_curve_from_coords(domain, coords):
     budget = get_budget()
-    seen = 0
+    # each enumeration holds the one before it: test each description once
+    seen = set()
     for radius in (1, 2, 3):
         for desc in charts.AMBIENT.descs(radius):
-            seen += 1
-            if seen > budget:
+            if desc in seen:
+                continue
+            seen.add(desc)
+            if len(seen) > budget:
                 raise ParseError(
                     "normal-coordinate lookup exceeded the enumeration budget"
                 )
@@ -154,11 +157,17 @@ def _parse_lamination(doc: dict) -> sf.LaminationDescriptor:
         domain = parse_support(doc["domain"])
         rep = doc["rep"]
         if rep["kind"] == "continued-fraction":
-            return sf.LaminationDescriptor(
-                domain, sf.IrrationalSlope(tuple(int(x) for x in rep["coefficients"]))
-            )
+            coefficients = rep["coefficients"]
+            if not (
+                type(coefficients) is list
+                and coefficients
+                and all(type(x) is int for x in coefficients)
+            ):
+                raise ParseError(f"bad continued-fraction coefficients {coefficients!r}")
+            return sf.LaminationDescriptor(domain, sf.IrrationalSlope(tuple(coefficients)))
         if rep["kind"] == "symbolic":
-            return sf.LaminationDescriptor(domain, sf.SymbolicFilling(rep["label"]))
+            label = _text(rep["label"], "symbolic lamination label")
+            return sf.LaminationDescriptor(domain, sf.SymbolicFilling(label))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad lamination document: {exc}") from exc
     raise ParseError(f"bad lamination kind {rep.get('kind')!r}")

@@ -232,8 +232,8 @@ class Simplex:
                     raise ValueError("simplex curves must be disjoint")
 
     @staticmethod
-    def of(domain, *curves, filling=False):
-        return Simplex(domain, frozenset(curves), filling)
+    def of(domain, *curves):
+        return Simplex(domain, frozenset(curves))
 
     def sorted_curves(self):
         return sorted(self.curves, key=lambda c: repr(c.key()))
@@ -279,9 +279,7 @@ class IrrationalSlope:
 
 @dataclass(frozen=True)
 class SymbolicFilling:
-    label: str
-    prefix: tuple = ()  # finite tight-ray prefix of Curves
-    assumed_filling: bool = True
+    label: str  # names the end; it carries no finite prefix
 
 
 @dataclass(frozen=True)

@@ -122,30 +122,30 @@ class TestSlits:
     def test_inside_full_brick_empty(self):
         m, e = kt()
         slit = bk.slit_at(m.complex, e, F(1, 16))
-        assert slit.components == ()
+        assert slit == ()
 
     def test_deleted_tube_level_is_one_annulus(self):
         m, e = kt()
         slit = bk.slit_at(m.complex, e, F(1, 2))
-        assert len(slit.components) == 1
-        assert slit.components[0].kind == "annulus"
+        assert len(slit) == 1
+        assert slit[0].kind == "annulus"
 
     def test_outside_partial_model_full_slit(self):
         k, _ = partial_tower()
         slit = bk.slit_at(k, bk.identity_embedding(k), F(7, 8))
-        assert len(slit.components) == 1
-        assert slit.components[0].kind == "full"
+        assert len(slit) == 1
+        assert slit[0].kind == "full"
 
     def test_uncovered_torus_side(self):
         k, torus_side = partial_tower()
         slit = bk.slit_at(k, bk.identity_embedding(k), F(1, 2))
-        tokens = sorted(y.token.split(":")[0] for y in slit.components)
+        tokens = sorted(y.token.split(":")[0] for y in slit)
         assert tokens == ["annulus", "torus-side"]
 
     def test_removed_leaf_levels_fully_covered(self):
         m, e = brock()
         for c in (F(9, 20), F(11, 20)):
-            assert bk.slit_at(m.complex, e, c).components == ()
+            assert bk.slit_at(m.complex, e, c) == ()
 
     @pytest.mark.parametrize("a, b", AFFINE_MAPS)
     def test_open_ends_are_not_covered(self, a, b):
@@ -155,7 +155,7 @@ class TestSlits:
         e = moved(bk.identity_embedding(k), a, b)
         for c, kinds in ((F(0), ["full"]), (F(1, 2), []), (F(1), ["full"])):
             slit = bk.slit_at(k, e, a + b * c)
-            assert [y.kind for y in slit.components] == kinds, c
+            assert [y.kind for y in slit] == kinds, c
 
     @pytest.mark.parametrize("a, b", AFFINE_MAPS)
     @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -169,8 +169,8 @@ class TestSlits:
         mids = [(lo + hi) / 2 for lo, hi in zip(levels, levels[1:])]
         for c in levels + mids:
             assert (
-                bk.slit_at(k, e_moved, a + b * c).components
-                == bk.slit_at(k, e, c).components
+                bk.slit_at(k, e_moved, a + b * c)
+                == bk.slit_at(k, e, c)
             ), c
 
 
@@ -392,7 +392,7 @@ def model_curves(sweep):
     curves += [
         y.boundary[0]
         for _, slit in sweep.slits
-        for y in slit.components
+        for y in slit
         if y.kind == "annulus"
     ]
     if sweep.complex.base == sf.TORUS_1_1:
@@ -646,3 +646,14 @@ class TestSerialization:
             sz.parse_curve("N:[0,0,1,0,1,0]", flat)
         monkeypatch.setenv("BRICKFORGE_BUDGET", "4")
         assert sz.parse_curve("N:[0,0,1,0,1,0]", flat) == sf.line_class(flat, 0, 1, 0)
+
+    def test_normal_lookup_tests_each_description_once(self, monkeypatch):
+        # descs(2) and descs(3) repeat the descriptions of the smaller
+        # radii; N:[3,3,2,2,1,1] is the 43rd distinct one
+        flat = sf.full_surface(sf.TORUS_1_2)
+        monkeypatch.setenv("BRICKFORGE_BUDGET", "42")
+        with pytest.raises(ParseError, match="exceeded the enumeration budget"):
+            sz.parse_curve("N:[3,3,2,2,1,1]", flat)
+        monkeypatch.setenv("BRICKFORGE_BUDGET", "43")
+        c = sz.parse_curve("N:[3,3,2,2,1,1]", flat)
+        assert sz.curve_str(c) == "N:[3,3,2,2,1,1]"

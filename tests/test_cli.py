@@ -563,3 +563,29 @@ def test_brick_id_of_another_type_is_a_parse_error(tmp_path, capsys):
         code, out, err = run_json(capsys, argv)
         assert (code, err["error"]) == (2, "parse"), argv
         assert out is None
+
+
+# lamination representatives the parser must refuse: coefficients that are
+# not a non-empty list of ints, and a symbolic label that is not a string
+BAD_LAMINATIONS = [
+    ("empty", {"kind": "continued-fraction", "coefficients": []}),
+    ("string", {"kind": "continued-fraction", "coefficients": "1111"}),
+    ("float", {"kind": "continued-fraction", "coefficients": [1.5, 1, 1, 1]}),
+    ("bool", {"kind": "continued-fraction", "coefficients": [True, 1, 1, 1]}),
+    ("int-label", {"kind": "symbolic", "label": 5}),
+    ("list-label", {"kind": "symbolic", "label": [1]}),
+]
+
+
+@pytest.mark.parametrize("rep", [r for _, r in BAD_LAMINATIONS], ids=[n for n, _ in BAD_LAMINATIONS])
+# left out: crosscheck refuses this many-brick model as a parse error anyway
+@pytest.mark.parametrize("command", (0, 1, 2, 3, 5), ids=lambda i: document_commands("")[i][0])
+def test_malformed_lamination_is_a_parse_error(tmp_path, capsys, rep, command):
+    doc = json.loads(BENCH_INPUTS["brock"])
+    (h0,) = (b for b in doc["bricks"] if b["id"] == "h0")
+    h0["label"]["lamination"]["rep"] = rep
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc))
+    code, out, err = run_json(capsys, document_commands(str(file))[command])
+    assert (code, err["error"]) == (2, "parse")
+    assert out is None

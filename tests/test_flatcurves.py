@@ -140,7 +140,11 @@ class TestConstructors:
 
     def test_anchor_independence(self):
         a = fc.line_curve(1, 2)
-        b = fc.line_curve(1, 2, anchor=Fraction(2, 9))
+        # the same line, its vertex moved along it by a generic amount
+        t = Fraction(2, 9)
+        (x0, y0), = a.points
+        b = fc.FlatCurve(((x0 + t, y0 + 2 * t),), a.disp)
+        assert b != a
         assert fc.same_class(a, b)
         assert fc.flat_intersection(a, b) == 0
 

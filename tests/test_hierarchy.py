@@ -71,7 +71,7 @@ class TestFareyHierarchy:
         d = torus()
         lam = sf.LaminationDescriptor(d, sf.IrrationalSlope((1,) * 10))
         h = hy.build_hierarchy(sf.TORUS_1_1, torus_marking(0, 1), lam)
-        assert isinstance(h.terminal, sf.LaminationDescriptor)
+        assert isinstance(h.main.terminal, sf.LaminationDescriptor)
         assert len(h.main.simplices) > 2
 
     def test_mutated_hierarchy_rejected(self):

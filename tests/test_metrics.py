@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -65,10 +66,7 @@ def flanked_fixture(blocks_per_side=1, twist=0):
         tubes=(v,),
         placed=(v,),
         torus_tubes=("t0",),
-        gf_bricks=(),
-        graph=tuple((b.blid, "t0") for b in blocks),
         adjustments=(),
-        tails=(),
         rounds_used=0,
     )
     return v, d
@@ -102,18 +100,7 @@ class TestMeridianCoefficient:
             interval=(F(1, 4), F(1, 2)),
             support=d.blocks[0].support,
         )
-        d2 = bl.BlockDecomposition(
-            sweep=d.sweep,
-            blocks=d.blocks + (extra,),
-            tubes=d.tubes,
-            placed=d.placed,
-            torus_tubes=d.torus_tubes,
-            gf_bricks=d.gf_bricks,
-            graph=d.graph,
-            adjustments=d.adjustments,
-            tails=d.tails,
-            rounds_used=d.rounds_used,
-        )
+        d2 = replace(d, blocks=d.blocks + (extra,))
         assert mt.boundary_torus_geometry(v, d2).im == base.im + 1
 
     def test_twist_becomes_real_part(self):
@@ -272,8 +259,9 @@ class TestTubeMetric:
         assert all(a < b for a, b in zip(radii, radii[1:]))
 
     def test_formula_flagged(self):
-        note = mt.tube_metric(mt.MeridianCoefficient("t", 0, 2)).note
-        assert "own closed form" in note
+        m, _ = kt()
+        doc = mt.metric_report(bl.decompose(identity_sweep(m)))
+        assert "own closed form" in doc["tube-formula"]
 
 
 class TestMetricReport:

@@ -1,10 +1,14 @@
 """Every top-level function, class and constant of the library, and every
-method other than a dunder, has a caller.
+method other than a dunder, has a caller; every field of a library class
+has a reader.
 
 A definition counts as used when its name is loaded, as a `Name` or an
 `Attribute`, or imported as an alias anywhere in `src/` or `demos/`.  An
-assignment target is not a use of itself.  Tests and the bench harness do
-not count: code that only they reach is not part of any command.
+assignment target is not a use of itself.  A field, a name annotated in a
+class body, counts as read only when it is loaded as an `Attribute`: a
+local variable of the same name is not a read.  Tests and the bench
+harness do not count: code that only they reach is not part of any
+command.
 """
 
 import ast
@@ -62,17 +66,42 @@ def definitions():
     return out
 
 
-def referenced_names():
-    names = set()
+def fields():
+    """(name, "module.py:line") of every name annotated in the body of a
+    library class."""
+    return [
+        (item.target.id, f"{path.name}:{item.lineno}")
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in _parse(path).body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+
+
+def attribute_loads(tree):
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _caller_trees():
     for top in CALLER_DIRS:
         for path in sorted(top.rglob("*.py")):
-            for node in ast.walk(_parse(path)):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    names.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    names.add(node.name)
+            yield _parse(path)
+
+
+def referenced_names():
+    names = set()
+    for tree in _caller_trees():
+        names |= attribute_loads(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
     return names
 
 
@@ -88,3 +117,15 @@ def test_every_definition_has_a_caller():
 
 def test_allowed_names_are_still_defined():
     assert ALLOWED <= {name for name, _ in definitions()}
+
+
+def test_every_field_is_read():
+    read = set().union(*map(attribute_loads, _caller_trees()))
+    unread = sorted(f"{where} {name}" for name, where in fields() if name not in read)
+    assert not unread, "no reader in src/ or demos/: " + ", ".join(unread)
+
+
+def test_a_local_of_a_fields_name_is_not_a_read():
+    built = ast.parse("graph = []\nd = D(graph=graph)\nd.graph = graph")
+    assert "graph" not in attribute_loads(built)
+    assert "graph" in attribute_loads(ast.parse("print(d.graph)"))
