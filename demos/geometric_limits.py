@@ -18,8 +18,8 @@ def main():
     ]
     for name, s in scenarios:
         m, e = lm.generate(s)
-        ends = bk.classify_ends(m, e)
         sweep = bk.LevelSweep.of(m.complex, e)
+        ends = bk.classify_ends(sweep)
         comps = bk.boundary_components(sweep)
         print(f"{name}: {len(m.complex.bricks)} bricks,"
               f" ends {sorted(x.kind for x in ends)},"
@@ -35,9 +35,8 @@ def main():
 
     full = sf.full_surface(sf.TORUS_1_1)
     c = sf.slope_curve(full, 0, 1)
-    m, e = lm._tower(sf.TORUS_1_1, [c, c])
     print("two parallel tubes around the same core:")
-    state = lm.exhaust(bk.LevelSweep.of(m.complex, e), 1)[0]
+    state = lm.exhaust(bk.LevelSweep.of(*lm._tower(sf.TORUS_1_1, [c, c])), 1)[0]
     for core, band in state.obstructors:
         print(f"  obstructor {core} at band {band}")
     print(f"  approximant acylindrical = {state.acylindrical}")

@@ -487,11 +487,12 @@ class End:
     kind: str  # "GF", "SD", "wild"
 
 
-def classify_ends(m: LabelledBrickManifold, e: LeafEmbedding):
-    """Ends from ideal fronts of half-open and open bricks."""
+def classify_ends(sweep: LevelSweep):
+    """Ends from ideal fronts of half-open and open bricks, in brick
+    order, the end below before the end above."""
     out = []
-    for b in m.complex.bricks:
-        alpha, beta = e.level_of(b.bid)
+    for b in sweep.complex.bricks:
+        alpha, beta = sweep.embedding.level_of(b.bid)
         for side, open_, level in (
             ("below", b.open_below(), alpha),
             ("above", b.open_above(), beta),
@@ -588,11 +589,11 @@ def check_el(sweep: LevelSweep) -> bool:
 def check_conditions(sweep: LevelSweep):
     """Admissibility report {A1, A2, A3, A4, A5, EL} of booleans for the
     labelled model on the swept complex."""
-    k, e = sweep.complex, sweep.embedding
+    k = sweep.complex
     comps = sweep.boundary
     a1 = all(c.kind in ("torus", "open-annulus") for c in comps)
     a2 = check_a2(sweep)
-    ends = classify_ends(LabelledBrickManifold(k), e)
+    ends = classify_ends(sweep)
     a3 = True
     for end in ends:
         if end.kind != "wild":
@@ -693,13 +694,13 @@ def limit_embedding(stabilized):
     return emb, w0
 
 
-def peripheral_gf_bricks(m: LabelledBrickManifold, e: LeafEmbedding):
-    """GF-labelled bricks whose ideal front sits on the surface boundary."""
-    out = []
-    for b in m.complex.bricks:
-        if b.label is None or b.label.kind != "geometrically-finite":
-            continue
-        alpha, beta = e.level_of(b.bid)
-        if (b.open_below() and alpha == 0) or (b.open_above() and beta == 1):
-            out.append(b.bid)
-    return out
+def peripheral_gf_bricks(sweep: LevelSweep):
+    """GF-labelled bricks whose ideal front sits on the surface boundary,
+    each once, in brick order."""
+    return list(
+        dict.fromkeys(
+            x.brick_id
+            for x in classify_ends(sweep)
+            if x.kind == "GF" and (x.side, x.level) in (("below", 0), ("above", 1))
+        )
+    )

@@ -90,10 +90,7 @@ class AmbientFlatChart:
         if self._enumerated >= radius:
             return
         for desc in self.descs(radius):
-            try:
-                self.curve(desc)
-            except fc.GenericityError:
-                continue
+            self.curve(desc)
         self._enumerated = radius
 
     def lookup(self, canonical):

@@ -171,9 +171,6 @@ def path_word(points, closed_disp=None):
                     raise GenericityError("segment passes through a puncture")
                 events.append((num * (lcm // a), (fam, xn // den % 2, sign)))
         events.sort(key=lambda e: e[0])
-        for (t1, _), (t2, _) in zip(events, events[1:]):
-            if t1 == t2:
-                raise GenericityError("segment crosses two grid lines at one point")
         word.extend(letter for _, letter in events)
     return word
 

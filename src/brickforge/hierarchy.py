@@ -23,7 +23,6 @@ from .errors import (
     NotComponentDomain,
 )
 from .farey import Slope
-from .flatcurves import GenericityError
 
 
 @dataclass(frozen=True)
@@ -148,14 +147,11 @@ def ambient_universe(budget_radius: int = 2):
     if budget_radius not in _UNIVERSES:
         d = sf.full_surface(sf.TORUS_1_2)
         charts.AMBIENT.ensure_enumerated(budget_radius)
-        curves = []
-        for desc in charts.AMBIENT.descs(budget_radius):
-            try:
-                charts.AMBIENT.curve(desc)
-            except GenericityError:
-                continue
-            curves.append(sf.flat_curve(d, desc))
-        _UNIVERSES[budget_radius] = list(dict.fromkeys(curves))
+        _UNIVERSES[budget_radius] = list(
+            dict.fromkeys(
+                sf.flat_curve(d, desc) for desc in charts.AMBIENT.descs(budget_radius)
+            )
+        )
     return list(_UNIVERSES[budget_radius])
 
 

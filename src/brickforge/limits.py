@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
 
 from . import blocks as bl
 from . import bricks as bk
@@ -20,6 +19,7 @@ from . import serialize as sz
 from . import surfaces as sf
 from .config import get_budget
 from .errors import BudgetExceeded, ObstructionSearchFailure, ParseError
+from .farey import enumerate_slopes
 
 SCENARIO_KINDS = ("kerckhoff-thurston", "brock", "bonahon-otal", "custom")
 
@@ -29,7 +29,7 @@ class Scenario:
     kind: str
     base: sf.Surface
     depth: int = 1
-    document: object = None  # parsed JSON for custom
+    document: dict | None = None  # parsed JSON for custom
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
@@ -99,7 +99,7 @@ def _assemble(base, removals, lo_m, hi_m, top_twist=Fraction(0)):
     )
     add_joint("gf1", top_buf, full, hi_m)
     k = bk.BrickComplex(base=base, bricks=tuple(bricks), joints=tuple(joints))
-    return bk.LabelledBrickManifold(k), bk.identity_embedding(k)
+    return k, bk.identity_embedding(k)
 
 
 def _tower(base, cores, top_twist=Fraction(0)):
@@ -167,28 +167,27 @@ def _generate_brock(s: Scenario):
         bk.Joint("gf1", "buf1", full, hi_m),
     )
     k = bk.BrickComplex(base=s.base, bricks=bricks, joints=joints)
-    return bk.LabelledBrickManifold(k), bk.identity_embedding(k)
+    return k, bk.identity_embedding(k)
 
 
 def _generate_custom(s: Scenario):
-    doc = s.document
-    if isinstance(doc, str):
-        doc = sz.loads(doc)
-    if not isinstance(doc, dict):
+    if not isinstance(s.document, dict):
         raise ParseError("custom scenario needs a document")
-    k, e = sz.parse_complex(doc)
-    return bk.LabelledBrickManifold(k), e
+    return sz.parse_complex(s.document)
 
 
 def generate(s: Scenario):
     """Build (LabelledBrickManifold, LeafEmbedding) for a scenario."""
     if s.kind == "kerckhoff-thurston":
-        return _generate_kt(s)
-    if s.kind == "bonahon-otal":
-        return _generate_bo(s)
-    if s.kind == "brock":
-        return _generate_brock(s)
-    return _generate_custom(s)
+        k, e = _generate_kt(s)
+    elif s.kind == "bonahon-otal":
+        k, e = _generate_bo(s)
+    elif s.kind == "brock":
+        k, e = _generate_brock(s)
+    else:
+        k, e = _generate_custom(s)
+    # the one wrapped result: bench/make_inputs.py reads its .complex
+    return bk.LabelledBrickManifold(k), e
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +203,17 @@ class ExhaustionState:
     stable: tuple  # (brick id, brick) for untruncated bricks
     ext: tuple  # tube ids whose band crosses the window boundary
     obstructors: tuple  # added (core, band) pairs
-    z: bk.LabelledBrickManifold  # product minus tubes and obstructors
-    z_embedding: bk.LeafEmbedding
+    z: bk.LevelSweep  # product minus tubes and obstructors
     acylindrical: bool
 
 
-def _truncate_model(m, e, window):
+def _truncate_model(k, e, window):
     """Restriction of the model to a level window; half-open bricks cut
     at the window edge become closed there."""
     w_lo, w_hi = window
     bricks = []
     levels = []
-    for b in m.complex.bricks:
+    for b in k.bricks:
         alpha, beta = e.level_of(b.bid)
         if beta <= w_lo or alpha >= w_hi:
             continue
@@ -228,11 +226,11 @@ def _truncate_model(m, e, window):
     kept = {b.bid for b in bricks}
     joints = tuple(
         j
-        for j in m.complex.joints
+        for j in k.joints
         if j.upper in kept and j.lower in kept and w_lo < j.level < w_hi
     )
-    k = bk.BrickComplex(base=m.complex.base, bricks=tuple(bricks), joints=joints)
-    return bk.LabelledBrickManifold(k), bk.LeafEmbedding(tuple(levels))
+    w = bk.BrickComplex(base=k.base, bricks=tuple(bricks), joints=joints)
+    return w, bk.LeafEmbedding(tuple(levels))
 
 
 def _crossing_candidates(base, core):
@@ -241,11 +239,7 @@ def _crossing_candidates(base, core):
     if base == sf.TORUS_1_2:
         pool = hy.ambient_universe(1)
     else:
-        pool = []
-        for q in range(4):
-            for p in range(-3, 4):
-                if gcd(p, q) == 1 and (q > 0 or p > 0):
-                    pool.append(sf.slope_curve(full, p, q))
+        pool = [sf.slope_curve(full, s.p, s.q) for s in enumerate_slopes(3)]
     scored = []
     for c in pool:
         i = sf.intersection_number(c, core)
@@ -278,15 +272,14 @@ def _assemble_z(base, removals, obstructors):
 def _find_obstructors(base, removals):
     """Tubes killing every unobstructed annulus between the removed
     tubes, chosen greedily with minimal crossing cores.  Returns the
-    obstructors, the approximant Z and the level sweep of Z."""
+    obstructors and the level sweep of the approximant Z."""
     obstructors = []
     limit = len(removals) + 8
     for _ in range(limit):
-        zm, ze = _assemble_z(base, removals, obstructors)
-        sweep = bk.LevelSweep.of(zm.complex, ze)
+        sweep = bk.LevelSweep.of(*_assemble_z(base, removals, obstructors))
         gap = next(bk.boundary_gaps(sweep), None)
         if gap is None:
-            return obstructors, zm, sweep
+            return obstructors, sweep
         core, lo, hi = gap
         width = (hi - lo) / 8
         mid = (lo + hi) / 2
@@ -304,7 +297,7 @@ def _find_obstructors(base, removals):
 def exhaust(sweep: bk.LevelSweep, stages: int):
     """Ascending truncations W_n with externally crossing tubes, plus
     acylindrical finite approximants Z_n, for the swept model."""
-    m, e = bk.LabelledBrickManifold(sweep.complex), sweep.embedding
+    k, e = sweep.complex, sweep.embedding
     d = bl.decompose(sweep)
     tubes = sorted(d.tubes, key=lambda v: (v.band, v.tid))
     span_lo, span_hi = sweep.span
@@ -330,10 +323,10 @@ def exhaust(sweep: bk.LevelSweep, stages: int):
         ):
             margin = margin / 2
             window = (span_lo + margin, span_hi - margin)
-        wm, we = _truncate_model(m, e, window)
+        wk, we = _truncate_model(k, e, window)
         stable = tuple(
             (b.bid, b)
-            for b in wm.complex.bricks
+            for b in wk.bricks
             if e.level_of(b.bid) == we.level_of(b.bid)
         )
         ext = tuple(
@@ -350,21 +343,20 @@ def exhaust(sweep: bk.LevelSweep, stages: int):
             for c in tori
             if window[0] < c.interval[1] and c.interval[0] < window[1]
         ]
-        obstructors, zm, z_sweep = _find_obstructors(m.complex.base, removals)
+        obstructors, z = _find_obstructors(k.base, removals)
         # the search has shown A2 on Z; the flag is the brute-force
         # oracle's independent verdict on that answer
-        acyl = bk.check_a2_bruteforce(z_sweep)
+        acyl = bk.check_a2_bruteforce(z)
         out.append(
             ExhaustionState(
                 n=n,
                 window=window,
-                w=wm.complex,
+                w=wk,
                 w_embedding=we,
                 stable=stable,
                 ext=ext,
                 obstructors=tuple(obstructors),
-                z=zm,
-                z_embedding=z_sweep.embedding,
+                z=z,
                 acylindrical=acyl,
             )
         )
@@ -386,7 +378,7 @@ def exhaustion_doc(state: ExhaustionState) -> dict:
             }
             for core, band in state.obstructors
         ],
-        "z": sz.complex_doc(state.z.complex, state.z_embedding),
+        "z": sz.complex_doc(state.z.complex, state.z.embedding),
         "acylindrical": state.acylindrical,
         "assumed": [
             "hyperbolization of the finite approximant",
@@ -404,10 +396,9 @@ def verify_theorem_a(sweep: bk.LevelSweep) -> dict:
     """End and boundary classification report for the swept labelled
     model."""
     k, e = sweep.complex, sweep.embedding
-    m = bk.LabelledBrickManifold(k)
     conditions = bk.check_conditions(sweep)
     comps = sweep.boundary
-    ends = bk.classify_ends(m, e)
+    ends = bk.classify_ends(sweep)
     if len(ends) >= get_budget():
         raise BudgetExceeded(f"{len(ends)} ends reach the enumeration budget")
     gf_bricks = [
@@ -415,7 +406,7 @@ def verify_theorem_a(sweep: bk.LevelSweep) -> dict:
         for b in k.bricks
         if b.label is not None and b.label.kind == "geometrically-finite"
     ]
-    peripheral = bk.peripheral_gf_bricks(m, e)
+    peripheral = bk.peripheral_gf_bricks(sweep)
     gf_ends = [x for x in ends if x.kind == "GF"]
     bound = 4 * k.base.genus - 4 + 2 * k.base.punctures
     basepoint = min(

@@ -301,17 +301,15 @@ def parse_joint(doc: dict) -> bk.Joint:
         raise ParseError(f"bad joint document: {exc}") from exc
 
 
-def complex_doc(k: bk.BrickComplex, e: bk.LeafEmbedding | None = None) -> dict:
-    doc = {
+def complex_doc(k: bk.BrickComplex, e: bk.LeafEmbedding) -> dict:
+    return {
         "base": surface_str(k.base),
         "bricks": [brick_doc(b) for b in k.bricks],
         "joints": [joint_doc(j) for j in k.joints],
-    }
-    if e is not None:
-        doc["embedding"] = {
+        "embedding": {
             bid: [frac_str(a), frac_str(b)] for bid, (a, b) in e.levels
-        }
-    return doc
+        },
+    }
 
 
 def parse_complex(doc: dict):

@@ -284,19 +284,20 @@ def test_criterion_6_stabilization_and_ends():
         ok &= all(stage < len(seq) for stage in w0.values())
         peripheral = None
         for m, e in seq:
+            sweep = bk.LevelSweep.of(m.complex, e)
             gf = {
                 b.bid
                 for b in m.complex.bricks
                 if b.label is not None
                 and b.label.kind == "geometrically-finite"
             }
-            per = set(bk.peripheral_gf_bricks(m, e))
+            per = set(bk.peripheral_gf_bricks(sweep))
             ok &= per == gf
             if peripheral is None:
                 peripheral = per
             ok &= per == peripheral
             by_level = collections.Counter(
-                x.level for x in bk.classify_ends(m, e)
+                x.level for x in bk.classify_ends(sweep)
             )
             base = m.complex.base
             bound = 2 * (2 * base.genus - 2 + base.punctures)
@@ -353,7 +354,7 @@ def _interior_gf_fixture(side):
         joints = (bk.Joint("g", "low", full, F(1, 2)),)
         bricks = (low, g)
     k = bk.BrickComplex(sf.TORUS_1_1, bricks, joints)
-    return bk.LabelledBrickManifold(k), bk.identity_embedding(k)
+    return k, bk.identity_embedding(k)
 
 
 def _negative_fixtures():
@@ -365,31 +366,30 @@ def _negative_fixtures():
     out.append(("A2", lm._tower(sf.TORUS_1_1, [c, c, c])))
     out.append(("A2", lm._tower(sf.TORUS_1_2, [amb["v0"], amb["v0"]])))
 
-    def relabel(m, e, bid, label):
+    def relabel(k, e, bid, label):
         bricks = tuple(
             dataclasses.replace(b, label=label) if b.bid == bid else b
-            for b in m.complex.bricks
+            for b in k.bricks
         )
-        k = bk.BrickComplex(m.complex.base, bricks, m.complex.joints)
-        return bk.LabelledBrickManifold(k), e
+        return bk.BrickComplex(k.base, bricks, k.joints), e
 
-    brock = lm.generate(lm.Scenario("brock", sf.TORUS_1_2))
-    h0 = brock[0].complex.brick("h0")
+    m, e = lm.generate(lm.Scenario("brock", sf.TORUS_1_2))
+    brock = (m.complex, e)
+    h0 = m.complex.brick("h0")
     dup = bk.EndLabel("h1", "simply-degenerate", lamination=h0.label.lamination)
     out.append(("EL", relabel(*brock, "h1", dup)))
     out.append(("A3", relabel(*brock, "h0", None)))
     out.append(("A3", relabel(*relabel(*brock, "h0", None), "h1", None)))
 
-    def rekind(m, e, bid, kind):
+    def rekind(k, e, bid, kind):
         bricks = tuple(
             dataclasses.replace(b, kind=kind) if b.bid == bid else b
-            for b in m.complex.bricks
+            for b in k.bricks
         )
-        k = bk.BrickComplex(m.complex.base, bricks, m.complex.joints)
-        return bk.LabelledBrickManifold(k), e
+        return bk.BrickComplex(k.base, bricks, k.joints), e
 
-    kt = lm.generate(lm.Scenario("kerckhoff-thurston", sf.TORUS_1_1))
-    out.append(("A5", rekind(*kt, "gf0", "open")))
+    m, e = lm.generate(lm.Scenario("kerckhoff-thurston", sf.TORUS_1_1))
+    out.append(("A5", rekind(m.complex, e, "gf0", "open")))
     out.append(("A4", _interior_gf_fixture("below")))
     out.append(("A4", _interior_gf_fixture("above")))
     lone = bk.Brick(
@@ -397,7 +397,7 @@ def _negative_fixtures():
         label=lm._gf_label("g", full11),
     )
     k = bk.BrickComplex(sf.TORUS_1_1, (lone,), ())
-    out.append(("A5", (bk.LabelledBrickManifold(k), bk.identity_embedding(k))))
+    out.append(("A5", (k, bk.identity_embedding(k))))
     return out
 
 
@@ -405,30 +405,29 @@ def test_criterion_8_checkers_vs_brute_force():
     full11 = sf.full_surface(sf.TORUS_1_1)
     c = sf.slope_curve(full11, 0, 1)
     fixtures = [
-        single_brick_11(0, 1, 1, 0)[0],
-        lm.generate(lm.Scenario("kerckhoff-thurston", sf.TORUS_1_1))[0],
-        lm.generate(lm.Scenario("kerckhoff-thurston", sf.TORUS_1_2))[0],
-        lm.generate(lm.Scenario("brock", sf.TORUS_1_2))[0],
+        single_brick_11(0, 1, 1, 0)[0].complex,
+        lm.generate(lm.Scenario("kerckhoff-thurston", sf.TORUS_1_1))[0].complex,
+        lm.generate(lm.Scenario("kerckhoff-thurston", sf.TORUS_1_2))[0].complex,
+        lm.generate(lm.Scenario("brock", sf.TORUS_1_2))[0].complex,
         lm._tower(sf.TORUS_1_1, [c, c])[0],
         lm._tower(sf.TORUS_1_1, [c, c, c])[0],
     ]
     for d in range(1, 5):
         fixtures.append(
-            lm.generate(lm.Scenario("bonahon-otal", sf.TORUS_1_1, depth=d))[0]
+            lm.generate(lm.Scenario("bonahon-otal", sf.TORUS_1_1, depth=d))[0].complex
         )
     ok = True
     agreements = 0
-    for m in fixtures:
-        assert len(m.complex.bricks) <= 12
-        e = bk.identity_embedding(m.complex)
+    for k in fixtures:
+        assert len(k.bricks) <= 12
         agreements += 1
-        sweep = bk.LevelSweep.of(m.complex, e)
+        sweep = bk.LevelSweep.of(k, bk.identity_embedding(k))
         ok &= bk.check_a2(sweep) == bk.check_a2_bruteforce(sweep)
     negatives = _negative_fixtures()
     ok &= len(negatives) >= 10
     flagged = 0
-    for key, (m, e) in negatives:
-        conditions = bk.check_conditions(bk.LevelSweep.of(m.complex, e))
+    for key, (k, e) in negatives:
+        conditions = bk.check_conditions(bk.LevelSweep.of(k, e))
         if not conditions[key]:
             flagged += 1
         else:
@@ -456,9 +455,8 @@ def test_criterion_9_exhaustion_stability():
         for state in states:
             stages_checked += 1
             ok &= state.acylindrical
-            sweep = bk.LevelSweep.of(state.z.complex, state.z_embedding)
-            ok &= bk.check_a2(sweep)
-            ok &= bk.check_a2_bruteforce(sweep)
+            ok &= bk.check_a2(state.z)
+            ok &= bk.check_a2_bruteforce(state.z)
         for a, b in zip(states, states[1:]):
             later = dict(b.stable)
             ok &= all(

@@ -201,20 +201,20 @@ class TestEnds:
         b2 = bk.Brick("b2", full, "half-open-above", F(1, 2), F(1),
                       label=bk.EndLabel("b2", "geometrically-finite", conformal=()))
         j = bk.Joint("b2", "b1", full, F(1, 2))
-        m = bk.LabelledBrickManifold(bk.BrickComplex(sf.TORUS_1_1, (b1, b2), (j,)))
-        ends = bk.classify_ends(m, bk.identity_embedding(m.complex))
+        k = bk.BrickComplex(sf.TORUS_1_1, (b1, b2), (j,))
+        ends = bk.classify_ends(bk.LevelSweep.of(k, bk.identity_embedding(k)))
         assert len(ends) == 2
         assert all(e.kind == "GF" for e in ends)
 
     def test_single_tube_model_ends(self):
         m, e = kt()
-        ends = bk.classify_ends(m, e)
+        ends = bk.classify_ends(bk.LevelSweep.of(m.complex, e))
         assert sorted(e.kind for e in ends) == ["GF", "GF"]
         assert sorted(e.level for e in ends) == [F(0), F(1)]
 
     def test_removed_leaf_ends(self):
         m, e = brock()
-        ends = bk.classify_ends(m, e)
+        ends = bk.classify_ends(bk.LevelSweep.of(m.complex, e))
         assert sorted(e.kind for e in ends) == ["GF", "GF", "SD", "SD"]
         sd_levels = [e.level for e in ends if e.kind == "SD"]
         assert sd_levels == [F(1, 2), F(1, 2)]
@@ -223,7 +223,7 @@ class TestEnds:
         for m, e in (kt(), brock(), bo(4), kt(sf.TORUS_1_2)):
             s = m.complex.base
             bound = -2 * (2 - 2 * s.genus - s.punctures)
-            ends = bk.classify_ends(m, e)
+            ends = bk.classify_ends(bk.LevelSweep.of(m.complex, e))
             by_level = {}
             for end in ends:
                 by_level.setdefault(end.level, []).append(end)
@@ -232,7 +232,7 @@ class TestEnds:
 
     def test_peripheral_gf_bricks(self):
         m, e = kt()
-        assert sorted(bk.peripheral_gf_bricks(m, e)) == ["gf0", "gf1"]
+        assert bk.peripheral_gf_bricks(bk.LevelSweep.of(m.complex, e)) == ["gf0", "gf1"]
 
 
 def slope_tower(slopes):
@@ -258,13 +258,15 @@ class TestConditions:
     def test_parallel_tubes_fail_a2(self):
         full = sf.full_surface(sf.TORUS_1_1)
         core = sf.slope_curve(full, 0, 1)
-        m, e = lm._tower(sf.TORUS_1_1, [core, core])
-        report = bk.check_conditions(bk.LevelSweep.of(m.complex, e))
-        assert report["A2"] is False
-        assert bk.check_a2_bruteforce(bk.LevelSweep.of(m.complex, e)) is False
+        sweep = bk.LevelSweep.of(*lm._tower(sf.TORUS_1_1, [core, core]))
+        assert bk.check_conditions(sweep)["A2"] is False
+        assert bk.check_a2_bruteforce(sweep) is False
 
     def test_a2_bruteforce_agrees_on_scenarios(self):
-        fixtures = [kt(), brock(), bo(1), bo(3), bo(5), kt(sf.TORUS_1_2)]
+        fixtures = [
+            (m.complex, e)
+            for m, e in (kt(), brock(), bo(1), bo(3), bo(5), kt(sf.TORUS_1_2))
+        ]
         full = sf.full_surface(sf.TORUS_1_1)
         core = sf.slope_curve(full, 0, 1)
         fixtures.append(lm._tower(sf.TORUS_1_1, [core, core]))
@@ -272,8 +274,8 @@ class TestConditions:
         # the smallest tower where ordering the gaps by level alone would
         # take a 1/0 gap before the first 0/1 gap
         fixtures.append(slope_tower([(0, 1), (1, 0), (1, 0), (0, 1), (0, 1)]))
-        for m, e in fixtures:
-            assert_a2_gaps_agree(bk.LevelSweep.of(m.complex, e))
+        for k, e in fixtures:
+            assert_a2_gaps_agree(bk.LevelSweep.of(k, e))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -284,8 +286,7 @@ class TestConditions:
         )
     )
     def test_a2_bruteforce_agrees_on_random_towers(self, slopes):
-        m, e = slope_tower(slopes)
-        assert_a2_gaps_agree(bk.LevelSweep.of(m.complex, e))
+        assert_a2_gaps_agree(bk.LevelSweep.of(*slope_tower(slopes)))
 
     def test_interior_gf_front_fails_a4(self):
         m, e = kt()
@@ -378,11 +379,12 @@ def embedded_models(draw):
     moved by an increasing affine map of the level line."""
     if draw(st.booleans()):
         slopes = draw(st.lists(st.sampled_from(TOWER_SLOPES), min_size=1, max_size=5))
-        m, e = slope_tower(slopes)
+        k, e = slope_tower(slopes)
     else:
         m, e = scenario(draw(st.sampled_from(SCENARIO_KINDS)), draw(st.integers(1, 3)))
+        k = m.complex
     a, b = draw(st.sampled_from(AFFINE_MAPS))
-    return m.complex, moved(e, a, b)
+    return k, moved(e, a, b)
 
 
 def model_curves(sweep):
@@ -470,8 +472,7 @@ class TestLevelIndex:
             e.level_of("c")
 
     def test_distinct_cores_are_never_swept(self, count_calls):
-        m, e = slope_tower(TOWER_SLOPES)
-        sweep = bk.LevelSweep.of(m.complex, e)
+        sweep = bk.LevelSweep.of(*slope_tower(TOWER_SLOPES))
         full = sf.full_surface(sf.TORUS_1_1)
         lo, hi = sweep.span
         pieces = [
@@ -562,12 +563,11 @@ class TestLimit:
 
     def test_peripheral_gf_persists(self):
         k1, k2 = TestRearrange().ascending_stages()
-        m2 = bk.LabelledBrickManifold(k2)
         seq = bk.rearrange(
             [(k1, bk.identity_embedding(k1)), (k2, bk.identity_embedding(k2))]
         )
         emb, _ = bk.limit_embedding(seq)
-        assert "gf0" in bk.peripheral_gf_bricks(m2, emb)
+        assert "gf0" in bk.peripheral_gf_bricks(bk.LevelSweep.of(k2, emb))
 
 
 class TestSerialization:
@@ -602,7 +602,7 @@ class TestSerialization:
         m, e = kt()
         text = sz.dumps(sz.complex_doc(m.complex, e))
         m2, e2 = lm.generate(
-            lm.Scenario("custom", sf.TORUS_1_1, document=text)
+            lm.Scenario("custom", sf.TORUS_1_1, document=sz.loads(text))
         )
         assert m2.complex == m.complex
 

@@ -57,6 +57,31 @@ EXPECTED = {
 }
 
 
+# integer matrices [[a, 2b], [c, d]] with determinant +-1: each maps 2Z x Z
+# and Z^2 onto themselves and keeps the parity of x (a is odd), so it
+# induces a homeomorphism of the surface that fixes both punctures
+LATTICE_MATRICES = [
+    ((1, 2), (0, 1)),
+    ((1, -2), (0, 1)),
+    ((1, 0), (1, 1)),
+    ((1, 0), (-1, 1)),
+    ((-1, 0), (0, 1)),
+    ((1, 0), (0, -1)),
+]
+
+
+def image(c, m):
+    """The image of c under the matrix m.  The images of the 42 curves of
+    AMBIENT.descs(2) under LATTICE_MATRICES all have crossing words, so
+    none needs a nudge to generic position."""
+    (a, b), (cc, d) = m
+
+    def apply(p):
+        return (a * p[0] + b * p[1], cc * p[0] + d * p[1])
+
+    return fc.FlatCurve(tuple(apply(p) for p in c.points), apply(c.disp))
+
+
 class TestWords:
     def test_reduce_cancels_inverses(self):
         a = ("V", 0, 1)
@@ -225,6 +250,18 @@ class TestIntersection:
         # memo would answer the reflected pair
         n = fc._minimal_crossing_count(c1, c2)
         assert fc._minimal_crossing_count(reflected(c1), reflected(c2)) == n
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(RADIUS_2),
+        st.sampled_from(RADIUS_2),
+        st.sampled_from(LATTICE_MATRICES),
+    )
+    def test_invariant_under_lattice_matrices(self, d1, d2, m):
+        c1, c2 = d1.build(), d2.build()
+        # the engine itself, as for the point reflection
+        n = fc._minimal_crossing_count(c1, c2)
+        assert fc._minimal_crossing_count(image(c1, m), image(c2, m)) == n
 
 
 @functools.lru_cache(maxsize=None)

@@ -30,11 +30,11 @@ def sweep_of(m, e):
 
 
 def parallel_pair():
-    """Two removed tubes around the same core with clear space between:
-    an essential annulus joins their boundary tori."""
+    """The sweep of two removed tubes around the same core with clear
+    space between: an essential annulus joins their boundary tori."""
     full = sf.full_surface(sf.TORUS_1_1)
     c = sf.slope_curve(full, 0, 1)
-    return lm._tower(sf.TORUS_1_1, [c, c])
+    return bk.LevelSweep.of(*lm._tower(sf.TORUS_1_1, [c, c]))
 
 
 # scenarios whose exhaustions are checked against the rearrangement and
@@ -64,15 +64,14 @@ class TestScenarios:
             lm.Scenario("bonahon-otal", sf.TORUS_1_1, depth=0)
 
     def test_single_tube_boundary_and_ends(self):
-        m, e = kt()
-        comps = bk.boundary_components(bk.LevelSweep.of(m.complex, e))
+        sweep = sweep_of(*kt())
+        comps = bk.boundary_components(sweep)
         assert [c.kind for c in comps] == ["torus"]
-        ends = bk.classify_ends(m, e)
+        ends = bk.classify_ends(sweep)
         assert sorted(x.kind for x in ends) == ["GF", "GF"]
 
     def test_removed_leaf_ends(self):
-        m, e = brock()
-        ends = bk.classify_ends(m, e)
+        ends = bk.classify_ends(sweep_of(*brock()))
         assert sorted(x.kind for x in ends) == ["GF", "GF", "SD", "SD"]
 
     def test_nested_tower_boundary_counts(self):
@@ -85,7 +84,7 @@ class TestScenarios:
         m, e = bo(2)
         doc = sz.complex_doc(m.complex, e)
         m2, e2 = lm.generate(
-            lm.Scenario("custom", m.complex.base, document=sz.dumps(doc))
+            lm.Scenario("custom", m.complex.base, document=sz.loads(sz.dumps(doc)))
         )
         assert sz.complex_doc(m2.complex, e2) == doc
 
@@ -101,14 +100,11 @@ class TestExhaust:
         assert state.obstructors == ()
         assert state.acylindrical
         # the approximant keeps the one removed tube
-        comps = bk.boundary_components(
-            bk.LevelSweep.of(state.z.complex, state.z_embedding)
-        )
+        comps = bk.boundary_components(state.z)
         assert sum(1 for c in comps if c.kind == "torus") == 1
 
     def test_parallel_tubes_need_an_obstructor(self):
-        m, e = parallel_pair()
-        state = lm.exhaust(sweep_of(m, e), 1)[0]
+        state = lm.exhaust(parallel_pair(), 1)[0]
         assert len(state.obstructors) >= 1
         assert state.acylindrical
         core = state.obstructors[0][0]
@@ -117,9 +113,9 @@ class TestExhaust:
 
     def test_small_budget_keeps_the_obstructor(self, monkeypatch):
         # the candidate pool has a fixed size; the budget does not cut it
-        m, e = parallel_pair()
+        sweep = parallel_pair()
         monkeypatch.setenv("BRICKFORGE_BUDGET", "2")
-        state = lm.exhaust(sweep_of(m, e), 1)[0]
+        state = lm.exhaust(sweep, 1)[0]
         assert sz.curve_str(state.obstructors[0][0]) == "F:-1/1"
 
     def test_windows_strictly_ascending(self):
@@ -141,12 +137,12 @@ class TestExhaust:
                     )
 
     def test_every_approximant_acylindrical(self):
-        for m, e in (kt(), kt(sf.TORUS_1_2), bo(2), brock(), parallel_pair()):
-            for state in lm.exhaust(sweep_of(m, e), 2):
+        models = [sweep_of(m, e) for m, e in (kt(), kt(sf.TORUS_1_2), bo(2), brock())]
+        for sweep in models + [parallel_pair()]:
+            for state in lm.exhaust(sweep, 2):
                 assert state.acylindrical
-                sweep = bk.LevelSweep.of(state.z.complex, state.z_embedding)
-                assert bk.check_a2(sweep)
-                assert bk.check_a2_bruteforce(sweep)
+                assert bk.check_a2(state.z)
+                assert bk.check_a2_bruteforce(state.z)
 
     @pytest.mark.parametrize("spec", list(EXHAUST_SCENARIOS))
     def test_stages_ascend_to_the_model(self, spec):
@@ -171,10 +167,10 @@ class TestExhaust:
         assert w["gf1"].hi == state.window[1]
 
     def test_obstruction_search_failure(self, monkeypatch):
-        m, e = parallel_pair()
+        sweep = parallel_pair()
         monkeypatch.setattr(lm, "_crossing_candidates", lambda base, core: [])
         with pytest.raises(ObstructionSearchFailure):
-            lm.exhaust(sweep_of(m, e), 1)
+            lm.exhaust(sweep, 1)
 
     def test_slit_work_is_bounded(self, monkeypatch):
         # the run meets 30 distinct (complex, embedding, level) triples;
@@ -220,8 +216,7 @@ class TestVerifyTheoremA:
             assert report["pass"], report["checks"]
 
     def test_parallel_tubes_fail_acylindricity(self):
-        m, e = parallel_pair()
-        report = lm.verify_theorem_a(sweep_of(m, e))
+        report = lm.verify_theorem_a(parallel_pair())
         assert not report["checks"]["acylindrical"]
         assert not report["pass"]
 

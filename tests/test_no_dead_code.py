@@ -1,12 +1,14 @@
 """Every top-level function, class and constant of the library, and every
 method other than a dunder, has a caller; every field of a library class
-has a reader.
+has a reader; every parameter with a default is set by some call.
 
 A definition counts as used when its name is loaded, as a `Name` or an
 `Attribute`, or imported as an alias anywhere in `src/` or `demos/`.  An
 assignment target is not a use of itself.  A field, a name annotated in a
 class body, counts as read only when it is loaded as an `Attribute`: a
-local variable of the same name is not a read.  Tests and the bench
+local variable of the same name is not a read.  A parameter with a
+default counts as set when a call of its function's name passes it by
+keyword or by position, or passes `*args` or `**kwargs`.  Tests and the bench
 harness do not count: code that only they reach is not part of any
 command.
 """
@@ -129,3 +131,90 @@ def test_a_local_of_a_fields_name_is_not_a_read():
     built = ast.parse("graph = []\nd = D(graph=graph)\nd.graph = graph")
     assert "graph" not in attribute_loads(built)
     assert "graph" in attribute_loads(ast.parse("print(d.graph)"))
+
+
+def _defaults_in(tree, filename):
+    """(callee name, parameter, position, "file:line") of every parameter
+    with a default of a top-level function or a method.  A method's
+    positions count after self (or cls), an `__init__` is called by its
+    class name, and a keyword-only parameter has no position."""
+    defs = [(node.name, node, False) for node in tree.body if isinstance(node, FUNCTIONS)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for item in cls.body:
+                if isinstance(item, FUNCTIONS):
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in item.decorator_list
+                    )
+                    callee = cls.name if item.name == "__init__" else item.name
+                    defs.append((callee, item, not static))
+    for callee, node, bound in defs:
+        args = node.args
+        positional = args.posonlyargs + args.args
+        skip = 1 if bound else 0
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], start=first):
+            yield callee, arg.arg, i - skip, f"{filename}:{arg.lineno}"
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield callee, arg.arg, None, f"{filename}:{arg.lineno}"
+
+
+def _callee(call):
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def sets(call, name, position):
+    """Whether the call sets the parameter: by keyword, by position, or
+    through `*args` or `**kwargs`."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_default_parameter_is_set_somewhere():
+    calls = {}
+    for tree in _caller_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node), []).append(node)
+    unset = sorted(
+        f"{where} {callee}({name}=)"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for callee, name, position, where in _defaults_in(_parse(path), path.name)
+        if not any(sets(call, name, position) for call in calls.get(callee, ()))
+    )
+    assert not unset, "no call in src/ or demos/ sets: " + ", ".join(unset)
+
+
+def test_a_default_is_set_by_keyword_position_or_unpacking():
+    library = ast.parse(
+        "def f(a, b=1, *, c=2): ...\n"
+        "class C:\n"
+        "    def __init__(self, x=0): ...\n"
+        "    def m(self, y=0): ...\n"
+        "    @staticmethod\n"
+        "    def s(z=0): ...\n"
+    )
+    assert [d[:3] for d in _defaults_in(library, "lib.py")] == [
+        ("f", "b", 1), ("f", "c", None), ("C", "x", 0), ("m", "y", 0), ("s", "z", 0),
+    ]
+
+    def call(source):
+        return ast.parse(source).body[0].value
+
+    assert sets(call("f(0, 1)"), "b", 1)
+    assert not sets(call("f(0)"), "b", 1)
+    assert sets(call("f(0, b=1)"), "b", 1)
+    assert sets(call("f(*args)"), "b", 1)
+    assert sets(call("f(0, **kwargs)"), "b", 1)
+    assert not sets(call("f(0, 1, 2)"), "c", None)
+    assert sets(call("f(0, c=3)"), "c", None)
+    assert _callee(call("obj.m(1)")) == "m"
