@@ -88,11 +88,14 @@ class BrickComplex:
     bricks: tuple
     joints: tuple = ()
 
+    # not a dataclass field: equality, hash and repr read the fields alone
+    @cached_property
+    def _by_id(self):
+        """brick id -> brick, from the first brick of each id."""
+        return {b.bid: b for b in reversed(self.bricks)}
+
     def brick(self, bid) -> Brick:
-        for b in self.bricks:
-            if b.bid == bid:
-                return b
-        raise KeyError(bid)
+        return self._by_id[bid]
 
     def ids(self):
         return {b.bid for b in self.bricks}

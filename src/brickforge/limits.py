@@ -294,6 +294,26 @@ def _find_obstructors(base, removals):
     )
 
 
+# (base, removals) -> (obstructors, Z, the A2 oracle's verdict on Z); a
+# search that raises stores nothing.  An entry keeps Z's sweep, 10-40 KB,
+# so a full memo is emptied before the next entry goes in.
+_APPROXIMANTS: dict = {}
+_MAX_APPROXIMANTS = 64
+
+
+def _approximant(base, removals):
+    """The obstructors, the approximant Z and the brute-force oracle's
+    verdict on Z, searched once per process for each removal set: the
+    search reads nothing but the key, and curves compare by class."""
+    key = (base, tuple(removals))
+    if key not in _APPROXIMANTS:
+        obstructors, z = _find_obstructors(base, removals)
+        if len(_APPROXIMANTS) >= _MAX_APPROXIMANTS:
+            _APPROXIMANTS.clear()
+        _APPROXIMANTS[key] = (tuple(obstructors), z, bk.check_a2_bruteforce(z))
+    return _APPROXIMANTS[key]
+
+
 def exhaust(sweep: bk.LevelSweep, stages: int):
     """Ascending truncations W_n with externally crossing tubes, plus
     acylindrical finite approximants Z_n, for the swept model."""
@@ -343,10 +363,9 @@ def exhaust(sweep: bk.LevelSweep, stages: int):
             for c in tori
             if window[0] < c.interval[1] and c.interval[0] < window[1]
         ]
-        obstructors, z = _find_obstructors(k.base, removals)
         # the search has shown A2 on Z; the flag is the brute-force
         # oracle's independent verdict on that answer
-        acyl = bk.check_a2_bruteforce(z)
+        obstructors, z, acyl = _approximant(k.base, removals)
         out.append(
             ExhaustionState(
                 n=n,
@@ -355,7 +374,7 @@ def exhaust(sweep: bk.LevelSweep, stages: int):
                 w_embedding=we,
                 stable=stable,
                 ext=ext,
-                obstructors=tuple(obstructors),
+                obstructors=obstructors,
                 z=z,
                 acylindrical=acyl,
             )

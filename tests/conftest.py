@@ -6,6 +6,7 @@ from brickforge import blocks as bl
 from brickforge import bricks as bk
 from brickforge import flatcurves as fc
 from brickforge import hierarchy as hy
+from brickforge import limits as lm
 
 
 @pytest.fixture
@@ -32,13 +33,15 @@ def cold_caches():
     """Empty the process-wide class-keyed caches before the test, and
     return the function that empties them, for a test to call again.
 
-    The caches are the intersection memo, the ambient universes, and the
-    keys that `surfaces.Curve` keeps: a key lives on its curve, and the
-    curves that outlive a job are the universes' own."""
+    The caches are the intersection memo, the ambient universes, the
+    approximant memo of `limits`, and the keys that `surfaces.Curve`
+    keeps: a key lives on its curve, and the curves that outlive a job are
+    the universes' own and the memoised approximants'."""
 
     def empty():
         fc._INTERSECTIONS.clear()
         hy._UNIVERSES.clear()
+        lm._APPROXIMANTS.clear()
 
     empty()
     return empty

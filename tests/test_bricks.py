@@ -471,6 +471,20 @@ class TestLevelIndex:
         with pytest.raises(KeyError):
             e.level_of("c")
 
+    def test_brick_reads_the_first_brick_of_an_id(self):
+        full = sf.full_surface(sf.TORUS_1_1)
+        a, b, a2 = (
+            bk.Brick(bid, full, "closed", lo, lo + F(1, 4))
+            for bid, lo in (("a", F(0)), ("b", F(1, 4)), ("a", F(1, 2)))
+        )
+        k = bk.BrickComplex(sf.TORUS_1_1, (a, b, a2))
+        fresh = bk.BrickComplex(sf.TORUS_1_1, (a, b, a2))
+        assert k.brick("a") is a and k.brick("b") is b
+        with pytest.raises(KeyError):
+            k.brick("c")
+        # the index is not a field
+        assert (k, hash(k), repr(k)) == (fresh, hash(fresh), repr(fresh))
+
     def test_distinct_cores_are_never_swept(self, count_calls):
         sweep = bk.LevelSweep.of(*slope_tower(TOWER_SLOPES))
         full = sf.full_surface(sf.TORUS_1_1)

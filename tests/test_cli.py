@@ -249,7 +249,7 @@ class TestLimit:
         assert all(s["acylindrical"] for s in doc["stages"])
         assert doc["theorem"]["pass"] is True
 
-    def test_sweeps_per_job(self, capsys, monkeypatch):
+    def test_sweeps_per_job(self, capsys, monkeypatch, cold_caches):
         # the model, swept once for decompose, exhaust and the theorem
         # report, and the one approximant of the single stage
         builds = count_sweeps(monkeypatch)
@@ -269,19 +269,24 @@ class TestLimit:
         assert code == 0
         assert len(reports) == 1
 
-    def test_a2_oracle_stays_off_the_search_path(self, capsys, count_calls):
-        # the obstructor search asks the sweep; the brute-force oracle
-        # checks each stage's approximant once, and the theorem report
-        # checks A2 on the model once
+    def test_a2_oracle_stays_off_the_search_path(
+        self, capsys, count_calls, cold_caches
+    ):
+        # the obstructor search asks the sweep; each distinct approximant,
+        # here the one that all 3 stages share, is searched and checked by
+        # the brute-force oracle once, and the theorem report checks A2 on
+        # the model once
+        searches = count_calls(lm, "_find_obstructors")
         a2_checks = count_calls(bk, "check_a2")
         oracle_checks = count_calls(bk, "check_a2_bruteforce")
         oracle_searches = count_calls(bk, "clear_annulus_gaps")
-        code, _, _ = run_json(
+        code, doc, _ = run_json(
             capsys, ["limit", "--scenario", "bo:3", "--stages", "3"]
         )
         assert code == 0
         assert len(a2_checks) == 1
-        assert len(oracle_checks) == len(oracle_searches) == 3
+        assert len(searches) == len(oracle_checks) == len(oracle_searches) == 1
+        assert [s["acylindrical"] for s in doc["stages"]] == [True] * 3
 
     def test_external_tubes_follow_the_embedding(self, tmp_path, capsys):
         # the 0/1 -> 2/1 single brick with every level halved

@@ -111,11 +111,15 @@ class TestExhaust:
         original = sf.slope_curve(sf.full_surface(sf.TORUS_1_1), 0, 1)
         assert sf.intersection_number(core, original) > 0
 
-    def test_small_budget_keeps_the_obstructor(self, monkeypatch):
+    def test_small_budget_keeps_the_obstructor(
+        self, monkeypatch, cold_caches, count_calls
+    ):
         # the candidate pool has a fixed size; the budget does not cut it
         sweep = parallel_pair()
+        searches = count_calls(lm, "_find_obstructors")
         monkeypatch.setenv("BRICKFORGE_BUDGET", "2")
         state = lm.exhaust(sweep, 1)[0]
+        assert len(searches) == 1
         assert sz.curve_str(state.obstructors[0][0]) == "F:-1/1"
 
     def test_windows_strictly_ascending(self):
@@ -166,16 +170,65 @@ class TestExhaust:
         assert w["gf1"].kind == "closed"
         assert w["gf1"].hi == state.window[1]
 
-    def test_obstruction_search_failure(self, monkeypatch):
+    def test_obstruction_search_failure(self, monkeypatch, cold_caches):
         sweep = parallel_pair()
-        monkeypatch.setattr(lm, "_crossing_candidates", lambda base, core: [])
-        with pytest.raises(ObstructionSearchFailure):
-            lm.exhaust(sweep, 1)
+        with monkeypatch.context() as patched:
+            patched.setattr(lm, "_crossing_candidates", lambda base, core: [])
+            with pytest.raises(ObstructionSearchFailure):
+                lm.exhaust(sweep, 1)
+        # the failure stores nothing, so the real search runs next
+        assert lm._APPROXIMANTS == {}
+        assert lm.exhaust(sweep, 1)[0].acylindrical
 
-    def test_slit_work_is_bounded(self, monkeypatch):
+    def test_one_memo_entry_per_removal_set(
+        self, monkeypatch, cold_caches, count_calls
+    ):
+        searches = count_calls(lm, "_find_obstructors")
+
+        def removals(p, q, lo=F(3, 8)):
+            # a fresh curve object each time: the key compares classes
+            full = sf.full_surface(sf.TORUS_1_1)
+            return [(sf.slope_curve(full, p, q), (lo, lo + F(1, 4)))]
+
+        a = lm._approximant(sf.TORUS_1_1, removals(0, 1))
+        b = lm._approximant(sf.TORUS_1_1, removals(1, 0))
+        c = lm._approximant(sf.TORUS_1_1, removals(0, 1, F(1, 4)))
+        assert lm._approximant(sf.TORUS_1_1, removals(0, 1)) is a
+        assert len(searches) == len(lm._APPROXIMANTS) == 3
+        assert len({x[1].complex for x in (a, b, c)}) == 3
+        # a full memo is emptied before the next entry goes in, and a
+        # dropped entry is searched again with the same answer
+        monkeypatch.setattr(lm, "_MAX_APPROXIMANTS", 3)
+        d = lm._approximant(sf.TORUS_1_1, removals(1, 0, F(1, 4)))
+        assert list(lm._APPROXIMANTS.values()) == [d]
+        again = lm._approximant(sf.TORUS_1_1, removals(0, 1))
+        assert len(searches) == 5
+        assert again is not a and again[0] == a[0] and again[2] == a[2]
+        assert again[1].complex == a[1].complex
+
+    def test_memo_never_changes_a_stage(self, capsys, cold_caches):
+        specs = [f"{kind}:{d}" for kind in ("kt", "bo") for d in (1, 2, 3)]
+
+        def stdout(spec):
+            assert cli.run(["limit", "--scenario", spec, "--stages", "3"]) == 0
+            return capsys.readouterr().out
+
+        cold = {}
+        for spec in specs:
+            cold_caches()
+            cold[spec] = stdout(spec)
+        for spec in specs:
+            stdout(spec)
+        # each rerun finds every scenario's approximants in the memo
+        assert {spec: stdout(spec) for spec in reversed(specs)} == cold
+
+    def test_slit_work_is_bounded(self, monkeypatch, cold_caches, count_calls):
         # the run meets 30 distinct (complex, embedding, level) triples;
         # the model is swept once for decompose and once for exhaust and
-        # the theorem report, and each stage sweeps its approximant once
+        # the theorem report, and the approximant that the 4 stages share
+        # is searched, checked by the oracle and swept once
+        searches = count_calls(lm, "_find_obstructors")
+        oracle_checks = count_calls(bk, "check_a2_bruteforce")
         calls = []
         slit_at = bk.slit_at
 
@@ -185,18 +238,20 @@ class TestExhaust:
 
         monkeypatch.setattr(bk, "slit_at", counted)
         assert cli.run(["limit", "--scenario", "bo:6", "--stages", "4"]) == 0
-        assert len(calls) <= 90
+        assert len(calls) <= 30
+        assert len(searches) == len(oracle_checks) == 1
 
     def test_level_comparisons_are_bounded(self, count_calls):
         # slits, clear-annulus tests and gap fronts bisect level indices; a
         # warm rerun made 10,521 Fraction comparisons when each level
-        # question scanned every level, and makes 3,562 now
+        # question scanned every level, 3,562 when it searched each stage's
+        # approximant again, and makes 2,575 now
         args = ["limit", "--scenario", "bo:6", "--stages", "4"]
         assert cli.run(args) == 0
         ordered = count_calls(Fraction, "_richcmp")
         equal = count_calls(Fraction, "__eq__")
         assert cli.run(args) == 0
-        assert len(ordered) + len(equal) <= 3562
+        assert len(ordered) + len(equal) <= 2575
 
     def test_stage_report_serializable(self):
         m, e = bo(2)
