@@ -17,12 +17,12 @@ def main():
     print(f"geodesic from {u} to {w}:")
     path = sf.farey_geodesic(u, w)
     for step, simplex in enumerate(path):
-        (curve,) = simplex.sorted_curves()
+        (curve,) = simplex.curves
         print(f"  step {step}: {curve}")
     print("tight:", sf.is_tight_sequence(path))
     print()
 
-    oracle = fy.farey_bfs_distance(u.rep.slope, w.rep.slope, 12)
+    oracle = fy.farey_bfs_distance(u.rep, w.rep, 12)
     print(f"length {len(path) - 1} matches the BFS oracle {oracle}")
     print()
 

@@ -21,7 +21,7 @@ def main():
     for g in h.geodesics:
         print(f"\ngeodesic {g.gid} on {g.domain.token}:")
         for i, s in enumerate(g.simplices):
-            names = ", ".join(str(c) for c in s.sorted_curves())
+            names = ", ".join(str(c) for c in s.curves)
             print(f"  v{i}: {names}")
     ok, violations = hy.verify_hierarchy(h)
     print("\nverified:", ok, violations or "")

@@ -173,9 +173,7 @@ def _split_brick(b: bk.Brick, c: sf.Curve):
     """Replace a brick by the complement pieces of a vertical annulus."""
     if b.support.kind != "full":
         raise DomainError("splitting is only needed on full-support bricks")
-    full = sf.full_surface(b.support.ambient)
-    domains = sf.component_domains(full, sf.Simplex.of(full, c))
-    pieces = [y for y in domains if y.kind == "proper"]
+    pieces = sf.proper_pieces(sf.full_surface(b.support.ambient), c)
     tag = sf.curve_tag(c)
     out = []
     for i, y in enumerate(pieces):
@@ -290,18 +288,6 @@ def normalize(sweep: bk.LevelSweep) -> bk.LevelSweep:
 # endpoint markings
 
 
-def _joint_partners(k: bk.BrickComplex, b: bk.Brick, level):
-    out = []
-    for j in k.joints:
-        if j.level != level:
-            continue
-        if j.upper == b.bid:
-            out.append((k.brick(j.lower), j))
-        elif j.lower == b.bid:
-            out.append((k.brick(j.upper), j))
-    return out
-
-
 def _endpoint_marking(sweep, b, side):
     """Endpoint datum of a brick front: explicit record, label
     lamination, pants system of a geometrically finite neighbor across an
@@ -319,7 +305,8 @@ def _endpoint_marking(sweep, b, side):
     alpha, beta = sweep.embedding.level_of(b.bid)
     level, front = (b.lo, alpha) if side == "lower" else (b.hi, beta)
     curves = []
-    for partner, j in _joint_partners(k, b, level):
+    for j in k.joints_at(b.bid, level):
+        partner = k.brick(j.lower if j.upper == b.bid else j.upper)
         if _is_gf(partner) and j.is_inessential(k):
             for c, _, _ in partner.label.conformal or ():
                 if c not in curves:
@@ -342,7 +329,7 @@ def _endpoint_marking(sweep, b, side):
     usable = [c for c in curves if c.domain.token == domain.token]
     if not usable:
         return None
-    return sf.Marking(sf.Simplex(domain, frozenset(usable)))
+    return sf.Marking(sf.Simplex(domain, usable))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +341,7 @@ def _main_geodesic(domain, start, end):
     toward a marking or lamination.  Returns the vertex list and the
     finite stand-in for the far end."""
     _, simplices, end_marking = hy.tight_geodesic(domain, start, end)
-    return [v.sorted_curves()[0] for v in simplices], end_marking
+    return [v.curves[0] for v in simplices], end_marking
 
 
 def _intervals_for(n, kind, gap: bool):
@@ -710,7 +697,7 @@ def hierarchy_crosscheck(b: bk.Brick, d: BlockDecomposition) -> bool:
             continue
         seq = expected.setdefault(g.domain.token, [])
         for v in g.simplices:
-            for c in v.sorted_curves():
+            for c in v.curves:
                 seq.append(hy.ambient_curve(c))
 
     tubes = [t for t in d.placed if t.origin[1] != "boundary"]

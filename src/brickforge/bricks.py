@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
+from . import charts
 from . import surfaces as sf
 from .errors import (
     DomainError,
@@ -96,6 +97,13 @@ class BrickComplex:
 
     def brick(self, bid) -> Brick:
         return self._by_id[bid]
+
+    def joints_at(self, bid, level):
+        """The joints of a brick at one brick-coordinate level, in joint
+        order."""
+        return [
+            j for j in self.joints if j.level == level and bid in (j.upper, j.lower)
+        ]
 
     def ids(self):
         return {b.bid for b in self.bricks}
@@ -181,7 +189,7 @@ def curve_in_domain(y: sf.EssentialSubsurface, c: sf.Curve) -> bool:
         return c == y.boundary[0]
     if y.chart is None:
         return False
-    if not isinstance(c.rep, sf.NormalRep):
+    if not isinstance(c.rep, charts.CurveDesc):
         return False
     return y.chart.classify(c.flat().canonical()) is not None
 
@@ -320,8 +328,7 @@ def slit_at(k: BrickComplex, e: LeafEmbedding, c: Fraction) -> tuple:
         for curve in b.support.boundary:
             if curve not in cut:
                 cut.append(curve)
-    simplex = sf.Simplex(full, frozenset(cut))
-    domains = sf.component_domains(full, simplex)
+    domains = sf.component_domains(full, sf.Simplex(full, cut))
     present_tokens = {b.support.token for b in present}
     collar_tags = {tag for b in present for tag in b.collars}
     components = []
@@ -625,12 +632,7 @@ def check_conditions(sweep: LevelSweep):
             # brick is glued along its whole front to a brick with the
             # same support
             closed_level = b.hi if b.open_below() else b.lo
-            joints = [
-                j
-                for j in k.joints
-                if j.level == closed_level and b.bid in (j.upper, j.lower)
-            ]
-            if not any(j.is_inessential(k) for j in joints):
+            if not any(j.is_inessential(k) for j in k.joints_at(b.bid, closed_level)):
                 a5 = False
     return {
         "A1": a1, "A2": a2, "A3": a3, "A4": a4, "A5": a5, "EL": check_el(sweep)

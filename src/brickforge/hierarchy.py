@@ -111,13 +111,13 @@ def _fan_geodesic(domain, s1: Slope, s2: Slope):
     of integers, and the fan is geodesically closed via 1/0, so routing
     through it keeps every vertex realizable.
     """
-    u = sf.Curve(domain, sf.FareySlope(s1))
-    w = sf.Curve(domain, sf.FareySlope(s2))
+    u = sf.Curve(domain, s1)
+    w = sf.Curve(domain, s2)
     if s1 == s2:
         return (sf.Simplex.of(domain, u),)
     if sf.are_adjacent(u, w):
         return (sf.Simplex.of(domain, u), sf.Simplex.of(domain, w))
-    inf = sf.Curve(domain, sf.FareySlope(Slope(1, 0)))
+    inf = sf.Curve(domain, Slope(1, 0))
     if s1 != Slope(1, 0) and s2 != Slope(1, 0):
         if sf.are_adjacent(u, inf) and sf.are_adjacent(inf, w):
             return (
@@ -176,7 +176,7 @@ def _tighten(domain, path, certificate):
             )
             if sb.filling:
                 raise NoTightGeodesic("consecutive-but-one vertices fill the surface")
-            cs = sb.sorted_curves()
+            cs = sb.curves
             if len(cs) == 1 and cs[0] != verts[i]:
                 verts[i] = cs[0]
                 changed = True
@@ -194,10 +194,9 @@ def _tighten(domain, path, certificate):
 
 def _base_vertex(m):
     if isinstance(m, sf.Marking):
-        cs = m.base.sorted_curves()
-        if not cs:
+        if not m.base.curves:
             raise ValueError("marking with empty base")
-        return cs[0]
+        return m.base.curves[0]
     if isinstance(m, sf.LaminationDescriptor):
         raise NoTightGeodesic("lamination endpoint needs a finite prefix")
     raise TypeError("expected a Marking")
@@ -249,7 +248,7 @@ def _realizable(domain, simplices) -> bool:
     """True when every vertex curve has an ambient model: always on a full
     surface, otherwise when the domain's chart realizes its slope."""
     return domain.kind == "full" or all(
-        domain.chart.realize(c.rep.slope) is not None
+        domain.chart.realize(c.rep) is not None
         for v in simplices
         for c in v.curves
     )
@@ -343,8 +342,8 @@ def build_hierarchy(s: sf.Surface, initial, terminal):
             kind, back, fwd = subordinacy(main, j, y)
             if kind != "both":
                 continue
-            t1 = back.base.sorted_curves()[0].rep.twist
-            t2 = fwd.base.sorted_curves()[0].rep.twist
+            t1 = back.base.curves[0].rep
+            t2 = fwd.base.curves[0].rep
             geodesics.append(
                 TightGeodesic(
                     gid=f"g{len(geodesics)}",
@@ -366,9 +365,9 @@ def build_hierarchy(s: sf.Surface, initial, terminal):
 
 def _marking_slope(m) -> Slope:
     c = _base_vertex(m)
-    if not isinstance(c.rep, sf.FareySlope):
+    if not isinstance(c.rep, Slope):
         raise BudgetExceeded("restricted marking is not in slope coordinates")
-    return c.rep.slope
+    return c.rep
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +389,7 @@ def verify_hierarchy(h: Hierarchy):
         try:
             if g.domain.kind == "annulus":
                 ok = all(
-                    sf.are_adjacent(
-                        a.sorted_curves()[0], b.sorted_curves()[0]
-                    )
+                    sf.are_adjacent(a.curves[0], b.curves[0])
                     for a, b in zip(g.simplices, g.simplices[1:])
                 )
             elif g.domain.token == h.domain.token and h.certificate is not None:
@@ -444,11 +441,11 @@ def ambient_curve(c: sf.Curve) -> sf.Curve:
     if c.domain.kind == "annulus":
         return c.domain.boundary[0]
     chart = c.domain.chart
-    if chart is None or not isinstance(c.rep, sf.FareySlope):
+    if chart is None or not isinstance(c.rep, Slope):
         raise BudgetExceeded(f"cannot realize {c!r} on the full surface")
     if isinstance(chart, sf.SlopeChart):
         raise BudgetExceeded("abstract slope domains have no ambient model")
-    desc = chart.realize(c.rep.slope)
+    desc = chart.realize(c.rep)
     if desc is None:
-        raise BudgetExceeded(f"slope {c.rep.slope} is outside the realizable fan")
+        raise BudgetExceeded(f"slope {c.rep} is outside the realizable fan")
     return sf.flat_curve(sf.full_surface(c.domain.ambient), desc)

@@ -50,11 +50,6 @@ def _gf_label(bid, full, twist=Fraction(0)):
     return bk.EndLabel(bid, "geometrically-finite", conformal=conformal)
 
 
-def _proper_pieces(full, core):
-    domains = sf.component_domains(full, sf.Simplex.of(full, core))
-    return [y for y in domains if y.kind == "proper"]
-
-
 def _assemble(base, removals, lo_m, hi_m, top_twist=Fraction(0)):
     """Product model minus the given thickened tubes, with full buffer
     bricks so that both geometrically finite fronts are inessential
@@ -79,9 +74,9 @@ def _assemble(base, removals, lo_m, hi_m, top_twist=Fraction(0)):
         if k == 1:
             add_joint(buf, "gf0", full, prev_top)
         else:
-            for i, y in enumerate(_proper_pieces(full, removals[k - 2][0])):
+            for i, y in enumerate(sf.proper_pieces(full, removals[k - 2][0])):
                 add_joint(buf, f"t{k - 1}p{i}", y, prev_top)
-        for i, y in enumerate(_proper_pieces(full, core)):
+        for i, y in enumerate(sf.proper_pieces(full, core)):
             bid = f"t{k}p{i}"
             bricks.append(bk.Brick(bid, y, "closed", t_lo, t_hi))
             add_joint(bid, buf, y, t_lo)
@@ -89,7 +84,7 @@ def _assemble(base, removals, lo_m, hi_m, top_twist=Fraction(0)):
     top_buf = f"buf{d}"
     bricks.append(bk.Brick(top_buf, full, "closed", prev_top, hi_m))
     if removals:
-        for i, y in enumerate(_proper_pieces(full, removals[-1][0])):
+        for i, y in enumerate(sf.proper_pieces(full, removals[-1][0])):
             add_joint(top_buf, f"t{d}p{i}", y, prev_top)
     else:
         add_joint(top_buf, "gf0", full, prev_top)
@@ -134,9 +129,7 @@ def _generate_brock(s: Scenario):
         raise ValueError("removed-leaf scenarios need a separating curve")
     full = sf.full_surface(s.base)
     sigma = sf.slot_class(full, (0, 0), (1, 0))
-    domains = sf.component_domains(full, sf.Simplex.of(full, sigma))
-    torus_side = next(y for y in domains if y.token.startswith("torus-side"))
-    pants_side = next(y for y in domains if y.token.startswith("pants"))
+    torus_side, pants_side = sf.proper_pieces(full, sigma)
     tag = sf.curve_tag(sigma)
     half = Fraction(1, 2)
     a, b = Fraction(2, 5), Fraction(3, 5)

@@ -73,12 +73,7 @@ def _annulus_incidence(core: sf.Curve, y) -> int:
     if bk.curve_in_domain(y, core):
         return 2
     if any(b == core for b in y.boundary):
-        full = sf.full_surface(y.ambient)
-        sides = [
-            d
-            for d in sf.component_domains(full, sf.Simplex.of(full, core))
-            if d.kind == "proper"
-        ]
+        sides = sf.proper_pieces(sf.full_surface(y.ambient), core)
         return 2 if len(sides) == 1 else 1
     return 0
 

@@ -56,7 +56,7 @@ def curve_str(c: sf.Curve) -> str:
         return f"F:{val}"
     if kind == "A":
         return f"A:{val}"
-    coords = c.normal_coords()
+    coords = c.flat().normal_coords()
     return "N:[" + ",".join(str(x) for x in coords) + "]"
 
 
@@ -131,8 +131,7 @@ def parse_support(doc: dict) -> sf.EssentialSubsurface:
         raise ParseError("proper support without boundary curves")
     if kind == "annulus":
         return sf._annulus_domain(full, boundary[0])
-    simplex = sf.Simplex(full, frozenset(boundary))
-    for y in sf.component_domains(full, simplex):
+    for y in sf.component_domains(full, sf.Simplex(full, boundary)):
         if y.token == token:
             return y
     raise ParseError(f"support token {token!r} does not match its boundary")
@@ -220,7 +219,7 @@ def _marking_doc(mk) -> dict:
         return {"kind": "lamination", "value": _lamination_doc(mk)}
     return {
         "kind": "marking",
-        "curves": [curve_str(c) for c in mk.base.sorted_curves()],
+        "curves": [curve_str(c) for c in mk.base.curves],
     }
 
 

@@ -23,6 +23,7 @@ from .farey import (
     Slope,
     farey_geodesic_slopes,
     slope_intersection,
+    slopes_adjacent,
 )
 
 
@@ -92,30 +93,17 @@ def full_surface(s: Surface) -> EssentialSubsurface:
 
 
 @dataclass(frozen=True)
-class FareySlope:
-    slope: Slope
-
-
-@dataclass(frozen=True)
-class NormalRep:
-    desc: charts.CurveDesc
-
-
-@dataclass(frozen=True)
-class AnnulusArc:
-    twist: int
-
-
-@dataclass(frozen=True)
 class Curve:
     domain: EssentialSubsurface
-    rep: object
+    # a Slope on a slope-chart domain, an int twist on an annulus, or the
+    # CurveDesc of a polygonal curve on the twice-punctured torus
+    rep: Slope | int | charts.CurveDesc
 
     def key(self):
-        if isinstance(self.rep, FareySlope):
-            return ("F", self.rep.slope)
-        if isinstance(self.rep, AnnulusArc):
-            return ("A", self.rep.twist)
+        if isinstance(self.rep, Slope):
+            return ("F", self.rep)
+        if isinstance(self.rep, int):
+            return ("A", self.rep)
         # kept outside the fields, like FlatCurve.canonical: a desc always
         # builds the same class, so hashing builds no flat curve twice
         if "_key" not in self.__dict__:
@@ -123,12 +111,9 @@ class Curve:
         return self._key
 
     def flat(self) -> fc.FlatCurve:
-        if not isinstance(self.rep, NormalRep):
+        if not isinstance(self.rep, charts.CurveDesc):
             raise DomainError("curve has no polygonal representative")
-        return charts.AMBIENT.curve(self.rep.desc)
-
-    def normal_coords(self):
-        return self.flat().normal_coords()
+        return charts.AMBIENT.curve(self.rep)
 
     def __eq__(self, other):
         if not isinstance(other, Curve):
@@ -146,13 +131,13 @@ class Curve:
 def slope_curve(domain: EssentialSubsurface, p: int, q: int) -> Curve:
     if not isinstance(domain.chart, (SlopeChart, charts.StripChart, charts.TorusSideChart)):
         raise DomainError("domain does not carry slope coordinates")
-    return Curve(domain, FareySlope(Slope(p, q)))
+    return Curve(domain, Slope(p, q))
 
 
 def flat_curve(domain: EssentialSubsurface, desc: charts.CurveDesc) -> Curve:
     if domain.chart is not charts.AMBIENT:
         raise DomainError("polygonal curves live on the twice-punctured torus")
-    return Curve(domain, NormalRep(desc))
+    return Curve(domain, desc)
 
 
 def line_class(domain: EssentialSubsurface, a: int, b: int, band: int = 0) -> Curve:
@@ -166,7 +151,7 @@ def slot_class(domain: EssentialSubsurface, p, q) -> Curve:
 def arc_curve(domain: EssentialSubsurface, twist: int) -> Curve:
     if domain.kind != "annulus":
         raise DomainError("arc classes live on annulus domains")
-    return Curve(domain, AnnulusArc(twist))
+    return Curve(domain, twist)
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +170,13 @@ def intersection_number(a: Curve, b: Curve) -> int:
     if a == b:
         return 0
     ra, rb = a.rep, b.rep
-    if isinstance(ra, FareySlope) and isinstance(rb, FareySlope):
+    if isinstance(ra, Slope) and isinstance(rb, Slope):
         chart = a.domain.chart
         doubled = bool(chart.doubled) if chart is not None else False
-        return slope_intersection(ra.slope, rb.slope, doubled)
-    if isinstance(ra, AnnulusArc) and isinstance(rb, AnnulusArc):
-        return max(abs(ra.twist - rb.twist) - 1, 0)
-    if isinstance(ra, NormalRep) and isinstance(rb, NormalRep):
+        return slope_intersection(ra, rb, doubled)
+    if isinstance(ra, int) and isinstance(rb, int):
+        return max(abs(ra - rb) - 1, 0)
+    if isinstance(ra, charts.CurveDesc) and isinstance(rb, charts.CurveDesc):
         return fc.flat_intersection(a.flat(), b.flat())
     raise DomainError("mixed curve representations on one domain")
 
@@ -200,15 +185,11 @@ def are_adjacent(a: Curve, b: Curve) -> bool:
     _check_same_domain(a, b)
     if a == b:
         raise ValueError("adjacency needs two distinct curves")
-    if isinstance(a.rep, AnnulusArc):
-        return abs(a.rep.twist - b.rep.twist) <= 1
-    xi = a.domain.complexity()
-    i = intersection_number(a, b)
-    if xi == 4:
-        chart = a.domain.chart
-        doubled = bool(chart.doubled) if chart is not None else False
-        return i == (2 if doubled else 1)
-    return i == 0
+    if isinstance(a.rep, int):
+        return abs(a.rep - b.rep) <= 1
+    if a.domain.complexity() == 4:
+        return slopes_adjacent(a.rep, b.rep)
+    return intersection_number(a, b) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -217,29 +198,28 @@ def are_adjacent(a: Curve, b: Curve) -> bool:
 
 @dataclass(frozen=True)
 class Simplex:
+    """Pairwise disjoint curves of one domain.  Built from any iterable of
+    curves; `curves` is then the tuple of the distinct ones in increasing
+    `repr(c.key())`, so equal simplices iterate their curves alike."""
+
     domain: EssentialSubsurface
-    curves: frozenset
+    curves: tuple
     filling: bool = False
 
     def __post_init__(self):
-        for c in self.curves:
+        cs = tuple(sorted(set(self.curves), key=lambda c: repr(c.key())))
+        for c in cs:
             if c.domain.token != self.domain.token:
                 raise DomainError("simplex curve on a different domain")
-        cs = sorted(self.curves, key=lambda c: repr(c.key()))
         for i, c in enumerate(cs):
             for d in cs[i + 1 :]:
                 if intersection_number(c, d) != 0:
                     raise ValueError("simplex curves must be disjoint")
+        object.__setattr__(self, "curves", cs)
 
     @staticmethod
     def of(domain, *curves):
-        return Simplex(domain, frozenset(curves))
-
-    def sorted_curves(self):
-        return sorted(self.curves, key=lambda c: repr(c.key()))
-
-    def is_empty(self):
-        return not self.curves
+        return Simplex(domain, curves)
 
 
 @dataclass(frozen=True)
@@ -249,13 +229,12 @@ class Marking:
     twists: tuple = ()  # pairs (base curve, integer annulus twist)
 
     def __post_init__(self):
-        base_curves = set(self.base.curves)
         for c, t in self.transversals:
-            if c not in base_curves:
+            if c not in self.base.curves:
                 raise ValueError("transversal attached to a non-base curve")
             if intersection_number(c, t) == 0:
                 raise ValueError("transversal must cross its base curve")
-            for other in base_curves:
+            for other in self.base.curves:
                 if other != c and intersection_number(other, t) != 0:
                     raise ValueError("transversal crosses a different base curve")
 
@@ -295,11 +274,11 @@ class LaminationDescriptor:
 def farey_geodesic(u: Curve, w: Curve):
     """Tight vertex path between two slope curves, as single-curve simplices."""
     _check_same_domain(u, w)
-    if not isinstance(u.rep, FareySlope):
+    if not isinstance(u.rep, Slope):
         raise DomainError("farey_geodesic needs slope curves")
     d = u.domain
-    slopes = farey_geodesic_slopes(u.rep.slope, w.rep.slope)
-    return [Simplex.of(d, Curve(d, FareySlope(s))) for s in slopes]
+    slopes = farey_geodesic_slopes(u.rep, w.rep)
+    return [Simplex.of(d, Curve(d, s)) for s in slopes]
 
 
 def subsurface_boundary(v1: Simplex, v2: Simplex) -> Simplex:
@@ -314,7 +293,7 @@ def subsurface_boundary(v1: Simplex, v2: Simplex) -> Simplex:
     d = v1.domain
     if d.complexity() <= 4:
         raise DomainError("subsurface boundary needs complexity above 4")
-    union = list(dict.fromkeys(v1.sorted_curves() + v2.sorted_curves()))
+    union = list(dict.fromkeys(v1.curves + v2.curves))
     if not union:
         raise ValueError("both simplices are empty")
     if len(union) == 1:
@@ -334,8 +313,8 @@ def subsurface_boundary(v1: Simplex, v2: Simplex) -> Simplex:
         if curve not in out:
             out.append(curve)
     if not out:
-        return Simplex(d, frozenset(), filling=True)
-    return Simplex(d, frozenset(out))
+        return Simplex(d, (), filling=True)
+    return Simplex(d, out)
 
 
 class DistanceCertificate:
@@ -431,7 +410,7 @@ def is_tight_sequence(seq, certificate: DistanceCertificate | None = None) -> bo
     if xi > 4:
         for i in range(1, len(seq) - 1):
             sb = subsurface_boundary(seq[i - 1], seq[i + 1])
-            if sb.filling or set(sb.curves) != set(seq[i].curves):
+            if sb.filling or sb.curves != seq[i].curves:
                 return False
     return True
 
@@ -477,9 +456,9 @@ def component_domains(d: EssentialSubsurface, v: Simplex):
     """Complementary components of a simplex plus one annulus per curve."""
     if v.domain.token != d.token:
         raise DomainError("simplex lives on a different domain")
-    if v.is_empty():
+    if not v.curves:
         return [d]
-    curves = v.sorted_curves()
+    curves = v.curves
     out = []
     if d.ambient in (TORUS_1_1, SPHERE_0_4) and d.kind == "full":
         c = curves[0]
@@ -496,7 +475,7 @@ def component_domains(d: EssentialSubsurface, v: Simplex):
             flat = c.flat()
             separating = charts.AMBIENT.is_separating(flat)
             if separating:
-                desc = c.rep.desc
+                desc = c.rep
                 if desc.kind != "slot":
                     found = charts.AMBIENT.lookup(flat.canonical())
                     if found is not None and found.kind == "slot":
@@ -545,18 +524,24 @@ def component_domains(d: EssentialSubsurface, v: Simplex):
     raise BudgetExceeded("component domains unsupported on this domain")
 
 
+def proper_pieces(d: EssentialSubsurface, c: Curve):
+    """The non-annulus complementary components of one curve, in
+    `component_domains` order."""
+    return [y for y in component_domains(d, Simplex.of(d, c)) if y.kind == "proper"]
+
+
 # ---------------------------------------------------------------------------
 # marking restriction
 
 
 def _project_curve(y: EssentialSubsurface, c: Curve):
     """Project an ambient curve into a charted subdomain, as subdomain curves."""
-    if not isinstance(c.rep, NormalRep):
+    if not isinstance(c.rep, charts.CurveDesc):
         raise DomainError("projection needs an ambient polygonal curve")
     if y.chart is None:
         raise BudgetExceeded(f"no chart on domain {y.token}")
     slopes = charts.project_to_chart(y.chart, c.flat())
-    return [Curve(y, FareySlope(s)) for s in slopes]
+    return [Curve(y, s) for s in slopes]
 
 
 def restrict_marking(m: Marking, y: EssentialSubsurface):
@@ -596,4 +581,4 @@ def restrict_marking(m: Marking, y: EssentialSubsurface):
                     kept.append(pc)
     if not kept:
         return None
-    return Marking(Simplex(y, frozenset(kept)))
+    return Marking(Simplex(y, kept))

@@ -218,7 +218,7 @@ class TestBoundaryData:
         sweep = bk.LevelSweep.of(m.complex, e)
         full = sf.full_surface(sf.TORUS_1_1)
         start = bl._endpoint_marking(sweep, m.complex.brick("buf0"), "lower")
-        assert start.base.curves == {sf.slope_curve(full, 0, 1)}
+        assert start.base.curves == (sf.slope_curve(full, 0, 1),)
 
     def test_sd_descriptors_passed_through(self):
         m, e = brock()
@@ -255,9 +255,9 @@ class TestTubeUnionFor:
         # a closed brick's geodesic ends at its terminal marking itself
         assert bl._main_geodesic(full, slope_marking(full, 0, 1), end)[1] is end
         assert [t.band for t in tubes] == [(F(0), F(1, 4)), (F(1, 2), F(3, 4))]
-        assert [t.core.rep.slope for t in tubes] == [
-            sf.slope_curve(full, 0, 1).rep.slope,
-            sf.slope_curve(full, 1, 0).rep.slope,
+        assert [t.core.rep for t in tubes] == [
+            sf.slope_curve(full, 0, 1).rep,
+            sf.slope_curve(full, 1, 0).rep,
         ]
 
     def test_band_scaled_to_brick(self, brick_tubes):

@@ -2,6 +2,9 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -364,7 +367,7 @@ class TestExport:
         k, _ = sz.parse_complex(sz.loads(out))
         b = k.brick("b0")
         assert b.initial is not None and b.terminal is not None
-        (c,) = b.terminal.base.sorted_curves()
+        (c,) = b.terminal.base.curves
         assert sz.curve_str(c) == "F:8/5"
 
 
@@ -594,3 +597,35 @@ def test_malformed_lamination_is_a_parse_error(tmp_path, capsys, rep, command):
     code, out, err = run_json(capsys, document_commands(str(file))[command])
     assert (code, err["error"]) == (2, "parse")
     assert out is None
+
+
+def test_stdout_does_not_depend_on_the_hash_seed(tmp_path):
+    """Curves hash by strings, whose hashes change with the seed, so any
+    output that followed hash order would change with it: decompose and
+    crosscheck of two-curve markings print the same bytes under two seeds."""
+    full = sf.full_surface(sf.TORUS_1_2)
+    pair = (sf.line_class(full, 0, 1, 0), sf.line_class(full, 0, 1, 1))
+    sigma = (sf.slot_class(full, (0, 0), (1, 0)),)
+    paths = []
+    for initial, terminal in ((pair, sigma), (sigma, pair)):
+        b = bk.Brick(
+            "b0", full, "closed", F(0), F(1),
+            initial=sf.Marking(sf.Simplex(full, initial)),
+            terminal=sf.Marking(sf.Simplex(full, terminal)),
+        )
+        k = bk.BrickComplex(sf.TORUS_1_2, (b,), ())
+        paths.append(write_model(tmp_path, f"model{len(paths)}.brick", k))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def stdout(seed, argv):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        proc = subprocess.run(
+            [sys.executable, "-c", "from brickforge.cli import main; main()", *argv],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        return proc.stdout
+
+    for path in paths:
+        for command in ("decompose", "crosscheck"):
+            assert stdout("0", [command, path]) == stdout("1", [command, path])

@@ -144,7 +144,7 @@ def convergent(coeffs) -> Slope:
 def fan_realizes(y, end: Slope) -> bool:
     path = hy._fan_geodesic(y, Slope(0, 1), end)
     return all(
-        y.chart.realize(v.sorted_curves()[0].rep.slope) is not None for v in path
+        y.chart.realize(v.curves[0].rep) is not None for v in path
     )
 
 
@@ -173,7 +173,7 @@ class TestTightGeodesicOnProperDomains:
             depth = 0
         else:
             assert certificate is None
-            slopes = [v.sorted_curves()[0].rep.slope for v in simplices]
+            slopes = [v.curves[0].rep for v in simplices]
             assert all(y.chart.realize(s) is not None for s in slopes)
             assert slopes[-1] == hy._marking_slope(finite)
             depth = max(
@@ -185,7 +185,7 @@ class TestTightGeodesicOnProperDomains:
     def test_known_truncations(self):
         for y in PROPER.values():
             _, simplices, _ = self.build(y, (1, 1, 1, 1))
-            assert [v.sorted_curves()[0].rep.slope for v in simplices] == [
+            assert [v.curves[0].rep for v in simplices] == [
                 Slope(0, 1), Slope(1, 0), Slope(2, 1)
             ]
         with pytest.raises(BudgetExceeded):

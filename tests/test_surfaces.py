@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from brickforge import charts
 from brickforge import flatcurves as fc
+from brickforge import hierarchy as hy
 from brickforge import surfaces as sf
 from brickforge.errors import CertificateError, DomainError
 from brickforge.farey import (
@@ -30,7 +31,7 @@ def twice_punctured():
 
 def slope_certificate(domain, bound):
     return sf.DistanceCertificate(
-        [sf.Curve(domain, sf.FareySlope(s)) for s in enumerate_slopes(bound)]
+        [sf.Curve(domain, s) for s in enumerate_slopes(bound)]
     )
 
 
@@ -121,6 +122,44 @@ class TestAdjacency:
         assert sf.are_adjacent(v0, v1)
         assert not sf.are_adjacent(v0, h)
 
+    def test_sphere_adjacency_is_farey_adjacency(self):
+        d = sphere()
+        assert sf.are_adjacent(sf.slope_curve(d, 0, 1), sf.slope_curve(d, 1, 0))
+        assert not sf.are_adjacent(sf.slope_curve(d, 0, 1), sf.slope_curve(d, 2, 1))
+
+
+@cache
+def universe_pairs():
+    """(single curves and disjoint pairs, crossing pairs) of
+    ambient_universe(1), a single curve as the pair (a, a)."""
+    u = hy.ambient_universe(1)
+    pairs = [(a, b) for i, a in enumerate(u) for b in u[i:]]
+    crossing = [(a, b) for a, b in pairs if sf.intersection_number(a, b) > 0]
+    return [p for p in pairs if p not in crossing], crossing
+
+
+class TestSimplex:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_one_order_whatever_the_input_order(self, data):
+        d = twice_punctured()
+        disjoint, _ = universe_pairs()
+        a, b = data.draw(st.sampled_from(disjoint))
+        forms = [sf.Simplex.of(d, a, b), sf.Simplex.of(d, b, a), sf.Simplex(d, [a, b, a])]
+        assert forms[0] == forms[1] == forms[2]
+        assert len({hash(s) for s in forms}) == 1
+        keys = [repr(c.key()) for c in forms[0].curves]
+        assert len(keys) == len({a, b})
+        assert all(x < y for x, y in zip(keys, keys[1:]))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_crossing_curves_are_refused(self, data):
+        _, crossing = universe_pairs()
+        a, b = data.draw(st.sampled_from(crossing))
+        with pytest.raises(ValueError):
+            sf.Simplex.of(twice_punctured(), a, b)
+
 
 class TestFareyGeodesic:
     def test_edge(self):
@@ -205,7 +244,7 @@ class TestTightSequences:
     def test_consequence_property(self):
         d = torus()
         path = sf.farey_geodesic(sf.slope_curve(d, 0, 1), sf.slope_curve(d, 8, 5))
-        probes = [sf.Curve(d, sf.FareySlope(s)) for s in enumerate_slopes(6)]
+        probes = [sf.Curve(d, s) for s in enumerate_slopes(6)]
         assert tightness_consequence_holds(path, probes)
 
 
@@ -220,7 +259,7 @@ class TestDistanceCertificate:
     @given(st.sampled_from(SMALL_SLOPES), st.sampled_from(SMALL_SLOPES))
     def test_paths_agree_with_farey_bfs_oracle(self, a, b):
         d = torus()
-        u, w = sf.Curve(d, sf.FareySlope(a)), sf.Curve(d, sf.FareySlope(b))
+        u, w = sf.Curve(d, a), sf.Curve(d, b)
         dist = SLOPE_CERTIFICATE.distance(u, w)
         assert dist == farey_bfs_distance(a, b, 8)
         path = SLOPE_CERTIFICATE.path(u, w)
@@ -270,7 +309,7 @@ class TestSubsurfaceBoundary:
         d1 = sf.line_class(d, 1, 1)
         d2 = sf.line_class(d, 1, -1)
         sb = sf.subsurface_boundary(sf.Simplex.of(d, d1), sf.Simplex.of(d, d2))
-        assert sb.filling and sb.is_empty()
+        assert sb.filling and not sb.curves
 
 
 class TestComponentDomains:
@@ -344,7 +383,7 @@ class TestRestrictMarking:
         r = sf.restrict_marking(m, ann)
         assert r is not None
         (arc,) = r.base.curves
-        assert arc.rep.twist == 2
+        assert arc.rep == 2
 
     def test_strip_restriction_projects(self):
         d = twice_punctured()
@@ -355,7 +394,7 @@ class TestRestrictMarking:
         m = sf.Marking(sf.Simplex.of(d, v0), transversals=((v0, h),))
         r = sf.restrict_marking(m, strip)
         assert r is not None
-        slopes = sorted(str(c.rep.slope) for c in r.base.curves)
+        slopes = sorted(str(c.rep) for c in r.base.curves)
         assert slopes == ["0/1"]
 
     def test_torus_side_restriction(self):
@@ -367,7 +406,7 @@ class TestRestrictMarking:
         m = sf.Marking(sf.Simplex.of(d, s0), transversals=((s0, v0),))
         r = sf.restrict_marking(m, side)
         assert r is not None
-        slopes = [str(c.rep.slope) for c in r.base.curves]
+        slopes = [str(c.rep) for c in r.base.curves]
         assert slopes == ["0/1"]
 
     def test_pants_never_carries_curves(self):
