@@ -22,15 +22,15 @@ topology here:
 Points are exact rationals, and the topology is decided in integers.  A
 polyline is scaled once by the common denominator of its coordinates
 (`_int_frame`); crossing words and winding numbers about the punctures
-are then read with integer divisions and cross products, and the segment
-scan of an overlay skips the segment pairs whose bounding boxes do not
-meet and builds rational crossing data only for a hit.  No floats
-anywhere.
+are then read with integer divisions and cross products.  The segment
+scan of an overlay or an embedding check solves each segment pair's
+lattice translates from the pair's two bounding boxes, tests only the
+translates at which the boxes meet, and builds rational crossing data
+only for a hit.  No floats anywhere.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -258,11 +258,6 @@ class FlatCurve:
         pts = list(self.points) + [_add(self.points[0], self.disp)]
         return list(zip(pts, pts[1:]))
 
-    def bbox(self):
-        xs = [p[0] for p in self.points] + [self.points[0][0] + self.disp[0]]
-        ys = [p[1] for p in self.points] + [self.points[0][1] + self.disp[1]]
-        return (min(xs), min(ys), max(xs), max(ys))
-
     def word(self):
         return path_word(self.points, self.disp)
 
@@ -290,21 +285,6 @@ def same_class(c1: FlatCurve, c2: FlatCurve) -> bool:
     return c1.canonical() == c2.canonical()
 
 
-def _lattice_range(bb1, bb2):
-    """Lattice vectors lam with bbox1 possibly meeting bbox2 + lam."""
-    ax0, ay0, ax1, ay1 = bb1
-    bx0, by0, bx1, by1 = bb2
-    out = []
-    imin = math.floor(Fraction(ax0 - bx1, 2)) - 1
-    imax = math.ceil(Fraction(ax1 - bx0, 2)) + 1
-    jmin = math.floor(ay0 - by1) - 1
-    jmax = math.ceil(ay1 - by0) + 1
-    for i in range(imin, imax + 1):
-        for j in range(jmin, jmax + 1):
-            out.append((2 * i, j))
-    return out
-
-
 def _int_segments(*segs):
     """(scale, int segments): the `_int_frame` of the segments, each as
     (p, q, box) with the closed box (x_lo, x_hi, y_lo, y_hi) around it."""
@@ -315,44 +295,59 @@ def _int_segments(*segs):
     ]
 
 
-def _int_hits(isegs1, isegs2, lams, scale: int):
-    """`_segment_hits` on segments already scaled by `_int_segments`.
+def _box_translates(isegs1, isegs2, scale: int):
+    """Every (lam, i, j) such that the closed box of segment i of isegs1
+    meets that of segment j of isegs2 moved by the lattice vector lam, in
+    order of lam, i, j.
 
-    A pair whose closed boxes do not meet is skipped: a crossing, a touch
-    and a collinear overlap each need a common point.
+    A crossing, a touch and a collinear overlap each need a common point,
+    so `seg_cross` finds nothing at any other triple.  The translates of a pair are solved from
+    its boxes: lam = (2m, n) with 2m * scale in [ax0 - bx1, ax1 - bx0] and
+    n * scale in [ay0 - by1, ay1 - by0].
     """
-    for lam in lams:
+    step = 2 * scale
+    out = [
+        ((2 * m, n), i, j)
+        for i, (_, _, (ax0, ax1, ay0, ay1)) in enumerate(isegs1)
+        for j, (_, _, (bx0, bx1, by0, by1)) in enumerate(isegs2)
+        for m in range(-((bx1 - ax0) // step), (ax1 - bx0) // step + 1)
+        for n in range(-((by1 - ay0) // scale), (ay1 - by0) // scale + 1)
+    ]
+    out.sort()
+    return out
+
+
+def _int_hits(isegs1, isegs2, triples, scale: int):
+    """Transverse crossings (lam, i, j, (t, u, point)) of segment i of
+    isegs1 with segment j of isegs2 moved by lam, for the (lam, i, j) of
+    `triples` in their order; segments scaled by `_int_segments`."""
+    for lam, i, j in triples:
+        a1, a2, _ = isegs1[i]
+        b1, b2, _ = isegs2[j]
         lx, ly = lam[0] * scale, lam[1] * scale
-        for i, (a1, a2, (ax0, ax1, ay0, ay1)) in enumerate(isegs1):
-            # a's box moved by -lam, against the unmoved boxes of segs2
-            ax0, ax1, ay0, ay1 = ax0 - lx, ax1 - lx, ay0 - ly, ay1 - ly
-            for j, (b1, b2, (bx0, bx1, by0, by1)) in enumerate(isegs2):
-                if bx0 > ax1 or ax0 > bx1 or by0 > ay1 or ay0 > by1:
-                    continue
-                hit = seg_cross(a1, a2, (b1[0] + lx, b1[1] + ly), (b2[0] + lx, b2[1] + ly), scale)
-                if hit is not None:
-                    yield lam, i, j, hit
+        hit = seg_cross(a1, a2, (b1[0] + lx, b1[1] + ly), (b2[0] + lx, b2[1] + ly), scale)
+        if hit is not None:
+            yield lam, i, j, hit
 
 
-def _segment_hits(segs1, segs2, lams):
+def _segment_hits(segs1, segs2):
     """Transverse crossings of the segments segs1 with the translates
     segs2 + lam, as (lam, i, j, (t, u, point)) in order of lam, i, j."""
     scale, isegs = _int_segments(*segs1, *segs2)
-    yield from _int_hits(isegs[: len(segs1)], isegs[len(segs1) :], lams, scale)
+    isegs1, isegs2 = isegs[: len(segs1)], isegs[len(segs1) :]
+    yield from _int_hits(isegs1, isegs2, _box_translates(isegs1, isegs2, scale), scale)
 
 
 def validate_embedded(c: FlatCurve):
     """Check that the curve is embedded on the torus."""
-    segs = c.segments()
-    scale, isegs = _int_segments(*segs)
+    scale, isegs = _int_segments(*c.segments())
     zero = (0, 0)
-    lams = [lam for lam in _lattice_range(c.bbox(), c.bbox()) if lam != zero]
-    hits = itertools.chain(
-        _int_hits(isegs, isegs, lams, scale),
-        # untranslated, each pair of distinct segments once
-        *(_int_hits([s], isegs[i + 1 :], [zero], scale) for i, s in enumerate(isegs)),
+    # the untranslated pairs last, each pair of distinct segments once
+    triples = sorted(
+        (t for t in _box_translates(isegs, isegs, scale) if t[0] != zero or t[1] < t[2]),
+        key=lambda t: t[0] == zero,
     )
-    if next(hits, None) is not None:
+    if next(_int_hits(isegs, isegs, triples, scale), None) is not None:
         raise GenericityError("curve is not embedded")
     return True
 
@@ -403,20 +398,18 @@ def slot_curve(p, q) -> FlatCurve:
     if gcd(abs(u), abs(v)) != 1:
         raise ValueError("arc direction must be primitive")
     s = abs(u) + abs(v)
-    d = (Fraction(u), Fraction(v))
-    n = (Fraction(-v), Fraction(u))
-    pf = (Fraction(p[0]), Fraction(p[1]))
-    qf = (Fraction(q[0]), Fraction(q[1]))
     for e1_den, e2_den in ((4, 5), (4, 7), (5, 9), (7, 11), (8, 13)):
-        e1 = Fraction(1, e1_den * s)
-        # the normal direction is not unit length, so the half-width must
-        # shrink like 1/s^2 to keep neighboring lattice points outside
-        e2 = Fraction(1, e2_den * s * s + 1)
-        corners = (
-            _add(_add(pf, _scale(d, -e1)), _scale(n, e2)),
-            _add(_add(pf, _scale(d, -e1)), _scale(n, -e2)),
-            _add(_add(qf, _scale(d, e1)), _scale(n, -e2)),
-            _add(_add(qf, _scale(d, e1)), _scale(n, e2)),
+        # the corners p - d/a + n/b, p - d/a - n/b, q + d/a - n/b and
+        # q + d/a + n/b for d = (u, v) along the arc and n = (-v, u) across
+        # it, each over the one denominator a * b; n is not unit length, so
+        # the half-width 1/b must shrink like 1/s^2 to keep neighboring
+        # lattice points outside
+        a = e1_den * s
+        b = e2_den * s * s + 1
+        ab = a * b
+        corners = tuple(
+            (Fraction(x * ab + sd * u * b - sn * v * a, ab), Fraction(y * ab + sd * v * b + sn * u * a, ab))
+            for (x, y), sd, sn in ((p, -1, 1), (p, -1, -1), (q, 1, -1), (q, 1, 1))
         )
         curve = FlatCurve(corners, (0, 0))
         try:
@@ -469,9 +462,8 @@ class Crossing:
 
 def overlay(c1: FlatCurve, c2: FlatCurve):
     """All torus crossings between two embedded curves, with exact data."""
-    lams = _lattice_range(c1.bbox(), c2.bbox())
     out = []
-    for _, i, j, (t, u, point) in _segment_hits(c1.segments(), c2.segments(), lams):
+    for _, i, j, (t, u, point) in _segment_hits(c1.segments(), c2.segments()):
         if _on_grid(point):
             raise GenericityError("crossing point on a grid line")
         out.append(Crossing((i, t), (j, u), point))

@@ -507,9 +507,9 @@ def segment_pairs(draw):
     return a, b
 
 
-def _hits_or_error(hits):
+def _outcome(f, *args):
     try:
-        return list(hits())
+        return f(*args)
     except fc.GenericityError as exc:
         return str(exc)
 
@@ -527,15 +527,215 @@ def _boxes_meet(a, b):
 def test_integer_kernel_agrees_with_fraction_reference(pair, i, j):
     a, b = pair
     lam = (2 * i, j)
-    # b is reached as the translate by lam of b - lam
-    moved_back = [tuple(fc._sub(p, lam) for p in b)]
-    kernel = _hits_or_error(
-        lambda: (hit for _, _, _, hit in fc._segment_hits([a], moved_back, [lam]))
-    )
-    reference = _hits_or_error(lambda: filter(None, [fraction_seg_cross(*a, *b)]))
-    assert kernel == reference
+    # b is reached as the translate by lam of b - lam, in the int frame
+    # of a and b - lam, as the segment scan reaches it
+    moved_back = tuple(fc._sub(p, lam) for p in b)
+    scale, (ia, ib) = fc._int_frame(a, moved_back)
+    ib = [(x + lam[0] * scale, y + lam[1] * scale) for x, y in ib]
+    kernel = _outcome(fc.seg_cross, *ia, *ib, scale)
+    assert kernel == _outcome(fraction_seg_cross, *a, *b)
+    # the scan tries the pair at lam exactly when the two boxes meet there
+    scale, isegs = fc._int_segments(a, moved_back)
+    solved = fc._box_translates(isegs[:1], isegs[1:], scale)
+    assert ((lam, 0, 0) in solved) == _boxes_meet(a, b)
     if not _boxes_meet(a, b):
-        assert kernel == []
+        assert kernel is None
+
+
+# ---------------------------------------------------------------------------
+# the per-pair translate solve against the lattice scan it replaced
+
+
+def scan_lattice_range(c1, c2):
+    """Lattice vectors lam with the bounding box of c1 possibly meeting
+    that of c2 + lam, with a margin of one step on each side."""
+
+    def bbox(c):
+        xs = [p[0] for p in c.points] + [c.points[0][0] + c.disp[0]]
+        ys = [p[1] for p in c.points] + [c.points[0][1] + c.disp[1]]
+        return (min(xs), min(ys), max(xs), max(ys))
+
+    (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = bbox(c1), bbox(c2)
+    return [
+        (2 * i, j)
+        for i in range(math.floor(Fraction(ax0 - bx1, 2)) - 1, math.ceil(Fraction(ax1 - bx0, 2)) + 2)
+        for j in range(math.floor(ay0 - by1) - 1, math.ceil(ay1 - by0) + 2)
+    ]
+
+
+def scan_hits(isegs1, isegs2, lams, scale):
+    """The reference scan: every translate lam, then every segment pair,
+    skipping a pair whose closed boxes do not meet."""
+    for lam in lams:
+        lx, ly = lam[0] * scale, lam[1] * scale
+        for i, (a1, a2, (ax0, ax1, ay0, ay1)) in enumerate(isegs1):
+            ax0, ax1, ay0, ay1 = ax0 - lx, ax1 - lx, ay0 - ly, ay1 - ly
+            for j, (b1, b2, (bx0, bx1, by0, by1)) in enumerate(isegs2):
+                if bx0 > ax1 or ax0 > bx1 or by0 > ay1 or ay0 > by1:
+                    continue
+                hit = fc.seg_cross(a1, a2, (b1[0] + lx, b1[1] + ly), (b2[0] + lx, b2[1] + ly), scale)
+                if hit is not None:
+                    yield lam, i, j, hit
+
+
+def scan_overlay(c1, c2):
+    segs1, segs2 = c1.segments(), c2.segments()
+    scale, isegs = fc._int_segments(*segs1, *segs2)
+    hits = scan_hits(isegs[: len(segs1)], isegs[len(segs1) :], scan_lattice_range(c1, c2), scale)
+    out = []
+    for _, i, j, (t, u, point) in hits:
+        if fc._on_grid(point):
+            raise fc.GenericityError("crossing point on a grid line")
+        out.append(fc.Crossing((i, t), (j, u), point))
+    return out
+
+
+def scan_validate_embedded(c):
+    scale, isegs = fc._int_segments(*c.segments())
+    zero = (0, 0)
+    lams = [lam for lam in scan_lattice_range(c, c) if lam != zero]
+    hits = itertools.chain(
+        scan_hits(isegs, isegs, lams, scale),
+        *(scan_hits([s], isegs[i + 1 :], [zero], scale) for i, s in enumerate(isegs)),
+    )
+    if next(hits, None) is not None:
+        raise fc.GenericityError("curve is not embedded")
+    return True
+
+
+def test_overlay_matches_the_lattice_scan_on_every_ordered_pair():
+    """The same crossing list, order included, or the same first error,
+    on every ordered pair of radius-2 curves, the second one also at each
+    nudge that `generic_overlay_pair` tries."""
+    built = [desc.build() for desc in RADIUS_2]
+    tried = errors = 0
+    for c1, c2 in itertools.product(built, repeat=2):
+        for cand in fc._nudges(c2):
+            got = _outcome(fc.overlay, c1, cand)
+            assert got == _outcome(scan_overlay, c1, cand)
+            tried += 1
+            if not isinstance(got, str):
+                break
+            errors += 1
+    assert (tried, errors) == (2114, 350)
+
+
+def test_embedding_check_matches_the_lattice_scan():
+    """The same outcome and first error on every buildable radius-3 curve
+    and each of its nudges."""
+    checked = 0
+    for desc in charts.AMBIENT.descs(3):
+        try:
+            c = desc.build()
+        except fc.GenericityError:
+            continue
+        for cand in fc._nudges(c):
+            assert _outcome(fc.validate_embedded, cand) == _outcome(scan_validate_embedded, cand)
+            checked += 1
+    assert checked == 2064
+
+
+def test_embedding_check_work_is_bounded(count_calls):
+    """The embedding check of the 42 radius-2 curves makes exactly the
+    segment tests of the lattice scan, in the same order."""
+    built = [desc.build() for desc in RADIUS_2]
+    calls = count_calls(fc, "seg_cross")
+    for c in built:
+        scan_validate_embedded(c)
+    scanned = list(calls)
+    calls.clear()
+    for c in built:
+        fc.validate_embedded(c)
+    assert len(calls) == 716
+    assert calls == scanned
+
+
+# vertices on the half-integer grid, so that touches, shared vertices and
+# collinear overlaps are common
+HALVES = st.tuples(*2 * [st.integers(-4, 4).map(lambda k: Fraction(k, 2))])
+VERTICES = st.one_of(HALVES, POINTS)
+DISPLACEMENTS = st.tuples(st.integers(-1, 1).map(lambda i: 2 * i), st.integers(-2, 2)).filter(
+    lambda d: d != (0, 0)
+)
+
+
+@st.composite
+def curve_pairs(draw):
+    """Two small rational polygons with nonzero lattice displacements.
+    The second is drawn on its own, as a lattice translate of the first
+    (its segments overlap the first's), or with a vertex at a rational
+    point of an edge of the first or of that edge's lattice translate."""
+    c1 = fc.FlatCurve(tuple(draw(st.lists(VERTICES, min_size=1, max_size=4))), draw(DISPLACEMENTS))
+    lam = (2 * draw(st.integers(-1, 1)), draw(st.integers(-1, 1)))
+    kind = draw(st.sampled_from(["own", "translate", "vertex on an edge"]))
+    if kind == "translate":
+        return c1, c1.translated(lam)
+    pts = draw(st.lists(VERTICES, min_size=1, max_size=4))
+    if kind == "vertex on an edge":
+        a, b = draw(st.sampled_from(c1.segments()))
+        on_edge = fc._add(a, fc._scale(fc._sub(b, a), draw(_over(0, 1))))
+        pts.insert(draw(st.integers(0, len(pts))), fc._add(on_edge, lam))
+    return c1, fc.FlatCurve(tuple(pts), draw(DISPLACEMENTS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(curve_pairs())
+def test_solved_translates_agree_with_the_lattice_scan(pair):
+    c1, c2 = pair
+    for x, y in ((c1, c2), (c2, c1)):
+        assert _outcome(fc.overlay, x, y) == _outcome(scan_overlay, x, y)
+        assert _outcome(fc.validate_embedded, x) == _outcome(scan_validate_embedded, x)
+
+
+def fraction_slot_curve(p, q):
+    """`slot_curve` with each corridor corner summed in Fraction
+    arithmetic: an end point, moved by -+ e1 (u, v) along the arc and by
+    +- e2 (-v, u) across it."""
+    u, v = q[0] - p[0], q[1] - p[1]
+    s = abs(u) + abs(v)
+    d = (Fraction(u), Fraction(v))
+    n = (Fraction(-v), Fraction(u))
+    pf = (Fraction(p[0]), Fraction(p[1]))
+    qf = (Fraction(q[0]), Fraction(q[1]))
+    for e1_den, e2_den in ((4, 5), (4, 7), (5, 9), (7, 11), (8, 13)):
+        e1 = Fraction(1, e1_den * s)
+        e2 = Fraction(1, e2_den * s * s + 1)
+        corners = (
+            fc._add(fc._add(pf, fc._scale(d, -e1)), fc._scale(n, e2)),
+            fc._add(fc._add(pf, fc._scale(d, -e1)), fc._scale(n, -e2)),
+            fc._add(fc._add(qf, fc._scale(d, e1)), fc._scale(n, -e2)),
+            fc._add(fc._add(qf, fc._scale(d, e1)), fc._scale(n, e2)),
+        )
+        curve = fc.FlatCurve(corners, (0, 0))
+        try:
+            curve.canonical()
+        except fc.GenericityError:
+            continue
+        if set(fc._enclosed_punctures(corners)) != {tuple(p), tuple(q)}:
+            raise fc.GenericityError("corridor swallowed an extra puncture")
+        return curve
+    raise fc.GenericityError("could not build a generic corridor")
+
+
+def test_corridor_corners_match_the_fraction_formula(monkeypatch):
+    slots = [desc.data for desc in charts.AMBIENT.descs(5) if desc.kind == "slot"]
+    assert len(slots) == 108
+    assert [fc.slot_curve(p, q) for p, q in slots] == [fraction_slot_curve(p, q) for p, q in slots]
+    # every slot of the enumeration succeeds at its first attempt; with
+    # every attempt refused, both try the same corners five times and
+    # raise the same error
+    tried = []
+
+    def refuse(c):
+        tried.append(c.points)
+        raise fc.GenericityError("refused")
+
+    monkeypatch.setattr(fc.FlatCurve, "canonical", refuse)
+    for p, q in slots:
+        got = _outcome(fc.slot_curve, p, q)
+        assert got == _outcome(fraction_slot_curve, p, q) == "could not build a generic corridor"
+        assert len(tried) == 10 and tried[:5] == tried[5:]
+        tried.clear()
 
 
 # ---------------------------------------------------------------------------
