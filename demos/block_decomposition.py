@@ -20,7 +20,7 @@ def show(name, m, e):
     print(f"{name}: {d.rounds_used} round(s)")
     for b in d.blocks:
         gap = f" gap {b.gap}" if b.gap else ""
-        print(f"  block {b.blid} [{b.btype}] on {b.support_token}"
+        print(f"  block {b.blid} [{b.btype}] on {b.support.token}"
               f" over {b.interval}{gap}")
     for v in d.tubes:
         print(f"  tube {v.tid} core {v.core} band {v.band}"

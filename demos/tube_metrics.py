@@ -16,10 +16,12 @@ def main():
     m, e = lm.generate(lm.Scenario("bonahon-otal", sf.TORUS_1_1, depth=3))
     d = bl.decompose(bk.LevelSweep.of(m.complex, e))
     print(f"{len(d.torus_tubes)} torus-interface tubes")
-    for tid in d.torus_tubes:
-        omega = mt.boundary_torus_geometry(d.tube(tid), d)
+    for v in d.tubes:
+        if v.interface != "torus":
+            continue
+        omega = mt.boundary_torus_geometry(v, d)
         tm = mt.tube_metric(omega)
-        print(f"  tube {tid}: omega = {omega.re} + {omega.im}i,"
+        print(f"  tube {v.tid}: omega = {omega.re} + {omega.im}i,"
               f" |omega|^2 = {omega.abs2()}")
         print(f"    core length = {tm.core_length_eps1_pi} * pi * eps1"
               f" = {tm.core_length():.5f}, radius = {tm.radius:.5f}")

@@ -43,11 +43,10 @@ class Tube:
 class Block:
     blid: str
     btype: str
-    support_token: str
+    support: sf.EssentialSubsurface  # placement domain
     interval: tuple
     gap: tuple = None  # gap band inside the interval, complexity-4 only
     tube: str = None  # id of the tube whose vertex interval this is
-    support: object = None  # placement domain, for metric bookkeeping
 
     def __post_init__(self):
         if self.btype not in BLOCK_TYPES:
@@ -60,59 +59,50 @@ class BlockDecomposition:
     blocks: tuple
     tubes: tuple  # after merging
     placed: tuple  # tubes before merging, for per-round accounting
-    torus_tubes: tuple  # tube ids with torus interface
-    adjustments: tuple  # (BB) re-leveling records
+    adjustments: tuple  # (BB) re-levelings, (front, to) pairs
     rounds_used: int
 
-    def tube(self, tid) -> Tube:
-        for t in self.tubes:
-            if t.tid == tid:
-                return t
-        raise KeyError(tid)
+    @property
+    def torus_tubes(self) -> tuple:
+        """Ids of the tubes with torus interface, in tube order."""
+        return tuple(t.tid for t in self.tubes if t.interface == "torus")
 
 
 # ---------------------------------------------------------------------------
-# exact tube intervals
+# exact tube bands
 
 
-def tube_intervals(n: int, variant: str):
-    """Sub-intervals of [0,1] for a geodesic with vertices v_0..v_n.
+def tube_bands(band, n: int, kind: str, gap: bool):
+    """(tube band, wide band, gap band) of each vertex v_0..v_n of a
+    geodesic placed over the level band of a brick of the given kind.
 
-    closed-wide: the full partition used above complexity 4; closed-gap:
-    the complexity-4 variant leaving gaps; ray-wide / ray-gap: the
-    half-open counterparts accumulating at 1.
-    """
-    if n < 0:
-        raise ValueError("need at least one vertex")
-    if variant == "closed-wide":
-        return [
-            (Fraction(i, n + 1), Fraction(i + 1, n + 1)) for i in range(n + 1)
-        ]
-    if variant == "closed-gap":
-        return [
-            (Fraction(i, n + 1), Fraction(2 * i + 1, 2 * n + 2))
-            for i in range(n + 1)
-        ]
-    if variant == "ray-wide":
-        return [
-            (1 - Fraction(1, 2**i), 1 - Fraction(1, 2 ** (i + 1)))
-            for i in range(n + 1)
-        ]
-    if variant == "ray-gap":
-        return [
-            (1 - Fraction(1, 2**i), 1 - Fraction(3, 2 ** (i + 2)))
-            for i in range(n + 1)
-        ]
-    raise ValueError(f"unknown variant {variant}")
+    Vertex i's wide band lies between the cuts c_i and c_{i+1}, measured
+    from the brick's real front: c_i = i/(n+1) on a closed brick, and
+    1 - 1/2^i on a half-open one, where the bands accumulate at the open
+    end.  With gap bands (complexity 4) the tube is the half of its wide
+    band nearer the real front and the gap is the other half; otherwise
+    the tube fills its wide band and there is no gap."""
+    lo, hi = band
+    down = kind == "half-open-below"  # the real front is the top
+    front, width = (hi, lo - hi) if down else (lo, hi - lo)
 
+    def span(near, far):
+        return (far, near) if down else (near, far)
 
-def _scale(iv, lo, hi):
-    width = hi - lo
-    return (lo + iv[0] * width, lo + iv[1] * width)
-
-
-def _mirror(iv):
-    return (1 - iv[1], 1 - iv[0])
+    if kind == "closed":
+        cuts = [Fraction(i, n + 1) for i in range(n + 2)]
+    else:
+        cuts = [1 - Fraction(1, 2**i) for i in range(n + 2)]
+    out = []
+    for a, b in zip(cuts, cuts[1:]):
+        near, far = front + a * width, front + b * width
+        wide = span(near, far)
+        if gap:
+            mid = (near + far) / 2
+            out.append((span(near, mid), wide, span(mid, far)))
+        else:
+            out.append((wide, wide, None))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -344,33 +334,15 @@ def _main_geodesic(domain, start, end):
     return [v.curves[0] for v in simplices], end_marking
 
 
-def _intervals_for(n, kind, gap: bool):
-    """(tube band, wide band) pairs in brick coordinates; the first band
-    sits at the real front of a half-open brick."""
-    wide_variant = "ray-wide" if kind != "closed" else "closed-wide"
-    tube_variant = (
-        ("ray-gap" if kind != "closed" else "closed-gap") if gap else wide_variant
-    )
-    tubes = tube_intervals(n, tube_variant)
-    wides = tube_intervals(n, wide_variant)
-    if kind == "half-open-below":
-        tubes = [_mirror(iv) for iv in tubes]
-        wides = [_mirror(iv) for iv in wides]
-    return list(zip(tubes, wides))
-
-
 def _place(domain, band, kind, start, end):
     """One tight-geodesic placement over a level band of a domain: the
     main geodesic above complexity 4, the complexity-4 geodesic with gap
     bands otherwise.  Returns the vertex curves, their (tube band, wide
-    band) pairs and the finite stand-in for the far end."""
+    band, gap band) triples and the finite stand-in for the far end."""
     vertices, end_marking = _main_geodesic(domain, start, end)
     gap = domain.complexity() < 5
-    pairs = [
-        (_scale(tiv, *band), _scale(wiv, *band))
-        for tiv, wiv in _intervals_for(len(vertices) - 1, kind, gap)
-    ]
-    return vertices, pairs, end_marking
+    bands = tube_bands(band, len(vertices) - 1, kind, gap)
+    return vertices, bands, end_marking
 
 
 def _nearby_tube_marking(domain, placed, level, side):
@@ -492,8 +464,8 @@ def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
         placed.append(t)
         return t
 
-    def new_block(btype, token, interval, gap=None, tube=None, support=None):
-        blocks.append(Block(f"b{len(blocks)}", btype, token, interval, gap, tube, support))
+    def new_block(btype, support, interval, gap=None, tube=None):
+        blocks.append(Block(f"b{len(blocks)}", btype, support, interval, gap, tube))
 
     # round 0: tubes along the model boundary
     for comp in sweep.boundary:
@@ -510,7 +482,7 @@ def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
             continue
         xi = b.support.complexity()
         if xi == 3:
-            new_block("S03", b.support.token, band, support=b.support)
+            new_block("S03", b.support, band)
             continue
         start = _endpoint_marking(sweep, b, "lower")
         end = _endpoint_marking(sweep, b, "upper")
@@ -527,28 +499,28 @@ def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
         for domain, band, kind, start, end, origin_id in xi5_queue:
             if start is None or end is None:
                 raise DomainError(f"brick {origin_id} is not connectable")
-            vertices, pairs, end_marking = _place(domain, band, kind, start, end)
+            vertices, bands, end_marking = _place(domain, band, kind, start, end)
             # the markings around vertex i are markings[i] and markings[i + 2]
             markings = [
                 start,
                 *(sf.Marking(sf.Simplex.of(full, v)) for v in vertices),
                 end_marking,
             ]
-            for i, (v, (tband, _)) in enumerate(zip(vertices, pairs)):
+            for i, (v, (tband, _, _)) in enumerate(zip(vertices, bands)):
                 new_tube(v, tband, rounds_used, origin_id, full.token)
                 for y in sf.component_domains(full, markings[i + 1].base):
                     if y.kind == "annulus":
                         continue
                     if y.complexity() == 3:
-                        new_block("S03", y.token, tband, support=y)
+                        new_block("S03", y, tband)
                         continue
                     if y.chart is None:
-                        new_block(_block_type(y), y.token, tband, support=y)
+                        new_block(_block_type(y), y, tband)
                         continue
                     back = sf.restrict_marking(markings[i], y)
                     fwd = sf.restrict_marking(markings[i + 2], y)
                     if back is None or fwd is None:
-                        new_block(_block_type(y), y.token, tband, support=y)
+                        new_block(_block_type(y), y, tband)
                         continue
                     xi4_queue.append((y, tband, "closed", back, fwd, origin_id))
 
@@ -566,23 +538,13 @@ def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
                 if end is None:
                     end = _nearby_tube_marking(domain, placed, *fronts[1])
             if start is None or end is None or domain.chart is None:
-                new_block(_block_type(domain), domain.token, band, support=domain)
+                new_block(_block_type(domain), domain, band)
                 continue
-            vertices, pairs, _ = _place(domain, band, kind, start, end)
-            for v, (tband, wband) in zip(vertices, pairs):
+            vertices, bands, _ = _place(domain, band, kind, start, end)
+            for v, (tband, wband, gap) in zip(vertices, bands):
                 core = hy.ambient_curve(v)
                 t = new_tube(core, tband, rounds_used, origin_id, domain.token)
-                gap = (
-                    (tband[1], wband[1])
-                    if tband[1] < wband[1]
-                    else (wband[0], tband[0])
-                )
-                if gap[0] == gap[1]:
-                    gap = None
-                new_block(
-                    _block_type(domain), domain.token, wband,
-                    gap=gap, tube=t.tid, support=domain,
-                )
+                new_block(_block_type(domain), domain, wband, gap=gap, tube=t.tid)
 
     if rounds_used > max_rounds:
         raise IterationOverflow("round count exceeded the complexity bound")
@@ -590,14 +552,12 @@ def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
     tubes = merge_homotopic(placed, sweep)
     blocks, adjustments = _enforce_bb(blocks, sweep)
 
-    torus = tuple(t.tid for t in tubes if t.interface == "torus")
     return BlockDecomposition(
         sweep=sweep,
         blocks=tuple(blocks),
         tubes=tuple(tubes),
         placed=tuple(placed),
-        torus_tubes=torus,
-        adjustments=tuple(adjustments),
+        adjustments=adjustments,
         rounds_used=rounds_used,
     )
 
@@ -607,7 +567,8 @@ def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
 
 
 def _bb_violations(blocks, sweep: bk.LevelSweep, adjusted=frozenset()):
-    out = []
+    """(block, front) for each embedded brick front inside a block's gap
+    band, except the adjusted ones."""
     fronts = sweep.levels
     for bl in blocks:
         if bl.gap is None:
@@ -615,20 +576,16 @@ def _bb_violations(blocks, sweep: bk.LevelSweep, adjusted=frozenset()):
         lo, hi = bl.gap
         for f in fronts[sweep.rank(lo, right=True) : sweep.rank(hi)]:
             if f not in adjusted:
-                out.append((bl.blid, f))
-    return out
+                yield bl, f
 
 
 def _enforce_bb(blocks, sweep: bk.LevelSweep):
     """Re-level embedded brick fronts landing inside a complexity-4 gap
-    band to the tube boundary just below the gap."""
-    adjustments = []
+    band to the tube boundary just below the gap.  Returns the blocks and
+    the (front, to) pairs, in the order the fronts were found."""
     moved = {}
-    for blid, f in _bb_violations(blocks, sweep):
-        bl = next(b for b in blocks if b.blid == blid)
-        if f not in moved:
-            moved[f] = bl.gap[0]
-            adjustments.append({"front": f, "to": bl.gap[0], "flag": "bb"})
+    for bl, f in _bb_violations(blocks, sweep):
+        moved.setdefault(f, bl.gap[0])
     if not moved:
         return tuple(blocks), ()
     out = []
@@ -638,7 +595,7 @@ def _enforce_bb(blocks, sweep: bk.LevelSweep):
         if gap is not None:
             gap = tuple(moved.get(x, x) for x in gap)
         out.append(replace(bl, interval=iv, gap=gap))
-    return tuple(out), tuple(adjustments)
+    return tuple(out), tuple(moved.items())
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +631,9 @@ def verify_decomposition(d: BlockDecomposition):
                 )
     for a, b, _ in _merge_eligible_pairs(list(d.tubes), sweep):
         report.append(f"tubes {a.tid},{b.tid} are still merge-eligible")
-    adjusted = frozenset(a["front"] for a in d.adjustments)
-    for blid, f in _bb_violations(d.blocks, sweep, adjusted):
-        report.append(f"front at {f} crosses the gap of block {blid}")
+    adjusted = frozenset(front for front, _ in d.adjustments)
+    for bl, f in _bb_violations(d.blocks, sweep, adjusted):
+        report.append(f"front at {f} crosses the gap of block {bl.blid}")
     return (not report, report)
 
 

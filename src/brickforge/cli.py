@@ -55,7 +55,7 @@ def _block_doc(b):
     doc = {
         "id": b.blid,
         "type": b.btype,
-        "domain": b.support_token,
+        "domain": b.support.token,
         "interval": [sz.frac_str(b.interval[0]), sz.frac_str(b.interval[1])],
     }
     if b.gap is not None:
@@ -90,12 +90,8 @@ def _cmd_decompose(args):
             "tubes": [_tube_doc(v) for v in d.tubes],
             "torus-tubes": sorted(d.torus_tubes),
             "adjustments": [
-                {
-                    "front": sz.frac_str(a["front"]),
-                    "to": sz.frac_str(a["to"]),
-                    "flag": a["flag"],
-                }
-                for a in d.adjustments
+                {"front": sz.frac_str(front), "to": sz.frac_str(to), "flag": "bb"}
+                for front, to in d.adjustments
             ],
             "verify": {"pass": ok, "report": list(report)},
             "pass": ok,

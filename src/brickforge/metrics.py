@@ -64,8 +64,6 @@ class TubeMetricDescriptor:
 def _annulus_incidence(core: sf.Curve, y) -> int:
     """Number of vertical boundary annuli a block over domain y
     contributes to the tube around the core."""
-    if y is None:
-        return 0
     if y.kind == "full":
         return 2
     if y.kind == "annulus":
@@ -104,9 +102,8 @@ def boundary_torus_geometry(
 
 def _coefficients(d: bl.BlockDecomposition) -> tuple:
     """(tube id, meridian coefficient) for each torus tube, in order."""
-    return tuple(
-        (tid, boundary_torus_geometry(d.tube(tid), d)) for tid in d.torus_tubes
-    )
+    torus = [t for t in d.tubes if t.interface == "torus"]
+    return tuple((t.tid, boundary_torus_geometry(t, d)) for t in torus)
 
 
 def _split(coefficients, k: int) -> Filtration:

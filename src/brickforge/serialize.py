@@ -264,13 +264,16 @@ def parse_brick(doc: dict) -> bk.Brick:
             initial = _parse_marking(doc["initial"], support)
         if doc.get("terminal") is not None:
             terminal = _parse_marking(doc["terminal"], support)
+        collars = doc.get("collars", [])
+        if type(collars) is not list:
+            raise ParseError(f"collars {collars!r} are not a list")
         return bk.Brick(
             bid=_text(doc["id"], "brick id"),
             support=support,
             kind=doc["kind"],
             lo=parse_frac(doc["lo"]),
             hi=parse_frac(doc["hi"]),
-            collars=tuple(_text(tag, "collar") for tag in doc.get("collars", ())),
+            collars=tuple(_text(tag, "collar") for tag in collars),
             label=label,
             initial=initial,
             terminal=terminal,
@@ -338,12 +341,14 @@ def parse_complex(doc: dict):
             levels = []
             for b in k.bricks:
                 ab = emb_doc[b.bid]
+                if type(ab) is not list or len(ab) != 2:
+                    raise ParseError(f"embedding levels of {b.bid!r} are not a pair")
                 alpha, beta = parse_frac(ab[0]), parse_frac(ab[1])
                 if not alpha < beta:
                     raise ParseError(f"embedding levels of {b.bid!r} are not increasing")
                 levels.append((b.bid, (alpha, beta)))
             e = bk.LeafEmbedding(tuple(levels))
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"bad embedding document: {exc}") from exc
     return k, e
 

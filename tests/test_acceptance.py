@@ -161,17 +161,21 @@ def test_criterion_2_tightness_round_trip():
 
 def test_criterion_3_tube_interval_exactness(brick_tubes):
     ok = True
+
+    def tubes(n, kind, gap):
+        return [t for t, _, _ in bl.tube_bands((F(0), F(1)), n, kind, gap)]
+
     for n in range(11):
-        ok &= bl.tube_intervals(n, "closed-wide") == [
+        ok &= tubes(n, "closed", False) == [
             (F(i, n + 1), F(i + 1, n + 1)) for i in range(n + 1)
         ]
-        ok &= bl.tube_intervals(n, "closed-gap") == [
+        ok &= tubes(n, "closed", True) == [
             (F(i, n + 1), F(2 * i + 1, 2 * n + 2)) for i in range(n + 1)
         ]
-        ok &= bl.tube_intervals(n, "ray-wide") == [
+        ok &= tubes(n, "half-open-above", False) == [
             (1 - F(1, 2**i), 1 - F(1, 2 ** (i + 1))) for i in range(n + 1)
         ]
-        ok &= bl.tube_intervals(n, "ray-gap") == [
+        ok &= tubes(n, "half-open-above", True) == [
             (1 - F(1, 2**i), 1 - F(3, 2 ** (i + 2))) for i in range(n + 1)
         ]
     full11 = sf.full_surface(sf.TORUS_1_1)

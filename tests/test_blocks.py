@@ -4,6 +4,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brickforge import blocks as bl
 from brickforge import bricks as bk
@@ -66,46 +68,122 @@ def single_brick_model_12(initial, terminal):
     return bk.LabelledBrickManifold(k), b
 
 
+# The placement rule as it stood before `tube_bands`, kept as its oracle:
+# four named interval variants of [0, 1], mirrored on a half-open-below
+# brick and scaled into the brick's level band, with each gap band derived
+# again from its tube band and wide band.
+
+
+def oracle_tube_intervals(n, variant):
+    if variant == "closed-wide":
+        return [(F(i, n + 1), F(i + 1, n + 1)) for i in range(n + 1)]
+    if variant == "closed-gap":
+        return [(F(i, n + 1), F(2 * i + 1, 2 * n + 2)) for i in range(n + 1)]
+    if variant == "ray-wide":
+        return [(1 - F(1, 2**i), 1 - F(1, 2 ** (i + 1))) for i in range(n + 1)]
+    if variant == "ray-gap":
+        return [(1 - F(1, 2**i), 1 - F(3, 2 ** (i + 2))) for i in range(n + 1)]
+    raise ValueError(variant)
+
+
+def oracle_tube_bands(band, n, kind, gap):
+    def scale(iv):
+        width = band[1] - band[0]
+        return (band[0] + iv[0] * width, band[0] + iv[1] * width)
+
+    def mirror(iv):
+        return (1 - iv[1], 1 - iv[0])
+
+    wide_variant = "ray-wide" if kind != "closed" else "closed-wide"
+    tube_variant = (
+        ("ray-gap" if kind != "closed" else "closed-gap") if gap else wide_variant
+    )
+    tubes = oracle_tube_intervals(n, tube_variant)
+    wides = oracle_tube_intervals(n, wide_variant)
+    if kind == "half-open-below":
+        tubes = [mirror(iv) for iv in tubes]
+        wides = [mirror(iv) for iv in wides]
+    out = []
+    for tband, wband in zip(map(scale, tubes), map(scale, wides)):
+        g = None
+        if gap:
+            g = (tband[1], wband[1]) if tband[1] < wband[1] else (wband[0], tband[0])
+            if g[0] == g[1]:
+                g = None
+        out.append((tband, wband, g))
+    return out
+
+
+def assert_matches_oracle(band, n, kind, gap):
+    got = bl.tube_bands(band, n, kind, gap)
+    want = oracle_tube_bands(band, n, kind, gap)
+    assert got == want, (band, n, kind, gap)
+    ends = [x for triple in got for iv in triple if iv is not None for x in iv]
+    assert all(type(x) is F for x in ends)
+
+
+RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=64)
+
+
 class TestTubeIntervals:
+    UNIT = (F(0), F(1))
     cases = {
-        ("closed-wide", 2): [(F(0), F(1, 3)), (F(1, 3), F(2, 3)), (F(2, 3), F(1))],
-        ("closed-gap", 2): [(F(0), F(1, 6)), (F(1, 3), F(1, 2)), (F(2, 3), F(5, 6))],
-        ("ray-wide", 1): [(F(0), F(1, 2)), (F(1, 2), F(3, 4))],
-        ("ray-gap", 1): [(F(0), F(1, 4)), (F(1, 2), F(5, 8))],
+        ("closed", False, 2): [(F(0), F(1, 3)), (F(1, 3), F(2, 3)), (F(2, 3), F(1))],
+        ("closed", True, 2): [(F(0), F(1, 6)), (F(1, 3), F(1, 2)), (F(2, 3), F(5, 6))],
+        ("half-open-above", False, 1): [(F(0), F(1, 2)), (F(1, 2), F(3, 4))],
+        ("half-open-above", True, 1): [(F(0), F(1, 4)), (F(1, 2), F(5, 8))],
     }
 
+    def tubes(self, n, kind, gap):
+        return [t for t, _, _ in bl.tube_bands(self.UNIT, n, kind, gap)]
+
     def test_known_partitions(self):
-        for (variant, n), expected in self.cases.items():
-            assert bl.tube_intervals(n, variant) == expected
+        for (kind, gap, n), expected in self.cases.items():
+            assert self.tubes(n, kind, gap) == expected
 
     def test_exact_formulas(self):
         for n in range(11):
-            assert bl.tube_intervals(n, "closed-wide") == [
+            assert self.tubes(n, "closed", False) == [
                 (F(i, n + 1), F(i + 1, n + 1)) for i in range(n + 1)
             ]
-            assert bl.tube_intervals(n, "closed-gap") == [
+            assert self.tubes(n, "closed", True) == [
                 (F(i, n + 1), F(2 * i + 1, 2 * n + 2)) for i in range(n + 1)
             ]
-            assert bl.tube_intervals(n, "ray-wide") == [
+            assert self.tubes(n, "half-open-above", False) == [
                 (1 - F(1, 2**i), 1 - F(1, 2 ** (i + 1))) for i in range(n + 1)
             ]
-            assert bl.tube_intervals(n, "ray-gap") == [
+            assert self.tubes(n, "half-open-above", True) == [
                 (1 - F(1, 2**i), 1 - F(3, 2 ** (i + 2))) for i in range(n + 1)
             ]
 
     def test_gap_bands_inside_wide_bands(self):
-        for n in range(8):
-            for gap, wide in zip(
-                bl.tube_intervals(n, "closed-gap"),
-                bl.tube_intervals(n, "closed-wide"),
-            ):
-                assert wide[0] <= gap[0] < gap[1] < wide[1]
+        # a gap tube is the half of its wide band nearer the real front,
+        # and its gap band the other half
+        for kind in bk.KINDS:
+            for n in range(8):
+                down = kind == "half-open-below"
+                for tube, wide, gap in bl.tube_bands(self.UNIT, n, kind, True):
+                    low, high = (gap, tube) if down else (tube, gap)
+                    assert wide[0] == low[0] < low[1] == high[0] < high[1] == wide[1]
+                for tube, wide, gap in bl.tube_bands(self.UNIT, n, kind, False):
+                    assert tube == wide and gap is None
 
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            bl.tube_intervals(2, "diagonal")
-        with pytest.raises(ValueError):
-            bl.tube_intervals(-1, "closed-wide")
+    def test_agrees_with_the_variant_oracle(self):
+        for band in (self.UNIT, (F(1, 8), F(7, 8)), (F(2, 5), F(1, 2))):
+            for kind in bk.KINDS:
+                for gap in (False, True):
+                    for n in range(13):
+                        assert_matches_oracle(band, n, kind, gap)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ends=st.lists(RATIONAL, min_size=2, max_size=2, unique=True),
+        n=st.integers(0, 12),
+        kind=st.sampled_from(bk.KINDS),
+        gap=st.booleans(),
+    )
+    def test_agrees_with_the_variant_oracle_on_any_band(self, ends, n, kind, gap):
+        assert_matches_oracle(tuple(sorted(ends)), n, kind, gap)
 
 
 class TestNormalize:
@@ -478,7 +556,7 @@ class TestConditionBB:
     def test_front_inside_gap_is_relevelled(self):
         full = sf.full_surface(sf.TORUS_1_1)
         blocks = (
-            bl.Block("b0", "S11", full.token, (F(0), F(1, 2)),
+            bl.Block("b0", "S11", full, (F(0), F(1, 2)),
                      gap=(F(1, 4), F(1, 2)), tube="v0"),
         )
         b1 = bk.Brick("b1", full, "closed", F(0), F(3, 8))
@@ -488,8 +566,8 @@ class TestConditionBB:
         )
         sweep = bk.LevelSweep.of(k, bk.identity_embedding(k))
         out, adjustments = bl._enforce_bb(blocks, sweep)
-        assert adjustments == ({"front": F(3, 8), "to": F(1, 4), "flag": "bb"},)
-        assert bl._bb_violations(out, sweep, adjusted=frozenset({F(3, 8)})) == []
+        assert adjustments == ((F(3, 8), F(1, 4)),)
+        assert list(bl._bb_violations(out, sweep, adjusted=frozenset({F(3, 8)}))) == []
 
     def test_verify_reports_unadjusted_front(self):
         m, _ = kt()
@@ -636,10 +714,10 @@ class TestEmbeddedLevels:
             ],
             "placed": [(t.tid, iv(t.band)) for t in d.placed],
             "blocks": [
-                (b.blid, b.btype, b.support_token, iv(b.interval), iv(b.gap), b.tube)
+                (b.blid, b.btype, b.support.token, iv(b.interval), iv(b.gap), b.tube)
                 for b in d.blocks
             ],
-            "adjustments": [(f(a["front"]), f(a["to"])) for a in d.adjustments],
+            "adjustments": [(f(front), f(to)) for front, to in d.adjustments],
         }
 
     @pytest.mark.parametrize(

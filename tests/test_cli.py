@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brickforge import blocks as bl
 from brickforge import bricks as bk
 from brickforge import cli
 from brickforge import limits as lm
@@ -69,6 +70,11 @@ def bad_el_path(tmp_path):
     return write_model(tmp_path, "bad-el.brick", k, e)
 
 
+def brock_path(tmp_path):
+    m, e = lm.generate(lm.Scenario("brock", sf.TORUS_1_2))
+    return write_model(tmp_path, "brock.brick", m.complex, e)
+
+
 def no_bricks_path(tmp_path):
     path = tmp_path / "no-bricks.json"
     path.write_text(json.dumps({"base": "1,1", "bricks": []}))
@@ -120,6 +126,15 @@ MALFORMED = [
     malformed("bool_embedding_level", single_path, ("embedding", "b0", 0), True),
     malformed("unknown_joint_brick", kt_path, ("joints", 0, "upper"), "nope"),
     duplicate_brick_path,
+    # containers that must not be coerced: collars as a string (one tag per
+    # letter) or an object (its keys), and an embedding entry whose extra
+    # items would be dropped
+    malformed("string_collars", brock_path, ("bricks", 2, "collars"), "N3e6b6eb568"),
+    malformed("object_collars", brock_path, ("bricks", 2, "collars"), {"Nabc": 1}),
+    malformed(
+        "long_embedding_entry", brock_path, ("embedding", "gf0"),
+        ["0/1", "1/8", "junk", 7],
+    ),
 ]
 
 
@@ -212,6 +227,36 @@ class TestDecompose:
         assert len(boundaries) == 1
         # decompose asks the sweep for EL only, not for A1-A5
         assert reports == [] and a2_checks == []
+
+    def test_bb_record_bytes(self, tmp_path, capsys, monkeypatch):
+        # no bench golden reaches a (BB) re-leveling, so its record is
+        # pinned here: a front at 3/8 inside the gap band (1/4, 1/2) of the
+        # first block of a 0/1 -> 1/0 brick moves down to 1/4
+        full = sf.full_surface(sf.TORUS_1_1)
+        k = bk.BrickComplex(
+            sf.TORUS_1_1,
+            (bk.Brick("b1", full, "closed", F(0), F(3, 8)),
+             bk.Brick("b2", full, "closed", F(3, 8), F(1))),
+            (bk.Joint("b2", "b1", full, F(3, 8)),),
+        )
+        fronts = bk.LevelSweep.of(k, bk.identity_embedding(k))
+        decompose = bl.decompose
+
+        def with_front_in_gap(sweep):
+            d = decompose(sweep)
+            blocks, adjustments = bl._enforce_bb(d.blocks, fronts)
+            return dataclasses.replace(d, blocks=blocks, adjustments=adjustments)
+
+        monkeypatch.setattr(bl, "decompose", with_front_in_gap)
+        assert cli.run(["decompose", single_path(tmp_path, 1, 0)]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["adjustments"] == [
+            {"flag": "bb", "front": "3/8", "to": "1/4"}
+        ]
+        assert (
+            '  "adjustments": [\n    {\n      "flag": "bb",\n'
+            '      "front": "3/8",\n      "to": "1/4"\n    }\n  ],\n'
+        ) in out
 
     def test_budget_env_must_be_positive(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BRICKFORGE_BUDGET", "-3")

@@ -52,7 +52,6 @@ def flanked_fixture(blocks_per_side=1, twist=0):
             bl.Block(
                 blid=f"bl{i}",
                 btype="S11",
-                support_token=full.token,
                 interval=(F(i, n), F(i + 1, n)),
                 support=full,
             )
@@ -65,7 +64,6 @@ def flanked_fixture(blocks_per_side=1, twist=0):
         blocks=tuple(blocks),
         tubes=(v,),
         placed=(v,),
-        torus_tubes=("t0",),
         adjustments=(),
         rounds_used=0,
     )
@@ -96,7 +94,6 @@ class TestMeridianCoefficient:
         extra = bl.Block(
             blid="blx",
             btype="S11",
-            support_token=d.blocks[0].support_token,
             interval=(F(1, 4), F(1, 2)),
             support=d.blocks[0].support,
         )
