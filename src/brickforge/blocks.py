@@ -291,11 +291,10 @@ def _endpoint_marking(sweep, b, side):
         if b.label is not None and b.label.kind == "simply-degenerate":
             return b.label.lamination
         return None
-    # joints sit at brick-coordinate levels, boundary annuli at embedded ones
     alpha, beta = sweep.embedding.level_of(b.bid)
-    level, front = (b.lo, alpha) if side == "lower" else (b.hi, beta)
+    front = alpha if side == "lower" else beta
     curves = []
-    for j in k.joints_at(b.bid, level):
+    for j in k.joints_at(b.bid, side):
         partner = k.brick(j.lower if j.upper == b.bid else j.upper)
         if _is_gf(partner) and j.is_inessential(k):
             for c, _, _ in partner.label.conformal or ():

@@ -101,9 +101,6 @@ class AmbientFlatChart:
         self.ensure_enumerated(3)
         return self._by_class.get(canonical)
 
-    def is_separating(self, c: fc.FlatCurve) -> bool:
-        return fc.word_displacement(c.canonical()) == (0, 0)
-
 
 AMBIENT = AmbientFlatChart()
 

@@ -200,12 +200,6 @@ def canonical_class(word):
     return min(candidates)
 
 
-def word_displacement(word):
-    dx = sum(l[2] for l in word if l[0] == "V")
-    dy = sum(l[2] for l in word if l[0] == "H")
-    return (dx, dy)
-
-
 _COORD_KEYS = (("V", 0), ("V", 1), ("H", 0), ("H", 1), ("D", 0), ("D", 1))
 
 

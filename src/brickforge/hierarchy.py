@@ -227,7 +227,9 @@ def lamination_depth(budget: int) -> int:
 def certified_main_geodesic(domain, initial, terminal):
     """Tight geodesic between the base vertices of two markings on a
     complexity-5 surface, found by BFS over ambient_universe(2) plus the
-    markings' curves.  Returns (certificate, simplices)."""
+    markings' curves.  Returns (certificate, simplices).  Curves that do
+    not fill are at most 2 apart: a longer path between them means the
+    enumeration lacks a middle vertex, and raises BudgetExceeded."""
     universe = ambient_universe(2)
     for m in (initial, terminal):
         if isinstance(m, sf.Marking):
@@ -241,6 +243,13 @@ def certified_main_geodesic(domain, initial, terminal):
     u = _base_vertex(initial)
     w = _base_vertex(terminal)
     path = _bfs_path(certificate, u, w)
+    if len(path) > 3 and not sf.subsurface_boundary(
+        sf.Simplex.of(domain, u), sf.Simplex.of(domain, w)
+    ).filling:
+        raise BudgetExceeded(
+            f"{sf.curve_tag(u)} and {sf.curve_tag(w)} do not fill, but the "
+            f"enumeration puts them {len(path) - 1} apart"
+        )
     return certificate, _tighten(domain, path, certificate)
 
 

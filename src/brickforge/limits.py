@@ -59,10 +59,6 @@ def _assemble(base, removals, lo_m, hi_m, top_twist=Fraction(0)):
     d = len(removals)
     bricks = []
     joints = []
-
-    def add_joint(upper, lower, surface, level):
-        joints.append(bk.Joint(upper=upper, lower=lower, surface=surface, level=level))
-
     bricks.append(
         bk.Brick("gf0", full, "half-open-below", Fraction(0), lo_m,
                  label=_gf_label("gf0", full))
@@ -72,27 +68,27 @@ def _assemble(base, removals, lo_m, hi_m, top_twist=Fraction(0)):
         buf = f"buf{k - 1}"
         bricks.append(bk.Brick(buf, full, "closed", prev_top, t_lo))
         if k == 1:
-            add_joint(buf, "gf0", full, prev_top)
+            joints.append(bk.Joint(buf, "gf0", full))
         else:
             for i, y in enumerate(sf.proper_pieces(full, removals[k - 2][0])):
-                add_joint(buf, f"t{k - 1}p{i}", y, prev_top)
+                joints.append(bk.Joint(buf, f"t{k - 1}p{i}", y))
         for i, y in enumerate(sf.proper_pieces(full, core)):
             bid = f"t{k}p{i}"
             bricks.append(bk.Brick(bid, y, "closed", t_lo, t_hi))
-            add_joint(bid, buf, y, t_lo)
+            joints.append(bk.Joint(bid, buf, y))
         prev_top = t_hi
     top_buf = f"buf{d}"
     bricks.append(bk.Brick(top_buf, full, "closed", prev_top, hi_m))
     if removals:
         for i, y in enumerate(sf.proper_pieces(full, removals[-1][0])):
-            add_joint(top_buf, f"t{d}p{i}", y, prev_top)
+            joints.append(bk.Joint(top_buf, f"t{d}p{i}", y))
     else:
-        add_joint(top_buf, "gf0", full, prev_top)
+        joints.append(bk.Joint(top_buf, "gf0", full))
     bricks.append(
         bk.Brick("gf1", full, "half-open-above", hi_m, Fraction(1),
                  label=_gf_label("gf1", full, twist=top_twist))
     )
-    add_joint("gf1", top_buf, full, hi_m)
+    joints.append(bk.Joint("gf1", top_buf, full))
     k = bk.BrickComplex(base=base, bricks=tuple(bricks), joints=tuple(joints))
     return k, bk.identity_embedding(k)
 
@@ -152,12 +148,12 @@ def _generate_brock(s: Scenario):
                  label=_gf_label("gf1", full)),
     )
     joints = (
-        bk.Joint("buf0", "gf0", full, lo_m),
-        bk.Joint("p", "buf0", pants_side, a),
-        bk.Joint("h0", "buf0", torus_side, a),
-        bk.Joint("buf1", "p", pants_side, b),
-        bk.Joint("buf1", "h1", torus_side, b),
-        bk.Joint("gf1", "buf1", full, hi_m),
+        bk.Joint("buf0", "gf0", full),
+        bk.Joint("p", "buf0", pants_side),
+        bk.Joint("h0", "buf0", torus_side),
+        bk.Joint("buf1", "p", pants_side),
+        bk.Joint("buf1", "h1", torus_side),
+        bk.Joint("gf1", "buf1", full),
     )
     k = bk.BrickComplex(base=s.base, bricks=bricks, joints=joints)
     return k, bk.identity_embedding(k)
@@ -201,8 +197,8 @@ class ExhaustionState:
 
 
 def _truncate_model(k, e, window):
-    """Restriction of the model to a level window; half-open bricks cut
-    at the window edge become closed there."""
+    """Restriction of the model to a window of embedded levels; half-open
+    bricks cut at the window edge become closed there."""
     w_lo, w_hi = window
     bricks = []
     levels = []
@@ -220,7 +216,7 @@ def _truncate_model(k, e, window):
     joints = tuple(
         j
         for j in k.joints
-        if j.upper in kept and j.lower in kept and w_lo < j.level < w_hi
+        if j.upper in kept and j.lower in kept and w_lo < e.level_of(j.upper)[0] < w_hi
     )
     w = bk.BrickComplex(base=k.base, bricks=tuple(bricks), joints=joints)
     return w, bk.LeafEmbedding(tuple(levels))

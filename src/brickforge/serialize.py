@@ -126,7 +126,7 @@ def parse_support(doc: dict) -> sf.EssentialSubsurface:
         if token != full.token:
             raise ParseError(f"unknown full-support token {token!r}")
         return full
-    boundary = [parse_curve(s, full) for s in boundary_strs]
+    boundary = [parse_curve(s, full) for s in _list(boundary_strs, "boundary")]
     if not boundary:
         raise ParseError("proper support without boundary curves")
     if kind == "annulus":
@@ -156,12 +156,8 @@ def _parse_lamination(doc: dict) -> sf.LaminationDescriptor:
         domain = parse_support(doc["domain"])
         rep = doc["rep"]
         if rep["kind"] == "continued-fraction":
-            coefficients = rep["coefficients"]
-            if not (
-                type(coefficients) is list
-                and coefficients
-                and all(type(x) is int for x in coefficients)
-            ):
+            coefficients = _list(rep["coefficients"], "coefficients")
+            if not (coefficients and all(type(x) is int for x in coefficients)):
                 raise ParseError(f"bad continued-fraction coefficients {coefficients!r}")
             return sf.LaminationDescriptor(domain, sf.IrrationalSlope(tuple(coefficients)))
         if rep["kind"] == "symbolic":
@@ -192,6 +188,14 @@ def _text(value, what: str) -> str:
     return value
 
 
+def _list(value, what: str) -> list:
+    """A field that holds a list: an object or a string in its place
+    would be read as its keys or its characters."""
+    if type(value) is not list:
+        raise ParseError(f"{what} {value!r} is not a list")
+    return value
+
+
 def parse_label(doc: dict, support: sf.EssentialSubsurface) -> bk.EndLabel:
     try:
         kind = doc["kind"]
@@ -200,7 +204,7 @@ def parse_label(doc: dict, support: sf.EssentialSubsurface) -> bk.EndLabel:
             full = sf.full_surface(support.ambient)
             conformal = tuple(
                 (parse_curve(c, full), parse_frac(length), parse_frac(twist))
-                for c, length, twist in doc.get("conformal", [])
+                for c, length, twist in _list(doc.get("conformal", []), "conformal")
             )
             return bk.EndLabel(bid, kind, conformal=conformal)
         if kind == "simply-degenerate":
@@ -228,7 +232,8 @@ def _parse_marking(doc: dict, support: sf.EssentialSubsurface):
         if doc["kind"] == "lamination":
             return _parse_lamination(doc["value"])
         if doc["kind"] == "marking":
-            curves = [parse_curve(s, support) for s in doc["curves"]]
+            strs = _list(doc["curves"], "marking curves")
+            curves = [parse_curve(s, support) for s in strs]
             return sf.Marking(sf.Simplex.of(support, *curves))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad marking document: {exc}") from exc
@@ -264,9 +269,7 @@ def parse_brick(doc: dict) -> bk.Brick:
             initial = _parse_marking(doc["initial"], support)
         if doc.get("terminal") is not None:
             terminal = _parse_marking(doc["terminal"], support)
-        collars = doc.get("collars", [])
-        if type(collars) is not list:
-            raise ParseError(f"collars {collars!r} are not a list")
+        collars = _list(doc.get("collars", []), "collars")
         return bk.Brick(
             bid=_text(doc["id"], "brick id"),
             support=support,
@@ -282,23 +285,25 @@ def parse_brick(doc: dict) -> bk.Brick:
         raise ParseError(f"bad brick document: {exc}") from exc
 
 
-def joint_doc(j: bk.Joint) -> dict:
+def joint_doc(k: bk.BrickComplex, j: bk.Joint) -> dict:
     return {
         "upper": j.upper,
         "lower": j.lower,
         "surface": support_doc(j.surface),
-        "level": frac_str(j.level),
+        "level": frac_str(k.brick(j.upper).lo),
     }
 
 
-def parse_joint(doc: dict) -> bk.Joint:
+def parse_joint(doc: dict):
+    """(joint, its stated level): the complex checks the level against
+    the joint's bricks."""
     try:
-        return bk.Joint(
+        joint = bk.Joint(
             upper=doc["upper"],
             lower=doc["lower"],
             surface=parse_support(doc["surface"]),
-            level=parse_frac(doc["level"]),
         )
+        return joint, parse_frac(doc["level"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad joint document: {exc}") from exc
 
@@ -307,7 +312,7 @@ def complex_doc(k: bk.BrickComplex, e: bk.LeafEmbedding) -> dict:
     return {
         "base": surface_str(k.base),
         "bricks": [brick_doc(b) for b in k.bricks],
-        "joints": [joint_doc(j) for j in k.joints],
+        "joints": [joint_doc(k, j) for j in k.joints],
         "embedding": {
             bid: [frac_str(a), frac_str(b)] for bid, (a, b) in e.levels
         },
@@ -318,8 +323,8 @@ def parse_complex(doc: dict):
     """Returns (BrickComplex, LeafEmbedding)."""
     try:
         base = parse_surface(doc["base"])
-        bricks = tuple(parse_brick(b) for b in doc["bricks"])
-        joints = tuple(parse_joint(j) for j in doc.get("joints", ()))
+        bricks = tuple(parse_brick(b) for b in _list(doc["bricks"], "bricks"))
+        joints = [parse_joint(j) for j in _list(doc.get("joints", []), "joints")]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad complex document: {exc}") from exc
     if not bricks:
@@ -329,10 +334,17 @@ def parse_complex(doc: dict):
     repeated = [bid for i, bid in enumerate(ids) if bid in ids[:i]]
     if repeated:
         raise ParseError(f"duplicate brick id {repeated[0]!r}")
-    unknown = [bid for j in joints for bid in (j.upper, j.lower) if bid not in ids]
-    if unknown:
-        raise ParseError(f"joint names an unknown brick {unknown[0]!r}")
-    k = bk.BrickComplex(base=base, bricks=bricks, joints=joints)
+    k = bk.BrickComplex(base=base, bricks=bricks, joints=tuple(j for j, _ in joints))
+    for j, level in joints:
+        unknown = [bid for bid in (j.upper, j.lower) if bid not in ids]
+        if unknown:
+            raise ParseError(f"joint names an unknown brick {unknown[0]!r}")
+        # a joint is where its upper brick starts and its lower brick ends
+        if not k.brick(j.upper).lo == level == k.brick(j.lower).hi:
+            raise ParseError(
+                f"joint level {frac_str(level)} is not the front of "
+                f"{j.upper!r} and {j.lower!r}"
+            )
     emb_doc = doc.get("embedding")
     if emb_doc is None:
         e = bk.identity_embedding(k)
@@ -340,8 +352,8 @@ def parse_complex(doc: dict):
         try:
             levels = []
             for b in k.bricks:
-                ab = emb_doc[b.bid]
-                if type(ab) is not list or len(ab) != 2:
+                ab = _list(emb_doc[b.bid], f"embedding levels of {b.bid!r}")
+                if len(ab) != 2:
                     raise ParseError(f"embedding levels of {b.bid!r} are not a pair")
                 alpha, beta = parse_frac(ab[0]), parse_frac(ab[1])
                 if not alpha < beta:

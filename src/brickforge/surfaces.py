@@ -473,17 +473,10 @@ def component_domains(d: EssentialSubsurface, v: Simplex):
         if len(curves) == 1:
             c = curves[0]
             flat = c.flat()
-            separating = charts.AMBIENT.is_separating(flat)
-            if separating:
-                desc = c.rep
-                if desc.kind != "slot":
-                    found = charts.AMBIENT.lookup(flat.canonical())
-                    if found is not None and found.kind == "slot":
-                        desc = found
-                side = None
-                if desc.kind == "slot":
-                    p, q = desc.data
-                    side = charts.TorusSideChart(q[0] - p[0], q[1] - p[1], base=p)
+            # a line never separates; a corridor curve cuts off both punctures
+            if c.rep.kind == "slot":
+                p, q = c.rep.data
+                side = charts.TorusSideChart(q[0] - p[0], q[1] - p[1], base=p)
                 out.append(
                     EssentialSubsurface(
                         ambient=d.ambient,

@@ -347,7 +347,7 @@ def _interior_gf_fixture(side):
             label=lm._gf_label("g", full),
         )
         top = bk.Brick("top", full, "closed", F(1, 2), F(1))
-        joints = (bk.Joint("top", "g", full, F(1, 2)),)
+        joints = (bk.Joint("top", "g", full),)
         bricks = (g, top)
     else:
         low = bk.Brick("low", full, "closed", F(0), F(1, 2))
@@ -355,7 +355,7 @@ def _interior_gf_fixture(side):
             "g", full, "half-open-above", F(1, 2), F(3, 4),
             label=lm._gf_label("g", full),
         )
-        joints = (bk.Joint("g", "low", full, F(1, 2)),)
+        joints = (bk.Joint("g", "low", full),)
         bricks = (low, g)
     k = bk.BrickComplex(sf.TORUS_1_1, bricks, joints)
     return k, bk.identity_embedding(k)

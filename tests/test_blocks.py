@@ -191,7 +191,7 @@ class TestNormalize:
         full = sf.full_surface(sf.TORUS_1_1)
         b1 = bk.Brick("b1", full, "closed", F(0), F(1, 2))
         b2 = bk.Brick("b2", full, "closed", F(1, 2), F(1))
-        j = bk.Joint("b2", "b1", full, F(1, 2))
+        j = bk.Joint("b2", "b1", full)
         m = bk.LabelledBrickManifold(bk.BrickComplex(sf.TORUS_1_1, (b1, b2), (j,)))
         out = bl.normalize(identity_sweep(m))
         assert len(out.complex.bricks) == 1
@@ -204,7 +204,7 @@ class TestNormalize:
         full = sf.full_surface(sf.TORUS_1_1)
         b1 = bk.Brick("b1", full, "half-open-below", F(0), F(1, 2))
         b2 = bk.Brick("b2", full, "half-open-above", F(1, 2), F(1))
-        j = bk.Joint("b2", "b1", full, F(1, 2))
+        j = bk.Joint("b2", "b1", full)
         m = bk.LabelledBrickManifold(bk.BrickComplex(sf.TORUS_1_1, (b1, b2), (j,)))
         out = bl.normalize(identity_sweep(m))
         assert len(out.complex.bricks) == 1
@@ -242,8 +242,8 @@ class TestNormalize:
             bk.Brick("top", strip1, "closed", F(3, 4), F(1)),
         )
         joints = (
-            bk.Joint("mid", "p0", strip0, F(1, 4)),
-            bk.Joint("top", "mid", strip1, F(3, 4)),
+            bk.Joint("mid", "p0", strip0),
+            bk.Joint("top", "mid", strip1),
         )
         k = bk.BrickComplex(sf.TORUS_1_2, bricks, joints)
         return bk.LabelledBrickManifold(k), v0
@@ -562,7 +562,7 @@ class TestConditionBB:
         b1 = bk.Brick("b1", full, "closed", F(0), F(3, 8))
         b2 = bk.Brick("b2", full, "closed", F(3, 8), F(1))
         k = bk.BrickComplex(
-            sf.TORUS_1_1, (b1, b2), (bk.Joint("b2", "b1", full, F(3, 8)),)
+            sf.TORUS_1_1, (b1, b2), (bk.Joint("b2", "b1", full),)
         )
         sweep = bk.LevelSweep.of(k, bk.identity_embedding(k))
         out, adjustments = bl._enforce_bb(blocks, sweep)

@@ -1,6 +1,8 @@
+import json
 from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +15,7 @@ from brickforge import surfaces as sf
 from brickforge.errors import NonStabilizing, NotAscending, ParseError
 
 F = Fraction
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.json"
 
 
 def kt(base=sf.TORUS_1_1):
@@ -51,7 +54,7 @@ def product_complex():
     full = sf.full_surface(sf.TORUS_1_1)
     b1 = bk.Brick("b1", full, "half-open-below", F(0), F(1, 2))
     b2 = bk.Brick("b2", full, "half-open-above", F(1, 2), F(1))
-    j = bk.Joint("b2", "b1", full, F(1, 2))
+    j = bk.Joint("b2", "b1", full)
     return bk.BrickComplex(sf.TORUS_1_1, (b1, b2), (j,))
 
 
@@ -76,9 +79,9 @@ def partial_tower():
         bk.Brick("buf1", full, "closed", F(5, 8), F(3, 4)),
     )
     joints = (
-        bk.Joint("buf0", "gf0", full, F(1, 8)),
-        bk.Joint("p", "buf0", pants_side, F(3, 8)),
-        bk.Joint("buf1", "p", pants_side, F(5, 8)),
+        bk.Joint("buf0", "gf0", full),
+        bk.Joint("p", "buf0", pants_side),
+        bk.Joint("buf1", "p", pants_side),
     )
     k = bk.BrickComplex(sf.TORUS_1_2, bricks, joints)
     return k, torus_side
@@ -106,16 +109,53 @@ class TestValidate:
         assert any("overlap" in r for r in report)
 
     def test_joint_level_mismatch(self):
+        # a joint is where its upper brick starts and its lower brick ends:
+        # the parser refuses a document that states another level, or
+        # whose bricks do not meet there
         k = product_complex()
-        bad_joint = replace(k.joints[0], level=F(1, 3))
-        ok, report = bk.validate_complex(replace(k, joints=(bad_joint,)))
-        assert not ok
-        assert any("level" in r for r in report)
+        doc = sz.complex_doc(k, bk.identity_embedding(k))
+        assert sz.parse_complex(doc)[0] == k
+        doc["joints"][0]["level"] = "1/3"
+        with pytest.raises(ParseError, match="level 1/3 is not the front of 'b2' and 'b1'"):
+            sz.parse_complex(doc)
+        doc["joints"][0]["level"] = "1/2"
+        doc["bricks"][0]["hi"] = "1/3"
+        with pytest.raises(ParseError, match="level 1/2 is not the front"):
+            sz.parse_complex(doc)
 
     def test_scenarios_validate(self):
         for m, _ in (kt(), brock(), bo(3), kt(sf.TORUS_1_2)):
             ok, report = bk.validate_complex(m.complex)
             assert ok, report
+
+
+def joints_at_level(k, levels, bid, level):
+    """The joint query by level: the joints of a brick whose stated level,
+    `levels[i]` for joint i, is `level`, in joint order."""
+    return [
+        j for j, at in zip(k.joints, levels) if at == level and bid in (j.upper, j.lower)
+    ]
+
+
+def model_documents():
+    """The document of every scenario on both bases, and the bench's."""
+    for base in (sf.TORUS_1_1, sf.TORUS_1_2):
+        models = [kt(base)] + [bo(d, base) for d in (1, 2, 3)]
+        if base == sf.TORUS_1_2:
+            models.append(brock())
+        for m, e in models:
+            yield sz.complex_doc(m.complex, e)
+    yield from (json.loads(text) for text in json.loads(BENCH_INPUTS.read_text()).values())
+
+
+class TestJointsAt:
+    def test_sides_agree_with_stated_levels(self):
+        for doc in model_documents():
+            k, _ = sz.parse_complex(doc)
+            levels = [sz.parse_frac(j["level"]) for j in doc.get("joints", [])]
+            for b in k.bricks:
+                assert k.joints_at(b.bid, "lower") == joints_at_level(k, levels, b.bid, b.lo)
+                assert k.joints_at(b.bid, "upper") == joints_at_level(k, levels, b.bid, b.hi)
 
 
 class TestSlits:
@@ -200,7 +240,7 @@ class TestEnds:
                       label=bk.EndLabel("b1", "geometrically-finite", conformal=()))
         b2 = bk.Brick("b2", full, "half-open-above", F(1, 2), F(1),
                       label=bk.EndLabel("b2", "geometrically-finite", conformal=()))
-        j = bk.Joint("b2", "b1", full, F(1, 2))
+        j = bk.Joint("b2", "b1", full)
         k = bk.BrickComplex(sf.TORUS_1_1, (b1, b2), (j,))
         ends = bk.classify_ends(bk.LevelSweep.of(k, bk.identity_embedding(k)))
         assert len(ends) == 2
@@ -520,7 +560,7 @@ class TestRearrange:
         k2 = bk.BrickComplex(
             k1.base,
             k1.bricks + (h0,),
-            k1.joints + (bk.Joint("h0", "buf0", torus_side, F(3, 8)),),
+            k1.joints + (bk.Joint("h0", "buf0", torus_side),),
         )
         return k1, k2
 

@@ -112,6 +112,9 @@ def malformed(name, source, keys, value):
     return make
 
 
+# the separating curve of the brock model: brick p's support boundary
+SIGMA = sz.curve_str(sf.slot_class(sf.full_surface(sf.TORUS_1_2), (0, 0), (1, 0)))
+BAD_JOINT_LEVEL = malformed("bad_joint_level", brock_path, ("joints", 0, "level"), "1/3")
 reversed_levels_path = malformed(
     "reversed_levels_path", single_path, ("embedding", "b0"), ["1/1", "0/1"]
 )
@@ -135,6 +138,23 @@ MALFORMED = [
         "long_embedding_entry", brock_path, ("embedding", "gf0"),
         ["0/1", "1/8", "junk", 7],
     ),
+    # lists given as objects, which would be read as their keys: a
+    # marking's curves, brick p's support boundary, a joint surface's
+    # boundary
+    malformed(
+        "object_marking_curves", single_path, ("bricks", 0, "initial", "curves"),
+        {"F:0/1": 1},
+    ),
+    malformed(
+        "object_support_boundary", brock_path, ("bricks", 2, "support", "boundary"),
+        {SIGMA: 1},
+    ),
+    malformed(
+        "object_joint_boundary", brock_path, ("joints", 1, "surface", "boundary"),
+        {SIGMA: 1},
+    ),
+    # a joint is where its upper brick starts and its lower brick ends
+    BAD_JOINT_LEVEL,
 ]
 
 
@@ -237,7 +257,7 @@ class TestDecompose:
             sf.TORUS_1_1,
             (bk.Brick("b1", full, "closed", F(0), F(3, 8)),
              bk.Brick("b2", full, "closed", F(3, 8), F(1))),
-            (bk.Joint("b2", "b1", full, F(3, 8)),),
+            (bk.Joint("b2", "b1", full),),
         )
         fronts = bk.LevelSweep.of(k, bk.identity_embedding(k))
         decompose = bl.decompose
@@ -428,6 +448,12 @@ def test_malformed_complex_is_a_parse_error(tmp_path, capsys, argv, make):
     assert code == 2
     assert out is None
     assert err["error"] == "parse"
+
+
+def test_joint_level_error_names_the_front(tmp_path, capsys):
+    code, out, err = run_json(capsys, ["export", BAD_JOINT_LEVEL(tmp_path)])
+    assert (code, out) == (2, None)
+    assert "joint level 1/3 is not the front of 'buf0' and 'gf0'" in err["detail"]
 
 
 @pytest.mark.parametrize(

@@ -114,8 +114,26 @@ class TestWords:
         for _ in range(2):
             assert c.canonical()
             assert c.normal_coords() == fc.normal_coords_of(c.word())
-            assert not charts.AMBIENT.is_separating(c)
         assert len(calls) == 1
+
+
+def displacement(word):
+    """The lattice translation (x, y) that a crossing word closes up by."""
+    return (
+        sum(letter[2] for letter in word if letter[0] == "V"),
+        sum(letter[2] for letter in word if letter[0] == "H"),
+    )
+
+
+def test_separating_classes_are_the_corridor_curves():
+    # a class separates exactly when its word closes up with no
+    # translation; `surfaces.component_domains` reads that off the
+    # description's kind
+    descs = charts.AMBIENT.descs(4)
+    assert len(descs) == 126
+    for desc in descs:
+        closed = displacement(desc.build().canonical()) == (0, 0)
+        assert closed == (desc.kind == "slot"), desc
 
 
 class TestConstructors:

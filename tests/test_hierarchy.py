@@ -272,6 +272,47 @@ class TestFlatHierarchy:
         build_and_verify_v0_v1()
         assert len(calls) <= 18
 
+    def test_no_main_geodesic_contradicts_the_filling_test(self):
+        # curves that meet without filling are at distance 2, so a main
+        # geodesic of length 3 or more must rest on a confirmed filling
+        # pair; a filling test that cannot answer confirms nothing
+        d = sf.full_surface(sf.TORUS_1_2)
+        universe = hy.ambient_universe(2)
+        assert len(universe) == 21
+        lengths = []
+        for i, u in enumerate(universe):
+            for w in universe[i + 1 :]:
+                mu, mw = (sf.Marking(sf.Simplex.of(d, c)) for c in (u, w))
+                try:
+                    h = hy.build_hierarchy(sf.TORUS_1_2, mu, mw)
+                except (BudgetExceeded, fc.GenericityError):
+                    continue
+                lengths.append(len(h.main))
+                if len(h.main) >= 3:
+                    try:
+                        fills = sf.subsurface_boundary(
+                            sf.Simplex.of(d, u), sf.Simplex.of(d, w)
+                        ).filling
+                    except (BudgetExceeded, fc.GenericityError):
+                        fills = False
+                    assert fills, (u, w)
+        assert 1 in lengths and 2 in lengths
+
+    def test_long_path_between_non_filling_curves_is_refused(self, monkeypatch):
+        # universe curves 11 and 16 are three apart in the enumeration; a
+        # filling test that finds a boundary class refuses the pair
+        d = sf.full_surface(sf.TORUS_1_2)
+        universe = hy.ambient_universe(2)
+        u, w = universe[11], universe[16]
+        certificate = sf.DistanceCertificate(universe)
+        assert len(certificate.path(u, w)) == 4
+        monkeypatch.setattr(
+            sf, "subsurface_boundary", lambda v1, v2: sf.Simplex.of(d, universe[0])
+        )
+        mu, mw = (sf.Marking(sf.Simplex.of(d, c)) for c in (u, w))
+        with pytest.raises(BudgetExceeded, match="do not fill, but the enumeration"):
+            hy.build_hierarchy(sf.TORUS_1_2, mu, mw)
+
     def test_hierarchy_curves_are_distinct(self):
         _, initial, terminal = flat_markings()
         h = hy.build_hierarchy(sf.TORUS_1_2, initial, terminal)
