@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import BrickforgeError
+from .errors import BrickforgeError, BudgetExceeded
 
 Point = tuple[Fraction, Fraction]
 
@@ -554,7 +554,19 @@ def generic_overlay_pair(c1: FlatCurve, c2: FlatCurve):
             return overlay(c1, cand), cand
         except GenericityError:
             continue
-    raise GenericityError("could not reach generic position by nudging")
+    coords = f"{list(c1.normal_coords())} and {list(c2.normal_coords())}"
+    raise BudgetExceeded(f"could not reach generic position by nudging the curves {coords}")
+
+
+def _minimal_crossings(c1: FlatCurve, c2: FlatCurve):
+    """(crossings, c2'): the crossings of the generic overlay of c1 with c2'
+    that are left, in overlay order, once every bigon is removed.  The arcs
+    between them are homotopic, rel endpoints, to those of minimal position."""
+    crossings, c2 = generic_overlay_pair(c1, c2)
+    live = set(range(len(crossings)))
+    while (pair := _find_bigon(c1, c2, crossings, live)) is not None:
+        live.difference_update(pair)
+    return [crossings[k] for k in sorted(live)], c2
 
 
 # (class, class) in sorted order -> intersection number; errors are not kept
@@ -569,21 +581,8 @@ def flat_intersection(c1: FlatCurve, c2: FlatCurve):
         return 0
     key = (a, b) if a <= b else (b, a)
     if key not in _INTERSECTIONS:
-        _INTERSECTIONS[key] = _minimal_crossing_count(c1, c2)
+        _INTERSECTIONS[key] = len(_minimal_crossings(c1, c2)[0])
     return _INTERSECTIONS[key]
-
-
-def _minimal_crossing_count(c1: FlatCurve, c2: FlatCurve):
-    """Crossings of a generic overlay left after every bigon is removed."""
-    crossings, c2 = generic_overlay_pair(c1, c2)
-    live = set(range(len(crossings)))
-    while True:
-        pair = _find_bigon(c1, c2, crossings, live)
-        if pair is None:
-            break
-        live.discard(pair[0])
-        live.discard(pair[1])
-    return len(live)
 
 
 # ---------------------------------------------------------------------------
@@ -606,15 +605,15 @@ def _sort_by_angle(items):
 
 def boundary_walk_classes(c1: FlatCurve, c2: FlatCurve):
     """Canonical classes of the boundary walks of a regular neighborhood
-    of c1 union c2 (curves in tight position).
+    of c1 union c2, the curves taken in minimal position.
 
     Returns a list of canonical word classes, one per complementary face
-    walk of the union.  When the curves are disjoint the neighborhood is
-    just two annuli and the classes are those of the curves themselves.
+    walk of the union.  The faces are walked over the crossings that
+    `_minimal_crossings` leaves, along the arcs of c1 and c2' between
+    them.  When the curves are disjoint the neighborhood is just two
+    annuli and the classes are those of the curves themselves.
     """
-    crossings, c2 = generic_overlay_pair(c1, c2)
-    if _find_bigon(c1, c2, crossings, set(range(len(crossings)))) is not None:
-        raise GenericityError("representatives form a bigon; not in minimal position")
+    crossings, c2 = _minimal_crossings(c1, c2)
     if not crossings:
         return [c1.canonical(), c2.canonical()]
     # arcs: (curve index, from crossing, to crossing) following the curve

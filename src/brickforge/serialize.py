@@ -362,6 +362,13 @@ def parse_complex(doc: dict):
             e = bk.LeafEmbedding(tuple(levels))
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad embedding document: {exc}") from exc
+        for j in k.joints:
+            (start, _), (_, end) = e.level_of(j.upper), e.level_of(j.lower)
+            if start != end:
+                raise ParseError(
+                    f"embedding starts {j.upper!r} at {frac_str(start)}, "
+                    f"not where {j.lower!r} ends ({frac_str(end)})"
+                )
     return k, e
 
 

@@ -308,7 +308,11 @@ def subsurface_boundary(v1: Simplex, v2: Simplex) -> Simplex:
             continue
         desc = charts.AMBIENT.lookup(cls)
         if desc is None:
-            raise BudgetExceeded("boundary class outside the curve enumeration")
+            tags = f"{curve_tag(union[0])} and {curve_tag(union[1])}"
+            raise BudgetExceeded(
+                f"boundary class outside the curve enumeration: {tags} bound the class "
+                f"with normal coordinates {list(fc.normal_coords_of(cls))}"
+            )
         curve = flat_curve(d, desc)
         if curve not in out:
             out.append(curve)

@@ -153,8 +153,12 @@ MALFORMED = [
         "object_joint_boundary", brock_path, ("joints", 1, "surface", "boundary"),
         {SIGMA: 1},
     ),
-    # a joint is where its upper brick starts and its lower brick ends
+    # a joint is where its upper brick starts and its lower brick ends, in
+    # brick coordinates and in the embedding: brick p pulled off buf0, and
+    # p moved into buf1
     BAD_JOINT_LEVEL,
+    malformed("joint_pulled_apart", brock_path, ("embedding", "p"), ["9/20", "3/5"]),
+    malformed("joint_overlapped", brock_path, ("embedding", "p"), ["1/2", "7/10"]),
 ]
 
 

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from brickforge import charts
 from brickforge import flatcurves as fc
+from brickforge import hierarchy as hy
 from brickforge import surfaces as sf
+from brickforge.errors import BudgetExceeded
 
 
 def curves():
@@ -28,6 +30,12 @@ def curves():
 
 
 RADIUS_2 = charts.AMBIENT.descs(2)
+
+
+def engine(c1, c2):
+    """The intersection number from the bigon-removal engine, past the memo."""
+    return len(fc._minimal_crossings(c1, c2)[0])
+
 
 # frozen intersection table for the fixture curves
 EXPECTED = {
@@ -209,9 +217,7 @@ class TestIntersection:
         # the engine itself: the memo would answer the swapped pair
         cs = curves()
         for n1, n2 in itertools.combinations(cs, 2):
-            assert fc._minimal_crossing_count(cs[n1], cs[n2]) == fc._minimal_crossing_count(
-                cs[n2], cs[n1]
-            )
+            assert engine(cs[n1], cs[n2]) == engine(cs[n2], cs[n1])
 
     def test_self_intersection_zero(self):
         cs = curves()
@@ -225,12 +231,12 @@ class TestIntersection:
 
     def test_an_error_is_not_memoised(self, cold_caches, monkeypatch):
         def stuck(c1, c2):
-            raise fc.GenericityError("could not reach generic position by nudging")
+            raise BudgetExceeded("could not reach generic position by nudging")
 
         c1, c2 = fc.line_curve(0, 1, 0), fc.line_curve(1, 0, 0)
         monkeypatch.setattr(fc, "generic_overlay_pair", stuck)
         for _ in range(2):
-            with pytest.raises(fc.GenericityError):
+            with pytest.raises(BudgetExceeded):
                 fc.flat_intersection(c1, c2)
         monkeypatch.undo()
         assert fc.flat_intersection(c1, c2) == 1
@@ -247,9 +253,9 @@ class TestIntersection:
             c1, c2 = d1.build(), d2.build()
         except fc.GenericityError:
             assume(False)
-        n = fc._minimal_crossing_count(c1, c2)
-        assert fc._minimal_crossing_count(c2, c1) == n
-        assert fc._minimal_crossing_count(c1, c2.translated((2 * a, b))) == n
+        n = engine(c1, c2)
+        assert engine(c2, c1) == n
+        assert engine(c1, c2.translated((2 * a, b))) == n
         assert fc.flat_intersection(c1, c1) == 0
 
     @settings(max_examples=150, deadline=None)
@@ -266,8 +272,8 @@ class TestIntersection:
             assume(False)
         # the engine itself: a reflected line is its own class, so the
         # memo would answer the reflected pair
-        n = fc._minimal_crossing_count(c1, c2)
-        assert fc._minimal_crossing_count(reflected(c1), reflected(c2)) == n
+        n = engine(c1, c2)
+        assert engine(reflected(c1), reflected(c2)) == n
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -278,8 +284,8 @@ class TestIntersection:
     def test_invariant_under_lattice_matrices(self, d1, d2, m):
         c1, c2 = d1.build(), d2.build()
         # the engine itself, as for the point reflection
-        n = fc._minimal_crossing_count(c1, c2)
-        assert fc._minimal_crossing_count(image(c1, m), image(c2, m)) == n
+        n = engine(c1, c2)
+        assert engine(image(c1, m), image(c2, m)) == n
 
 
 @functools.lru_cache(maxsize=None)
@@ -309,7 +315,7 @@ def test_memo_answers_as_the_engine_does_for_every_representative(data):
     for r1 in by_class[a]:
         for r2 in by_class[b]:
             for x, y in ((r1, r2), (r2, r1), (r1, r2.translated(lam)), (r1.translated(lam), r2)):
-                answers.add(fc._minimal_crossing_count(x, y))
+                answers.add(engine(x, y))
     assert len(answers) == 1
     n = answers.pop()
     for r1 in by_class[a]:
@@ -343,6 +349,15 @@ class TestGenericOverlay:
         monkeypatch.setattr(fc.FlatCurve, "translated", first_translate_jumps)
         _, cand = fc.generic_overlay_pair(c1, c2)
         assert fc.same_class(cand, c2)
+
+    def test_no_generic_nudge_is_a_refusal_naming_both_curves(self, monkeypatch):
+        def degenerate(a, b):
+            raise fc.GenericityError("crossing point on a grid line")
+
+        monkeypatch.setattr(fc, "overlay", degenerate)
+        v0, h = fc.line_curve(0, 1, 0), fc.line_curve(1, 0)
+        with pytest.raises(BudgetExceeded, match=r"\[0, 0, 1, 0, 1, 0\] and \[1, 1, 0, 0, 1, 1\]$"):
+            fc.boundary_walk_classes(v0, h)
 
 
 class TestBoundaryWalks:
@@ -383,35 +398,64 @@ class TestBoundaryWalks:
             assert c == () or c in fc.PERIPHERAL_CLASSES
 
 
-def _walks_or_error(c1, c2):
-    try:
-        return fc.boundary_walk_classes(c1, c2)
-    except fc.GenericityError as exc:  # the pair is not in minimal position
-        return str(exc)
-
-
 def engine_records():
     """Crossing-level data of the engine: the word of every curve of
-    descs(3), and the generic overlay crossings and boundary walks of every
-    ordered pair of fixture curves."""
+    descs(3), and the generic overlay crossings of every ordered pair of
+    fixture curves."""
     for desc in charts.AMBIENT.descs(3):
         c = desc.build()
         yield (desc, c.points, c.disp, c.word())
     for (n1, c1), (n2, c2) in itertools.product(curves().items(), repeat=2):
         crossings, _ = fc.generic_overlay_pair(c1, c2)
-        crossings = [(x.key1, x.key2, x.point) for x in crossings]
-        yield (n1, n2, crossings, _walks_or_error(c1, c2))
+        yield (n1, n2, [(x.key1, x.key2, x.point) for x in crossings])
+
+
+def walk_records():
+    """The boundary walks of every ordered pair of fixture curves."""
+    for (n1, c1), (n2, c2) in itertools.product(curves().items(), repeat=2):
+        yield (n1, n2, fc.boundary_walk_classes(c1, c2))
+
+
+def digest(records):
+    h = hashlib.sha256()
+    for record in records:
+        h.update(repr(record).encode())
+    return h.hexdigest()
 
 
 # recorded before the engine's loops were merged; no output may move
-ENGINE_DIGEST = "969281df2fa504445f4b40bd9207b4e65ef1bb6dd7f54db2d9341ca4e7254b37"
+ENGINE_DIGEST = "4c6a0f95e0547e02270668caf367423f907ba45f22e103fa4aa7f56a0b6aefe6"
+# the walks of the fixture pairs, each pair in minimal position
+WALKS_DIGEST = "148917fa73023774577f382c03ca9982ee18f68ac292e8c20f6ee0004e8995c3"
 
 
 def test_engine_output_is_pinned():
-    h = hashlib.sha256()
-    for record in engine_records():
-        h.update(repr(record).encode())
-    assert h.hexdigest() == ENGINE_DIGEST
+    assert digest(engine_records()) == ENGINE_DIGEST
+
+
+def test_boundary_walks_are_pinned():
+    assert digest(walk_records()) == WALKS_DIGEST
+
+
+def test_enumerated_walk_classes_are_disjoint_from_both_curves():
+    """The boundary of a regular neighborhood of two curves in minimal
+    position misses both curves, so every essential walk class that the
+    enumeration knows meets neither curve, by the intersection engine."""
+    fixtures = itertools.combinations(curves().values(), 2)
+    universe = ((u.flat(), w.flat()) for u, w in itertools.combinations(hy.ambient_universe(2), 2))
+    pairs = checked = 0
+    for c1, c2 in itertools.chain(fixtures, universe):
+        pairs += 1
+        for cls in fc.boundary_walk_classes(c1, c2):
+            if cls == () or cls in fc.PERIPHERAL_CLASSES:
+                continue
+            desc = charts.AMBIENT.lookup(cls)
+            if desc is None:
+                continue
+            c = charts.AMBIENT.curve(desc)
+            assert fc.flat_intersection(c, c1) == fc.flat_intersection(c, c2) == 0, (c1, c2, desc)
+            checked += 1
+    assert (pairs, checked) == (246, 232)
 
 
 FIXTURES = curves()
@@ -924,14 +968,14 @@ def test_boundary_classes_invariant_under_swap_and_nudge(monkeypatch):
     monkeypatch.setattr(fc, "path_word", fraction_path_word)
 
     def walks(c1, c2):
-        got = _walks_or_error(c1, c2)
-        return got if isinstance(got, str) else sorted(got)
+        return sorted(fc.boundary_walk_classes(c1, c2))
 
-    built = 0
-    for c1, c2 in itertools.combinations(curves().values(), 2):
+    # the generic overlays of (s0, A1), (s0, A2), (A0, A1), (A0, A2) and
+    # (A1, A2) have bigons, which the walks remove first
+    pairs = list(itertools.combinations(curves().values(), 2))
+    for c1, c2 in pairs:
         nudged = next(itertools.islice(fc._nudges(c2), 1, None))
         here = walks(c1, c2)
         assert walks(c2, c1) == here
         assert walks(c1, nudged) == here
-        built += not isinstance(here, str)
-    assert built == 31
+    assert len(pairs) == 36
