@@ -11,8 +11,10 @@ into blocks of the three standard types.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from . import bricks as bk
 from . import hierarchy as hy
@@ -149,9 +151,7 @@ def _front_cores(sweep: bk.LevelSweep, b, level):
     """Boundary-annulus cores attached to the brick front at an embedded
     level."""
     out = []
-    for comp in sweep.boundary:
-        if level not in comp.interval:
-            continue
+    for comp in sweep.boundary_at(level):
         c = comp.core
         if b.support.kind == "full" or bk.curve_in_domain(b.support, c):
             if c not in out:
@@ -406,18 +406,69 @@ def _merge_eligible_pairs(tubes, sweep: bk.LevelSweep):
 
 
 def merge_homotopic(tubes, sweep: bk.LevelSweep):
-    """Merge tubes homotopic in the model minus the remaining tubes.
-    Pairs are processed in ascending (level, core-serial) order until no
-    merge-eligible pair remains."""
-    out = list(tubes)
-    # keyed by core object, which a merged tube keeps from its first part
-    serial = {id(t.core): _core_serial(t.core) for t in tubes}
-    while True:
-        out.sort(key=lambda t: (t.band[0], serial[id(t.core)]))
-        pair = next(_merge_eligible_pairs(out, sweep), None)
-        if pair is None:
-            return out
-        a, b, rest = pair
+    """Merge tubes homotopic in the model minus the remaining tubes, as a
+    loop would that sorts the tubes stably by (level, core serial) and
+    merges the first merge-eligible pair until none is left.
+
+    One pass over the same-core pairs in (level, core serial, arrival)
+    order makes the same merges, testing each pair at most once.  A pair
+    found ineligible stays so: its bands and slits do not change, and a
+    tube blocking it only ever merges into a wider tube of its core.  Each
+    tube queues its pairs with the tubes above it one at a time, in that
+    order, and stops at the first whose gap meets a slit, since the gaps
+    to the tubes higher up hold that slit.  A merged tube starts where its
+    lower part did, so its pair with a tube below has the gap of that
+    tube's pair with the lower part, and is ineligible once the queue of
+    the tube below has passed.  Levels compare as integer keys."""
+    _, keys = bk._integer_keys([x for t in tubes for x in t.band])
+    held = []  # per arrival: (place, tube, band keys), None once merged
+    live = []  # places (level key, core serial, arrival) of held tubes, in order
+    same = {}  # core -> places of its held tubes, in order
+    pairs = []  # heap of queued pairs, as place + place
+    stopped = set()  # arrivals whose queue stopped at a slit
+
+    def hold(t, lo, hi):
+        place = (lo, _core_serial(t.core), len(held))
+        held.append((place, t, (lo, hi)))
+        insort(live, place)
+        insort(same.setdefault(t.core, []), place)
+        return place
+
+    def queue(place, after):
+        """Queue a tube's pair with the next tube of its core above a place."""
+        above = same[held[place[2]][1].core]
+        k = bisect_right(above, after)
+        if k < len(above):
+            heappush(pairs, place + above[k])
+
+    for place in [hold(*tube) for tube in zip(tubes, keys[::2], keys[1::2])]:
+        queue(place, place)
+    while pairs:
+        pair = heappop(pairs)
+        (lo_a, _, i), (lo_b, _, j) = pair[:3], pair[3:]
+        if held[i] is None or i in stopped:
+            continue
+        queue(pair[:3], pair[3:])
+        if held[j] is None:
+            continue
+        (_, a, (_, hi_a)), (_, b, (_, hi_b)) = held[i], held[j]
+        lo, hi = min(hi_a, hi_b), max(lo_a, lo_b)
+        if sweep.clear_gap(a.core, a.band, b.band) is None:
+            if lo <= hi:  # a lies below b, and the gap meets a slit
+                stopped.add(i)
+            continue
+        if any(
+            t_lo < hi
+            and lo < t_hi
+            and t.core != a.core
+            and sf.intersection_number(t.core, a.core) > 0
+            for _, t, (t_lo, t_hi) in (held[p[2]] for p in live)
+        ):
+            continue
+        for n in (i, j):
+            live.remove(held[n][0])
+            same[a.core].remove(held[n][0])
+            held[n] = None
         interface = "torus" if "torus" in (a.interface, b.interface) else "annulus"
         merged = Tube(
             tid=a.tid,
@@ -428,7 +479,9 @@ def merge_homotopic(tubes, sweep: bk.LevelSweep):
             interface=interface,
             twist=a.twist + b.twist,
         )
-        out = rest + [merged]
+        place = hold(merged, min(lo_a, lo_b), max(hi_a, hi_b))
+        queue(place, place)
+    return [held[p[2]][1] for p in live]
 
 
 # ---------------------------------------------------------------------------

@@ -377,21 +377,48 @@ class LevelSweep:
         """The boundary components of the embedded image, computed once."""
         return tuple(boundary_components(self))
 
+    @cached_property
+    def _boundary_ends(self):
+        """level key -> the boundary components that start or end there."""
+        d, _ = self._keys
+        out = {}
+        for comp in self.boundary:
+            for x in comp.interval:
+                out.setdefault(x.numerator * (d // x.denominator), []).append(comp)
+        return out
+
+    def boundary_at(self, level):
+        """The boundary components that start or end at a level, in order."""
+        k, r = divmod(level.numerator * self._keys[0], level.denominator)
+        return () if r else self._boundary_ends.get(k, ())
+
     @property
     def span(self):
         """(first level, last level) of the embedded complex."""
         return self.slits[0][0][0], self.slits[-1][0][1]
 
+    @cached_property
+    def _met(self):
+        """core -> per sample interval, whether the core meets its slit, or
+        None until a question needs it."""
+        return {}
+
     def meets_between(self, c: sf.Curve, lo, hi) -> bool:
         """Whether the curve meets the slit of a sample interval (a, b)
         with a < hi and lo < b: one overlapping the levels from lo to hi.
         Sample interval i is (levels[i], levels[i + 1]), so those are the
-        intervals from the last level <= lo to the last level < hi."""
+        intervals from the last level <= lo to the last level < hi.  Each
+        answer of `curve_meets_slit` is kept, so it runs once per slit."""
+        met = self._met.get(c)
+        if met is None:
+            met = self._met[c] = [None] * len(self.slits)
         first = max(self.rank(lo, right=True) - 1, 0)
-        return any(
-            curve_meets_slit(c, slit)
-            for _, slit in self.slits[first : self.rank(hi)]
-        )
+        for i in range(first, min(self.rank(hi), len(met))):
+            if met[i] is None:
+                met[i] = curve_meets_slit(c, self.slits[i][1])
+            if met[i]:
+                return True
+        return False
 
     @cached_property
     def _keys(self):
@@ -406,22 +433,29 @@ class LevelSweep:
         k, r = divmod(x.numerator * d, x.denominator)
         return (bisect_right if right or r else bisect_left)(keys, k)
 
+    def clear_gap(self, core: sf.Curve, band_i, band_j):
+        """The one merge-eligibility test, on two level bands (lo, hi) of
+        one core: their gap (lo, hi), if the bands are disjoint or touch
+        and the core meets no slit from lo to hi; None otherwise."""
+        lo, hi = min(band_i[1], band_j[1]), max(band_i[0], band_j[0])
+        if lo <= hi and not self.meets_between(core, lo, hi):
+            return lo, hi
+        return None
+
     def joined(self, pieces):
-        """The one merge-eligibility test.  Yields (i, j, lo, hi), i < j in
-        list order, for each pair of level pieces (core, (lo, hi)) with one
-        core and disjoint or touching bands whose gap, from lo to hi, a
-        clear vertical annulus spans: the core meets no slit there."""
+        """Yields (i, j, lo, hi), i < j in list order, for each pair of
+        level pieces (core, (lo, hi)) with one core that `clear_gap` joins
+        over the gap from lo to hi."""
         later = {}  # core -> indices of its pieces not yet visited
         for i, (core, _) in enumerate(pieces):
             later.setdefault(core, []).append(i)
-        for i, (core, (lo_i, hi_i)) in enumerate(pieces):
+        for i, (core, band) in enumerate(pieces):
             same = later[core]
             del same[0]  # i itself
             for j in same:
-                lo_j, hi_j = pieces[j][1]
-                lo, hi = min(hi_i, hi_j), max(lo_i, lo_j)
-                if lo <= hi and not self.meets_between(core, lo, hi):
-                    yield i, j, lo, hi
+                gap = self.clear_gap(core, band, pieces[j][1])
+                if gap is not None:
+                    yield (i, j, *gap)
 
 
 # ---------------------------------------------------------------------------

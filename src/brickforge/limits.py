@@ -210,7 +210,9 @@ def _truncate_model(k, e, window):
         kind = bk.interval_kind(
             b.open_below() and lo == alpha, b.open_above() and hi == beta
         )
-        bricks.append(replace(b, kind=kind, lo=lo, hi=hi))
+        if (kind, lo, hi) != (b.kind, b.lo, b.hi):
+            b = replace(b, kind=kind, lo=lo, hi=hi)
+        bricks.append(b)
         levels.append((b.bid, (lo, hi)))
     kept = {b.bid for b in bricks}
     joints = tuple(

@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from brickforge import blocks as bl
@@ -19,6 +19,7 @@ from brickforge.errors import (
     MissingLabel,
     NoTightGeodesic,
 )
+from test_bricks import embedded_models, model_curves, probe_levels
 
 F = Fraction
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.json"
@@ -410,6 +411,95 @@ class TestTubeUnionFor:
         assert [(x.btype, x.interval) for x in d.blocks] == [("S03", (F(0), F(1)))]
 
 
+def merge_by_restart(tubes, sweep):
+    """The restart loop that `merge_homotopic` replaced, kept as its
+    oracle: sort the tubes by (level, core serial), merge the first
+    merge-eligible pair, append the merged tube and start again."""
+    out = list(tubes)
+    serial = {id(t.core): bl._core_serial(t.core) for t in tubes}
+    while True:
+        out.sort(key=lambda t: (t.band[0], serial[id(t.core)]))
+        pair = next(bl._merge_eligible_pairs(out, sweep), None)
+        if pair is None:
+            return out
+        a, b, rest = pair
+        interface = "torus" if "torus" in (a.interface, b.interface) else "annulus"
+        merged = bl.Tube(
+            tid=a.tid,
+            core=a.core,
+            band=(min(a.band[0], b.band[0]), max(a.band[1], b.band[1])),
+            origin=a.origin,
+            token=a.token,
+            interface=interface,
+            twist=a.twist + b.twist,
+        )
+        out = rest + [merged]
+
+
+def merged_both_ways(tubes, sweep):
+    """(merge_homotopic's tubes, the oracle's tubes); the oracle runs on a
+    fresh sweep of the same model, so that the two share no remembered
+    slit answer."""
+    got = bl.merge_homotopic(tubes, sweep)
+    fresh = bk.LevelSweep.of(sweep.complex, sweep.embedding)
+    return got, merge_by_restart(tubes, fresh)
+
+
+# the built-in scenarios, by their `limit --scenario` names
+ORACLE_SCENARIOS = {
+    "brock": lm.Scenario("brock", sf.TORUS_1_2),
+    **{
+        f"kt:1,2:{d}": lm.Scenario("kerckhoff-thurston", sf.TORUS_1_2, depth=d)
+        for d in (1, 2)
+    },
+    **{
+        f"bo:1,2:{d}": lm.Scenario("bonahon-otal", sf.TORUS_1_2, depth=d)
+        for d in (1, 2, 3)
+    },
+    **{
+        f"kt:{d}": lm.Scenario("kerckhoff-thurston", sf.TORUS_1_1, depth=d)
+        for d in range(1, 7)
+    },
+    **{
+        f"bo:{d}": lm.Scenario("bonahon-otal", sf.TORUS_1_1, depth=d)
+        for d in range(1, 21)
+    },
+}
+
+
+@st.composite
+def swept_tubes(draw):
+    """(sweep, tubes): up to twenty tubes over the levels of an embedded
+    model.  Bands span one to three steps between critical levels and
+    midpoints, so that bands touch and gaps are short; cores are few, so
+    that they repeat; and some tubes have a twin with the same core and
+    band start, so that tubes tie on (band start, core)."""
+    sweep = bk.LevelSweep.of(*draw(embedded_models()))
+    curves = model_curves(sweep)
+    assume(curves)
+    ends = sorted(set(probe_levels(list(sweep.levels))))
+    cores = draw(st.lists(st.sampled_from(curves), min_size=1, max_size=3))
+    tubes = []
+    size = draw(st.integers(0, 20))
+    while len(tubes) < size:
+        core = draw(st.sampled_from(cores))
+        lo = draw(st.integers(0, len(ends) - 2))
+        for _ in range(draw(st.sampled_from([1, 1, 2]))):
+            hi = min(lo + draw(st.integers(1, 3)), len(ends) - 1)
+            tubes.append(
+                bl.Tube(
+                    tid=f"t{len(tubes)}",
+                    core=core,
+                    band=(ends[lo], ends[hi]),
+                    origin=(1, "b0"),
+                    token="drawn",
+                    interface=draw(st.sampled_from(["annulus", "torus"])),
+                    twist=draw(st.integers(-2, 2)),
+                )
+            )
+    return sweep, tubes
+
+
 class TestMerging:
     def _model(self):
         full = sf.full_surface(sf.TORUS_1_1)
@@ -442,6 +532,31 @@ class TestMerging:
         a = bl.Tube("a", sf.slope_curve(full, 0, 1), (F(0), F(1, 4)), (1, "b0"), full.token)
         b = bl.Tube("b", sf.slope_curve(full, 1, 0), (F(1, 2), F(3, 4)), (1, "b0"), full.token)
         assert len(bl.merge_homotopic([a, b], sweep)) == 2
+
+    # Each tube list below equals the oracle's in every field and in order.
+    # A pass that told merged-away tubes by id() would take a new merged
+    # tube that reuses such an id for a merged-away one, and differ here.
+
+    @pytest.mark.parametrize("spec", list(ORACLE_SCENARIOS))
+    def test_scenarios_merge_as_restart(self, spec):
+        m, e = lm.generate(ORACLE_SCENARIOS[spec])
+        d = bl.decompose(bk.LevelSweep.of(m.complex, e))
+        got, want = merged_both_ways(list(d.placed), d.sweep)
+        assert got == want == list(d.tubes)
+        assert len(got) < len(d.placed)
+
+    def test_bench_documents_merge_as_restart(self):
+        for name, text in json.loads(BENCH_INPUTS.read_text()).items():
+            d = bl.decompose(bk.LevelSweep.of(*sz.parse_complex(sz.loads(text))))
+            got, want = merged_both_ways(list(d.placed), d.sweep)
+            assert got == want == list(d.tubes), name
+
+    @settings(max_examples=150, deadline=None)
+    @given(swept_tubes())
+    def test_drawn_tubes_merge_as_restart(self, drawn):
+        sweep, tubes = drawn
+        got, want = merged_both_ways(tubes, sweep)
+        assert got == want
 
     def test_kt_cusp_tube_absorbs_neighbors(self):
         m, _ = kt()

@@ -503,6 +503,19 @@ class TestLevelIndex:
         )
         assert list(sweep.joined(pieces)) == list(joined_by_scan(sweep, pieces))
 
+    @settings(max_examples=40, deadline=None)
+    @given(embedded_models())
+    def test_boundary_at_agrees_with_scan(self, model):
+        sweep = bk.LevelSweep.of(*model)
+        levels = list(sweep.levels)
+        # and levels just above each critical level, whose integer keys
+        # round down to that level's key
+        above = [lo + (hi - lo) / 1000 for lo, hi in zip(levels, levels[1:])]
+        for level in probe_levels(levels) + above:
+            assert list(sweep.boundary_at(level)) == [
+                comp for comp in sweep.boundary if level in comp.interval
+            ], level
+
     def test_level_of_reads_the_first_entry(self):
         e = bk.LeafEmbedding((("a", (F(0), F(1, 2))), ("b", (F(1, 2), F(1))),
                               ("a", (F(1, 4), F(3, 4)))))
