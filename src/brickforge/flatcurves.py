@@ -12,12 +12,19 @@ topology here:
 * crossing words with the grid lines x in Z, y in Z, y - x in Z.  These
   lines cut the surface into four ideal triangles, the dual graph is a
   spine, and the reduced cyclic crossing word is a complete
-  free-homotopy invariant.
-* overlay of two curves with exact crossing points, followed by
-  combinatorial bigon removal, which yields geometric intersection
-  numbers.
-* boundary walks of a regular neighborhood of a union of two curves,
-  which yield the subsurface boundary that tightness checks need.
+  free-homotopy invariant.  Each letter is kept with its key, the
+  segment and parameter where the curve meets the line, so the word of
+  an arc between two points of the curve is a slice of the curve's word.
+* overlay of two curves with exact crossing points (none on a grid
+  line), followed by bigon removal: two crossings that are neighbours
+  along both curves bound a bigon exactly when the loop through them,
+  an arc of each curve, has a word that reduces to nothing.  The
+  crossings left give geometric intersection numbers.
+* boundary walks of a regular neighborhood of a union of two curves in
+  minimal position, which yield the subsurface boundary that tightness
+  checks need.  A walk follows one curve to the next crossing and turns
+  onto the other, the way the sign of the two curves' cross product
+  there says; its word is the concatenation of its arcs' words.
 
 Points are exact rationals, and the topology is decided in integers.  A
 polyline is scaled once by the common denominator of its coordinates
@@ -31,6 +38,7 @@ only for a hit.  No floats anywhere.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,10 +63,6 @@ def _add(a, b) -> Point:
 
 def _sub(a, b) -> Point:
     return (a[0] - b[0], a[1] - b[1])
-
-
-def _scale(v, s):
-    return (v[0] * s, v[1] * s)
 
 
 def _cross(a, b):
@@ -135,8 +139,9 @@ def _inv_letter(letter):
 _FAMILIES = (("V", 1, 0), ("H", 0, 1), ("D", -1, 1))
 
 
-def path_word(points, closed_disp=None):
-    """Crossing word of a polygonal path.
+def _grid_crossings(points, closed_disp=None):
+    """Crossing letters of a polygonal path, each with its key (i, num, a):
+    the letter sits on segment i of the path, at parameter num / a.
 
     If closed_disp is given, the path closes up from the last vertex to
     points[0] + closed_disp.  In the int frame of scale d, a segment
@@ -152,8 +157,8 @@ def path_word(points, closed_disp=None):
             raise GenericityError("vertex lies on a grid line")
     if closed_disp is not None:
         pts.append((pts[0][0] + closed_disp[0] * d, pts[0][1] + closed_disp[1] * d))
-    word = []
-    for (x, y), (qx, qy) in zip(pts, pts[1:]):
+    letters = []
+    for i, ((x, y), (qx, qy)) in enumerate(zip(pts, pts[1:])):
         dx, dy = qx - x, qy - y
         dfs = [cx * dx + cy * dy for _, cx, cy in _FAMILIES]
         lcm = math.lcm(*(abs(df) for df in dfs if df))
@@ -169,10 +174,34 @@ def path_word(points, closed_disp=None):
                 xn = x * a + num * dx
                 if xn % den == 0 and (y * a + num * dy) % den == 0:
                     raise GenericityError("segment passes through a puncture")
-                events.append((num * (lcm // a), (fam, xn // den % 2, sign)))
+                events.append((num * (lcm // a), num, a, (fam, xn // den % 2, sign)))
         events.sort(key=lambda e: e[0])
-        word.extend(letter for _, letter in events)
-    return word
+        letters.extend(((i, num, a), letter) for _, num, a, letter in events)
+    return letters
+
+
+def path_word(points, closed_disp=None):
+    """Crossing word of a polygonal path: the letters of `_grid_crossings`."""
+    return [letter for _, letter in _grid_crossings(points, closed_disp)]
+
+
+def _letter_place(entry):
+    """The place (i, t) of a `_grid_crossings` entry, as a crossing key."""
+    (i, num, a), _ = entry
+    return (i, Fraction(num, a))
+
+
+def _arc_word(letters, key_from, key_to, direction):
+    """The letters of a closed curve, given by `_grid_crossings`, strictly
+    between two points (i, t) of it off the grid, walking forward
+    (direction +1) or backward (-1, the letters inverted and in reverse
+    order).  Equal keys give the whole curve."""
+    if direction == -1:
+        return [_inv_letter(l) for l in reversed(_arc_word(letters, key_to, key_from, 1))]
+    i = bisect.bisect(letters, key_from, key=_letter_place)
+    j = bisect.bisect(letters, key_to, key=_letter_place)
+    arc = letters[i:j] if key_from < key_to else letters[i:] + letters[:j]
+    return [letter for _, letter in arc]
 
 
 def reduce_cyclic(word):
@@ -266,13 +295,6 @@ class FlatCurve:
 
     def translated(self, lam):
         return FlatCurve(tuple(_add(p, lam) for p in self.points), self.disp)
-
-
-def _point_on(segs, key):
-    """The point at parameter t of segment i, for key (i, t)."""
-    i, t = key
-    a, b = segs[i]
-    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
 
 
 def same_class(c1: FlatCurve, c2: FlatCurve) -> bool:
@@ -440,14 +462,13 @@ def _enclosed_punctures(poly_points):
 
 
 # ---------------------------------------------------------------------------
-# overlay, arcs, bigon removal
+# overlay and bigon removal
 
 
 @dataclass(frozen=True)
 class Crossing:
     key1: tuple  # (segment index, parameter) on curve 1
     key2: tuple  # (segment index, parameter) on curve 2
-    point: Point  # location in curve 1's frame
 
     def key(self, side: int):
         """The crossing's key on curve 1 (side 0) or curve 2 (side 1)."""
@@ -455,50 +476,22 @@ class Crossing:
 
 
 def overlay(c1: FlatCurve, c2: FlatCurve):
-    """All torus crossings between two embedded curves, with exact data."""
+    """All torus crossings between two embedded curves, with exact data.
+    No crossing lies on a grid line, so every arc between two crossings
+    has well-defined crossing letters."""
     out = []
     for _, i, j, (t, u, point) in _segment_hits(c1.segments(), c2.segments()):
         if _on_grid(point):
             raise GenericityError("crossing point on a grid line")
-        out.append(Crossing((i, t), (j, u), point))
+        out.append(Crossing((i, t), (j, u)))
     return out
 
 
-def arc_points(curve: FlatCurve, key_from, key_to, start_point, direction=1):
-    """Polyline along the curve from key_from to key_to, lifted so the arc
-    begins at start_point.  direction=+1 walks forward, -1 backward."""
-    segs = curve.segments()
-    n = len(segs)
-    i, t = key_from
-    j, u = key_to
-    off = _sub(start_point, _point_on(segs, key_from))
-    end = 1 if direction == 1 else 0  # the segment end a step passes
-    wrap = _scale(curve.disp, direction)
-    pts = [start_point]
-    cur = i
-    steps = 0
-    while not (cur == j and (steps > 0 or (u - t) * direction > 0)):
-        pts.append(_add(segs[cur][end], off))
-        cur += direction
-        if not 0 <= cur < n:
-            cur %= n
-            off = _add(off, wrap)
-        steps += 1
-        if steps > 2 * n + 2:
-            raise RuntimeError("arc walk failed to terminate")
-    pts.append(_add(_point_on(segs, key_to), off))
-    return pts
-
-
-def _loop_is_trivial(loop_pts):
-    """True when the closed polygonal loop is null-homotopic on the
-    punctured torus: zero displacement (checked by the caller) and zero
-    winding about every puncture."""
-    return next(_enclosed_punctures(loop_pts), None) is None
-
-
-def _find_bigon(c1, c2, crossings, live):
-    """Search for a removable bigon pair among live crossings."""
+def _find_bigon(crossings, live, letters):
+    """Two live crossings that bound a bigon, or None: neighbours along
+    both curves whose loop, the arc of curve 1 from one to the other and
+    the arc of curve 2 back, has a crossing word that reduces to nothing.
+    `letters` holds the two curves' `_grid_crossings`."""
     if len(live) < 2:
         return None
     order1 = sorted(live, key=lambda k: crossings[k].key1)
@@ -512,16 +505,10 @@ def _find_bigon(c1, c2, crossings, live):
         for direction in (1, -1):
             if order2[(at2 + direction) % len(order2)] != kb:
                 continue
-            arc1 = arc_points(c1, x.key1, y.key1, x.point, 1)
-            start2 = x.point  # lift of x on the translated copy of c2
-            arc2 = arc_points(c2, x.key2, y.key2, start2, direction)
-            end1 = arc1[-1]
-            end2 = arc2[-1]
-            mu = _sub(end2, end1)
-            if mu != (0, 0):
-                continue
-            loop = arc1[:-1] + list(reversed(arc2))[:-1]
-            if _loop_is_trivial(loop):
+            loop = _arc_word(letters[0], x.key1, y.key1, 1) + _arc_word(
+                letters[1], y.key2, x.key2, -direction
+            )
+            if not reduce_cyclic(loop):
                 return (ka, kb)
     return None
 
@@ -564,8 +551,10 @@ def _minimal_crossings(c1: FlatCurve, c2: FlatCurve):
     between them are homotopic, rel endpoints, to those of minimal position."""
     crossings, c2 = generic_overlay_pair(c1, c2)
     live = set(range(len(crossings)))
-    while (pair := _find_bigon(c1, c2, crossings, live)) is not None:
-        live.difference_update(pair)
+    if len(crossings) >= 2:
+        letters = (_grid_crossings(c1.points, c1.disp), _grid_crossings(c2.points, c2.disp))
+        while (pair := _find_bigon(crossings, live, letters)) is not None:
+            live.difference_update(pair)
     return [crossings[k] for k in sorted(live)], c2
 
 
@@ -589,98 +578,52 @@ def flat_intersection(c1: FlatCurve, c2: FlatCurve):
 # neighborhood boundary walks
 
 
-def _sort_by_angle(items):
-    """Sort (direction, payload) pairs counterclockwise starting at +x."""
-    def key(it):
-        x, y = it[0]
-        if y == 0:
-            base = 0 if x > 0 else 2
-            return (base, Fraction(0))
-        if y > 0:
-            return (1, Fraction(-x, y))
-        return (3, Fraction(-x, y))
-
-    return sorted(items, key=key)
-
-
 def boundary_walk_classes(c1: FlatCurve, c2: FlatCurve):
     """Canonical classes of the boundary walks of a regular neighborhood
-    of c1 union c2, the curves taken in minimal position.
+    of c1 union c2, the curves taken in minimal position, in sorted order.
 
-    Returns a list of canonical word classes, one per complementary face
-    walk of the union.  The faces are walked over the crossings that
-    `_minimal_crossings` leaves, along the arcs of c1 and c2' between
-    them.  When the curves are disjoint the neighborhood is just two
-    annuli and the classes are those of the curves themselves.
+    There is one class per complementary face walk of the union.  The
+    faces are walked over the crossings that `_minimal_crossings` leaves,
+    along the arcs of c1 and c2' between them.  A walk's state is (crossing,
+    curve, direction): it follows that curve to the next crossing, where
+    it turns onto the other curve, the way the neighborhood's boundary
+    does.  Its word is the concatenation of the arcs' letters.  When the
+    curves are disjoint the neighborhood is just two annuli and the
+    classes are those of the curves themselves.
     """
     crossings, c2 = _minimal_crossings(c1, c2)
     if not crossings:
-        return [c1.canonical(), c2.canonical()]
-    # arcs: (curve index, from crossing, to crossing) following the curve
-    arcs = []
-    for cidx in (0, 1):
-        order = sorted(range(len(crossings)), key=lambda k: crossings[k].key(cidx))
-        for pos, ka in enumerate(order):
-            arcs.append((cidx, ka, order[(pos + 1) % len(order)]))
-
-    # half-edges: (arc index, direction); direction +1 from ka to kb
-    # at each crossing, the four outgoing half-edges with their tangents
-    outgoing = {k: [] for k in range(len(crossings))}
-    segs = (c1.segments(), c2.segments())
+        return sorted([c1.canonical(), c2.canonical()])
+    n = len(crossings)
     curves = (c1, c2)
-    for aidx, (cidx, ka, kb) in enumerate(arcs):
-        sa, _ = crossings[ka].key(cidx)
-        sb, _ = crossings[kb].key(cidx)
-        da = _sub(segs[cidx][sa][1], segs[cidx][sa][0])
-        db = _sub(segs[cidx][sb][1], segs[cidx][sb][0])
-        outgoing[ka].append((da, (aidx, 1)))
-        outgoing[kb].append((_scale(db, -1), (aidx, -1)))
+    letters = [_grid_crossings(c.points, c.disp) for c in curves]
+    orders = [sorted(range(n), key=lambda k: crossings[k].key(side)) for side in (0, 1)]
+    places = [{k: pos for pos, k in enumerate(order)} for order in orders]
+    segs = [c.segments() for c in curves]
 
-    rotation = {}
-    for k, items in outgoing.items():
-        ordered = _sort_by_angle(items)
-        for i, (_, he) in enumerate(ordered):
-            nxt = ordered[(i + 1) % len(ordered)][1]
-            rotation[(k, he)] = nxt
+    def tangent(side, k):
+        a, b = segs[side][crossings[k].key(side)[0]]
+        return _sub(b, a)
 
-    def he_endpoints(he):
-        aidx, d = he
-        cidx, ka, kb = arcs[aidx]
-        return (ka, kb) if d == 1 else (kb, ka)
-
-    # face traversal: next half-edge = rotate(reverse(he)) at the endpoint
-    visited = set()
+    # a walk leaves crossing k by the next of its four directions
+    # counterclockwise after the way back: one that reaches k
+    # along curve 1 in direction d leaves along curve 2 in direction
+    # -d * turn[k], and one that reaches it along curve 2 leaves along
+    # curve 1 in direction d * turn[k]
+    turn = [1 if _cross(tangent(0, k), tangent(1, k)) > 0 else -1 for k in range(n)]
+    seen = set()
     classes = []
-    for start in list(rotation.keys()):
-        k0, he0 = start
-        src, dst = he_endpoints(he0)
-        if src != k0 or (k0, he0) in visited:
+    for state in ((k, side, d) for k in range(n) for side in (0, 1) for d in (1, -1)):
+        if state in seen:
             continue
-        walk_points = []
-        cur_pt = crossings[k0].point
-        he = he0
-        at = k0
-        guard = 0
-        while True:
-            visited.add((at, he))
-            cidx = arcs[he[0]][0]
-            src, end = he_endpoints(he)
-            key_from, key_to = crossings[src].key(cidx), crossings[end].key(cidx)
-            pts = arc_points(curves[cidx], key_from, key_to, cur_pt, he[1])
-            walk_points.extend(pts[:-1])
-            cur_pt = pts[-1]
-            rev = (he[0], -he[1])
-            he = rotation[(end, rev)]
-            at = end
-            guard += 1
-            if at == k0 and he == he0:
-                break
-            if guard > 4 * len(arcs) + 4:
-                raise RuntimeError("face walk failed to close")
-        disp = _sub(cur_pt, walk_points[0])
-        ddx, ddy = disp
-        if ddx.denominator != 1 or ddy.denominator != 1 or int(ddx) % 2 != 0:
-            raise RuntimeError("face walk closed with a non-lattice offset")
-        word = path_word(walk_points, (int(ddx), int(ddy)))
+        # each state has one successor and one predecessor, so the walk
+        # from an unseen state closes at that state
+        word = []
+        while state not in seen:
+            seen.add(state)
+            k, side, d = state
+            nxt = orders[side][(places[side][k] + d) % n]
+            word += _arc_word(letters[side], crossings[k].key(side), crossings[nxt].key(side), d)
+            state = (nxt, 1 - side, d * turn[nxt] * (1 if side else -1))
         classes.append(canonical_class(word))
-    return classes
+    return sorted(classes)

@@ -334,6 +334,9 @@ def parse_complex(doc: dict):
     repeated = [bid for i, bid in enumerate(ids) if bid in ids[:i]]
     if repeated:
         raise ParseError(f"duplicate brick id {repeated[0]!r}")
+    for b in bricks:
+        if b.label is not None and b.label.brick_id != b.bid:
+            raise ParseError(f"the label of brick {b.bid!r} names brick {b.label.brick_id!r}")
     k = bk.BrickComplex(base=base, bricks=bricks, joints=tuple(j for j, _ in joints))
     for j, level in joints:
         unknown = [bid for bid in (j.upper, j.lower) if bid not in ids]
@@ -359,6 +362,9 @@ def parse_complex(doc: dict):
                 if not alpha < beta:
                     raise ParseError(f"embedding levels of {b.bid!r} are not increasing")
                 levels.append((b.bid, (alpha, beta)))
+            unknown = [bid for bid in emb_doc if bid not in ids]
+            if unknown:
+                raise ParseError(f"embedding names an unknown brick {unknown[0]!r}")
             e = bk.LeafEmbedding(tuple(levels))
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad embedding document: {exc}") from exc

@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -803,6 +804,39 @@ def test_repeated_decompose_runs_no_intersection_engine(cold_caches, count_calls
         calls.clear()
     bl.decompose(bk.LevelSweep.of(*sz.parse_complex(sz.loads(text))))
     assert len(engine) == len(overlays) == len(walks) > 0
+
+
+def test_engine_reads_only_crossing_words_after_the_overlay(cold_caches, monkeypatch):
+    """On a warm decompose, each engine run whose overlay has at least two
+    crossings reads the two curves' crossing words once, and each boundary
+    walk reads them once more; winding numbers about the punctures are
+    only counted to build a corridor curve, cold or warm."""
+    text = json.loads(BENCH_INPUTS.read_text())["sb12_v0v1_sigma"]
+    calls = {}
+
+    def record(name, note=lambda result, caller: caller):
+        fn = getattr(fc, name)
+
+        def recorded(*args):
+            result = fn(*args)
+            calls.setdefault(name, []).append(note(result, sys._getframe(1).f_code.co_name))
+            return result
+
+        monkeypatch.setattr(fc, name, recorded)
+
+    record("_grid_crossings")
+    record("_enclosed_punctures")
+    record("generic_overlay_pair", lambda result, caller: len(result[0]))
+    record("boundary_walk_classes")
+    bl.decompose(bk.LevelSweep.of(*sz.parse_complex(sz.loads(text))))
+    assert set(calls.get("_enclosed_punctures", [])) <= {"slot_curve"}
+    calls.clear()
+    bl.decompose(bk.LevelSweep.of(*sz.parse_complex(sz.loads(text))))
+    assert set(calls.get("_enclosed_punctures", [])) <= {"slot_curve"}
+    multi = sum(1 for n in calls["generic_overlay_pair"] if n >= 2)
+    walks = len(calls["boundary_walk_classes"])
+    assert walks > 0
+    assert len(calls["_grid_crossings"]) <= 2 * multi + 2 * walks
 
 
 class TestEmbeddedLevels:

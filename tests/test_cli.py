@@ -128,6 +128,9 @@ MALFORMED = [
     ),
     malformed("bool_embedding_level", single_path, ("embedding", "b0", 0), True),
     malformed("unknown_joint_brick", kt_path, ("joints", 0, "upper"), "nope"),
+    # an embedding entry or a label that names a brick other than its own
+    malformed("unknown_embedding_brick", kt_path, ("embedding", "nope"), ["0/1", "1/8"]),
+    malformed("foreign_label_brick", kt_path, ("bricks", 0, "label", "brick"), "gf1"),
     duplicate_brick_path,
     # containers that must not be coerced: collars as a string (one tag per
     # letter) or an object (its keys), and an embedding entry whose extra

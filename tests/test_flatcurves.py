@@ -407,11 +407,13 @@ def engine_records():
         yield (desc, c.points, c.disp, c.word())
     for (n1, c1), (n2, c2) in itertools.product(curves().items(), repeat=2):
         crossings, _ = fc.generic_overlay_pair(c1, c2)
-        yield (n1, n2, [(x.key1, x.key2, x.point) for x in crossings])
+        segs = c1.segments()
+        yield (n1, n2, [(x.key1, x.key2, _point_on(segs, x.key1)) for x in crossings])
 
 
 def walk_records():
-    """The boundary walks of every ordered pair of fixture curves."""
+    """The boundary walks of every ordered pair of fixture curves, in
+    sorted order."""
     for (n1, c1), (n2, c2) in itertools.product(curves().items(), repeat=2):
         yield (n1, n2, fc.boundary_walk_classes(c1, c2))
 
@@ -425,8 +427,9 @@ def digest(records):
 
 # recorded before the engine's loops were merged; no output may move
 ENGINE_DIGEST = "4c6a0f95e0547e02270668caf367423f907ba45f22e103fa4aa7f56a0b6aefe6"
-# the walks of the fixture pairs, each pair in minimal position
-WALKS_DIGEST = "148917fa73023774577f382c03ca9982ee18f68ac292e8c20f6ee0004e8995c3"
+# the walks of the fixture pairs, each pair in minimal position; the
+# polygon walks gave this digest once each pair's list was sorted
+WALKS_DIGEST = "b72e67df257c3bb94380c3c656edd8686051b249475a47833f12cd94095dcec4"
 
 
 def test_engine_output_is_pinned():
@@ -463,22 +466,185 @@ FIXTURES = curves()
 
 @st.composite
 def arc_cases(draw):
-    """A fixture curve and two keys (segment, parameter) on it."""
+    """A fixture curve and two keys (segment, parameter) on it, off the grid."""
     c = FIXTURES[draw(st.sampled_from(sorted(FIXTURES)))]
+    segs = c.segments()
     key = st.tuples(
-        st.integers(0, len(c.segments()) - 1),
+        st.integers(0, len(segs) - 1),
         st.fractions(0, 1, max_denominator=50).filter(lambda t: 0 < t < 1),
-    )
+    ).filter(lambda k: not fc._on_grid(_point_on(segs, k)))
     return c, draw(key), draw(key)
 
 
 @settings(max_examples=200, deadline=None)
 @given(arc_cases(), st.integers(-2, 2), st.integers(-2, 2))
 def test_backward_arc_reverses_forward_arc(case, a, b):
+    """An arc's letters are those of its polygon, which walking back
+    reverses, in every lift."""
     c, k1, k2 = case
-    start = fc._add(fc._point_on(c.segments(), k1), (2 * a, b))
-    fwd = fc.arc_points(c, k1, k2, start, 1)
-    assert fc.arc_points(c, k2, k1, fwd[-1], -1) == fwd[::-1]
+    letters = fc._grid_crossings(c.points, c.disp)
+    start = fc._add(_point_on(c.segments(), k1), (2 * a, b))
+    fwd = arc_points(c, k1, k2, start, 1)
+    assert arc_points(c, k2, k1, fwd[-1], -1) == fwd[::-1]
+    assert fc._arc_word(letters, k1, k2, 1) == fc.path_word(fwd)
+    assert fc._arc_word(letters, k2, k1, -1) == fc.path_word(fwd[::-1])
+
+
+# ---------------------------------------------------------------------------
+# the crossing-word engine against the polygon engine it replaced
+
+
+def _scale(v, s):
+    return (v[0] * s, v[1] * s)
+
+
+def _point_on(segs, key):
+    """The point at parameter t of segment i, for key (i, t)."""
+    i, t = key
+    a, b = segs[i]
+    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+
+
+def arc_points(curve, key_from, key_to, start_point, direction=1):
+    """Polyline along the curve from key_from to key_to, lifted so the arc
+    begins at start_point.  direction=+1 walks forward, -1 backward; equal
+    keys walk the whole curve."""
+    segs = curve.segments()
+    n = len(segs)
+    i, t = key_from
+    j, u = key_to
+    off = fc._sub(start_point, _point_on(segs, key_from))
+    end = 1 if direction == 1 else 0  # the segment end a step passes
+    wrap = _scale(curve.disp, direction)
+    pts = [start_point]
+    cur = i
+    steps = 0
+    while not (cur == j and (steps > 0 or (u - t) * direction > 0)):
+        pts.append(fc._add(segs[cur][end], off))
+        cur += direction
+        if not 0 <= cur < n:
+            cur %= n
+            off = fc._add(off, wrap)
+        steps += 1
+        assert steps <= 2 * n + 2, "arc walk failed to terminate"
+    pts.append(fc._add(_point_on(segs, key_to), off))
+    return pts
+
+
+def polygon_find_bigon(c1, c2, crossings, live):
+    """The polygon bigon test: a loop of two arcs, lifted from one
+    crossing, that closes in the plane and winds about no puncture."""
+    if len(live) < 2:
+        return None
+    order1 = sorted(live, key=lambda k: crossings[k].key1)
+    order2 = sorted(live, key=lambda k: crossings[k].key2)
+    segs1 = c1.segments()
+    for idx, ka in enumerate(order1):
+        kb = order1[(idx + 1) % len(order1)]
+        x, y = crossings[ka], crossings[kb]
+        at2 = order2.index(ka)
+        for direction in (1, -1):
+            if order2[(at2 + direction) % len(order2)] != kb:
+                continue
+            start = _point_on(segs1, x.key1)
+            arc1 = arc_points(c1, x.key1, y.key1, start, 1)
+            arc2 = arc_points(c2, x.key2, y.key2, start, direction)
+            if arc1[-1] != arc2[-1]:
+                continue
+            loop = arc1[:-1] + list(reversed(arc2))[:-1]
+            if next(fc._enclosed_punctures(loop), None) is None:
+                return (ka, kb)
+    return None
+
+
+def polygon_minimal_crossings(c1, c2):
+    crossings, c2 = fc.generic_overlay_pair(c1, c2)
+    live = set(range(len(crossings)))
+    while (pair := polygon_find_bigon(c1, c2, crossings, live)) is not None:
+        live.difference_update(pair)
+    return [crossings[k] for k in sorted(live)], c2
+
+
+def _sort_by_angle(items):
+    """Sort (direction, payload) pairs counterclockwise starting at +x."""
+    def key(it):
+        x, y = it[0]
+        if y == 0:
+            return (0 if x > 0 else 2, Fraction(0))
+        return (1 if y > 0 else 3, Fraction(-x, y))
+
+    return sorted(items, key=key)
+
+
+def polygon_walk_classes(c1, c2):
+    """The rotation-system walk: the faces of the union are traced by
+    half-edges, turning at each crossing to the next tangent
+    counterclockwise, and each face's polygon is read by `path_word`."""
+    crossings, c2 = polygon_minimal_crossings(c1, c2)
+    if not crossings:
+        return [c1.canonical(), c2.canonical()]
+    curves = (c1, c2)
+    segs = (c1.segments(), c2.segments())
+    arcs = []  # (curve index, from crossing, to crossing) along the curve
+    for cidx in (0, 1):
+        order = sorted(range(len(crossings)), key=lambda k: crossings[k].key(cidx))
+        for pos, ka in enumerate(order):
+            arcs.append((cidx, ka, order[(pos + 1) % len(order)]))
+    # the outgoing half-edges (arc index, direction) at each crossing
+    outgoing = {k: [] for k in range(len(crossings))}
+    for aidx, (cidx, ka, kb) in enumerate(arcs):
+        sa, _ = crossings[ka].key(cidx)
+        sb, _ = crossings[kb].key(cidx)
+        da = fc._sub(segs[cidx][sa][1], segs[cidx][sa][0])
+        db = fc._sub(segs[cidx][sb][1], segs[cidx][sb][0])
+        outgoing[ka].append((da, (aidx, 1)))
+        outgoing[kb].append((_scale(db, -1), (aidx, -1)))
+    rotation = {}
+    for k, items in outgoing.items():
+        ordered = _sort_by_angle(items)
+        for i, (_, he) in enumerate(ordered):
+            rotation[(k, he)] = ordered[(i + 1) % len(ordered)][1]
+
+    def ends(he):
+        _, ka, kb = arcs[he[0]]
+        return (ka, kb) if he[1] == 1 else (kb, ka)
+
+    visited = set()
+    classes = []
+    for k0, he0 in list(rotation):
+        if ends(he0)[0] != k0 or (k0, he0) in visited:
+            continue
+        points = []
+        cur = _point_on(segs[0], crossings[k0].key1)
+        he, at = he0, k0
+        while True:
+            visited.add((at, he))
+            cidx = arcs[he[0]][0]
+            src, end = ends(he)
+            pts = arc_points(curves[cidx], crossings[src].key(cidx), crossings[end].key(cidx), cur, he[1])
+            points.extend(pts[:-1])
+            cur = pts[-1]
+            he, at = rotation[(end, (he[0], -he[1]))], end
+            if at == k0 and he == he0:
+                break
+            assert len(visited) <= 4 * len(arcs), "face walk failed to close"
+        dx, dy = fc._sub(cur, points[0])
+        assert dx.denominator == dy.denominator == 1 and dx % 2 == 0
+        classes.append(fc.canonical_class(fc.path_word(points, (int(dx), int(dy)))))
+    return classes
+
+
+def test_engine_agrees_with_the_polygon_oracles():
+    """The same crossings left after bigon removal, and the same walk
+    classes, as the polygon engine, on every ordered pair of fixture
+    curves and of the 21 curves of `ambient_universe(2)`."""
+    fixtures = itertools.product(curves().values(), repeat=2)
+    universe = [c.flat() for c in hy.ambient_universe(2)]
+    pairs = list(itertools.chain(fixtures, itertools.permutations(universe, 2)))
+    assert len(pairs) == 81 + 420
+    for c1, c2 in pairs:
+        assert fc._minimal_crossings(c1, c2) == polygon_minimal_crossings(c1, c2)
+        assert fc.boundary_walk_classes(c1, c2) == sorted(polygon_walk_classes(c1, c2))
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +699,7 @@ def segment_pairs(draw):
     d = fc._sub(a2, a1)
 
     def along(s):  # the point a1 + s * (a2 - a1)
-        return fc._add(a1, fc._scale(d, s))
+        return fc._add(a1, _scale(d, s))
 
     inside = _over(0, 1)
     beyond = st.one_of(st.just(Fraction(1)), _over(0, 3).map(lambda s: 1 + s))  # a2 or past it
@@ -545,7 +711,7 @@ def segment_pairs(draw):
         b1, b2 = draw(POINTS), draw(POINTS)
     elif kind == "crossing":  # through an interior point of a
         p, v = along(draw(inside)), draw(POINTS)
-        b1, b2 = fc._add(p, v), fc._sub(p, fc._scale(v, draw(inside)))
+        b1, b2 = fc._add(p, v), fc._sub(p, _scale(v, draw(inside)))
     elif kind == "collinear overlap":
         b1, b2 = along(draw(inside)), along(draw(RATIONALS))
     elif kind == "collinear disjoint":
@@ -559,7 +725,7 @@ def segment_pairs(draw):
         b1, b2 = draw(st.sampled_from([a1, a2])), draw(POINTS)
     else:
         b1 = fc._add(a1, draw(POINTS))
-        b2 = fc._add(b1, fc._scale(d, draw(RATIONALS)))
+        b2 = fc._add(b1, _scale(d, draw(RATIONALS)))
     assume(b1 != b2)
     a, b = (a1, a2), (b1, b2)
     if draw(st.booleans()):
@@ -648,7 +814,7 @@ def scan_overlay(c1, c2):
     for _, i, j, (t, u, point) in hits:
         if fc._on_grid(point):
             raise fc.GenericityError("crossing point on a grid line")
-        out.append(fc.Crossing((i, t), (j, u), point))
+        out.append(fc.Crossing((i, t), (j, u)))
     return out
 
 
@@ -735,7 +901,7 @@ def curve_pairs(draw):
     pts = draw(st.lists(VERTICES, min_size=1, max_size=4))
     if kind == "vertex on an edge":
         a, b = draw(st.sampled_from(c1.segments()))
-        on_edge = fc._add(a, fc._scale(fc._sub(b, a), draw(_over(0, 1))))
+        on_edge = fc._add(a, _scale(fc._sub(b, a), draw(_over(0, 1))))
         pts.insert(draw(st.integers(0, len(pts))), fc._add(on_edge, lam))
     return c1, fc.FlatCurve(tuple(pts), draw(DISPLACEMENTS))
 
@@ -763,10 +929,10 @@ def fraction_slot_curve(p, q):
         e1 = Fraction(1, e1_den * s)
         e2 = Fraction(1, e2_den * s * s + 1)
         corners = (
-            fc._add(fc._add(pf, fc._scale(d, -e1)), fc._scale(n, e2)),
-            fc._add(fc._add(pf, fc._scale(d, -e1)), fc._scale(n, -e2)),
-            fc._add(fc._add(qf, fc._scale(d, e1)), fc._scale(n, -e2)),
-            fc._add(fc._add(qf, fc._scale(d, e1)), fc._scale(n, e2)),
+            fc._add(fc._add(pf, _scale(d, -e1)), _scale(n, e2)),
+            fc._add(fc._add(pf, _scale(d, -e1)), _scale(n, -e2)),
+            fc._add(fc._add(qf, _scale(d, e1)), _scale(n, -e2)),
+            fc._add(fc._add(qf, _scale(d, e1)), _scale(n, e2)),
         )
         curve = fc.FlatCurve(corners, (0, 0))
         try:
@@ -812,9 +978,9 @@ FAMILY_FUNCTIONALS = (
 )
 
 
-def fraction_segment_word(p, q):
-    """Grid-crossing letters along the open segment p -> q, in order, in
-    Fraction arithmetic."""
+def fraction_segment_crossings(p, q):
+    """Grid-crossing (t, letter) pairs along the open segment p -> q, in
+    order of t, in Fraction arithmetic."""
     d = fc._sub(q, p)
     events = []
     for fam, f in FAMILY_FUNCTIONALS:
@@ -833,21 +999,29 @@ def fraction_segment_word(p, q):
     for (t1, _), (t2, _) in zip(events, events[1:]):
         if t1 == t2:
             raise fc.GenericityError("segment crosses two grid lines at one point")
-    return [letter for _, letter in events]
+    return events
 
 
-def fraction_path_word(points, closed_disp=None):
-    """The reference `path_word`: the same word in Fraction arithmetic."""
+def fraction_grid_crossings(points, closed_disp=None):
+    """The reference `_grid_crossings` in Fraction arithmetic: each letter
+    with the segment i and the parameter t at which it meets the grid
+    line, as ((i, t), letter)."""
     for p in points:
         if any(Fraction(f(p)).denominator == 1 for _, f in FAMILY_FUNCTIONALS):
             raise fc.GenericityError("vertex lies on a grid line")
     pts = list(points)
     if closed_disp is not None:
         pts = pts + [fc._add(points[0], closed_disp)]
-    word = []
-    for p, q in zip(pts, pts[1:]):
-        word.extend(fraction_segment_word(p, q))
-    return word
+    return [
+        ((i, t), letter)
+        for i, (p, q) in enumerate(zip(pts, pts[1:]))
+        for t, letter in fraction_segment_crossings(p, q)
+    ]
+
+
+def fraction_path_word(points, closed_disp=None):
+    """The reference `path_word`: the same word in Fraction arithmetic."""
+    return [letter for _, letter in fraction_grid_crossings(points, closed_disp)]
 
 
 def winding(poly_points, pt):
@@ -905,7 +1079,7 @@ def polygons(draw):
     elif kind == "edge through a puncture":
         c = (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
         v = draw(OFF_GRID)
-        pts[at:at] = [fc._add(c, v), fc._sub(c, fc._scale(v, draw(_over(0, 2))))]
+        pts[at:at] = [fc._add(c, v), fc._sub(c, _scale(v, draw(_over(0, 2))))]
     disp = draw(st.one_of(st.none(), st.tuples(st.integers(-2, 2), st.integers(-2, 2))))
     return pts, disp
 
@@ -915,6 +1089,14 @@ def polygons(draw):
 def test_integer_word_agrees_with_fraction_reference(case):
     pts, disp = case
     assert _word_or_error(fc.path_word, pts, disp) == _word_or_error(fraction_path_word, pts, disp)
+    # each letter's key (i, num, a) gives the Fraction parameter num / a
+    # where segment i meets the grid line, where arcs between crossings
+    # are cut
+    try:
+        keyed = [((i, Fraction(num, a)), letter) for (i, num, a), letter in fc._grid_crossings(pts, disp)]
+    except fc.GenericityError as exc:
+        keyed = str(exc)
+    assert keyed == _word_or_error(fraction_grid_crossings, pts, disp)
 
 
 @settings(max_examples=150, deadline=None)
