@@ -155,7 +155,7 @@ def _cmd_limit(args):
     _emit(
         {
             "scenario": args.scenario,
-            "stages": [lm.exhaustion_doc(s) for s in states],
+            "stages": lm.exhaustion_docs(states),
             "theorem": theorem,
             "pass": ok,
         }

@@ -545,17 +545,22 @@ def generic_overlay_pair(c1: FlatCurve, c2: FlatCurve):
     raise BudgetExceeded(f"could not reach generic position by nudging the curves {coords}")
 
 
-def _minimal_crossings(c1: FlatCurve, c2: FlatCurve):
+def _minimal_crossings(c1: FlatCurve, c2: FlatCurve, with_letters=False):
     """(crossings, c2'): the crossings of the generic overlay of c1 with c2'
     that are left, in overlay order, once every bigon is removed.  The arcs
-    between them are homotopic, rel endpoints, to those of minimal position."""
+    between them are homotopic, rel endpoints, to those of minimal position.
+    With `with_letters`, a third entry holds the two curves'
+    `_grid_crossings` that the bigon search read, or None when the overlay
+    had fewer than two crossings and the search read none."""
     crossings, c2 = generic_overlay_pair(c1, c2)
     live = set(range(len(crossings)))
+    letters = None
     if len(crossings) >= 2:
         letters = (_grid_crossings(c1.points, c1.disp), _grid_crossings(c2.points, c2.disp))
         while (pair := _find_bigon(crossings, live, letters)) is not None:
             live.difference_update(pair)
-    return [crossings[k] for k in sorted(live)], c2
+    out = [crossings[k] for k in sorted(live)]
+    return (out, c2, letters) if with_letters else (out, c2)
 
 
 # (class, class) in sorted order -> intersection number; errors are not kept
@@ -587,16 +592,18 @@ def boundary_walk_classes(c1: FlatCurve, c2: FlatCurve):
     along the arcs of c1 and c2' between them.  A walk's state is (crossing,
     curve, direction): it follows that curve to the next crossing, where
     it turns onto the other curve, the way the neighborhood's boundary
-    does.  Its word is the concatenation of the arcs' letters.  When the
+    does.  Its word is the concatenation of the arcs' letters, cut from
+    the curves' crossing letters that the bigon search read.  When the
     curves are disjoint the neighborhood is just two annuli and the
     classes are those of the curves themselves.
     """
-    crossings, c2 = _minimal_crossings(c1, c2)
+    crossings, c2, letters = _minimal_crossings(c1, c2, True)
     if not crossings:
         return sorted([c1.canonical(), c2.canonical()])
     n = len(crossings)
     curves = (c1, c2)
-    letters = [_grid_crossings(c.points, c.disp) for c in curves]
+    if letters is None:
+        letters = [_grid_crossings(c.points, c.disp) for c in curves]
     orders = [sorted(range(n), key=lambda k: crossings[k].key(side)) for side in (0, 1)]
     places = [{k: pos for pos, k in enumerate(order)} for order in orders]
     segs = [c.segments() for c in curves]

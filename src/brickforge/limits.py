@@ -373,29 +373,35 @@ def exhaust(sweep: bk.LevelSweep, stages: int):
     return out
 
 
-def exhaustion_doc(state: ExhaustionState) -> dict:
-    """Per-stage report in the shared document format."""
-    return {
-        "stage": state.n,
-        "window": [sz.frac_str(state.window[0]), sz.frac_str(state.window[1])],
-        "w": sz.complex_doc(state.w, state.w_embedding),
-        "stable-bricks": sorted(bid for bid, _ in state.stable),
-        "external-tubes": list(state.ext),
-        "obstructors": [
-            {
-                "core": sz.curve_str(core),
-                "band": [sz.frac_str(band[0]), sz.frac_str(band[1])],
-            }
-            for core, band in state.obstructors
-        ],
-        "z": sz.complex_doc(state.z.complex, state.z.embedding),
-        "acylindrical": state.acylindrical,
-        "assumed": [
-            "hyperbolization of the finite approximant",
-            "quasi-Fuchsian approximation",
-            "strong convergence of the approximants",
-        ],
-    }
+def exhaustion_docs(states) -> list:
+    """Per-stage reports in the shared document format.  A stage repeats
+    the bricks of the stages before it, and stages often share their
+    approximant, so the stages are built with one memo of documents."""
+    docs = {}
+    return [
+        {
+            "stage": state.n,
+            "window": [sz.frac_str(state.window[0]), sz.frac_str(state.window[1])],
+            "w": sz.complex_doc(state.w, state.w_embedding, docs),
+            "stable-bricks": sorted(bid for bid, _ in state.stable),
+            "external-tubes": list(state.ext),
+            "obstructors": [
+                {
+                    "core": sz.curve_str(core),
+                    "band": [sz.frac_str(band[0]), sz.frac_str(band[1])],
+                }
+                for core, band in state.obstructors
+            ],
+            "z": sz.complex_doc(state.z.complex, state.z.embedding, docs),
+            "acylindrical": state.acylindrical,
+            "assumed": [
+                "hyperbolization of the finite approximant",
+                "quasi-Fuchsian approximation",
+                "strong convergence of the approximants",
+            ],
+        }
+        for state in states
+    ]
 
 
 # ---------------------------------------------------------------------------

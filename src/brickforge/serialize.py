@@ -240,10 +240,23 @@ def _parse_marking(doc: dict, support: sf.EssentialSubsurface):
     raise ParseError(f"bad marking kind {doc.get('kind')!r}")
 
 
-def brick_doc(b: bk.Brick) -> dict:
+def _part(docs, held: tuple, build):
+    """`build()`, or, given a `docs` memo, the one document that it built
+    for the objects `held`, compared by identity.  The memo keeps them, so
+    no id in its keys is taken by another object while it lives."""
+    if docs is None:
+        return build()
+    key = tuple(map(id, held))
+    hit = docs.get(key)
+    if hit is None:
+        hit = docs[key] = (build(), held)
+    return hit[0]
+
+
+def brick_doc(b: bk.Brick, docs=None) -> dict:
     doc = {
         "id": b.bid,
-        "support": support_doc(b.support),
+        "support": _part(docs, (b.support,), lambda: support_doc(b.support)),
         "kind": b.kind,
         "lo": frac_str(b.lo),
         "hi": frac_str(b.hi),
@@ -285,11 +298,11 @@ def parse_brick(doc: dict) -> bk.Brick:
         raise ParseError(f"bad brick document: {exc}") from exc
 
 
-def joint_doc(k: bk.BrickComplex, j: bk.Joint) -> dict:
+def joint_doc(k: bk.BrickComplex, j: bk.Joint, docs=None) -> dict:
     return {
         "upper": j.upper,
         "lower": j.lower,
-        "surface": support_doc(j.surface),
+        "surface": _part(docs, (j.surface,), lambda: support_doc(j.surface)),
         "level": frac_str(k.brick(j.upper).lo),
     }
 
@@ -308,11 +321,28 @@ def parse_joint(doc: dict):
         raise ParseError(f"bad joint document: {exc}") from exc
 
 
-def complex_doc(k: bk.BrickComplex, e: bk.LeafEmbedding) -> dict:
+def complex_doc(k: bk.BrickComplex, e: bk.LeafEmbedding, docs=None) -> dict:
+    """The document of a complex and its embedding.  Without `docs` it is
+    new on each call, so a caller may edit it.  The documents of complexes
+    that share parts, the stages of one report, are built with one `docs`
+    memo, a dict kept across the calls: each brick, joint, support and
+    complex then has one document, which every place that shows it holds,
+    and which `dumps` encodes once."""
+    return _part(docs, (k, e), lambda: _complex_doc(k, e, docs))
+
+
+def _complex_doc(k, e, docs) -> dict:
+    # a joint's document reads its upper brick's level, so that brick is
+    # in its key
     return {
         "base": surface_str(k.base),
-        "bricks": [brick_doc(b) for b in k.bricks],
-        "joints": [joint_doc(k, j) for j in k.joints],
+        "bricks": [
+            _part(docs, (b,), lambda: brick_doc(b, docs)) for b in k.bricks
+        ],
+        "joints": [
+            _part(docs, (j, k.brick(j.upper)), lambda: joint_doc(k, j, docs))
+            for j in k.joints
+        ],
         "embedding": {
             bid: [frac_str(a), frac_str(b)] for bid, (a, b) in e.levels
         },
@@ -387,16 +417,66 @@ def dumps(doc: dict) -> str:
     plus a newline.  `json` gives up its C encoder whenever `indent` is set,
     so this one direct encoder writes the text instead.  A document holds
     only dicts with str keys, lists, tuples, strs, ints, bools and None;
-    any other value, a float or a Fraction included, raises TypeError."""
+    any other value, a float or a Fraction included, raises TypeError.
+
+    A dict that the document holds in several places is encoded once: its
+    later places reuse the text of the first, indented to where they sit.
+    An encoded string holds no raw newline, so each line break of that
+    text is the dict's own line prefix, and swapping the prefix is exact."""
     out = []
-    _encode(doc, "\n", out)
+    _encode(doc, "\n", out, {})
     out.append("\n")
     return "".join(out)
 
 
-def _encode(value, newline: str, out: list) -> None:
-    """Append the text of `value`, whose nested lines start with `newline`."""
-    if isinstance(value, str):
+def _encode(value, newline: str, out: list, done: dict) -> None:
+    """Append the text of `value`, whose nested lines start with `newline`.
+    `done` maps the id of each dict encoded so far to where its text sits
+    in `out` and its line prefix; the document holds every such dict until
+    the call ends, so no id is taken by another object.  String leaves and
+    empty lists are written by their container, without a call."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        ident = id(value)
+        first = done.get(ident)
+        if first is not None:
+            start, stop, was = first
+            text = "".join(out[start:stop])
+            out.append(text if was == newline else text.replace(was, newline))
+            return
+        start = len(out)
+        inner = newline + "  "
+        sep = "{" + inner
+        # a key that is not a str stops sorted() or _encode_str with TypeError
+        for key in sorted(value):
+            item = value[key]
+            if type(item) is str:
+                out.append(f"{sep}{_encode_str(key)}: {_encode_str(item)}")
+            elif not item and type(item) is list:
+                out.append(f"{sep}{_encode_str(key)}: []")
+            else:
+                out.append(f"{sep}{_encode_str(key)}: ")
+                _encode(item, inner, out, done)
+            sep = "," + inner
+        out.append(newline + "}")
+        done[ident] = (start, len(out), newline)
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            if type(item) is str:
+                out.append(f"{sep}{_encode_str(item)}")
+            else:
+                out.append(sep)
+                _encode(item, inner, out, done)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, str):
         out.append(_encode_str(value))
     elif value is None:
         out.append("null")
@@ -406,30 +486,6 @@ def _encode(value, newline: str, out: list) -> None:
         out.append("false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"document key {key!r} is not a str")
-            out.append(sep + _encode_str(key) + ": ")
-            _encode(value[key], inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _encode(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
     else:
         raise TypeError(
             f"a document holds no {type(value).__name__} value: {value!r}"

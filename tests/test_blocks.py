@@ -808,35 +808,41 @@ def test_repeated_decompose_runs_no_intersection_engine(cold_caches, count_calls
 
 def test_engine_reads_only_crossing_words_after_the_overlay(cold_caches, monkeypatch):
     """On a warm decompose, each engine run whose overlay has at least two
-    crossings reads the two curves' crossing words once, and each boundary
-    walk reads them once more; winding numbers about the punctures are
-    only counted to build a corridor curve, cold or warm."""
+    crossings reads the two curves' crossing words once, and a boundary
+    walk reads them again only when its overlay has a single crossing,
+    which the engine read none for; winding numbers about the punctures
+    are only counted to build a corridor curve, cold or warm."""
     text = json.loads(BENCH_INPUTS.read_text())["sb12_v0v1_sigma"]
     calls = {}
 
-    def record(name, note=lambda result, caller: caller):
+    def record(name, note=lambda result, callers: callers[0]):
         fn = getattr(fc, name)
 
         def recorded(*args):
             result = fn(*args)
-            calls.setdefault(name, []).append(note(result, sys._getframe(1).f_code.co_name))
+            callers = (sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name)
+            calls.setdefault(name, []).append(note(result, callers))
             return result
 
         monkeypatch.setattr(fc, name, recorded)
 
     record("_grid_crossings")
     record("_enclosed_punctures")
-    record("generic_overlay_pair", lambda result, caller: len(result[0]))
+    # an overlay's crossing count, and who asked the engine for it
+    record("generic_overlay_pair", lambda result, callers: (len(result[0]), callers[1]))
     record("boundary_walk_classes")
     bl.decompose(bk.LevelSweep.of(*sz.parse_complex(sz.loads(text))))
     assert set(calls.get("_enclosed_punctures", [])) <= {"slot_curve"}
     calls.clear()
     bl.decompose(bk.LevelSweep.of(*sz.parse_complex(sz.loads(text))))
     assert set(calls.get("_enclosed_punctures", [])) <= {"slot_curve"}
-    multi = sum(1 for n in calls["generic_overlay_pair"] if n >= 2)
+    overlays = calls["generic_overlay_pair"]
+    multi = sum(1 for n, _ in overlays if n >= 2)
+    single_walks = sum(1 for n, via in overlays if n == 1 and via == "boundary_walk_classes")
     walks = len(calls["boundary_walk_classes"])
     assert walks > 0
-    assert len(calls["_grid_crossings"]) <= 2 * multi + 2 * walks
+    assert sum(1 for _, via in overlays if via == "boundary_walk_classes") == walks
+    assert len(calls["_grid_crossings"]) <= 2 * multi + 2 * single_walks
 
 
 class TestEmbeddedLevels:

@@ -1147,10 +1147,28 @@ def test_kept_nudges_keep_the_class(desc, tx, ty):
 
 
 def test_boundary_classes_invariant_under_swap_and_nudge(monkeypatch):
-    monkeypatch.setattr(fc, "path_word", fraction_path_word)
+    # the walks, and every word, read the Fraction reference's crossings
+    # in the keyed shape ((i, num, a), letter) of `_grid_crossings`
+    read, crossed = [], []
+
+    def reference_crossings(points, closed_disp=None):
+        read.append(points)
+        return [
+            ((i, t.numerator, t.denominator), letter)
+            for (i, t), letter in fraction_grid_crossings(points, closed_disp)
+        ]
+
+    monkeypatch.setattr(fc, "_grid_crossings", reference_crossings)
 
     def walks(c1, c2):
-        return sorted(fc.boundary_walk_classes(c1, c2))
+        before = len(read)
+        classes = sorted(fc.boundary_walk_classes(c1, c2))
+        walked = len(read) > before
+        # a walk over crossings cuts its arcs from the reference letters
+        if fc.flat_intersection(c1, c2):
+            assert walked
+            crossed.append((c1, c2))
+        return classes
 
     # the generic overlays of (s0, A1), (s0, A2), (A0, A1), (A0, A2) and
     # (A1, A2) have bigons, which the walks remove first
@@ -1161,3 +1179,4 @@ def test_boundary_classes_invariant_under_swap_and_nudge(monkeypatch):
         assert walks(c2, c1) == here
         assert walks(c1, nudged) == here
     assert len(pairs) == 36
+    assert crossed

@@ -1,6 +1,8 @@
+import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from brickforge import surfaces as sf
 from brickforge.errors import ObstructionSearchFailure, ParseError
 
 F = Fraction
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def kt(base=sf.TORUS_1_1):
@@ -359,10 +362,22 @@ class TestExhaust:
         assert cli.run(args) == 0
         assert len(ordered) + len(equal) <= 947
 
+    def test_report_builds_each_brick_document_once(self, count_calls, capsys):
+        # the stages of one report share one memo of documents: a report
+        # built each stage alone made 120 brick documents for 25 distinct
+        # bricks, and one memo keyed by brick object makes 36
+        args = ["limit", "--scenario", "bo:6", "--stages", "4"]
+        built = count_calls(sz, "brick_doc")
+        assert cli.run(args) == 0
+        assert len(built) <= 36
+        out = capsys.readouterr().out
+        goldens = json.loads((BENCH / "goldens.json").read_text())
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == goldens[" ".join(args)]
+
     def test_stage_report_serializable(self):
         m, e = bo(2)
         state = lm.exhaust(sweep_of(m, e), 1)[0]
-        doc = lm.exhaustion_doc(state)
+        (doc,) = lm.exhaustion_docs([state])
         text = json.dumps(doc, sort_keys=True)
         assert json.loads(text) == doc
         assert doc["stage"] == 1

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brickforge import limits as lm
 from brickforge import serialize as sz
+from brickforge import surfaces as sf
 
 # characters the JSON string escapes treat specially: quotes, backslashes,
 # control characters, non-ASCII text, the line and paragraph
@@ -36,6 +38,60 @@ def test_dumps_is_canonical_json(doc):
     assert sz.dumps(doc) == want
 
 
+# a placeholder that `_fill` replaces, at each place, by one shared object
+SHARED = object()
+
+
+def _fill(skeleton, shared):
+    if skeleton is SHARED:
+        return shared
+    if isinstance(skeleton, dict):
+        return {key: _fill(value, shared) for key, value in skeleton.items()}
+    if isinstance(skeleton, list):
+        return [_fill(value, shared) for value in skeleton]
+    return skeleton
+
+
+# documents that hold one dict or list object at several places, at any
+# depths, which `dumps` encodes once and indents to each place
+shared_documents = st.builds(
+    _fill,
+    st.recursive(
+        scalars | st.just(SHARED),
+        lambda children: st.lists(children) | st.dictionaries(strings, children),
+        max_leaves=20,
+    ),
+    st.dictionaries(strings, documents, max_size=3) | st.lists(documents, max_size=3),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=shared_documents)
+def test_dumps_is_canonical_json_with_shared_parts(doc):
+    want = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert sz.dumps(doc) == want
+
+
+def _shared_empty():
+    empty, nothing = {}, []
+    return {"a": empty, "b": [empty, {"c": empty, "d": nothing}], "e": nothing}
+
+
+def _shared_at_depths_1_and_4():
+    part = {"x": ["y\n", {"z": 1}], "w": None}
+    return {"a": part, "b": [{"c": [part, part]}]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [_shared_empty(), _shared_at_depths_1_and_4()],
+    ids=["empty-containers", "depths-1-and-4"],
+)
+def test_dumps_writes_a_shared_part_at_each_place(doc):
+    want = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert sz.dumps(doc) == want
+
+
 @pytest.mark.parametrize(
     "doc",
     [0.5, Fraction(1, 2), {1, 2}, {1: "x"}, {"a": [True, 1.0]}],
@@ -44,3 +100,25 @@ def test_dumps_is_canonical_json(doc):
 def test_dumps_refuses_values_outside_the_format(doc):
     with pytest.raises(TypeError):
         sz.dumps(doc)
+
+
+def test_complex_documents_share_nothing_across_calls():
+    """`complex_doc` without a memo builds new documents on each call, so
+    a caller may edit one and the next is as before."""
+    m, e = lm.generate(lm.Scenario("brock", sf.TORUS_1_2))
+    first, second = sz.complex_doc(m.complex, e), sz.complex_doc(m.complex, e)
+
+    def dict_ids(doc):
+        if isinstance(doc, dict):
+            yield id(doc)
+        for value in doc.values() if isinstance(doc, dict) else doc:
+            if isinstance(value, (dict, list)):
+                yield from dict_ids(value)
+
+    assert not set(dict_ids(first)) & set(dict_ids(second))
+    text = sz.dumps(second)
+    first["bricks"][0]["support"]["token"] = "edited"
+    first["joints"][0]["surface"]["kind"] = "edited"
+    first["bricks"][1]["id"] = "edited"
+    assert sz.dumps(sz.complex_doc(m.complex, e)) == text
+    assert sz.dumps(second) == text
