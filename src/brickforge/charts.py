@@ -15,8 +15,9 @@ twice-punctured torus get charts too:
 * each simplex curve also spawns an annulus domain whose "curves" are
   arc classes recorded by an integer twist.
 
-Realization is budget-bounded: a class that cannot be matched inside the
-enumerated curve family raises BudgetExceeded rather than guessing.
+Realization is bounded by fixed radii, not by the budget: a subdomain
+chart realizes its fan of slopes (`FAN_BOUND`), and an ambient class is
+named by its first description in `descs(1)` to `descs(3)`, or refused.
 """
 
 from __future__ import annotations
@@ -48,24 +49,25 @@ class CurveDesc:
 
 
 class AmbientFlatChart:
-    """Curve bookkeeping on the twice-punctured torus.
-
-    Holds a registry from canonical crossing words to constructive
-    descriptions, filled lazily from an enumerated family of straight
-    lines and corridor curves.
-    """
+    """Curve bookkeeping on the twice-punctured torus: the built curve of
+    each constructive description, and an index from each canonical class
+    and each normal-coordinate vector to its first description in
+    `descs(1)`, `descs(2)`, `descs(3)`.  Only a walk of that enumeration,
+    as far as a lookup needs, fills the index, so no answer depends on the
+    curves built before it."""
 
     def __init__(self):
         self._by_class: dict = {}
+        self._by_coords: dict = {}
         self._curve_cache: dict = {}
         self._enumerated = 0
+        self._walk = self._index_walk()
 
     def curve(self, desc: CurveDesc) -> fc.FlatCurve:
         if desc not in self._curve_cache:
             c = desc.build()
             fc.validate_embedded(c)
             self._curve_cache[desc] = c
-            self._by_class.setdefault(c.canonical(), desc)
         return self._curve_cache[desc]
 
     def descs(self, radius: int):
@@ -93,13 +95,33 @@ class AmbientFlatChart:
             self.curve(desc)
         self._enumerated = radius
 
+    def _index_walk(self):
+        """Index, and yield, each description in enumeration order; each
+        radius holds the one before it, whose descriptions are skipped."""
+        walked = set()
+        for radius in (1, 2, 3):
+            for desc in self.descs(radius):
+                if desc not in walked:
+                    walked.add(desc)
+                    c = self.curve(desc)
+                    self._by_class.setdefault(c.canonical(), desc)
+                    self._by_coords.setdefault(c.normal_coords(), desc)
+                    yield desc
+
+    def _first(self, index: dict, key):
+        """index[key], walking on until the index holds it, or None."""
+        while key not in index and next(self._walk, None) is not None:
+            pass
+        return index.get(key)
+
     def lookup(self, canonical):
-        """Find a constructive description realizing a canonical class
-        among the curves built so far and those of `descs(3)`."""
-        if canonical in self._by_class:
-            return self._by_class[canonical]
-        self.ensure_enumerated(3)
-        return self._by_class.get(canonical)
+        """The first enumerated description of a canonical class, or None."""
+        return self._first(self._by_class, canonical)
+
+    def with_coords(self, coords):
+        """The first enumerated description of the class with these normal
+        coordinates, or None."""
+        return self._first(self._by_coords, coords)
 
 
 AMBIENT = AmbientFlatChart()

@@ -109,11 +109,9 @@ def _cmd_metric(args):
     return EXIT_OK
 
 
-def _parse_scenario(spec: str) -> lm.Scenario:
-    if spec.endswith(".json") or "/" in spec:
-        return lm.Scenario(
-            "custom", sf.TORUS_1_2, document=sz.loads(_read(spec))
-        )
+def _parse_scenario(spec: str) -> lm.Scenario | None:
+    """The built-in scenario a spec names, or None when its first `:`
+    field names none: the spec is then the path of a model document."""
     names = {
         "kt": "kerckhoff-thurston",
         "bo": "bonahon-otal",
@@ -123,7 +121,7 @@ def _parse_scenario(spec: str) -> lm.Scenario:
     }
     parts = spec.split(":")
     if parts[0] not in names:
-        raise ParseError(f"unknown scenario {parts[0]!r}")
+        return None
     kind = names[parts[0]]
     base = sf.TORUS_1_2 if kind == "brock" else sf.TORUS_1_1
     depth = 1
@@ -147,8 +145,11 @@ def _cmd_limit(args):
     if args.stages < 1:
         raise ParseError(f"--stages must be at least 1, not {args.stages}")
     scenario = _parse_scenario(args.scenario)
-    m, e = lm.generate(scenario)
-    sweep = bk.LevelSweep.of(m.complex, e)
+    if scenario is None:
+        sweep = _load_model(args.scenario)
+    else:
+        m, e = lm.generate(scenario)
+        sweep = bk.LevelSweep.of(m.complex, e)
     states = lm.exhaust(sweep, args.stages)
     theorem = lm.verify_theorem_a(sweep)
     ok = theorem["pass"] and all(s.acylindrical for s in states)

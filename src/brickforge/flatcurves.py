@@ -291,7 +291,9 @@ class FlatCurve:
         return self._canonical
 
     def normal_coords(self):
-        return normal_coords_of(self.canonical())
+        if "_coords" not in self.__dict__:
+            object.__setattr__(self, "_coords", normal_coords_of(self.canonical()))
+        return self._coords
 
     def translated(self, lam):
         return FlatCurve(tuple(_add(p, lam) for p in self.points), self.disp)
@@ -545,13 +547,13 @@ def generic_overlay_pair(c1: FlatCurve, c2: FlatCurve):
     raise BudgetExceeded(f"could not reach generic position by nudging the curves {coords}")
 
 
-def _minimal_crossings(c1: FlatCurve, c2: FlatCurve, with_letters=False):
-    """(crossings, c2'): the crossings of the generic overlay of c1 with c2'
-    that are left, in overlay order, once every bigon is removed.  The arcs
-    between them are homotopic, rel endpoints, to those of minimal position.
-    With `with_letters`, a third entry holds the two curves'
-    `_grid_crossings` that the bigon search read, or None when the overlay
-    had fewer than two crossings and the search read none."""
+def _minimal_crossings(c1: FlatCurve, c2: FlatCurve):
+    """(crossings, c2', letters): the crossings of the generic overlay of
+    c1 with c2' that are left, in overlay order, once every bigon is
+    removed.  The arcs between them are homotopic, rel endpoints, to those
+    of minimal position.  `letters` holds the two curves' `_grid_crossings`
+    that the bigon search read, or None when the overlay had fewer than two
+    crossings and the search read none."""
     crossings, c2 = generic_overlay_pair(c1, c2)
     live = set(range(len(crossings)))
     letters = None
@@ -560,7 +562,7 @@ def _minimal_crossings(c1: FlatCurve, c2: FlatCurve, with_letters=False):
         while (pair := _find_bigon(crossings, live, letters)) is not None:
             live.difference_update(pair)
     out = [crossings[k] for k in sorted(live)]
-    return (out, c2, letters) if with_letters else (out, c2)
+    return out, c2, letters
 
 
 # (class, class) in sorted order -> intersection number; errors are not kept
@@ -597,7 +599,7 @@ def boundary_walk_classes(c1: FlatCurve, c2: FlatCurve):
     curves are disjoint the neighborhood is just two annuli and the
     classes are those of the curves themselves.
     """
-    crossings, c2, letters = _minimal_crossings(c1, c2, True)
+    crossings, c2, letters = _minimal_crossings(c1, c2)
     if not crossings:
         return sorted([c1.canonical(), c2.canonical()])
     n = len(crossings)

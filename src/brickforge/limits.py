@@ -18,10 +18,10 @@ from . import hierarchy as hy
 from . import serialize as sz
 from . import surfaces as sf
 from .config import get_budget
-from .errors import BudgetExceeded, ObstructionSearchFailure, ParseError
+from .errors import BudgetExceeded, ObstructionSearchFailure
 from .farey import enumerate_slopes
 
-SCENARIO_KINDS = ("kerckhoff-thurston", "brock", "bonahon-otal", "custom")
+SCENARIO_KINDS = ("kerckhoff-thurston", "brock", "bonahon-otal")
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,6 @@ class Scenario:
     kind: str
     base: sf.Surface
     depth: int = 1
-    document: dict | None = None  # parsed JSON for custom
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
@@ -159,22 +158,14 @@ def _generate_brock(s: Scenario):
     return k, bk.identity_embedding(k)
 
 
-def _generate_custom(s: Scenario):
-    if not isinstance(s.document, dict):
-        raise ParseError("custom scenario needs a document")
-    return sz.parse_complex(s.document)
-
-
 def generate(s: Scenario):
     """Build (LabelledBrickManifold, LeafEmbedding) for a scenario."""
     if s.kind == "kerckhoff-thurston":
         k, e = _generate_kt(s)
     elif s.kind == "bonahon-otal":
         k, e = _generate_bo(s)
-    elif s.kind == "brock":
-        k, e = _generate_brock(s)
     else:
-        k, e = _generate_custom(s)
+        k, e = _generate_brock(s)
     # the one wrapped result: bench/make_inputs.py reads its .complex
     return bk.LabelledBrickManifold(k), e
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import blocks as bl
 from . import bricks as bk
+from . import serialize as sz
 from . import surfaces as sf
 from .errors import NotTorusInterface
 
@@ -146,7 +147,7 @@ def metric_report(d: bl.BlockDecomposition, ks=(0,)) -> dict:
     doc = {
         "convention": TWIST_CONVENTION,
         "tube-formula": TUBE_FORMULA_NOTE,
-        "eps1": f"{EPS1.numerator}/{EPS1.denominator}",
+        "eps1": sz.frac_str(EPS1),
         "blocks": [
             {
                 "id": b.blid,
@@ -168,10 +169,7 @@ def metric_report(d: bl.BlockDecomposition, ks=(0,)) -> dict:
                 "re": omega.re,
                 "im": omega.im,
                 "abs2": omega.abs2(),
-                "core-length-eps1-pi": "{}/{}".format(
-                    metric.core_length_eps1_pi.numerator,
-                    metric.core_length_eps1_pi.denominator,
-                ),
+                "core-length-eps1-pi": sz.frac_str(metric.core_length_eps1_pi),
             }
         )
     for k in ks:

@@ -13,7 +13,6 @@ from fractions import Fraction
 from . import bricks as bk
 from . import charts
 from . import surfaces as sf
-from .config import get_budget
 from .errors import DomainError, ParseError
 
 
@@ -60,24 +59,6 @@ def curve_str(c: sf.Curve) -> str:
     return "N:[" + ",".join(str(x) for x in coords) + "]"
 
 
-def _normal_curve_from_coords(domain, coords):
-    budget = get_budget()
-    # each enumeration holds the one before it: test each description once
-    seen = set()
-    for radius in (1, 2, 3):
-        for desc in charts.AMBIENT.descs(radius):
-            if desc in seen:
-                continue
-            seen.add(desc)
-            if len(seen) > budget:
-                raise ParseError(
-                    "normal-coordinate lookup exceeded the enumeration budget"
-                )
-            if charts.AMBIENT.curve(desc).normal_coords() == coords:
-                return sf.flat_curve(domain, desc)
-    raise ParseError(f"no curve with normal coordinates {coords}")
-
-
 def parse_curve(s: str, domain: sf.EssentialSubsurface) -> sf.Curve:
     if not isinstance(s, str):
         raise ParseError(f"bad curve {s!r}")
@@ -92,9 +73,12 @@ def parse_curve(s: str, domain: sf.EssentialSubsurface) -> sf.Curve:
             if not (val.startswith("[") and val.endswith("]")):
                 raise ValueError(val)
             coords = tuple(int(x) for x in val[1:-1].split(","))
-            if len(coords) != 6:
+            if len(coords) != 6 or domain.chart is not charts.AMBIENT:
                 raise ValueError(val)
-            return _normal_curve_from_coords(domain, coords)
+            desc = charts.AMBIENT.with_coords(coords)
+            if desc is None:
+                raise ParseError(f"no curve with normal coordinates {coords}")
+            return sf.flat_curve(domain, desc)
     except (ValueError, TypeError, DomainError) as exc:
         raise ParseError(f"bad curve {s!r}") from exc
     raise ParseError(f"bad curve {s!r}")

@@ -665,14 +665,6 @@ class TestSerialization:
         assert e2 == e_moved
         assert sz.dumps(sz.complex_doc(k2, e2)) == text
 
-    def test_custom_scenario_from_document(self):
-        m, e = kt()
-        text = sz.dumps(sz.complex_doc(m.complex, e))
-        m2, e2 = lm.generate(
-            lm.Scenario("custom", sf.TORUS_1_1, document=sz.loads(text))
-        )
-        assert m2.complex == m.complex
-
     def test_bad_documents_rejected(self):
         with pytest.raises(ParseError):
             sz.loads("not json")
@@ -705,22 +697,3 @@ class TestSerialization:
         assert sz.curve_str(v0) == "N:[0,0,1,0,1,0]"
         assert sz.parse_curve("N:[0,0,1,0,1,0]", flat) == v0
 
-    def test_normal_lookup_is_bounded_by_the_budget(self, monkeypatch):
-        # N:[0,0,1,0,1,0] is the fourth description the lookup scans
-        flat = sf.full_surface(sf.TORUS_1_2)
-        monkeypatch.setenv("BRICKFORGE_BUDGET", "3")
-        with pytest.raises(ParseError, match="exceeded the enumeration budget"):
-            sz.parse_curve("N:[0,0,1,0,1,0]", flat)
-        monkeypatch.setenv("BRICKFORGE_BUDGET", "4")
-        assert sz.parse_curve("N:[0,0,1,0,1,0]", flat) == sf.line_class(flat, 0, 1, 0)
-
-    def test_normal_lookup_tests_each_description_once(self, monkeypatch):
-        # descs(2) and descs(3) repeat the descriptions of the smaller
-        # radii; N:[3,3,2,2,1,1] is the 43rd distinct one
-        flat = sf.full_surface(sf.TORUS_1_2)
-        monkeypatch.setenv("BRICKFORGE_BUDGET", "42")
-        with pytest.raises(ParseError, match="exceeded the enumeration budget"):
-            sz.parse_curve("N:[3,3,2,2,1,1]", flat)
-        monkeypatch.setenv("BRICKFORGE_BUDGET", "43")
-        c = sz.parse_curve("N:[3,3,2,2,1,1]", flat)
-        assert sz.curve_str(c) == "N:[3,3,2,2,1,1]"

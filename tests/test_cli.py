@@ -208,19 +208,19 @@ class TestValidate:
         assert cli.run([]) == 2
         capsys.readouterr()
 
-    def test_normal_lookup_over_budget_is_a_parse_error(
+    def test_a_document_reads_the_same_under_any_budget(
         self, tmp_path, capsys, monkeypatch
     ):
+        # its N: curves are named by the class index, not by a search
+        # that the budget bounds
         path = tmp_path / "sb12.json"
         path.write_text(BENCH_INPUTS["sb12_v0_v1"])
         monkeypatch.delenv("BRICKFORGE_BUDGET", raising=False)
-        code, _, _ = run_json(capsys, ["validate", str(path)])
-        assert code == 0
+        assert cli.run(["validate", str(path)]) == 0
+        default = capsys.readouterr()
         monkeypatch.setenv("BRICKFORGE_BUDGET", "2")
-        code, out, err = run_json(capsys, ["validate", str(path)])
-        assert (code, err["error"]) == (2, "parse")
-        assert "enumeration budget" in err["detail"]
-        assert out is None
+        assert cli.run(["validate", str(path)]) == 0
+        assert capsys.readouterr() == default
 
 
 class TestDecompose:
@@ -384,9 +384,11 @@ class TestLimit:
         assert err["error"] == "BudgetExceeded"
 
     def test_unknown_scenario(self, capsys):
+        # a spec that names no scenario is the path of a document
         code, _, err = run_json(capsys, ["limit", "--scenario", "bogus"])
         assert code == 2
         assert err["error"] == "parse"
+        assert err["detail"].startswith("cannot read bogus")
 
     def test_custom_scenario_file(self, tmp_path, capsys):
         m, e = lm.generate(lm.Scenario("kerckhoff-thurston", sf.TORUS_1_1))
@@ -394,6 +396,31 @@ class TestLimit:
         code, doc, _ = run_json(capsys, ["limit", "--scenario", path])
         assert code == 0
         assert doc["pass"] is True
+
+    def test_scenario_file_is_read_as_a_model(self, tmp_path, capsys, count_calls):
+        path = kt_path(tmp_path)
+        parses = count_calls(sz, "parse_complex")
+        generated = count_calls(lm, "generate")
+        code, _, _ = run_json(capsys, ["limit", "--scenario", path])
+        assert code == 0
+        assert (len(parses), generated) == (1, [])
+
+    def test_scenario_file_of_any_extension(self, tmp_path, capsys, monkeypatch):
+        # the README's models end in .brick; a relative path holds no "/"
+        m, e = lm.generate(lm.Scenario("bonahon-otal", sf.TORUS_1_1, depth=2))
+        write_model(tmp_path, "model.brick", m.complex, e)
+        write_model(tmp_path, "model.json", m.complex, e)
+        monkeypatch.chdir(tmp_path)
+        out = {}
+        for name in ("model.brick", "model.json"):
+            argv = ["limit", "--scenario", name, "--stages", "2"]
+            assert cli.run(argv) == 0
+            out[name] = capsys.readouterr().out
+        doc = json.loads(out["model.brick"])
+        assert doc["scenario"] == "model.brick" and doc["pass"] is True
+        assert out["model.json"] == out["model.brick"].replace(
+            '"scenario": "model.brick"', '"scenario": "model.json"'
+        )
 
 
 class TestCrosscheck:

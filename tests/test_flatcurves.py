@@ -643,7 +643,7 @@ def test_engine_agrees_with_the_polygon_oracles():
     pairs = list(itertools.chain(fixtures, itertools.permutations(universe, 2)))
     assert len(pairs) == 81 + 420
     for c1, c2 in pairs:
-        assert fc._minimal_crossings(c1, c2) == polygon_minimal_crossings(c1, c2)
+        assert fc._minimal_crossings(c1, c2)[:2] == polygon_minimal_crossings(c1, c2)
         assert fc.boundary_walk_classes(c1, c2) == sorted(polygon_walk_classes(c1, c2))
 
 

@@ -12,7 +12,7 @@ from brickforge import cli
 from brickforge import limits as lm
 from brickforge import serialize as sz
 from brickforge import surfaces as sf
-from brickforge.errors import ObstructionSearchFailure, ParseError
+from brickforge.errors import ObstructionSearchFailure
 
 F = Fraction
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -84,18 +84,6 @@ class TestScenarios:
             m, e = bo(d)
             comps = bk.boundary_components(bk.LevelSweep.of(m.complex, e))
             assert sum(1 for c in comps if c.kind == "torus") == d
-
-    def test_custom_round_trip(self):
-        m, e = bo(2)
-        doc = sz.complex_doc(m.complex, e)
-        m2, e2 = lm.generate(
-            lm.Scenario("custom", m.complex.base, document=sz.loads(sz.dumps(doc)))
-        )
-        assert sz.complex_doc(m2.complex, e2) == doc
-
-    def test_custom_needs_document(self):
-        with pytest.raises(ParseError):
-            lm.generate(lm.Scenario("custom", sf.TORUS_1_1))
 
 
 class TestExhaust:

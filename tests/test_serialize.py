@@ -1,13 +1,23 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brickforge import charts
+from brickforge import flatcurves as fc
 from brickforge import limits as lm
 from brickforge import serialize as sz
 from brickforge import surfaces as sf
+from brickforge.errors import ParseError
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_INPUTS = json.loads((ROOT / "bench" / "inputs.json").read_text())
 
 # characters the JSON string escapes treat specially: quotes, backslashes,
 # control characters, non-ASCII text, the line and paragraph
@@ -122,3 +132,67 @@ def test_complex_documents_share_nothing_across_calls():
     first["bricks"][1]["id"] = "edited"
     assert sz.dumps(sz.complex_doc(m.complex, e)) == text
     assert sz.dumps(second) == text
+
+
+def enumeration():
+    """The descriptions of `descs(1)`, `descs(2)`, `descs(3)`, in order,
+    each once."""
+    return list(dict.fromkeys(d for r in (1, 2, 3) for d in charts.AMBIENT.descs(r)))
+
+
+@pytest.mark.parametrize("budget", [None, "1"], ids=["default-budget", "budget-1"])
+def test_normal_curves_parse_to_their_first_description(budget, monkeypatch):
+    if budget is None:
+        monkeypatch.delenv("BRICKFORGE_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("BRICKFORGE_BUDGET", budget)
+    flat = sf.full_surface(sf.TORUS_1_2)
+    first = {}
+    for desc in enumeration():
+        first.setdefault(charts.AMBIENT.curve(desc).canonical(), desc)
+    assert len(first) == 43
+    for desc in enumeration():
+        c = sf.flat_curve(flat, desc)
+        parsed = sz.parse_curve(sz.curve_str(c), flat)
+        assert parsed == c
+        assert parsed.rep == first[c.flat().canonical()]
+
+
+def test_normal_curve_off_the_ambient_domain_is_refused_before_a_lookup(count_calls):
+    lookups = count_calls(charts.AmbientFlatChart, "with_coords")
+    torus_side, _ = sf.proper_pieces(
+        sf.full_surface(sf.TORUS_1_2),
+        sf.slot_class(sf.full_surface(sf.TORUS_1_2), (0, 0), (1, 0)),
+    )
+    for domain in (sf.full_surface(sf.TORUS_1_1), torus_side):
+        with pytest.raises(ParseError, match="bad curve"):
+            sz.parse_curve("N:[0,0,1,0,1,0]", domain)
+    assert lookups == []
+
+
+def test_complex_documents_compute_coordinates_once_per_curve(count_calls):
+    k, e = sz.parse_complex(json.loads(BENCH_INPUTS["brock"]))
+    coords = count_calls(fc, "normal_coords_of")
+    for _ in range(500):
+        doc = sz.complex_doc(k, e)
+    named = {
+        c for c in json.dumps(doc).split('"') if c.startswith("N:")
+    }
+    assert named and len(coords) <= len(named)
+
+
+def test_a_cold_parse_builds_only_the_curves_its_lookups_walk():
+    """A fresh process that parses kt12 builds the curves of the
+    enumeration up to its last named class, and no other."""
+    script = (
+        "import sys; from brickforge import charts, serialize as sz; "
+        "sz.parse_complex(sz.loads(sys.stdin.read())); "
+        "print(len(charts.AMBIENT._curve_cache))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], input=BENCH_INPUTS["kt12"], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["6"]

@@ -484,6 +484,41 @@ class TestChartConsistency:
             for s2 in slopes[i + 1 :]:
                 assert engine(built[s1], built[s2]) == slope_intersection(s1, s2)
 
+    def test_lookup_does_not_depend_on_the_curves_built_before(self):
+        # StripChart(1) realizes 2/1 by the second description of a class
+        # that descs(1) first names by slot((0,0),(1,1))
+        desc = charts.StripChart(1).realize(Slope(2, 1))
+        built, fresh = charts.AmbientFlatChart(), charts.AmbientFlatChart()
+        cls = built.curve(desc).canonical()
+        first = charts.CurveDesc("slot", ((0, 0), (1, 1)))
+        assert desc != first
+        assert built.lookup(cls) == fresh.lookup(cls) == first
+        charts.AMBIENT.curve(desc)
+        assert charts.AMBIENT.lookup(cls) == first
+
+    def test_each_description_of_a_corridor_class_cuts_the_same_torus_side(self):
+        """A lookup names a corridor class by its first description, and
+        a component domain takes its torus-side chart from that
+        description: both descriptions realize one class at each slope."""
+        descs = dict.fromkeys(d for r in (1, 2, 3) for d in charts.AMBIENT.descs(r))
+        by_class = {}
+        for desc in descs:
+            by_class.setdefault(charts.AMBIENT.curve(desc).canonical(), []).append(desc)
+        corridors = [ds for ds in by_class.values() if ds[0].kind == "slot"]
+        assert len(corridors) == 22 and all(len(ds) == 2 for ds in corridors)
+        for ds in corridors:
+            sides = [
+                charts.TorusSideChart(q[0] - p[0], q[1] - p[1], base=p)
+                for p, q in (desc.data for desc in ds)
+            ]
+            for s in sides[0].realizable_slopes():
+                realized = [side.realize(s) for side in sides]
+                classes = [
+                    charts.AMBIENT.curve(r).canonical() if r is not None else None
+                    for r in realized
+                ]
+                assert classes[0] == classes[1], (ds, s)
+
     def test_projection_of_transversals(self):
         strip = charts.StripChart(0)
         assert charts.project_to_chart(strip, fc.line_curve(1, 0)) == [Slope(0, 1)]
