@@ -17,7 +17,7 @@ twice-punctured torus get charts too:
 
 Realization is bounded by fixed radii, not by the budget: a subdomain
 chart realizes its fan of slopes (`FAN_BOUND`), and an ambient class is
-named by its first description in `descs(1)` to `descs(3)`, or refused.
+named by its description in `descs(1)` to `descs(3)`, or refused.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class CurveDesc:
 class AmbientFlatChart:
     """Curve bookkeeping on the twice-punctured torus: the built curve of
     each constructive description, and an index from each canonical class
-    and each normal-coordinate vector to its first description in
+    and each normal-coordinate vector to its description in
     `descs(1)`, `descs(2)`, `descs(3)`.  Only a walk of that enumeration,
     as far as a lookup needs, fills the index, so no answer depends on the
     curves built before it."""
@@ -71,21 +71,24 @@ class AmbientFlatChart:
         return self._curve_cache[desc]
 
     def descs(self, radius: int):
-        """Deterministic enumeration of curve descriptions up to a size."""
+        """Deterministic enumeration of curve descriptions up to a size,
+        one for each class: a line (a, b) is listed with (a, b) below
+        (0, 0), as its reverse (-a, -b) builds the same class, and a
+        corridor is listed based at (0, 0), as its lattice translate
+        based at (1, 0) builds the same class."""
         out = []
-        for a in range(-radius, radius + 1):
+        for a in range(-radius, 1):
             for b in range(-radius, radius + 1):
-                if (a, b) == (0, 0) or gcd(abs(a), abs(b)) != 1:
+                if (a, b) >= (0, 0) or gcd(abs(a), abs(b)) != 1:
                     continue
                 bands = (0, 1) if a % 2 == 0 else (0,)
                 for band in bands:
                     out.append(CurveDesc("lin", (a, b, band)))
-        for px in (0, 1):
-            for u in range(-radius, radius + 1):
-                for v in range(-radius, radius + 1):
-                    if u % 2 == 0 or gcd(abs(u), abs(v)) != 1:
-                        continue
-                    out.append(CurveDesc("slot", ((px, 0), (px + u, v))))
+        for u in range(-radius, radius + 1):
+            for v in range(-radius, radius + 1):
+                if u % 2 == 0 or gcd(abs(u), abs(v)) != 1:
+                    continue
+                out.append(CurveDesc("slot", ((0, 0), (u, v))))
         return out
 
     def ensure_enumerated(self, radius: int):
@@ -136,11 +139,23 @@ AMBIENT = AmbientFlatChart()
 FAN_BOUND = 8
 
 
+# (cut description, class) -> the class's slope in that chart, or None;
+# filled as scans answer, since realizing a whole fan builds long lines
+_CLASSIFIED: dict = {}
+
+
 class _SlopeFanChart:
-    """A subdomain chart realizing a fan of slopes as ambient curves."""
+    """A subdomain chart realizing a fan of slopes as ambient curves.  The
+    description of the curve it is cut along fixes the chart."""
 
     def classify(self, canonical) -> Slope | None:
         """Slope of an ambient class lying in the subdomain, if realizable."""
+        key = (self.cut_desc(), canonical)
+        if key not in _CLASSIFIED:
+            _CLASSIFIED[key] = self._scan(canonical)
+        return _CLASSIFIED[key]
+
+    def _scan(self, canonical) -> Slope | None:
         for s in self.realizable_slopes():
             desc = self.realize(s)
             if desc is not None and AMBIENT.curve(desc).canonical() == canonical:

@@ -585,9 +585,25 @@ def flat_intersection(c1: FlatCurve, c2: FlatCurve):
 # neighborhood boundary walks
 
 
+# (class, class) in sorted order -> sorted walk classes; errors are not kept
+_WALKS: dict = {}
+
+
 def boundary_walk_classes(c1: FlatCurve, c2: FlatCurve):
     """Canonical classes of the boundary walks of a regular neighborhood
     of c1 union c2, the curves taken in minimal position, in sorted order.
+    They are a class invariant, so the walks run once per unordered pair
+    of classes; each call returns a new list.
+    """
+    a, b = c1.canonical(), c2.canonical()
+    key = (a, b) if a <= b else (b, a)
+    if key not in _WALKS:
+        _WALKS[key] = tuple(_walk_classes(c1, c2))
+    return list(_WALKS[key])
+
+
+def _walk_classes(c1: FlatCurve, c2: FlatCurve):
+    """The walks behind `boundary_walk_classes`, past its memo.
 
     There is one class per complementary face walk of the union.  The
     faces are walked over the crossings that `_minimal_crossings` leaves,

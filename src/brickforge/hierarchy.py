@@ -137,21 +137,19 @@ def _twist_geodesic(domain, t1: int, t2: int):
     )
 
 
-# radius -> the deduplicated curves; a desc always builds the same curve
+# radius -> the curves; a desc always builds the same curve
 _UNIVERSES: dict = {}
 
 
 def ambient_universe(budget_radius: int = 2):
-    """Deduplicated curve enumeration on the twice-punctured torus, built
-    once per radius.  Each call returns its own list."""
+    """The curves of the twice-punctured torus enumeration, one per class,
+    built once per radius.  Each call returns its own list."""
     if budget_radius not in _UNIVERSES:
         d = sf.full_surface(sf.TORUS_1_2)
         charts.AMBIENT.ensure_enumerated(budget_radius)
-        _UNIVERSES[budget_radius] = list(
-            dict.fromkeys(
-                sf.flat_curve(d, desc) for desc in charts.AMBIENT.descs(budget_radius)
-            )
-        )
+        _UNIVERSES[budget_radius] = [
+            sf.flat_curve(d, desc) for desc in charts.AMBIENT.descs(budget_radius)
+        ]
     return list(_UNIVERSES[budget_radius])
 
 
@@ -230,16 +228,13 @@ def certified_main_geodesic(domain, initial, terminal):
     markings' curves.  Returns (certificate, simplices).  Curves that do
     not fill are at most 2 apart: a longer path between them means the
     enumeration lacks a middle vertex, and raises BudgetExceeded."""
-    universe = ambient_universe(2)
+    marked = []
     for m in (initial, terminal):
         if isinstance(m, sf.Marking):
-            for c in m.base.curves:
-                if c not in universe:
-                    universe.append(c)
-            for _, t in m.transversals:
-                if t not in universe:
-                    universe.append(t)
-    certificate = sf.DistanceCertificate(universe)
+            marked += m.base.curves
+            marked += [t for _, t in m.transversals]
+    # the certificate keeps the first occurrence of each curve
+    certificate = sf.DistanceCertificate(ambient_universe(2) + marked)
     u = _base_vertex(initial)
     w = _base_vertex(terminal)
     path = _bfs_path(certificate, u, w)

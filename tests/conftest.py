@@ -1,12 +1,36 @@
 from dataclasses import replace
+from math import gcd
 
 import pytest
 
 from brickforge import blocks as bl
 from brickforge import bricks as bk
+from brickforge import charts
 from brickforge import flatcurves as fc
 from brickforge import hierarchy as hy
 from brickforge import limits as lm
+
+
+def reference_descs(radius: int):
+    """Every description of an ambient curve up to a size: both lines
+    (a, b) and (-a, -b), and each corridor based at either puncture, so
+    every class is listed twice.  `AMBIENT.descs(radius)` keeps the first
+    description of each class, in this order."""
+    out = []
+    for a in range(-radius, radius + 1):
+        for b in range(-radius, radius + 1):
+            if (a, b) == (0, 0) or gcd(abs(a), abs(b)) != 1:
+                continue
+            bands = (0, 1) if a % 2 == 0 else (0,)
+            for band in bands:
+                out.append(charts.CurveDesc("lin", (a, b, band)))
+    for px in (0, 1):
+        for u in range(-radius, radius + 1):
+            for v in range(-radius, radius + 1):
+                if u % 2 == 0 or gcd(abs(u), abs(v)) != 1:
+                    continue
+                out.append(charts.CurveDesc("slot", ((px, 0), (px + u, v))))
+    return out
 
 
 @pytest.fixture
@@ -33,13 +57,16 @@ def cold_caches():
     """Empty the process-wide class-keyed caches before the test, and
     return the function that empties them, for a test to call again.
 
-    The caches are the intersection memo, the ambient universes, the
-    approximant memo of `limits`, and the keys that `surfaces.Curve`
-    keeps: a key lives on its curve, and the curves that outlive a job are
-    the universes' own and the memoised approximants'."""
+    The caches are the intersection and boundary-walk memos, the fan
+    charts' classifications, the ambient universes, the approximant memo
+    of `limits`, and the keys that `surfaces.Curve` keeps: a key lives on
+    its curve, and the curves that outlive a job are the universes' own
+    and the memoised approximants'."""
 
     def empty():
         fc._INTERSECTIONS.clear()
+        fc._WALKS.clear()
+        charts._CLASSIFIED.clear()
         hy._UNIVERSES.clear()
         lm._APPROXIMANTS.clear()
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from brickforge import blocks as bl
 from brickforge import bricks as bk
+from brickforge import charts
 from brickforge import flatcurves as fc
 from brickforge import limits as lm
 from brickforge import serialize as sz
@@ -791,19 +792,35 @@ class TestHierarchyCrosscheck:
 
 
 def test_repeated_decompose_runs_no_intersection_engine(cold_caches, count_calls):
-    """Every intersection number of a second, identical decompose comes
-    from the class-keyed memo; the engine and the overlays run only for
-    the boundary walks, which always run, once per walk."""
+    """A second, identical decompose takes every intersection number and
+    every boundary walk from the class-keyed memos: it runs no engine, no
+    overlay and no walk."""
     text = json.loads(BENCH_INPUTS.read_text())["sb12_v0v1_sigma"]
     engine = count_calls(fc, "_minimal_crossings")
     overlays = count_calls(fc, "overlay")
-    walks = count_calls(fc, "boundary_walk_classes")
+    walks = count_calls(fc, "_walk_classes")
     bl.decompose(bk.LevelSweep.of(*sz.parse_complex(sz.loads(text))))
-    assert len(engine) > len(walks) and len(overlays) > len(walks)
+    assert len(engine) > len(walks) > 0 and len(overlays) > len(walks)
     for calls in (engine, overlays, walks):
         calls.clear()
     bl.decompose(bk.LevelSweep.of(*sz.parse_complex(sz.loads(text))))
-    assert len(engine) == len(overlays) == len(walks) > 0
+    assert engine == overlays == walks == []
+
+
+def test_repeated_decompose_walks_each_class_pair_once(cold_caches, count_calls):
+    """Two identical decomposes walk each unordered pair of classes at
+    most once, and the second scans no chart's fan: its projections read
+    the kept classifications, and realize no fan slope."""
+    text = json.loads(BENCH_INPUTS.read_text())["sb12_v0v1_sigma"]
+    walks = count_calls(fc, "_walk_classes")
+    scans = count_calls(charts._SlopeFanChart, "_scan")
+    bl.decompose(bk.LevelSweep.of(*sz.parse_complex(sz.loads(text))))
+    assert scans
+    scans.clear()
+    bl.decompose(bk.LevelSweep.of(*sz.parse_complex(sz.loads(text))))
+    pairs = [frozenset((c1.canonical(), c2.canonical())) for c1, c2 in walks]
+    assert walks and len(set(pairs)) == len(pairs)
+    assert scans == []
 
 
 def test_engine_reads_only_crossing_words_after_the_overlay(cold_caches, monkeypatch):
@@ -830,18 +847,19 @@ def test_engine_reads_only_crossing_words_after_the_overlay(cold_caches, monkeyp
     record("_enclosed_punctures")
     # an overlay's crossing count, and who asked the engine for it
     record("generic_overlay_pair", lambda result, callers: (len(result[0]), callers[1]))
-    record("boundary_walk_classes")
+    record("_walk_classes")
     bl.decompose(bk.LevelSweep.of(*sz.parse_complex(sz.loads(text))))
     assert set(calls.get("_enclosed_punctures", [])) <= {"slot_curve"}
     calls.clear()
+    fc._WALKS.clear()  # walk again, with every curve's word known
     bl.decompose(bk.LevelSweep.of(*sz.parse_complex(sz.loads(text))))
     assert set(calls.get("_enclosed_punctures", [])) <= {"slot_curve"}
     overlays = calls["generic_overlay_pair"]
     multi = sum(1 for n, _ in overlays if n >= 2)
-    single_walks = sum(1 for n, via in overlays if n == 1 and via == "boundary_walk_classes")
-    walks = len(calls["boundary_walk_classes"])
+    single_walks = sum(1 for n, via in overlays if n == 1 and via == "_walk_classes")
+    walks = len(calls["_walk_classes"])
     assert walks > 0
-    assert sum(1 for _, via in overlays if via == "boundary_walk_classes") == walks
+    assert sum(1 for _, via in overlays if via == "_walk_classes") == walks
     assert len(calls["_grid_crossings"]) <= 2 * multi + 2 * single_walks
 
 

@@ -734,3 +734,44 @@ def test_stdout_does_not_depend_on_the_hash_seed(tmp_path):
     for path in paths:
         for command in ("decompose", "crosscheck"):
             assert stdout("0", [command, path]) == stdout("1", [command, path])
+
+
+# Runs one command in this interpreter and prints its exit code and the
+# number of ambient curves it built.
+COUNT_BUILDS = """
+import contextlib, io, sys
+from brickforge import charts, cli
+built = []
+build = charts.CurveDesc.build
+
+def counted(desc):
+    built.append(desc)
+    return build(desc)
+
+charts.CurveDesc.build = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+print(code, len(built))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (["limit", "--scenario", "kt:1,2:1", "--stages", "2"], 23),
+        (["validate", "brock.json"], 10),
+    ],
+    ids=["limit-kt12", "validate-brock"],
+)
+def test_a_cold_command_builds_each_ambient_class_once(tmp_path, argv, builds):
+    """A fresh process builds one polygon for each ambient class its
+    lookups and universes walk, not one for each description."""
+    (tmp_path / "brock.json").write_text(BENCH_INPUTS["brock"])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", COUNT_BUILDS, *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["0", str(builds)]

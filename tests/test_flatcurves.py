@@ -13,6 +13,7 @@ from brickforge import flatcurves as fc
 from brickforge import hierarchy as hy
 from brickforge import surfaces as sf
 from brickforge.errors import BudgetExceeded
+from conftest import reference_descs
 
 
 def curves():
@@ -29,7 +30,7 @@ def curves():
     }
 
 
-RADIUS_2 = charts.AMBIENT.descs(2)
+RADIUS_2 = reference_descs(2)
 
 
 def engine(c1, c2):
@@ -80,7 +81,7 @@ LATTICE_MATRICES = [
 
 def image(c, m):
     """The image of c under the matrix m.  The images of the 42 curves of
-    AMBIENT.descs(2) under LATTICE_MATRICES all have crossing words, so
+    reference_descs(2) under LATTICE_MATRICES all have crossing words, so
     none needs a nudge to generic position."""
     (a, b), (cc, d) = m
 
@@ -137,7 +138,7 @@ def test_separating_classes_are_the_corridor_curves():
     # a class separates exactly when its word closes up with no
     # translation; `surfaces.component_domains` reads that off the
     # description's kind
-    descs = charts.AMBIENT.descs(4)
+    descs = reference_descs(4)
     assert len(descs) == 126
     for desc in descs:
         closed = displacement(desc.build().canonical()) == (0, 0)
@@ -159,7 +160,7 @@ class TestConstructors:
 
     def test_every_buildable_curve_of_radius_4_is_embedded(self):
         built = 0
-        for desc in charts.AMBIENT.descs(4):
+        for desc in reference_descs(4):
             try:
                 c = desc.build()
             except fc.GenericityError:
@@ -290,11 +291,10 @@ class TestIntersection:
 
 @functools.lru_cache(maxsize=None)
 def representatives_by_class():
-    """The curves of AMBIENT.descs(3), grouped by canonical class (two
+    """The curves of reference_descs(3), grouped by canonical class (two
     representatives for each of the 43 classes)."""
-    charts.AMBIENT.ensure_enumerated(3)
     by_class = {}
-    for desc in charts.AMBIENT.descs(3):
+    for desc in reference_descs(3):
         c = charts.AMBIENT.curve(desc)
         by_class.setdefault(c.canonical(), []).append(c)
     return by_class
@@ -402,7 +402,7 @@ def engine_records():
     """Crossing-level data of the engine: the word of every curve of
     descs(3), and the generic overlay crossings of every ordered pair of
     fixture curves."""
-    for desc in charts.AMBIENT.descs(3):
+    for desc in reference_descs(3):
         c = desc.build()
         yield (desc, c.points, c.disp, c.word())
     for (n1, c1), (n2, c2) in itertools.product(curves().items(), repeat=2):
@@ -852,7 +852,7 @@ def test_embedding_check_matches_the_lattice_scan():
     """The same outcome and first error on every buildable radius-3 curve
     and each of its nudges."""
     checked = 0
-    for desc in charts.AMBIENT.descs(3):
+    for desc in reference_descs(3):
         try:
             c = desc.build()
         except fc.GenericityError:
@@ -946,7 +946,7 @@ def fraction_slot_curve(p, q):
 
 
 def test_corridor_corners_match_the_fraction_formula(monkeypatch):
-    slots = [desc.data for desc in charts.AMBIENT.descs(5) if desc.kind == "slot"]
+    slots = [desc.data for desc in reference_descs(5) if desc.kind == "slot"]
     assert len(slots) == 108
     assert [fc.slot_curve(p, q) for p, q in slots] == [fraction_slot_curve(p, q) for p, q in slots]
     # every slot of the enumeration succeeds at its first attempt; with
@@ -1161,8 +1161,9 @@ def test_boundary_classes_invariant_under_swap_and_nudge(monkeypatch):
     monkeypatch.setattr(fc, "_grid_crossings", reference_crossings)
 
     def walks(c1, c2):
+        # the walk itself, past the class-keyed memo
         before = len(read)
-        classes = sorted(fc.boundary_walk_classes(c1, c2))
+        classes = sorted(fc._walk_classes(c1, c2))
         walked = len(read) > before
         # a walk over crossings cuts its arcs from the reference letters
         if fc.flat_intersection(c1, c2):
@@ -1180,3 +1181,23 @@ def test_boundary_classes_invariant_under_swap_and_nudge(monkeypatch):
         assert walks(c1, nudged) == here
     assert len(pairs) == 36
     assert crossed
+
+
+def test_walk_memo_returns_a_new_list_and_keeps_no_error(cold_caches, monkeypatch):
+    c = curves()
+    first = fc.boundary_walk_classes(c["v0"], c["h"])
+    first.append(("edited",))
+    again = fc.boundary_walk_classes(c["h"], c["v0"])
+    assert again is not first and again == first[:-1]
+    assert len(fc._WALKS) == 1
+
+    def refuse(c1, c2):
+        raise fc.GenericityError("refused")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fc, "_minimal_crossings", refuse)
+        with pytest.raises(fc.GenericityError):
+            fc.boundary_walk_classes(c["v0"], c["s0"])
+    assert len(fc._WALKS) == 1
+    assert fc.boundary_walk_classes(c["v0"], c["s0"]) == fc._walk_classes(c["v0"], c["s0"])
+    assert len(fc._WALKS) == 2

@@ -91,6 +91,7 @@ class TestErrorsPropagate:
             raise TypeError("injected")
 
         monkeypatch.setattr(charts.AMBIENT, "curve", broken)
+        monkeypatch.setattr(charts.AMBIENT, "_enumerated", 0)
         with pytest.raises(TypeError):
             hy.ambient_universe(1)
 

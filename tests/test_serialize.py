@@ -15,6 +15,7 @@ from brickforge import limits as lm
 from brickforge import serialize as sz
 from brickforge import surfaces as sf
 from brickforge.errors import ParseError
+from conftest import reference_descs
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH_INPUTS = json.loads((ROOT / "bench" / "inputs.json").read_text())
@@ -135,9 +136,9 @@ def test_complex_documents_share_nothing_across_calls():
 
 
 def enumeration():
-    """The descriptions of `descs(1)`, `descs(2)`, `descs(3)`, in order,
-    each once."""
-    return list(dict.fromkeys(d for r in (1, 2, 3) for d in charts.AMBIENT.descs(r)))
+    """The reference descriptions of radius 1, 2 and 3, in order, each
+    once: two for each class."""
+    return list(dict.fromkeys(d for r in (1, 2, 3) for d in reference_descs(r)))
 
 
 @pytest.mark.parametrize("budget", [None, "1"], ids=["default-budget", "budget-1"])

@@ -15,6 +15,7 @@ from brickforge.farey import (
     farey_bfs_distance,
     slope_intersection,
 )
+from conftest import reference_descs
 
 
 def engine(c1, c2):
@@ -500,7 +501,7 @@ class TestChartConsistency:
         """A lookup names a corridor class by its first description, and
         a component domain takes its torus-side chart from that
         description: both descriptions realize one class at each slope."""
-        descs = dict.fromkeys(d for r in (1, 2, 3) for d in charts.AMBIENT.descs(r))
+        descs = dict.fromkeys(d for r in (1, 2, 3) for d in reference_descs(r))
         by_class = {}
         for desc in descs:
             by_class.setdefault(charts.AMBIENT.curve(desc).canonical(), []).append(desc)
@@ -519,9 +520,60 @@ class TestChartConsistency:
                 ]
                 assert classes[0] == classes[1], (ds, s)
 
+    def test_classifications_are_kept_per_cut_and_class(
+        self, cold_caches, count_calls, monkeypatch
+    ):
+        """A fan chart is fixed by its cut curve's description, so a chart
+        with the same cut reads a kept classification and scans nothing;
+        a scan that raises keeps nothing."""
+        cls = charts.AMBIENT.curve(charts.StripChart(0).realize(Slope(2, 1))).canonical()
+        assert charts.StripChart(0).classify(cls) == Slope(2, 1)
+        assert list(charts._CLASSIFIED) == [(charts.StripChart(0).cut_desc(), cls)]
+        scans = count_calls(charts._SlopeFanChart, "_scan")
+        assert charts.StripChart(0).classify(cls) == Slope(2, 1)
+        assert scans == []
+        other = charts.StripChart(1)
+        assert other.classify(cls) is None and len(scans) == 1
+
+        def refuse(chart, s):
+            raise fc.GenericityError("refused")
+
+        side = charts.TorusSideChart(1, 0)
+        with monkeypatch.context() as patch:
+            patch.setattr(charts.TorusSideChart, "realize", refuse)
+            with pytest.raises(fc.GenericityError):
+                side.classify(cls)
+        assert len(charts._CLASSIFIED) == 2
+        assert side.classify(cls) is None and len(charts._CLASSIFIED) == 3
+
     def test_projection_of_transversals(self):
         strip = charts.StripChart(0)
         assert charts.project_to_chart(strip, fc.line_curve(1, 0)) == [Slope(0, 1)]
         assert charts.project_to_chart(strip, fc.line_curve(1, 1)) == [Slope(2, 1)]
         side = charts.TorusSideChart(1, 0)
         assert charts.project_to_chart(side, fc.line_curve(0, 1, 0)) == [Slope(0, 1)]
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 4])
+def test_descs_keep_the_first_description_of_each_class(radius):
+    """`descs(r)` lists, in the reference order, the first description of
+    each class: every other reference description builds the class of one
+    listed before it, the listed classes are distinct, and
+    `ambient_universe(r)` is the reference's curves deduplicated."""
+    listed = charts.AMBIENT.descs(radius)
+    reference = reference_descs(radius)
+    assert [desc for desc in reference if desc in listed] == listed
+    earlier = set()
+    for desc in reference:
+        cls = charts.AMBIENT.curve(desc).canonical()
+        if desc in listed:
+            earlier.add(cls)
+        else:
+            assert cls in earlier, desc
+    classes = [charts.AMBIENT.curve(desc).canonical() for desc in listed]
+    assert len(set(classes)) == len(classes) == len(reference) // 2
+    d = sf.full_surface(sf.TORUS_1_2)
+    deduplicated = list(dict.fromkeys(sf.flat_curve(d, desc) for desc in reference))
+    universe = hy.ambient_universe(radius)
+    assert universe == deduplicated
+    assert [c.rep for c in universe] == [c.rep for c in deduplicated]
