@@ -15,11 +15,13 @@ topology here:
   free-homotopy invariant.  Each letter is kept with its key, the
   segment and parameter where the curve meets the line, so the word of
   an arc between two points of the curve is a slice of the curve's word.
-* overlay of two curves with exact crossing points (none on a grid
-  line), followed by bigon removal: two crossings that are neighbours
-  along both curves bound a bigon exactly when the loop through them,
-  an arc of each curve, has a word that reduces to nothing.  The
-  crossings left give geometric intersection numbers.
+* overlay of two curves, the second moved by the infinitesimal vector
+  (eps, eps^2), which puts any two embedded curves in general position
+  and keeps each class; a crossing's key (i, t0, t1, t2) is segment i at
+  parameter t0 + t1 eps + t2 eps^2.  Bigon removal follows: two
+  crossings that are neighbours along both curves bound a bigon exactly
+  when the loop through them, an arc of each curve, has a word that
+  reduces to nothing.  The crossings left give intersection numbers.
 * boundary walks of a regular neighborhood of a union of two curves in
   minimal position, which yield the subsurface boundary that tightness
   checks need.  A walk follows one curve to the next crossing and turns
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import BrickforgeError, BudgetExceeded
+from .errors import BrickforgeError
 
 Point = tuple[Fraction, Fraction]
 
@@ -69,10 +71,6 @@ def _cross(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _on_grid(p: Point) -> bool:
-    return p[0].denominator == 1 or p[1].denominator == 1 or (p[1] - p[0]).denominator == 1
-
-
 def _int_frame(*polylines):
     """(scale, int polylines): the lcm of every coordinate denominator of
     the polylines, and each polyline's points times it as int points."""
@@ -83,14 +81,11 @@ def _int_frame(*polylines):
     ]
 
 
-def seg_cross(a1, a2, b1, b2, scale: int):
-    """Interior transverse crossing of segments a and b, given by int
-    points: the rational points times the common denominator `scale`.
-
-    Returns (t, u, point) with t, u strictly in (0,1) and the rational
-    crossing point, or None.  Collinear overlaps and endpoint touches raise
-    GenericityError so the caller knows the representatives need a nudge.
-    Every decision is an integer sign test; Fractions are built for a hit.
+def seg_cross(a1, a2, b1, b2) -> bool:
+    """Whether segments a and b, given by int points, cross at a point
+    interior to both.  Collinear overlaps and endpoint touches raise
+    GenericityError: the embedding check cannot tell them from a crossing.
+    Every decision is an integer sign test.
     """
     d1 = _sub(a2, a1)
     d2 = _sub(b2, b1)
@@ -105,23 +100,42 @@ def seg_cross(a1, a2, b1, b2, scale: int):
                 n, k1, k2 = -n, -k1, -k2
             if max(k1, k2) > 0 and min(k1, k2) < n:
                 raise GenericityError("collinear overlapping segments")
-        return None
+        return False
     tn = _cross(diff, d2)
     un = _cross(diff, d1)
     if den < 0:
         den, tn, un = -den, -tn, -un
     if 0 < tn < den and 0 < un < den:
-        den_xy = den * scale
-        point = (
-            Fraction(a1[0] * den + tn * d1[0], den_xy),
-            Fraction(a1[1] * den + tn * d1[1], den_xy),
-        )
-        return (Fraction(tn, den), Fraction(un, den), point)
+        return True
     if 0 <= tn <= den and 0 <= un <= den:
         # endpoint contact between otherwise transverse segments: only a
         # genuine degeneracy when the touch is not a shared polyline vertex
         if not (tn in (0, den) and un in (0, den)):
             raise GenericityError("segment touches the interior of another")
+    return False
+
+
+def _shifted_cross(a1, a2, b1, b2, scale: int):
+    """The crossing ((t0, t1, t2), (u0, u1, u2)) of segments a and b,
+    given by int points (the rational points times `scale`), with b moved
+    by (eps, eps^2), or None: parameter t0 + t1 eps + t2 eps^2 on a, and
+    likewise on b.  The move adds (scale eps, scale eps^2) to b1 - a1, so
+    t and u are integer polynomials in eps over den, compared coefficient
+    by coefficient.  Moved b never lies along a, and no end of either lies
+    on the other, so no two segments overlap or touch.  Fractions are
+    built for a hit only."""
+    d1 = _sub(a2, a1)
+    d2 = _sub(b2, b1)
+    den = _cross(d1, d2)
+    if den == 0:
+        return None
+    diff = _sub(b1, a1)
+    s = 1 if den > 0 else -1
+    den *= s
+    tn = (s * _cross(diff, d2), s * scale * d2[1], -s * scale * d2[0])
+    un = (s * _cross(diff, d1), s * scale * d1[1], -s * scale * d1[0])
+    if (0, 0, 0) < tn < (den, 0, 0) and (0, 0, 0) < un < (den, 0, 0):
+        return tuple(Fraction(x, den) for x in tn), tuple(Fraction(x, den) for x in un)
     return None
 
 
@@ -137,6 +151,7 @@ def _inv_letter(letter):
 # each family of grid lines is the level sets at the integers of the
 # functional cx * x + cy * y
 _FAMILIES = (("V", 1, 0), ("H", 0, 1), ("D", -1, 1))
+_FORMS = {fam: (cx, cy) for fam, cx, cy in _FAMILIES}
 
 
 def _grid_crossings(points, closed_disp=None):
@@ -185,23 +200,37 @@ def path_word(points, closed_disp=None):
     return [letter for _, letter in _grid_crossings(points, closed_disp)]
 
 
-def _letter_place(entry):
-    """The place (i, t) of a `_grid_crossings` entry, as a crossing key."""
-    (i, num, a), _ = entry
-    return (i, Fraction(num, a))
+def _letter_places(c1, c2):
+    """The letters of c1 and of c2 moved by (eps, eps^2), each curve's as
+    (places, word): its `_grid_crossings` word, and each letter's place as
+    a crossing key.  A letter at (i, num, a) has the place (i, num / a, 0,
+    0) on c1.  The move adds cx eps + cy eps^2 to the functional of the
+    letter's family, so on c2, in its int frame of scale d, the letter
+    moves to parameter (num - sign (cx eps + cy eps^2) d) / a; it keeps
+    its order, as lines of two families meet only at punctures."""
+    out = []
+    for c, d in ((c1, 0), (c2, _int_frame(c2.points)[0])):
+        entries = _grid_crossings(c.points, c.disp)
+        places = []
+        for (i, num, a), (fam, _, sign) in entries:
+            # a zero rate stays an int, so no Fraction is built for it
+            rates = (Fraction(-sign * f * d, a) if f * d else 0 for f in _FORMS[fam])
+            places.append((i, Fraction(num, a), *rates))
+        out.append((places, [letter for _, letter in entries]))
+    return tuple(out)
 
 
 def _arc_word(letters, key_from, key_to, direction):
-    """The letters of a closed curve, given by `_grid_crossings`, strictly
-    between two points (i, t) of it off the grid, walking forward
-    (direction +1) or backward (-1, the letters inverted and in reverse
-    order).  Equal keys give the whole curve."""
+    """The letters of a closed curve, given as (places, word) by
+    `_letter_places`, strictly between two crossings of it, given by their
+    keys, walking forward (direction +1) or backward (-1, the letters
+    inverted and in reverse order).  Equal keys give the whole curve."""
     if direction == -1:
         return [_inv_letter(l) for l in reversed(_arc_word(letters, key_to, key_from, 1))]
-    i = bisect.bisect(letters, key_from, key=_letter_place)
-    j = bisect.bisect(letters, key_to, key=_letter_place)
-    arc = letters[i:j] if key_from < key_to else letters[i:] + letters[:j]
-    return [letter for _, letter in arc]
+    places, word = letters
+    i = bisect.bisect(places, key_from)
+    j = bisect.bisect(places, key_to)
+    return word[i:j] if key_from < key_to else word[i:] + word[:j]
 
 
 def reduce_cyclic(word):
@@ -295,9 +324,6 @@ class FlatCurve:
             object.__setattr__(self, "_coords", normal_coords_of(self.canonical()))
         return self._coords
 
-    def translated(self, lam):
-        return FlatCurve(tuple(_add(p, lam) for p in self.points), self.disp)
-
 
 def same_class(c1: FlatCurve, c2: FlatCurve) -> bool:
     return c1.canonical() == c2.canonical()
@@ -319,7 +345,9 @@ def _box_translates(isegs1, isegs2, scale: int):
     order of lam, i, j.
 
     A crossing, a touch and a collinear overlap each need a common point,
-    so `seg_cross` finds nothing at any other triple.  The translates of a pair are solved from
+    and so does a crossing of the two segments moved apart by an
+    infinitesimal, so neither `seg_cross` nor `_shifted_cross` finds
+    anything at any other triple.  The translates of a pair are solved from
     its boxes: lam = (2m, n) with 2m * scale in [ax0 - bx1, ax1 - bx0] and
     n * scale in [ay0 - by1, ay1 - by0].
     """
@@ -335,27 +363,6 @@ def _box_translates(isegs1, isegs2, scale: int):
     return out
 
 
-def _int_hits(isegs1, isegs2, triples, scale: int):
-    """Transverse crossings (lam, i, j, (t, u, point)) of segment i of
-    isegs1 with segment j of isegs2 moved by lam, for the (lam, i, j) of
-    `triples` in their order; segments scaled by `_int_segments`."""
-    for lam, i, j in triples:
-        a1, a2, _ = isegs1[i]
-        b1, b2, _ = isegs2[j]
-        lx, ly = lam[0] * scale, lam[1] * scale
-        hit = seg_cross(a1, a2, (b1[0] + lx, b1[1] + ly), (b2[0] + lx, b2[1] + ly), scale)
-        if hit is not None:
-            yield lam, i, j, hit
-
-
-def _segment_hits(segs1, segs2):
-    """Transverse crossings of the segments segs1 with the translates
-    segs2 + lam, as (lam, i, j, (t, u, point)) in order of lam, i, j."""
-    scale, isegs = _int_segments(*segs1, *segs2)
-    isegs1, isegs2 = isegs[: len(segs1)], isegs[len(segs1) :]
-    yield from _int_hits(isegs1, isegs2, _box_translates(isegs1, isegs2, scale), scale)
-
-
 def validate_embedded(c: FlatCurve):
     """Check that the curve is embedded on the torus."""
     scale, isegs = _int_segments(*c.segments())
@@ -365,8 +372,12 @@ def validate_embedded(c: FlatCurve):
         (t for t in _box_translates(isegs, isegs, scale) if t[0] != zero or t[1] < t[2]),
         key=lambda t: t[0] == zero,
     )
-    if next(_int_hits(isegs, isegs, triples, scale), None) is not None:
-        raise GenericityError("curve is not embedded")
+    for lam, i, j in triples:
+        a1, a2, _ = isegs[i]
+        b1, b2, _ = isegs[j]
+        lx, ly = lam[0] * scale, lam[1] * scale
+        if seg_cross(a1, a2, (b1[0] + lx, b1[1] + ly), (b2[0] + lx, b2[1] + ly)):
+            raise GenericityError("curve is not embedded")
     return True
 
 
@@ -469,8 +480,8 @@ def _enclosed_punctures(poly_points):
 
 @dataclass(frozen=True)
 class Crossing:
-    key1: tuple  # (segment index, parameter) on curve 1
-    key2: tuple  # (segment index, parameter) on curve 2
+    key1: tuple  # (segment, t0, t1, t2) on curve 1
+    key2: tuple  # (segment, t0, t1, t2) on curve 2, moved by (eps, eps^2)
 
     def key(self, side: int):
         """The crossing's key on curve 1 (side 0) or curve 2 (side 1)."""
@@ -478,14 +489,23 @@ class Crossing:
 
 
 def overlay(c1: FlatCurve, c2: FlatCurve):
-    """All torus crossings between two embedded curves, with exact data.
-    No crossing lies on a grid line, so every arc between two crossings
+    """All torus crossings of c1 with c2 moved by (eps, eps^2), in order of
+    lattice translate and segment pair, keyed by `_shifted_cross`.  None
+    lies on a grid line: on one of c1 it would need a segment of c2 of
+    length zero, and on one of moved c2 a segment of c1 along that line,
+    whose vertices are off the grid.  So every arc between two crossings
     has well-defined crossing letters."""
+    segs1, segs2 = c1.segments(), c2.segments()
+    scale, isegs = _int_segments(*segs1, *segs2)
+    isegs1, isegs2 = isegs[: len(segs1)], isegs[len(segs1) :]
     out = []
-    for _, i, j, (t, u, point) in _segment_hits(c1.segments(), c2.segments()):
-        if _on_grid(point):
-            raise GenericityError("crossing point on a grid line")
-        out.append(Crossing((i, t), (j, u)))
+    for lam, i, j in _box_translates(isegs1, isegs2, scale):
+        a1, a2, _ = isegs1[i]
+        b1, b2, _ = isegs2[j]
+        lx, ly = lam[0] * scale, lam[1] * scale
+        hit = _shifted_cross(a1, a2, (b1[0] + lx, b1[1] + ly), (b2[0] + lx, b2[1] + ly), scale)
+        if hit is not None:
+            out.append(Crossing((i, *hit[0]), (j, *hit[1])))
     return out
 
 
@@ -493,7 +513,7 @@ def _find_bigon(crossings, live, letters):
     """Two live crossings that bound a bigon, or None: neighbours along
     both curves whose loop, the arc of curve 1 from one to the other and
     the arc of curve 2 back, has a crossing word that reduces to nothing.
-    `letters` holds the two curves' `_grid_crossings`."""
+    `letters` holds the two curves' `_letter_places`."""
     if len(live) < 2:
         return None
     order1 = sorted(live, key=lambda k: crossings[k].key1)
@@ -515,54 +535,22 @@ def _find_bigon(crossings, live, letters):
     return None
 
 
-def _nudges(c2: FlatCurve):
-    """c2, then its tiny translates whose crossing word certifies that
-    they are in the class of c2.  A translate whose word changes (it swept
-    a puncture) or cannot be read is skipped."""
-    yield c2
-    target = c2.canonical()
-    for k in range(23):
-        tau = (Fraction(1, 911 + 37 * k) / 7, Fraction(1, 1013 + 41 * k) / 7)
-        cand = c2.translated(tau)
-        try:
-            same = cand.canonical() == target
-        except GenericityError:
-            continue
-        if same:
-            yield cand
-
-
-def generic_overlay_pair(c1: FlatCurve, c2: FlatCurve):
-    """Overlay c1 with c2, nudged by a tiny translation until generic.
-
-    Returns (crossings, c2'): c2' is in the class of c2, and crossings is
-    its generic overlay with c1.
-    """
-    for cand in _nudges(c2):
-        try:
-            return overlay(c1, cand), cand
-        except GenericityError:
-            continue
-    coords = f"{list(c1.normal_coords())} and {list(c2.normal_coords())}"
-    raise BudgetExceeded(f"could not reach generic position by nudging the curves {coords}")
-
-
 def _minimal_crossings(c1: FlatCurve, c2: FlatCurve):
-    """(crossings, c2', letters): the crossings of the generic overlay of
-    c1 with c2' that are left, in overlay order, once every bigon is
-    removed.  The arcs between them are homotopic, rel endpoints, to those
-    of minimal position.  `letters` holds the two curves' `_grid_crossings`
-    that the bigon search read, or None when the overlay had fewer than two
-    crossings and the search read none."""
-    crossings, c2 = generic_overlay_pair(c1, c2)
+    """(crossings, letters): the crossings of `overlay(c1, c2)` that are
+    left, in overlay order, once every bigon is removed.  The arcs between
+    them are homotopic, rel endpoints, to those of minimal position.
+    `letters` holds the two curves' `_letter_places` that the bigon search
+    read, or None when the overlay had fewer than two crossings and the
+    search read none."""
+    crossings = overlay(c1, c2)
     live = set(range(len(crossings)))
     letters = None
     if len(crossings) >= 2:
-        letters = (_grid_crossings(c1.points, c1.disp), _grid_crossings(c2.points, c2.disp))
+        letters = _letter_places(c1, c2)
         while (pair := _find_bigon(crossings, live, letters)) is not None:
             live.difference_update(pair)
     out = [crossings[k] for k in sorted(live)]
-    return out, c2, letters
+    return out, letters
 
 
 # (class, class) in sorted order -> intersection number; errors are not kept
@@ -607,24 +595,23 @@ def _walk_classes(c1: FlatCurve, c2: FlatCurve):
 
     There is one class per complementary face walk of the union.  The
     faces are walked over the crossings that `_minimal_crossings` leaves,
-    along the arcs of c1 and c2' between them.  A walk's state is (crossing,
-    curve, direction): it follows that curve to the next crossing, where
-    it turns onto the other curve, the way the neighborhood's boundary
-    does.  Its word is the concatenation of the arcs' letters, cut from
+    along the arcs of c1 and of c2 moved by (eps, eps^2) between them.  A
+    walk's state is (crossing, curve, direction): it follows that curve to
+    the next crossing, where it turns onto the other curve, the way the
+    neighborhood's boundary does.  Its word is the concatenation of the arcs' letters, cut from
     the curves' crossing letters that the bigon search read.  When the
     curves are disjoint the neighborhood is just two annuli and the
     classes are those of the curves themselves.
     """
-    crossings, c2, letters = _minimal_crossings(c1, c2)
+    crossings, letters = _minimal_crossings(c1, c2)
     if not crossings:
         return sorted([c1.canonical(), c2.canonical()])
     n = len(crossings)
-    curves = (c1, c2)
     if letters is None:
-        letters = [_grid_crossings(c.points, c.disp) for c in curves]
+        letters = _letter_places(c1, c2)
     orders = [sorted(range(n), key=lambda k: crossings[k].key(side)) for side in (0, 1)]
     places = [{k: pos for pos, k in enumerate(order)} for order in orders]
-    segs = [c.segments() for c in curves]
+    segs = [c1.segments(), c2.segments()]
 
     def tangent(side, k):
         a, b = segs[side][crossings[k].key(side)[0]]

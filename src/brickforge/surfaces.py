@@ -379,9 +379,11 @@ class DistanceCertificate:
 def is_tight_sequence(seq, certificate: DistanceCertificate | None = None) -> bool:
     """Check the tight-sequence conditions for a list of simplices.
 
-    Complexity 4: pairwise certified distances equal index gaps.  Above
-    4: the same distance condition on single vertices, plus each interior
-    simplex equals the essential subsurface boundary of its neighbors.
+    Consecutive vertices are adjacent.  With a certificate, the end
+    vertices are also len(seq) - 1 apart, which by the triangle inequality
+    makes every certified distance equal its index gap.  Above complexity
+    4, each interior simplex also equals the essential subsurface boundary
+    of its neighbors.
     """
     if not seq:
         raise ValueError("empty sequence")
@@ -397,20 +399,16 @@ def is_tight_sequence(seq, certificate: DistanceCertificate | None = None) -> bo
             for c in s.curves:
                 if not certificate.contains(c):
                     raise CertificateError("sequence vertex outside the enumeration")
-        n = len(seq)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for ci in seq[i].curves:
-                    for cj in seq[j].curves:
-                        if certificate.distance(ci, cj) != j - i:
-                            return False
-    else:
-        # without a certificate only consecutive adjacency is checkable
-        for a, b in zip(seq, seq[1:]):
-            for ca in a.curves:
-                for cb in b.curves:
-                    if ca == cb or not are_adjacent(ca, cb):
-                        return False
+    for a, b in zip(seq, seq[1:]):
+        for ca in a.curves:
+            for cb in b.curves:
+                if ca == cb or not are_adjacent(ca, cb):
+                    return False
+    if certificate is not None:
+        for c0 in seq[0].curves:
+            for cn in seq[-1].curves:
+                if certificate.distance(c0, cn) != len(seq) - 1:
+                    return False
     if xi > 4:
         for i in range(1, len(seq) - 1):
             sb = subsurface_boundary(seq[i - 1], seq[i + 1])

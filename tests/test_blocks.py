@@ -846,7 +846,7 @@ def test_engine_reads_only_crossing_words_after_the_overlay(cold_caches, monkeyp
     record("_grid_crossings")
     record("_enclosed_punctures")
     # an overlay's crossing count, and who asked the engine for it
-    record("generic_overlay_pair", lambda result, callers: (len(result[0]), callers[1]))
+    record("overlay", lambda result, callers: (len(result), callers[1]))
     record("_walk_classes")
     bl.decompose(bk.LevelSweep.of(*sz.parse_complex(sz.loads(text))))
     assert set(calls.get("_enclosed_punctures", [])) <= {"slot_curve"}
@@ -854,7 +854,7 @@ def test_engine_reads_only_crossing_words_after_the_overlay(cold_caches, monkeyp
     fc._WALKS.clear()  # walk again, with every curve's word known
     bl.decompose(bk.LevelSweep.of(*sz.parse_complex(sz.loads(text))))
     assert set(calls.get("_enclosed_punctures", [])) <= {"slot_curve"}
-    overlays = calls["generic_overlay_pair"]
+    overlays = calls["overlay"]
     multi = sum(1 for n, _ in overlays if n >= 2)
     single_walks = sum(1 for n, via in overlays if n == 1 and via == "_walk_classes")
     walks = len(calls["_walk_classes"])
