@@ -12,7 +12,6 @@ into blocks of the three standard types.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heappop, heappush
 
@@ -26,11 +25,12 @@ from .errors import (
     IterationOverflow,
     MissingLabel,
 )
+from .records import record, replace
 
 BLOCK_TYPES = ("S03", "S04", "S11")
 
 
-@dataclass(frozen=True)
+@record
 class Tube:
     tid: str
     core: sf.Curve  # ambient curve class
@@ -41,7 +41,7 @@ class Tube:
     twist: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class Block:
     blid: str
     btype: str
@@ -55,7 +55,7 @@ class Block:
             raise ValueError(f"unknown block type {self.btype}")
 
 
-@dataclass(frozen=True)
+@record
 class BlockDecomposition:
     sweep: bk.LevelSweep  # of the normalized model, in its embedding's levels
     blocks: tuple

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -29,6 +28,7 @@ from .errors import (
     NonStabilizing,
     NotAscending,
 )
+from .records import record
 
 KINDS = ("closed", "half-open-below", "half-open-above", "open")
 
@@ -38,7 +38,7 @@ def interval_kind(open_below: bool, open_above: bool) -> str:
     return KINDS[open_below + 2 * open_above]
 
 
-@dataclass(frozen=True)
+@record
 class Brick:
     bid: str
     support: sf.EssentialSubsurface
@@ -67,7 +67,7 @@ class Brick:
         return self.kind in ("half-open-above", "open")
 
 
-@dataclass(frozen=True)
+@record
 class Joint:
     """Two bricks glued at their shared front: `upper` starts where `lower` ends."""
 
@@ -84,13 +84,13 @@ class Joint:
         )
 
 
-@dataclass(frozen=True)
+@record
 class BrickComplex:
     base: sf.Surface
     bricks: tuple
     joints: tuple = ()
 
-    # not a dataclass field: equality, hash and repr read the fields alone
+    # not a record field: equality, hash and repr read the fields alone
     @cached_property
     def _by_id(self):
         """brick id -> brick, from the first brick of each id."""
@@ -110,7 +110,7 @@ class BrickComplex:
         return {b.bid for b in self.bricks}
 
 
-@dataclass(frozen=True)
+@record
 class EndLabel:
     brick_id: str
     kind: str  # "geometrically-finite" or "simply-degenerate"
@@ -129,11 +129,11 @@ def _integer_keys(levels):
     return d, [x.numerator * (d // x.denominator) for x in levels]
 
 
-@dataclass(frozen=True)
+@record
 class LeafEmbedding:
     levels: tuple  # pairs (brick id, (alpha, beta))
 
-    # The cached properties below are not dataclass fields: equality, hash
+    # The cached properties below are not record fields: equality, hash
     # and repr read `levels` alone.
 
     @cached_property
@@ -168,7 +168,7 @@ def identity_embedding(k: BrickComplex) -> LeafEmbedding:
     return LeafEmbedding(tuple((b.bid, (b.lo, b.hi)) for b in k.bricks))
 
 
-@dataclass(frozen=True)
+@record
 class LabelledBrickManifold:
     complex: BrickComplex
 
@@ -349,7 +349,7 @@ def curve_meets_slit(c: sf.Curve, slit: tuple) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@record
 class LevelSweep:
     """Every slit of an embedded complex, computed once: one per interval
     between consecutive critical levels, sampled at its midpoint."""
@@ -462,7 +462,7 @@ class LevelSweep:
 # boundary components
 
 
-@dataclass(frozen=True)
+@record
 class BoundaryComponent:
     kind: str  # "torus" or "open-annulus"
     core: sf.Curve
@@ -502,7 +502,7 @@ def boundary_components(sweep: LevelSweep):
 # ends
 
 
-@dataclass(frozen=True)
+@record
 class End:
     brick_id: str
     side: str  # "below" or "above"

@@ -22,18 +22,18 @@ named by its description in `descs(1)` to `descs(3)`, or refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from . import flatcurves as fc
 from .farey import Slope, _bezout
+from .records import record
 
 
 # ---------------------------------------------------------------------------
 # the ambient twice-punctured torus
 
 
-@dataclass(frozen=True)
+@record
 class CurveDesc:
     """Constructive description of an ambient curve."""
 

@@ -8,11 +8,13 @@ iff |ps - qr| = 1 as well but the geometric intersection number doubles.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from math import gcd
 
+from .records import ordered, record
 
-@dataclass(frozen=True, order=True)
+
+@ordered
+@record
 class Slope:
     """A reduced fraction p/q with q >= 0; infinity is 1/0."""
 

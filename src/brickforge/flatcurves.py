@@ -42,11 +42,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import BrickforgeError
+from .records import record
 
 Point = tuple[Fraction, Fraction]
 
@@ -294,7 +294,7 @@ PERIPHERAL_CLASSES = {_puncture_loop_word((0, 0)), _puncture_loop_word((1, 0))}
 # curves
 
 
-@dataclass(frozen=True)
+@record
 class FlatCurve:
     """A polygonal closed curve: one period of vertices plus the lattice
     displacement picked up when the period closes."""
@@ -478,7 +478,7 @@ def _enclosed_punctures(poly_points):
 # overlay and bigon removal
 
 
-@dataclass(frozen=True)
+@record
 class Crossing:
     key1: tuple  # (segment, t0, t1, t2) on curve 1
     key2: tuple  # (segment, t0, t1, t2) on curve 2, moved by (eps, eps^2)

@@ -10,8 +10,6 @@ BudgetExceeded instead of guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from . import charts
 from . import surfaces as sf
 from .config import get_budget
@@ -23,9 +21,10 @@ from .errors import (
     NotComponentDomain,
 )
 from .farey import Slope
+from .records import HIDDEN, record, replace
 
 
-@dataclass(frozen=True)
+@record
 class TightGeodesic:
     gid: str
     domain: sf.EssentialSubsurface
@@ -41,12 +40,12 @@ class TightGeodesic:
         return self.simplices[j]
 
 
-@dataclass(frozen=True)
+@record
 class Hierarchy:
     domain: sf.EssentialSubsurface
     geodesics: tuple
     main_gid: str
-    certificate: object = field(default=None, compare=False, repr=False)
+    certificate: object = HIDDEN
 
     @property
     def main(self) -> TightGeodesic:

@@ -9,7 +9,6 @@ alternating crossing cores (nested-cusp limits).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import blocks as bl
@@ -20,11 +19,12 @@ from . import surfaces as sf
 from .config import get_budget
 from .errors import BudgetExceeded, ObstructionSearchFailure
 from .farey import enumerate_slopes
+from .records import record, replace
 
 SCENARIO_KINDS = ("kerckhoff-thurston", "brock", "bonahon-otal")
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     kind: str
     base: sf.Surface
@@ -174,7 +174,7 @@ def generate(s: Scenario):
 # ascending exhaustions
 
 
-@dataclass(frozen=True)
+@record
 class ExhaustionState:
     n: int
     window: tuple  # (lo, hi) truncation levels of this stage

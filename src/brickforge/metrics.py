@@ -11,7 +11,6 @@ extracted, only |omega|^2 compared with k^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import blocks as bl
@@ -19,6 +18,7 @@ from . import bricks as bk
 from . import serialize as sz
 from . import surfaces as sf
 from .errors import NotTorusInterface
+from .records import record
 
 # eps1 stands for a positive constant below the three-dimensional
 # Margulis constant; lengths are stored as multiples of it.
@@ -28,7 +28,7 @@ TWIST_CONVENTION = "right-handed twisting counts positive"
 TUBE_FORMULA_NOTE = "own closed form: core length 2*pi*eps1/|omega|^2"
 
 
-@dataclass(frozen=True)
+@record
 class MeridianCoefficient:
     tube: str
     re: int
@@ -42,13 +42,13 @@ class MeridianCoefficient:
         return self.re * self.re + self.im * self.im
 
 
-@dataclass(frozen=True)
+@record
 class Filtration:
     tubes: tuple  # tube ids with |omega| >= k
     released: tuple  # tube ids of 𝒱[0] minus 𝒱[k], reattached to M[k]
 
 
-@dataclass(frozen=True)
+@record
 class TubeMetricDescriptor:
     tube: str
     core_length_eps1_pi: Fraction  # core length = this * pi * eps1

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from hashlib import sha1
-from dataclasses import dataclass, field
 
 from . import charts
 from . import flatcurves as fc
@@ -25,9 +24,10 @@ from .farey import (
     slope_intersection,
     slopes_adjacent,
 )
+from .records import HIDDEN, record
 
 
-@dataclass(frozen=True)
+@record
 class Surface:
     genus: int
     punctures: int
@@ -54,14 +54,14 @@ class SlopeChart:
         self.doubled = doubled
 
 
-@dataclass(frozen=True)
+@record
 class EssentialSubsurface:
     ambient: Surface
     token: str
     kind: str  # "full", "proper", or "annulus"
     ttype: tuple  # (genus, boundary + puncture count)
     boundary: tuple = ()
-    chart: object = field(default=None, compare=False, hash=False, repr=False)
+    chart: object = HIDDEN
 
     def complexity(self) -> int:
         if self.kind == "annulus":
@@ -92,28 +92,36 @@ def full_surface(s: Surface) -> EssentialSubsurface:
 # curves
 
 
-@dataclass(frozen=True)
+@record
 class Curve:
     domain: EssentialSubsurface
     # a Slope on a slope-chart domain, an int twist on an annulus, or the
     # CurveDesc of a polygonal curve on the twice-punctured torus
     rep: Slope | int | charts.CurveDesc
 
+    # kept outside the fields, like FlatCurve.canonical: a curve builds its
+    # key and looks its polygon up once, so hashing builds no key again
+    _key = None
+    _flat = None
+
     def key(self):
+        if self._key is None:
+            object.__setattr__(self, "_key", self._class_key())
+        return self._key
+
+    def _class_key(self):
         if isinstance(self.rep, Slope):
             return ("F", self.rep)
         if isinstance(self.rep, int):
             return ("A", self.rep)
-        # kept outside the fields, like FlatCurve.canonical: a desc always
-        # builds the same class, so hashing builds no flat curve twice
-        if "_key" not in self.__dict__:
-            object.__setattr__(self, "_key", ("N", self.flat().canonical()))
-        return self._key
+        return ("N", self.flat().canonical())
 
     def flat(self) -> fc.FlatCurve:
-        if not isinstance(self.rep, charts.CurveDesc):
-            raise DomainError("curve has no polygonal representative")
-        return charts.AMBIENT.curve(self.rep)
+        if self._flat is None:
+            if not isinstance(self.rep, charts.CurveDesc):
+                raise DomainError("curve has no polygonal representative")
+            object.__setattr__(self, "_flat", charts.AMBIENT.curve(self.rep))
+        return self._flat
 
     def __eq__(self, other):
         if not isinstance(other, Curve):
@@ -196,7 +204,7 @@ def are_adjacent(a: Curve, b: Curve) -> bool:
 # simplices and markings
 
 
-@dataclass(frozen=True)
+@record
 class Simplex:
     """Pairwise disjoint curves of one domain.  Built from any iterable of
     curves; `curves` is then the tuple of the distinct ones in increasing
@@ -222,7 +230,7 @@ class Simplex:
         return Simplex(domain, curves)
 
 
-@dataclass(frozen=True)
+@record
 class Marking:
     base: Simplex
     transversals: tuple = ()  # pairs (base curve, transversal curve)
@@ -251,17 +259,17 @@ class Marking:
         return 0
 
 
-@dataclass(frozen=True)
+@record
 class IrrationalSlope:
     coefficients: tuple  # finite continued-fraction prefix
 
 
-@dataclass(frozen=True)
+@record
 class SymbolicFilling:
     label: str  # names the end; it carries no finite prefix
 
 
-@dataclass(frozen=True)
+@record
 class LaminationDescriptor:
     domain: EssentialSubsurface
     rep: object  # IrrationalSlope or SymbolicFilling

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -9,6 +8,7 @@ from brickforge import charts
 from brickforge import flatcurves as fc
 from brickforge import hierarchy as hy
 from brickforge import limits as lm
+from brickforge.records import replace
 
 
 def reference_descs(radius: int):

@@ -2,7 +2,6 @@
 single pass/fail line."""
 
 import collections
-import dataclasses
 import math
 import random
 import signal
@@ -17,6 +16,7 @@ from brickforge import limits as lm
 from brickforge import metrics as mt
 from brickforge import serialize as sz
 from brickforge import surfaces as sf
+from brickforge.records import replace
 
 F = Fraction
 
@@ -372,7 +372,7 @@ def _negative_fixtures():
 
     def relabel(k, e, bid, label):
         bricks = tuple(
-            dataclasses.replace(b, label=label) if b.bid == bid else b
+            replace(b, label=label) if b.bid == bid else b
             for b in k.bricks
         )
         return bk.BrickComplex(k.base, bricks, k.joints), e
@@ -387,7 +387,7 @@ def _negative_fixtures():
 
     def rekind(k, e, bid, kind):
         bricks = tuple(
-            dataclasses.replace(b, kind=kind) if b.bid == bid else b
+            replace(b, kind=kind) if b.bid == bid else b
             for b in k.bricks
         )
         return bk.BrickComplex(k.base, bricks, k.joints), e

@@ -1,6 +1,5 @@
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +20,7 @@ from brickforge.errors import (
     MissingLabel,
     NoTightGeodesic,
 )
+from brickforge.records import replace
 from test_bricks import embedded_models, model_curves, probe_levels
 
 F = Fraction

@@ -1,6 +1,5 @@
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +12,7 @@ from brickforge import limits as lm
 from brickforge import serialize as sz
 from brickforge import surfaces as sf
 from brickforge.errors import NonStabilizing, NotAscending, ParseError
+from brickforge.records import replace
 
 F = Fraction
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.json"

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -19,6 +18,7 @@ from brickforge import cli
 from brickforge import limits as lm
 from brickforge import serialize as sz
 from brickforge import surfaces as sf
+from brickforge.records import replace
 
 F = Fraction
 
@@ -56,7 +56,7 @@ def bad_el_path(tmp_path):
     m, e = lm.generate(lm.Scenario("brock", sf.TORUS_1_2))
     h0 = m.complex.brick("h0")
     bricks = tuple(
-        dataclasses.replace(
+        replace(
             b,
             label=bk.EndLabel(
                 "h1", "simply-degenerate", lamination=h0.label.lamination
@@ -272,7 +272,7 @@ class TestDecompose:
         def with_front_in_gap(sweep):
             d = decompose(sweep)
             blocks, adjustments = bl._enforce_bb(d.blocks, fronts)
-            return dataclasses.replace(d, blocks=blocks, adjustments=adjustments)
+            return replace(d, blocks=blocks, adjustments=adjustments)
 
         monkeypatch.setattr(bl, "decompose", with_front_in_gap)
         assert cli.run(["decompose", single_path(tmp_path, 1, 0)]) == 0

@@ -75,7 +75,7 @@ class TestFareyHierarchy:
         assert len(h.main.simplices) > 2
 
     def test_mutated_hierarchy_rejected(self):
-        from dataclasses import replace
+        from brickforge.records import replace
 
         h = hy.build_hierarchy(sf.TORUS_1_1, torus_marking(0, 1), torus_marking(3, 5))
         extra = replace(h.main, gid="g99")

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +10,7 @@ from brickforge import limits as lm
 from brickforge import metrics as mt
 from brickforge import surfaces as sf
 from brickforge.errors import NotTorusInterface
+from brickforge.records import replace
 
 F = Fraction
 

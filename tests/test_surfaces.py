@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from brickforge import charts
+from brickforge import cli
 from brickforge import flatcurves as fc
 from brickforge import hierarchy as hy
 from brickforge import surfaces as sf
@@ -94,6 +95,28 @@ class TestIntersection:
         built = count_calls(charts.AMBIENT, "curve")
         assert hash(c) == hash(same) and c == same and len({c, same}) == 1
         assert built == []
+
+    def test_each_curve_builds_its_key_once(self, count_calls, capsys):
+        # a warm limit report compares and hashes its cores thousands of
+        # times; each read of a key after the first finds it on its curve
+        argv = ["limit", "--scenario", "bo:80", "--stages", "2"]
+        assert cli.run(argv) == 0
+        reads = count_calls(sf.Curve, "key")
+        built = count_calls(sf.Curve, "_class_key")
+        assert cli.run(argv) == 0
+        capsys.readouterr()
+        assert len({id(c) for (c,) in built}) == len(built)
+        assert 0 < 50 * len(built) < len(reads)
+
+    def test_each_curve_looks_its_polygon_up_once(self, count_calls):
+        # every pair's intersection and adjacency reads both polygons
+        universe = hy.ambient_universe(2)
+        looked_up = count_calls(charts.AMBIENT, "curve")
+        for i, a in enumerate(universe):
+            for b in universe[i + 1 :]:
+                sf.intersection_number(a, b)
+                sf.are_adjacent(a, b)
+        assert len(looked_up) <= len(universe)
 
     def test_annulus_arcs(self):
         d = twice_punctured()
