@@ -16,8 +16,7 @@ def main():
     w = sf.slope_curve(full, 8, 5)
     print(f"geodesic from {u} to {w}:")
     path = sf.farey_geodesic(u, w)
-    for step, simplex in enumerate(path):
-        (curve,) = simplex.curves
+    for step, curve in enumerate(path):
         print(f"  step {step}: {curve}")
     print("tight:", sf.is_tight_sequence(path))
     print()

@@ -20,9 +20,8 @@ def main():
     print(f"hierarchy with {len(h.geodesics)} geodesics; main = {h.main_gid}")
     for g in h.geodesics:
         print(f"\ngeodesic {g.gid} on {g.domain.token}:")
-        for i, s in enumerate(g.simplices):
-            names = ", ".join(str(c) for c in s.curves)
-            print(f"  v{i}: {names}")
+        for i, c in enumerate(g.vertices):
+            print(f"  v{i}: {c}")
     ok, violations = hy.verify_hierarchy(h)
     print("\nverified:", ok, violations or "")
 

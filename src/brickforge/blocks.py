@@ -325,20 +325,13 @@ def _endpoint_marking(sweep, b, side):
 # geodesics and placement
 
 
-def _main_geodesic(domain, start, end):
-    """Vertex curves of a placement's tight geodesic, from a marking
-    toward a marking or lamination.  Returns the vertex list and the
-    finite stand-in for the far end."""
-    _, simplices, end_marking = hy.tight_geodesic(domain, start, end)
-    return [v.curves[0] for v in simplices], end_marking
-
-
-def _place(domain, band, kind, start, end):
-    """One tight-geodesic placement over a level band of a domain: the
-    main geodesic above complexity 4, the complexity-4 geodesic with gap
-    bands otherwise.  Returns the vertex curves, their (tube band, wide
-    band, gap band) triples and the finite stand-in for the far end."""
-    vertices, end_marking = _main_geodesic(domain, start, end)
+def _main_geodesic(domain, band, kind, start, end):
+    """One tight-geodesic placement over a level band of a domain, from a
+    marking toward a marking or lamination: the main geodesic above
+    complexity 4, the complexity-4 geodesic with gap bands otherwise.
+    Returns the vertex curves, their (tube band, wide band, gap band)
+    triples and the finite stand-in for the far end."""
+    vertices, end_marking = hy.tight_geodesic(domain, start, end)
     gap = domain.complexity() < 5
     bands = tube_bands(band, len(vertices) - 1, kind, gap)
     return vertices, bands, end_marking
@@ -551,7 +544,7 @@ def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
         for domain, band, kind, start, end, origin_id in xi5_queue:
             if start is None or end is None:
                 raise DomainError(f"brick {origin_id} is not connectable")
-            vertices, bands, end_marking = _place(domain, band, kind, start, end)
+            vertices, bands, end_marking = _main_geodesic(domain, band, kind, start, end)
             # the markings around vertex i are markings[i] and markings[i + 2]
             markings = [
                 start,
@@ -560,9 +553,7 @@ def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
             ]
             for i, (v, (tband, _, _)) in enumerate(zip(vertices, bands)):
                 new_tube(v, tband, rounds_used, origin_id, full.token)
-                for y in sf.component_domains(full, markings[i + 1].base):
-                    if y.kind == "annulus":
-                        continue
+                for y in sf.proper_pieces(full, v):
                     if y.complexity() == 3:
                         new_block("S03", y, tband)
                         continue
@@ -592,7 +583,7 @@ def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
             if start is None or end is None or domain.chart is None:
                 new_block(_block_type(domain), domain, band)
                 continue
-            vertices, bands, _ = _place(domain, band, kind, start, end)
+            vertices, bands, _ = _main_geodesic(domain, band, kind, start, end)
             for v, (tband, wband, gap) in zip(vertices, bands):
                 core = hy.ambient_curve(v)
                 t = new_tube(core, tband, rounds_used, origin_id, domain.token)
@@ -705,9 +696,7 @@ def hierarchy_crosscheck(b: bk.Brick, d: BlockDecomposition) -> bool:
         if g.domain.kind == "annulus":
             continue
         seq = expected.setdefault(g.domain.token, [])
-        for v in g.simplices:
-            for c in v.curves:
-                seq.append(hy.ambient_curve(c))
+        seq.extend(hy.ambient_curve(v) for v in g.vertices)
 
     tubes = [t for t in d.placed if t.origin[1] != "boundary"]
     got = {}
@@ -717,9 +706,9 @@ def hierarchy_crosscheck(b: bk.Brick, d: BlockDecomposition) -> bool:
         return False
     if h.domain.complexity() >= 5:
         pants_expected = 0
-        for v in h.main.simplices:
-            for y in sf.component_domains(h.domain, v):
-                if y.kind == "proper" and y.complexity() == 3:
+        for v in h.main.vertices:
+            for y in sf.proper_pieces(h.domain, v):
+                if y.complexity() == 3:
                     pants_expected += 1
         s03 = sum(1 for bl in d.blocks if bl.btype == "S03")
         if pants_expected and s03 not in (pants_expected, 2 * pants_expected):

@@ -259,7 +259,9 @@ def project_to_chart(chart, w: fc.FlatCurve):
     Computed as the essential boundary-walk classes of a regular
     neighborhood of the curve together with the cutting curve, filtered
     down to classes the chart can realize.  Curves already inside the
-    chart classify directly.
+    chart classify directly.  A complexity-4 subsurface holds no two
+    disjoint, distinct, essential, non-peripheral curves, so the list holds
+    at most one slope.
     """
     cut = AMBIENT.curve(chart.cut_desc())
     if fc.same_class(cut, w):
@@ -275,4 +277,4 @@ def project_to_chart(chart, w: fc.FlatCurve):
         s = chart.classify(cls)
         if s is not None and s not in out:
             out.append(s)
-    return sorted(out)
+    return out

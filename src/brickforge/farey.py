@@ -10,10 +10,9 @@ from __future__ import annotations
 from collections import deque
 from math import gcd
 
-from .records import ordered, record
+from .records import record
 
 
-@ordered
 @record
 class Slope:
     """A reduced fraction p/q with q >= 0; infinity is 1/0."""

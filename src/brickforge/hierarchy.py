@@ -21,23 +21,20 @@ from .errors import (
     NotComponentDomain,
 )
 from .farey import Slope
-from .records import HIDDEN, record, replace
+from .records import record, replace
 
 
 @record
 class TightGeodesic:
     gid: str
     domain: sf.EssentialSubsurface
-    simplices: tuple
+    vertices: tuple  # curves
     initial: object = None  # Marking or LaminationDescriptor
     terminal: object = None
-    parent: tuple | None = None  # (gid, simplex index) this domain comes from
+    parent: tuple | None = None  # (gid, vertex index) this domain comes from
 
     def __len__(self):
-        return len(self.simplices) - 1
-
-    def simplex(self, j):
-        return self.simplices[j]
+        return len(self.vertices) - 1
 
 
 @record
@@ -45,7 +42,6 @@ class Hierarchy:
     domain: sf.EssentialSubsurface
     geodesics: tuple
     main_gid: str
-    certificate: object = HIDDEN
 
     @property
     def main(self) -> TightGeodesic:
@@ -64,13 +60,13 @@ class Hierarchy:
 
 def _pred_marking(g: TightGeodesic, j: int):
     if j > 0:
-        return sf.Marking(g.simplex(j - 1))
+        return sf.Marking(sf.Simplex.of(g.domain, g.vertices[j - 1]))
     return g.initial if isinstance(g.initial, sf.Marking) else None
 
 
 def _succ_marking(g: TightGeodesic, j: int):
-    if j < len(g.simplices) - 1:
-        return sf.Marking(g.simplex(j + 1))
+    if j < len(g):
+        return sf.Marking(sf.Simplex.of(g.domain, g.vertices[j + 1]))
     return g.terminal if isinstance(g.terminal, sf.Marking) else None
 
 
@@ -81,7 +77,7 @@ def subordinacy(g: TightGeodesic, j: int, y: sf.EssentialSubsurface):
     of "both", "forward", "backward", "none" and the witnesses are the
     restricted markings (or None).
     """
-    doms = sf.component_domains(g.domain, g.simplex(j))
+    doms = sf.component_domains(g.domain, sf.Simplex.of(g.domain, g.vertices[j]))
     if all(d.token != y.token for d in doms):
         raise NotComponentDomain(f"{y.token} is not a component domain here")
     pred = _pred_marking(g, j)
@@ -113,27 +109,19 @@ def _fan_geodesic(domain, s1: Slope, s2: Slope):
     u = sf.Curve(domain, s1)
     w = sf.Curve(domain, s2)
     if s1 == s2:
-        return (sf.Simplex.of(domain, u),)
+        return (u,)
     if sf.are_adjacent(u, w):
-        return (sf.Simplex.of(domain, u), sf.Simplex.of(domain, w))
+        return (u, w)
     inf = sf.Curve(domain, Slope(1, 0))
     if s1 != Slope(1, 0) and s2 != Slope(1, 0):
         if sf.are_adjacent(u, inf) and sf.are_adjacent(inf, w):
-            return (
-                sf.Simplex.of(domain, u),
-                sf.Simplex.of(domain, inf),
-                sf.Simplex.of(domain, w),
-            )
-    path = sf.farey_geodesic(u, w)
-    return tuple(path)
+            return (u, inf, w)
+    return tuple(sf.farey_geodesic(u, w))
 
 
 def _twist_geodesic(domain, t1: int, t2: int):
     step = 1 if t2 >= t1 else -1
-    return tuple(
-        sf.Simplex.of(domain, sf.arc_curve(domain, t))
-        for t in range(t1, t2 + step, step)
-    )
+    return tuple(sf.arc_curve(domain, t) for t in range(t1, t2 + step, step))
 
 
 # radius -> the curves; a desc always builds the same curve
@@ -162,27 +150,23 @@ def _bfs_path(certificate, u, w):
         raise NoTightGeodesic(str(exc)) from exc
 
 
-def _tighten(domain, path, certificate):
+def _tighten(path, certificate):
     """Enforce the boundary condition on interior vertices of a path."""
     verts = list(path)
     for _ in range(len(verts) + 2):
         changed = False
         for i in range(1, len(verts) - 1):
-            sb = sf.subsurface_boundary(
-                sf.Simplex.of(domain, verts[i - 1]), sf.Simplex.of(domain, verts[i + 1])
-            )
-            if sb.filling:
+            cs = sf.subsurface_boundary(verts[i - 1], verts[i + 1])
+            if not cs:
                 raise NoTightGeodesic("consecutive-but-one vertices fill the surface")
-            cs = sb.curves
             if len(cs) == 1 and cs[0] != verts[i]:
                 verts[i] = cs[0]
                 changed = True
         if not changed:
             break
-    seq = [sf.Simplex.of(domain, v) for v in verts]
-    if not sf.is_tight_sequence(seq, certificate):
+    if not sf.is_tight_sequence(verts, certificate):
         raise NoTightGeodesic("tightening failed inside the enumeration")
-    return tuple(seq)
+    return tuple(verts)
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +205,12 @@ def lamination_depth(budget: int) -> int:
     return max(2, min(12, budget // 100))
 
 
-def certified_main_geodesic(domain, initial, terminal):
+def certified_main_geodesic(initial, terminal):
     """Tight geodesic between the base vertices of two markings on a
     complexity-5 surface, found by BFS over ambient_universe(2) plus the
-    markings' curves.  Returns (certificate, simplices).  Curves that do
-    not fill are at most 2 apart: a longer path between them means the
-    enumeration lacks a middle vertex, and raises BudgetExceeded."""
+    markings' curves.  Returns the vertex curves.  Curves that do not fill
+    are at most 2 apart: a longer path between them means the enumeration
+    lacks a middle vertex, and raises BudgetExceeded."""
     marked = []
     for m in (initial, terminal):
         if isinstance(m, sf.Marking):
@@ -237,23 +221,19 @@ def certified_main_geodesic(domain, initial, terminal):
     u = _base_vertex(initial)
     w = _base_vertex(terminal)
     path = _bfs_path(certificate, u, w)
-    if len(path) > 3 and not sf.subsurface_boundary(
-        sf.Simplex.of(domain, u), sf.Simplex.of(domain, w)
-    ).filling:
+    if len(path) > 3 and sf.subsurface_boundary(u, w):
         raise BudgetExceeded(
             f"{sf.curve_tag(u)} and {sf.curve_tag(w)} do not fill, but the "
             f"enumeration puts them {len(path) - 1} apart"
         )
-    return certificate, _tighten(domain, path, certificate)
+    return _tighten(path, certificate)
 
 
-def _realizable(domain, simplices) -> bool:
+def _realizable(domain, vertices) -> bool:
     """True when every vertex curve has an ambient model: always on a full
     surface, otherwise when the domain's chart realizes its slope."""
     return domain.kind == "full" or all(
-        domain.chart.realize(c.rep) is not None
-        for v in simplices
-        for c in v.curves
+        domain.chart.realize(c.rep) is not None for c in vertices
     )
 
 
@@ -264,7 +244,7 @@ def tight_geodesic(domain, initial, terminal):
     domain.  A lamination end is truncated at the deepest budget depth
     whose whole geodesic the domain's chart realizes.
 
-    Returns (certificate or None, simplices, finite terminal marking).
+    Returns (vertex curves, finite terminal marking).
     Raises NoTightGeodesic for a lamination start and BudgetExceeded when
     no geodesic is realizable."""
     ends = [terminal]
@@ -273,17 +253,16 @@ def tight_geodesic(domain, initial, terminal):
         ends = [_truncate_lamination(domain, terminal, k) for k in depths]
         ends = list(dict.fromkeys(ends))  # depths past a finite prefix repeat
     for finite in ends:
-        certificate = None
         if domain.complexity() >= 5:
-            certificate, simplices = certified_main_geodesic(domain, initial, finite)
+            vertices = certified_main_geodesic(initial, finite)
         elif domain.kind == "full":
             u, w = _base_vertex(initial), _base_vertex(finite)
-            simplices = tuple(sf.farey_geodesic(u, w))
+            vertices = tuple(sf.farey_geodesic(u, w))
         else:
             s1, s2 = _marking_slope(initial), _marking_slope(finite)
-            simplices = _fan_geodesic(domain, s1, s2)
-        if _realizable(domain, simplices):
-            return certificate, simplices, finite
+            vertices = _fan_geodesic(domain, s1, s2)
+        if _realizable(domain, vertices):
+            return vertices, finite
     raise BudgetExceeded(f"no geodesic in {domain.token} stays in its chart")
 
 
@@ -297,11 +276,11 @@ def build_hierarchy(s: sf.Surface, initial, terminal):
     if s.complexity() not in (4, 5):
         raise BudgetExceeded("hierarchies supported on complexity 4 and 5 only")
     d = sf.full_surface(s)
-    certificate, main_simplices, terminal_marking = tight_geodesic(d, initial, terminal)
+    main_vertices, terminal_marking = tight_geodesic(d, initial, terminal)
     main = TightGeodesic(
         gid="g0",
         domain=d,
-        simplices=main_simplices,
+        vertices=main_vertices,
         initial=initial,
         terminal=terminal,
     )
@@ -310,9 +289,9 @@ def build_hierarchy(s: sf.Surface, initial, terminal):
     if s.complexity() == 5:
         # one geodesic per complexity-4 component domain with two-sided
         # subordinacy data, processed in vertex order for determinism
-        for j, v in enumerate(main_simplices):
-            for y in sf.component_domains(d, v):
-                if y.kind != "proper" or y.complexity() != 4:
+        for j, v in enumerate(main_vertices):
+            for y in sf.proper_pieces(d, v):
+                if y.complexity() != 4:
                     continue
                 if y.chart is None:
                     raise BudgetExceeded(
@@ -323,12 +302,12 @@ def build_hierarchy(s: sf.Surface, initial, terminal):
                 )
                 if kind != "both":
                     continue
-                _, simplices, _ = tight_geodesic(y, back, fwd)
+                vertices, _ = tight_geodesic(y, back, fwd)
                 geodesics.append(
                     TightGeodesic(
                         gid=f"g{len(geodesics)}",
                         domain=y,
-                        simplices=simplices,
+                        vertices=vertices,
                         initial=back,
                         terminal=fwd,
                         parent=("g0", j),
@@ -336,10 +315,10 @@ def build_hierarchy(s: sf.Surface, initial, terminal):
                 )
 
     # annular geodesics: one per interior vertex curve of the main geodesic
-    for j, v in enumerate(main.simplices):
-        if j == 0 or j == len(main.simplices) - 1:
+    for j, v in enumerate(main_vertices):
+        if j == 0 or j == len(main):
             continue
-        for y in sf.component_domains(d, v):
+        for y in sf.component_domains(d, sf.Simplex.of(d, v)):
             if y.kind != "annulus":
                 continue
             kind, back, fwd = subordinacy(main, j, y)
@@ -351,7 +330,7 @@ def build_hierarchy(s: sf.Surface, initial, terminal):
                 TightGeodesic(
                     gid=f"g{len(geodesics)}",
                     domain=y,
-                    simplices=_twist_geodesic(y, t1, t2),
+                    vertices=_twist_geodesic(y, t1, t2),
                     initial=back,
                     terminal=fwd,
                     parent=("g0", j),
@@ -362,7 +341,6 @@ def build_hierarchy(s: sf.Surface, initial, terminal):
         domain=d,
         geodesics=tuple(geodesics),
         main_gid="g0",
-        certificate=certificate,
     )
 
 
@@ -392,17 +370,28 @@ def verify_hierarchy(h: Hierarchy):
         try:
             if g.domain.kind == "annulus":
                 ok = all(
-                    sf.are_adjacent(a.curves[0], b.curves[0])
-                    for a, b in zip(g.simplices, g.simplices[1:])
+                    sf.are_adjacent(a, b) for a, b in zip(g.vertices, g.vertices[1:])
                 )
-            elif g.domain.token == h.domain.token and h.certificate is not None:
-                ok = sf.is_tight_sequence(list(g.simplices), h.certificate)
             else:
-                ok = sf.is_tight_sequence(list(g.simplices))
+                ok = sf.is_tight_sequence(g.vertices)
             if not ok:
                 violations.append(f"{g.gid} is not tight")
-        except (CertificateError, DomainError, BudgetExceeded) as exc:
+        except (DomainError, BudgetExceeded) as exc:
             violations.append(f"{g.gid} tightness check failed: {exc}")
+    # curves that meet without filling are 2 apart, so a longer main
+    # geodesic must have ends that fill; a boundary class outside the
+    # enumeration still exists, so its ends do not fill either
+    main = h.main
+    if main.domain.complexity() >= 5 and len(main) >= 3:
+        try:
+            fills = not sf.subsurface_boundary(main.vertices[0], main.vertices[-1])
+        except BudgetExceeded:
+            fills = False
+        if not fills:
+            violations.append(
+                f"{main.gid} fails the filling test: its ends do not fill, "
+                f"but it has length {len(main)}"
+            )
     for g in h.geodesics:
         if g.gid == h.main_gid:
             continue
@@ -415,18 +404,19 @@ def verify_hierarchy(h: Hierarchy):
         except KeyError:
             violations.append(f"{g.gid} parent {pgid} missing")
             continue
-        doms = sf.component_domains(parent.domain, parent.simplex(j))
+        doms = sf.component_domains(
+            parent.domain, sf.Simplex.of(parent.domain, parent.vertices[j])
+        )
         if all(y.token != g.domain.token for y in doms):
             violations.append(f"{g.gid} domain is not a component domain of its parent")
         if g.initial is None or g.terminal is None:
             violations.append(f"{g.gid} lacks subordinacy markings")
     # 4-completeness on the main geodesic
-    main = h.main
-    for j, v in enumerate(main.simplices):
+    for j, v in enumerate(main.vertices):
         if main.domain.complexity() <= 4:
             break
-        for y in sf.component_domains(main.domain, v):
-            if y.kind != "proper" or y.complexity() != 4:
+        for y in sf.proper_pieces(main.domain, v):
+            if y.complexity() != 4:
                 continue
             try:
                 kind, _, _ = subordinacy(main, j, y)

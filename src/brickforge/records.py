@@ -3,12 +3,12 @@
 `@record` gives a class with annotated fields an `__init__` that ends in
 `__post_init__`, `==` and hash over the field values, the repr
 `Name(field=value, ...)` and no assignment, as `@dataclass(frozen=True)`
-did; a `HIDDEN` field defaults to None and is left out of all three, and
-`ordered` adds `<`, `<=`, `>`, `>=`.  Only `__init__` is compiled, so a fresh
-process imports neither `dataclasses` nor `inspect`.
+did; a `HIDDEN` field defaults to None and is left out of all three.  Only
+`__init__` is compiled, so a fresh process imports neither `dataclasses`
+nor `inspect`.
 """
 
-from operator import attrgetter, eq, ge, gt, le, lt
+from operator import attrgetter
 
 HIDDEN = object()  # a field default: None, left out of ==, hash and repr
 
@@ -25,17 +25,11 @@ def _frozen(self, name, *value):
     raise AttributeError(f"cannot set or delete {name!r} of a frozen {type(self).__name__}")
 
 
-def _compare(op):
-    def compare(self, other):
-        if other.__class__ is self.__class__:
-            values = self._record_values
-            return op(values(self), values(other))
-        return NotImplemented
-
-    return compare
-
-
-_eq = _compare(eq)
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        values = self._record_values
+        return values(self) == values(other)
+    return NotImplemented
 
 
 def record(cls):
@@ -59,11 +53,6 @@ def record(cls):
         if name not in cls.__dict__:
             setattr(cls, name, fn)
     cls.__setattr__ = cls.__delattr__ = _frozen
-    return cls
-
-
-def ordered(cls):
-    cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = map(_compare, (lt, le, gt, ge))
     return cls
 
 

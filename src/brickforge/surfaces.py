@@ -212,7 +212,6 @@ class Simplex:
 
     domain: EssentialSubsurface
     curves: tuple
-    filling: bool = False
 
     def __post_init__(self):
         cs = tuple(sorted(set(self.curves), key=lambda c: repr(c.key())))
@@ -280,53 +279,41 @@ class LaminationDescriptor:
 
 
 def farey_geodesic(u: Curve, w: Curve):
-    """Tight vertex path between two slope curves, as single-curve simplices."""
+    """Tight vertex path between two slope curves, as a list of curves."""
     _check_same_domain(u, w)
     if not isinstance(u.rep, Slope):
         raise DomainError("farey_geodesic needs slope curves")
     d = u.domain
-    slopes = farey_geodesic_slopes(u.rep, w.rep)
-    return [Simplex.of(d, Curve(d, s)) for s in slopes]
+    return [Curve(d, s) for s in farey_geodesic_slopes(u.rep, w.rep)]
 
 
-def subsurface_boundary(v1: Simplex, v2: Simplex) -> Simplex:
-    """Essential boundary of a minimal subsurface containing both simplices.
-
-    Empty with the filling flag set when the union fills the domain.
-    Supported on the twice-punctured torus for unions of at most two
-    curve classes.
+def subsurface_boundary(u: Curve, w: Curve) -> tuple:
+    """Essential boundary curves of a regular neighborhood of u union w,
+    the curves taken in minimal position, in the sorted order of their
+    classes: () exactly when the two curves fill the domain, and (u,)
+    when w is u.  Supported on the twice-punctured torus.
     """
-    if v1.domain.token != v2.domain.token:
-        raise DomainError("simplices on different domains")
-    d = v1.domain
+    _check_same_domain(u, w)
+    d = u.domain
     if d.complexity() <= 4:
         raise DomainError("subsurface boundary needs complexity above 4")
-    union = list(dict.fromkeys(v1.curves + v2.curves))
-    if not union:
-        raise ValueError("both simplices are empty")
-    if len(union) == 1:
-        return Simplex.of(d, union[0])
-    if len(union) > 2:
-        raise BudgetExceeded("subsurface boundary supports at most two classes")
-    c1, c2 = union[0].flat(), union[1].flat()
-    walks = fc.boundary_walk_classes(c1, c2)
+    if u == w:
+        return (u,)
     out = []
-    for cls in walks:
+    for cls in fc.boundary_walk_classes(u.flat(), w.flat()):
         if cls == () or cls in fc.PERIPHERAL_CLASSES:
             continue
         desc = charts.AMBIENT.lookup(cls)
         if desc is None:
-            tags = f"{curve_tag(union[0])} and {curve_tag(union[1])}"
             raise BudgetExceeded(
-                f"boundary class outside the curve enumeration: {tags} bound the class "
-                f"with normal coordinates {list(fc.normal_coords_of(cls))}"
+                f"boundary class outside the curve enumeration: {curve_tag(u)} and "
+                f"{curve_tag(w)} bound the class with normal coordinates "
+                f"{list(fc.normal_coords_of(cls))}"
             )
         curve = flat_curve(d, desc)
         if curve not in out:
             out.append(curve)
-    if not out:
-        return Simplex(d, (), filling=True)
-    return Simplex(d, out)
+    return tuple(out)
 
 
 class DistanceCertificate:
@@ -385,42 +372,32 @@ class DistanceCertificate:
 
 
 def is_tight_sequence(seq, certificate: DistanceCertificate | None = None) -> bool:
-    """Check the tight-sequence conditions for a list of simplices.
+    """Check the tight-sequence conditions for a list of curves.
 
-    Consecutive vertices are adjacent.  With a certificate, the end
-    vertices are also len(seq) - 1 apart, which by the triangle inequality
-    makes every certified distance equal its index gap.  Above complexity
-    4, each interior simplex also equals the essential subsurface boundary
-    of its neighbors.
+    Consecutive vertices are distinct and adjacent.  With a certificate,
+    the end vertices are also len(seq) - 1 apart, which by the triangle
+    inequality makes every certified distance equal its index gap.  Above
+    complexity 4, each interior vertex v_i is also the one essential
+    boundary curve of a neighborhood of v_{i-1} union v_{i+1}.
     """
     if not seq:
         raise ValueError("empty sequence")
     d = seq[0].domain
-    for s in seq:
-        if s.domain.token != d.token:
-            raise DomainError("sequence simplices on different domains")
+    for c in seq:
+        if c.domain.token != d.token:
+            raise DomainError("sequence curves on different domains")
     if len(seq) == 1:
         return True
-    xi = d.complexity()
-    if certificate is not None:
-        for s in seq:
-            for c in s.curves:
-                if not certificate.contains(c):
-                    raise CertificateError("sequence vertex outside the enumeration")
+    if certificate is not None and not all(certificate.contains(c) for c in seq):
+        raise CertificateError("sequence vertex outside the enumeration")
     for a, b in zip(seq, seq[1:]):
-        for ca in a.curves:
-            for cb in b.curves:
-                if ca == cb or not are_adjacent(ca, cb):
-                    return False
-    if certificate is not None:
-        for c0 in seq[0].curves:
-            for cn in seq[-1].curves:
-                if certificate.distance(c0, cn) != len(seq) - 1:
-                    return False
-    if xi > 4:
+        if a == b or not are_adjacent(a, b):
+            return False
+    if certificate is not None and certificate.distance(seq[0], seq[-1]) != len(seq) - 1:
+        return False
+    if d.complexity() > 4:
         for i in range(1, len(seq) - 1):
-            sb = subsurface_boundary(seq[i - 1], seq[i + 1])
-            if sb.filling or sb.curves != seq[i].curves:
+            if subsurface_boundary(seq[i - 1], seq[i + 1]) != (seq[i],):
                 return False
     return True
 

@@ -130,10 +130,8 @@ def test_criterion_2_tightness_round_trip():
     amb = ambient_12()
     universe = hy.ambient_universe(2)
 
-    def meets(c, s):
-        return any(
-            c != v and sf.intersection_number(c, v) > 0 for v in s.curves
-        )
+    def meets(c, v):
+        return c != v and sf.intersection_number(c, v) > 0
 
     transversal = 0
     for initial, terminal in (
@@ -141,8 +139,11 @@ def test_criterion_2_tightness_round_trip():
         (marking(amb["full"], amb["v0"]), marking(amb["full"], amb["sigma"])),
     ):
         h = hy.build_hierarchy(sf.TORUS_1_2, initial, terminal)
-        seq = list(h.main.simplices)
-        if not sf.is_tight_sequence(seq, h.certificate):
+        seq = list(h.main.vertices)
+        # the enumeration the builder searches: the universe, then the
+        # markings' curves
+        marked = [c for m in (initial, terminal) for c in m.base.curves]
+        if not sf.is_tight_sequence(seq, sf.DistanceCertificate(universe + marked)):
             ok = False
         for i in range(1, len(seq) - 1):
             for c in universe:

@@ -11,6 +11,7 @@ from brickforge import blocks as bl
 from brickforge import bricks as bk
 from brickforge import charts
 from brickforge import flatcurves as fc
+from brickforge import hierarchy as hy
 from brickforge import limits as lm
 from brickforge import serialize as sz
 from brickforge import surfaces as sf
@@ -334,7 +335,7 @@ class TestTubeUnionFor:
         end = slope_marking(full, 1, 0)
         tubes, _ = brick_tubes(b, slope_marking(full, 0, 1), end)
         # a closed brick's geodesic ends at its terminal marking itself
-        assert bl._main_geodesic(full, slope_marking(full, 0, 1), end)[1] is end
+        assert hy.tight_geodesic(full, slope_marking(full, 0, 1), end)[1] is end
         assert [t.band for t in tubes] == [(F(0), F(1, 4)), (F(1, 2), F(3, 4))]
         assert [t.core.rep for t in tubes] == [
             sf.slope_curve(full, 0, 1).rep,
@@ -376,7 +377,7 @@ class TestTubeUnionFor:
         lam = sf.LaminationDescriptor(full, sf.IrrationalSlope((1, 1, 1, 1, 1, 1)))
         tubes, _ = brick_tubes(b, slope_marking(full, 0, 1), lam)
         # the ray ends at a finite stand-in for the lamination
-        _, end = bl._main_geodesic(full, slope_marking(full, 0, 1), lam)
+        _, end = hy.tight_geodesic(full, slope_marking(full, 0, 1), lam)
         assert isinstance(end, sf.Marking)
         n = len(tubes) - 1
         assert n >= 1
@@ -660,7 +661,7 @@ class TestDecompose:
         )
         m = bk.LabelledBrickManifold(bk.BrickComplex(sf.TORUS_1_1, (b,), ()))
         d = bl.decompose(identity_sweep(m))
-        _, end = bl._main_geodesic(full, slope_marking(full, 0, 1), lam)
+        _, end = hy.tight_geodesic(full, slope_marking(full, 0, 1), lam)
         assert isinstance(end, sf.Marking)
         assert len(d.placed) >= 2
 

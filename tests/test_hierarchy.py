@@ -49,18 +49,18 @@ def build_and_verify_v0_v1():
 class TestFareyHierarchy:
     def test_single_edge(self):
         h = hy.build_hierarchy(sf.TORUS_1_1, torus_marking(0, 1), torus_marking(1, 0))
-        assert len(h.main.simplices) == 2
+        assert len(h.main.vertices) == 2
         assert h.main_gid == "g0"
         ok, violations = hy.verify_hierarchy(h)
         assert ok and not violations
 
     def test_identical_markings(self):
         h = hy.build_hierarchy(sf.TORUS_1_1, torus_marking(2, 3), torus_marking(2, 3))
-        assert len(h.main.simplices) == 1
+        assert len(h.main.vertices) == 1
 
     def test_interior_vertices_carry_annular_geodesics(self):
         h = hy.build_hierarchy(sf.TORUS_1_1, torus_marking(0, 1), torus_marking(3, 5))
-        n = len(h.main.simplices)
+        n = len(h.main.vertices)
         annulars = [g for g in h.geodesics if g.domain.kind == "annulus"]
         assert len(annulars) == n - 2
         for g in annulars:
@@ -72,7 +72,7 @@ class TestFareyHierarchy:
         lam = sf.LaminationDescriptor(d, sf.IrrationalSlope((1,) * 10))
         h = hy.build_hierarchy(sf.TORUS_1_1, torus_marking(0, 1), lam)
         assert isinstance(h.main.terminal, sf.LaminationDescriptor)
-        assert len(h.main.simplices) > 2
+        assert len(h.main.vertices) > 2
 
     def test_mutated_hierarchy_rejected(self):
         from brickforge.records import replace
@@ -144,9 +144,7 @@ def convergent(coeffs) -> Slope:
 
 def fan_realizes(y, end: Slope) -> bool:
     path = hy._fan_geodesic(y, Slope(0, 1), end)
-    return all(
-        y.chart.realize(v.curves[0].rep) is not None for v in path
-    )
+    return all(y.chart.realize(v.rep) is not None for v in path)
 
 
 class TestTightGeodesicOnProperDomains:
@@ -169,12 +167,11 @@ class TestTightGeodesicOnProperDomains:
         # truncations deeper than the prefix repeat its last convergent
         top = min(hy.lamination_depth(get_budget()), len(coeffs))
         try:
-            certificate, simplices, finite = self.build(y, coeffs)
+            vertices, finite = self.build(y, coeffs)
         except BudgetExceeded:
             depth = 0
         else:
-            assert certificate is None
-            slopes = [v.curves[0].rep for v in simplices]
+            slopes = [v.rep for v in vertices]
             assert all(y.chart.realize(s) is not None for s in slopes)
             assert slopes[-1] == hy._marking_slope(finite)
             depth = max(
@@ -185,8 +182,8 @@ class TestTightGeodesicOnProperDomains:
 
     def test_known_truncations(self):
         for y in PROPER.values():
-            _, simplices, _ = self.build(y, (1, 1, 1, 1))
-            assert [v.curves[0].rep for v in simplices] == [
+            vertices, _ = self.build(y, (1, 1, 1, 1))
+            assert [v.rep for v in vertices] == [
                 Slope(0, 1), Slope(1, 0), Slope(2, 1)
             ]
         with pytest.raises(BudgetExceeded):
@@ -202,10 +199,10 @@ class TestSubordinacy:
 
     def test_interior_annulus_is_doubly_subordinate(self):
         h = hy.build_hierarchy(sf.TORUS_1_1, torus_marking(0, 1), torus_marking(3, 5))
-        v = h.main.simplex(1)
+        v = h.main.vertices[1]
         ann = [
             y
-            for y in sf.component_domains(h.domain, v)
+            for y in sf.component_domains(h.domain, sf.Simplex.of(h.domain, v))
             if y.kind == "annulus"
         ][0]
         kind, back, fwd = hy.subordinacy(h.main, 1, ann)
@@ -221,7 +218,9 @@ class TestSubordinacy:
         h = hy.build_hierarchy(sf.TORUS_1_1, initial, torus_marking(3, 5))
         ann = [
             y
-            for y in sf.component_domains(h.domain, h.main.simplex(0))
+            for y in sf.component_domains(
+                h.domain, sf.Simplex.of(h.domain, h.main.vertices[0])
+            )
             if y.kind == "annulus"
         ][0]
         kind, back, fwd = hy.subordinacy(h.main, 0, ann)
@@ -235,7 +234,7 @@ class TestFlatHierarchy:
         h = hy.build_hierarchy(sf.TORUS_1_2, initial, terminal)
         ok, violations = hy.verify_hierarchy(h)
         assert ok, violations
-        assert len(h.main.simplices) == 2
+        assert len(h.main.vertices) == 2
         proper = [
             g
             for g in h.geodesics
@@ -292,9 +291,7 @@ class TestFlatHierarchy:
                 lengths.append(len(h.main))
                 if len(h.main) >= 3:
                     try:
-                        fills = sf.subsurface_boundary(
-                            sf.Simplex.of(d, u), sf.Simplex.of(d, w)
-                        ).filling
+                        fills = not sf.subsurface_boundary(u, w)
                     except BudgetExceeded:
                         fills = False
                     assert fills, (u, w)
@@ -309,12 +306,43 @@ class TestFlatHierarchy:
         u, w = universe[11], universe[16]
         certificate = sf.DistanceCertificate(universe)
         assert len(certificate.path(u, w)) == 4
-        monkeypatch.setattr(
-            sf, "subsurface_boundary", lambda v1, v2: sf.Simplex.of(d, universe[0])
-        )
+        monkeypatch.setattr(sf, "subsurface_boundary", lambda u, w: (universe[0],))
         mu, mw = (sf.Marking(sf.Simplex.of(d, c)) for c in (u, w))
         with pytest.raises(BudgetExceeded, match="do not fill, but the enumeration"):
             hy.build_hierarchy(sf.TORUS_1_2, mu, mw)
+
+    def test_the_verifier_shares_no_enumeration_with_the_builder(self):
+        # every pair that the enumeration puts 3 or more apart but that does
+        # not fill, tightened past the builder's refusal: the verifier's
+        # filling test reads no enumeration, so it catches all of them,
+        # whether the boundary class is in the enumeration or not
+        d = sf.full_surface(sf.TORUS_1_2)
+        universe = hy.ambient_universe(2)
+        certificate = sf.DistanceCertificate(universe)
+        inside = outside = 0
+        for i, u in enumerate(universe):
+            for w in universe[i + 1 :]:
+                path = certificate.path(u, w)
+                if len(path) < 4:
+                    continue
+                try:
+                    if not sf.subsurface_boundary(u, w):
+                        continue
+                    inside += 1
+                except BudgetExceeded:
+                    outside += 1
+                main = hy.TightGeodesic(
+                    gid="g0",
+                    domain=d,
+                    vertices=hy._tighten(path, certificate),
+                    initial=sf.Marking(sf.Simplex.of(d, u)),
+                    terminal=sf.Marking(sf.Simplex.of(d, w)),
+                )
+                h = hy.Hierarchy(domain=d, geodesics=(main,), main_gid="g0")
+                ok, violations = hy.verify_hierarchy(h)
+                assert not ok
+                assert any(v.startswith("g0 fails the filling test") for v in violations)
+        assert (inside, outside) == (4, 36)
 
     def test_hierarchy_curves_are_distinct(self):
         _, initial, terminal = flat_markings()
@@ -323,8 +351,7 @@ class TestFlatHierarchy:
             c
             for g in h.geodesics
             if g.domain.kind != "annulus"
-            for simplex in g.simplices
-            for c in simplex.curves
+            for c in g.vertices
         ]
         by_eq = []
         for c in curves:

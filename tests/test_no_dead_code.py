@@ -1,6 +1,7 @@
 """Every top-level function, class and constant of the library, and every
 method other than a dunder, has a caller; every field of a library class
-has a reader; every parameter with a default is set by some call.
+has a reader; every parameter with a default is set by some call; and
+every parameter of a library function is read in its body.
 
 A definition counts as used when its name is loaded, as a `Name` or an
 `Attribute`, or imported as an alias anywhere in `src/` or `demos/`.  An
@@ -8,7 +9,9 @@ assignment target is not a use of itself.  A field, a name annotated in a
 class body, counts as read only when it is loaded as an `Attribute`: a
 local variable of the same name is not a read.  A parameter with a
 default counts as set when a call of its function's name passes it by
-keyword or by position, or passes `*args` or `**kwargs`.  Tests and the bench
+keyword or by position, or passes `*args` or `**kwargs`.  A parameter
+is read when its function's body, nested functions included, loads it as
+a `Name`; the self or cls of a method is exempt.  Tests and the bench
 harness do not count: code that only they reach is not part of any
 command.
 """
@@ -29,6 +32,11 @@ ALLOWED = {
     # embedding on the stable bricks by the same two tests
     "limit_embedding",
 }
+
+# (file, function, parameter) read nowhere in the function's body:
+# `__setattr__` and `__delattr__` share `_frozen`, whose signature takes
+# the value that `__setattr__` is given
+UNREAD_ALLOWED = {("records.py", "_frozen", "value")}
 
 
 def _parse(path):
@@ -133,6 +141,10 @@ def test_a_local_of_a_fields_name_is_not_a_read():
     assert "graph" in attribute_loads(ast.parse("print(d.graph)"))
 
 
+def _is_static(method):
+    return any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in method.decorator_list)
+
+
 def _defaults_in(tree, filename):
     """(callee name, parameter, position, "file:line") of every parameter
     with a default of a top-level function or a method.  A method's
@@ -143,12 +155,8 @@ def _defaults_in(tree, filename):
         if isinstance(cls, ast.ClassDef):
             for item in cls.body:
                 if isinstance(item, FUNCTIONS):
-                    static = any(
-                        isinstance(d, ast.Name) and d.id == "staticmethod"
-                        for d in item.decorator_list
-                    )
                     callee = cls.name if item.name == "__init__" else item.name
-                    defs.append((callee, item, not static))
+                    defs.append((callee, item, not _is_static(item)))
     for callee, node, bound in defs:
         args = node.args
         positional = args.posonlyargs + args.args
@@ -218,3 +226,77 @@ def test_a_default_is_set_by_keyword_position_or_unpacking():
     assert not sets(call("f(0, 1, 2)"), "c", None)
     assert sets(call("f(0, c=3)"), "c", None)
     assert _callee(call("obj.m(1)")) == "m"
+
+
+def unread_parameters(tree, filename):
+    """(file, function, parameter) of every parameter of a function or
+    lambda of the module, nested ones too, that its body never loads as a
+    `Name`; the first parameter of a method that is not static is exempt."""
+    bound = {
+        id(item)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, FUNCTIONS) and not _is_static(item)
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, (*FUNCTIONS, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [p for p in (args.vararg, args.kwarg) if p is not None]
+        if id(node) in bound:
+            params = params[1:]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        loads = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        yield from ((filename, name, p.arg) for p in params if p.arg not in loads)
+
+
+def test_every_parameter_is_read():
+    unread = sorted(
+        entry
+        for path in sorted(PACKAGE.glob("*.py"))
+        for entry in unread_parameters(_parse(path), path.name)
+        if entry not in UNREAD_ALLOWED
+    )
+    assert not unread, "parameters read nowhere in their function: " + ", ".join(
+        f"{f} {fn}({p})" for f, fn, p in unread
+    )
+
+
+def test_allowed_unread_parameters_are_still_unread():
+    found = {
+        entry
+        for path in sorted(PACKAGE.glob("*.py"))
+        for entry in unread_parameters(_parse(path), path.name)
+    }
+    assert UNREAD_ALLOWED <= found
+
+
+def test_an_unread_parameter_is_found():
+    library = ast.parse(
+        "def f(a, b, *c, d=0, **e):\n"
+        "    def g(x):\n"
+        "        return a + x\n"
+        "    return g(d)\n"
+        "class C:\n"
+        "    def m(self, y):\n"
+        "        return y\n"
+        "    @staticmethod\n"
+        "    def s(z):\n"
+        "        return 0\n"
+        "h = lambda w: 0\n"
+    )
+    assert sorted(unread_parameters(library, "lib.py")) == [
+        ("lib.py", "<lambda>", "w"),
+        ("lib.py", "f", "b"),
+        ("lib.py", "f", "c"),
+        ("lib.py", "f", "e"),
+        ("lib.py", "s", "z"),
+    ]

@@ -2,9 +2,9 @@
 
 Each record class of the library has a twin made by
 `dataclasses.make_dataclass(..., frozen=True)` from the same class body,
-as `@dataclass(frozen=True)` made it before: order on `Slope`, and
-`field(default=None, compare=False, repr=False)` for the two fields that
-now default to `HIDDEN`.  Records and twins must agree on `==`, hash and
+as `@dataclass(frozen=True)` made it before, with
+`field(default=None, compare=False, repr=False)` for the field that now
+defaults to `HIDDEN`.  Records and twins must agree on `==`, hash and
 repr, byte for byte: `Simplex` orders its curves by `repr(c.key())`, and
 set orders under a fixed hash seed follow the hashes.
 """
@@ -14,7 +14,6 @@ import dataclasses
 import importlib
 import io
 import json
-import operator
 import os
 import pkgutil
 import subprocess
@@ -25,8 +24,6 @@ from functools import cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import brickforge
 from brickforge import bricks as bk
@@ -43,8 +40,7 @@ from brickforge.records import replace
 ROOT = Path(__file__).resolve().parents[1]
 BENCH_INPUTS = json.loads((ROOT / "bench" / "inputs.json").read_text())
 
-HIDDEN = {("EssentialSubsurface", "chart"), ("Hierarchy", "certificate")}
-ORDERED = {"Slope"}
+HIDDEN = {("EssentialSubsurface", "chart")}
 # what `record` adds to a class body, besides its shared functions
 MADE_BY_RECORD = {"__init__", "__setattr__", "__delattr__", "__dict__", "__weakref__"}
 
@@ -90,7 +86,6 @@ def make_twin(cls):
         bases=(cls,),
         namespace=body,
         frozen=True,
-        order=cls.__name__ in ORDERED,
     )
     twin.__qualname__ = cls.__qualname__
     return twin
@@ -200,22 +195,6 @@ def test_records_agree_with_their_dataclass_twins(cls):
         for y, u in zip(xs, twins):
             assert (x == y) == (t == u)
             assert (x != y) == (t != u)
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(lambda pq: pq != (0, 0)),
-        min_size=2,
-        max_size=6,
-    )
-)
-def test_slopes_order_as_their_twins(pairs):
-    twin = TWINS[Slope]
-    xs, ts = [Slope(*pq) for pq in pairs], [twin(*pq) for pq in pairs]
-    assert [repr(x) for x in sorted(xs)] == [repr(t) for t in sorted(ts)]
-    for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.eq):
-        assert [op(x, y) for x in xs for y in xs] == [op(t, u) for t in ts for u in ts]
-    assert [hash(x) for x in xs] == [hash(t) for t in ts]
 
 
 def test_replace_runs_post_init_again():

@@ -46,8 +46,8 @@ def tightness_consequence_holds(seq, probe_curves) -> bool:
     """Any probe curve crossing an interior vertex must cross a neighbor."""
     for i in range(1, len(seq) - 1):
         for w in probe_curves:
-            if any(sf.intersection_number(w, c) > 0 for c in seq[i].curves):
-                near = list(seq[i - 1].curves) + list(seq[i + 1].curves)
+            if sf.intersection_number(w, seq[i]) > 0:
+                near = (seq[i - 1], seq[i + 1])
                 if not any(sf.intersection_number(w, c) > 0 for c in near):
                     return False
     return True
@@ -217,23 +217,16 @@ class TestFareyGeodesic:
 class TestTightSequences:
     def test_single_simplex(self):
         d = torus()
-        assert sf.is_tight_sequence([sf.Simplex.of(d, sf.slope_curve(d, 0, 1))])
+        assert sf.is_tight_sequence([sf.slope_curve(d, 0, 1)])
 
     def test_backtracking_rejected(self):
         d = torus()
-        seq = [
-            sf.Simplex.of(d, sf.slope_curve(d, 0, 1)),
-            sf.Simplex.of(d, sf.slope_curve(d, 1, 0)),
-            sf.Simplex.of(d, sf.slope_curve(d, 0, 1)),
-        ]
+        seq = [sf.slope_curve(d, 0, 1), sf.slope_curve(d, 1, 0), sf.slope_curve(d, 0, 1)]
         assert not sf.is_tight_sequence(seq, slope_certificate(d, 4))
 
     def test_certificate_coverage_enforced(self):
         d = torus()
-        seq = [
-            sf.Simplex.of(d, sf.slope_curve(d, 0, 1)),
-            sf.Simplex.of(d, sf.slope_curve(d, 99, 100)),
-        ]
+        seq = [sf.slope_curve(d, 0, 1), sf.slope_curve(d, 99, 100)]
         with pytest.raises(CertificateError):
             sf.is_tight_sequence(seq, slope_certificate(d, 4))
 
@@ -245,7 +238,7 @@ class TestTightSequences:
         h = sf.line_class(d, 1, 0)
         mid = sf.slot_class(d, (0, 0), (-1, 0))
         cert = sf.DistanceCertificate([v0, h, mid, sf.line_class(d, 0, 1, 1)])
-        seq = [sf.Simplex.of(d, v0), sf.Simplex.of(d, mid), sf.Simplex.of(d, h)]
+        seq = [v0, mid, h]
         assert sf.is_tight_sequence(seq, cert)
 
     def test_flat_tight_triple_through_strip_wall(self):
@@ -256,7 +249,7 @@ class TestTightSequences:
         v1 = sf.line_class(d, 0, 1, 1)
         a1 = sf.slot_class(d, (1, 0), (2, 1))
         cert = sf.DistanceCertificate([v0, v1, a1, sf.line_class(d, 1, 0)])
-        seq = [sf.Simplex.of(d, v1), sf.Simplex.of(d, v0), sf.Simplex.of(d, a1)]
+        seq = [v1, v0, a1]
         assert sf.is_tight_sequence(seq, cert)
 
     def test_flat_non_tight_triple(self):
@@ -267,7 +260,7 @@ class TestTightSequences:
         h = sf.line_class(d, 1, 0)
         mid = sf.slot_class(d, (0, 0), (-1, 0))
         cert = sf.DistanceCertificate([v0, v1, h, mid])
-        seq = [sf.Simplex.of(d, v1), sf.Simplex.of(d, v0), sf.Simplex.of(d, h)]
+        seq = [v1, v0, h]
         assert not sf.is_tight_sequence(seq, cert)
 
     def test_consequence_property(self):
@@ -314,31 +307,27 @@ class TestSubsurfaceBoundary:
     def test_single_curve_dedups(self):
         d = twice_punctured()
         v0 = sf.line_class(d, 0, 1, 0)
-        sb = sf.subsurface_boundary(sf.Simplex.of(d, v0), sf.Simplex.of(d, v0))
-        assert set(sb.curves) == {v0}
+        assert sf.subsurface_boundary(v0, v0) == (v0,)
 
     def test_disjoint_pair(self):
         d = twice_punctured()
         v0 = sf.line_class(d, 0, 1, 0)
         v1 = sf.line_class(d, 0, 1, 1)
-        sb = sf.subsurface_boundary(sf.Simplex.of(d, v0), sf.Simplex.of(d, v1))
-        assert set(sb.curves) == {v0, v1}
+        # the curves come in the sorted order of their classes
+        assert sf.subsurface_boundary(v0, v1) == (v0, v1)
+        assert sf.subsurface_boundary(v1, v0) == (v0, v1)
 
     def test_crossing_pair_gives_separating_curve(self):
         d = twice_punctured()
         v0 = sf.line_class(d, 0, 1, 0)
         h = sf.line_class(d, 1, 0)
-        sb = sf.subsurface_boundary(sf.Simplex.of(d, v0), sf.Simplex.of(d, h))
-        assert len(sb.curves) == 1 and not sb.filling
-        (c,) = sb.curves
-        assert c == sf.slot_class(d, (0, 0), (-1, 0))
+        assert sf.subsurface_boundary(v0, h) == (sf.slot_class(d, (0, 0), (-1, 0)),)
 
     def test_filling_pair(self):
         d = twice_punctured()
         d1 = sf.line_class(d, 1, 1)
         d2 = sf.line_class(d, 1, -1)
-        sb = sf.subsurface_boundary(sf.Simplex.of(d, d1), sf.Simplex.of(d, d2))
-        assert sb.filling and not sb.curves
+        assert sf.subsurface_boundary(d1, d2) == ()
 
 
 class TestComponentDomains:
@@ -575,6 +564,23 @@ class TestChartConsistency:
         assert charts.project_to_chart(strip, fc.line_curve(1, 1)) == [Slope(2, 1)]
         side = charts.TorusSideChart(1, 0)
         assert charts.project_to_chart(side, fc.line_curve(0, 1, 0)) == [Slope(0, 1)]
+
+    def test_a_projection_is_at_most_one_slope(self):
+        """A complexity-4 subsurface holds no two disjoint, distinct,
+        essential, non-peripheral curves, so projecting a curve into a
+        fan chart gives no slope or one: every curve of descs(2) into
+        both strips and into the torus side of each corridor of descs(2)."""
+        descs = charts.AMBIENT.descs(2)
+        fans = [charts.StripChart(0), charts.StripChart(1)] + [
+            charts.TorusSideChart(q[0] - p[0], q[1] - p[1], base=p)
+            for p, q in (desc.data for desc in descs if desc.kind == "slot")
+        ]
+        sizes = [
+            len(charts.project_to_chart(fan, charts.AMBIENT.curve(desc)))
+            for fan in fans
+            for desc in descs
+        ]
+        assert (sizes.count(0), sizes.count(1), len(sizes)) == (100, 152, 252)
 
 
 @pytest.mark.parametrize("radius", [1, 2, 3, 4])
