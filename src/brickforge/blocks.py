@@ -545,26 +545,18 @@ def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
             if start is None or end is None:
                 raise DomainError(f"brick {origin_id} is not connectable")
             vertices, bands, end_marking = _main_geodesic(domain, band, kind, start, end)
-            # the markings around vertex i are markings[i] and markings[i + 2]
-            markings = [
-                start,
-                *(sf.Marking(sf.Simplex.of(full, v)) for v in vertices),
-                end_marking,
-            ]
-            for i, (v, (tband, _, _)) in enumerate(zip(vertices, bands)):
+            for v, (tband, _, _) in zip(vertices, bands):
                 new_tube(v, tband, rounds_used, origin_id, full.token)
-                for y in sf.proper_pieces(full, v):
-                    if y.complexity() == 3:
-                        new_block("S03", y, tband)
-                        continue
-                    if y.chart is None:
-                        new_block(_block_type(y), y, tband)
-                        continue
-                    back = sf.restrict_marking(markings[i], y)
-                    fwd = sf.restrict_marking(markings[i + 2], y)
-                    if back is None or fwd is None:
-                        new_block(_block_type(y), y, tband)
-                        continue
+            # a piece without two-sided subordinacy data is a block, pants
+            # and pieces without a chart included
+            walk = hy.subordinate_markings(full, vertices, start, end_marking)
+            for i, y, back, fwd in walk:
+                if y.kind == "annulus":
+                    continue
+                tband = bands[i][0]
+                if back is None or fwd is None:
+                    new_block(_block_type(y), y, tband)
+                else:
                     xi4_queue.append((y, tband, "closed", back, fwd, origin_id))
 
     # final round: complexity-4 placements with gap bands

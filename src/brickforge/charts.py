@@ -238,11 +238,7 @@ class TorusSideChart(_SlopeFanChart):
         else:
             return None
         for desc in cands:
-            try:
-                c = AMBIENT.curve(desc)
-            except fc.GenericityError:
-                continue
-            if fc.flat_intersection(c, sigma) == 0:
+            if fc.flat_intersection(AMBIENT.curve(desc), sigma) == 0:
                 return desc
         return None
 

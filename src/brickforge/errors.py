@@ -13,10 +13,6 @@ class CertificateError(BrickforgeError):
     """A distance certificate does not cover the vertices it is asked about."""
 
 
-class NotComponentDomain(BrickforgeError):
-    """The given subsurface is not a component domain of the given simplex."""
-
-
 class BudgetExceeded(BrickforgeError):
     """A construction needed a curve outside the enumeration budget."""
 

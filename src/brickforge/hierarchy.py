@@ -13,15 +13,9 @@ from __future__ import annotations
 from . import charts
 from . import surfaces as sf
 from .config import get_budget
-from .errors import (
-    BudgetExceeded,
-    CertificateError,
-    DomainError,
-    NoTightGeodesic,
-    NotComponentDomain,
-)
+from .errors import BudgetExceeded, CertificateError, DomainError, NoTightGeodesic
 from .farey import Slope
-from .records import record, replace
+from .records import record
 
 
 @record
@@ -58,41 +52,41 @@ class Hierarchy:
 # subordinacy
 
 
-def _pred_marking(g: TightGeodesic, j: int):
-    if j > 0:
-        return sf.Marking(sf.Simplex.of(g.domain, g.vertices[j - 1]))
-    return g.initial if isinstance(g.initial, sf.Marking) else None
-
-
-def _succ_marking(g: TightGeodesic, j: int):
-    if j < len(g):
-        return sf.Marking(sf.Simplex.of(g.domain, g.vertices[j + 1]))
-    return g.terminal if isinstance(g.terminal, sf.Marking) else None
-
-
-def subordinacy(g: TightGeodesic, j: int, y: sf.EssentialSubsurface):
-    """Subordinacy type of a component domain at a geodesic vertex.
-
-    Returns (kind, backward witness, forward witness) where kind is one
-    of "both", "forward", "backward", "none" and the witnesses are the
-    restricted markings (or None).
-    """
-    doms = sf.component_domains(g.domain, sf.Simplex.of(g.domain, g.vertices[j]))
-    if all(d.token != y.token for d in doms):
-        raise NotComponentDomain(f"{y.token} is not a component domain here")
-    pred = _pred_marking(g, j)
-    succ = _succ_marking(g, j)
-    back = sf.restrict_marking(pred, y) if pred is not None else None
-    fwd = sf.restrict_marking(succ, y) if succ is not None else None
-    if back is not None and fwd is not None:
-        kind = "both"
-    elif fwd is not None:
-        kind = "forward"
-    elif back is not None:
-        kind = "backward"
+def _restricted(domain, vertices, j, datum, y):
+    """The marking beside a vertex restricted to y: the one-curve marking
+    of v_j, or past either end that end's datum, which gives None when it
+    is not a marking."""
+    if 0 <= j < len(vertices):
+        m = sf.Marking(sf.Simplex.of(domain, vertices[j]))
+    elif isinstance(datum, sf.Marking):
+        m = datum
     else:
-        kind = "none"
-    return kind, back, fwd
+        return None
+    return sf.restrict_marking(m, y)
+
+
+def subordinate_markings(domain, vertices, start, end):
+    """Subordinacy along a geodesic of a domain from `start` to `end`.
+
+    Yields (j, y, back, fwd) for each component domain y of each vertex
+    v_j, in vertex order: back and fwd restrict the markings on either
+    side of v_j (start or v_{j-1}, and v_{j+1} or end) to y.  They are
+    computed only where a subordinate geodesic can live, on a
+    complexity-4 piece with a chart or the annulus of an interior vertex;
+    every other piece gets (None, None).  y has a geodesic exactly when
+    both are markings."""
+    last = len(vertices) - 1
+    for j, v in enumerate(vertices):
+        for y in sf.component_domains(domain, sf.Simplex.of(domain, v)):
+            if y.kind == "annulus":
+                live = 0 < j < last
+            else:
+                live = y.complexity() == 4 and y.chart is not None
+            if live:
+                back = _restricted(domain, vertices, j - 1, start, y)
+                yield j, y, back, _restricted(domain, vertices, j + 1, end, y)
+            else:
+                yield j, y, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -285,57 +279,30 @@ def build_hierarchy(s: sf.Surface, initial, terminal):
         terminal=terminal,
     )
     geodesics = [main]
-
-    if s.complexity() == 5:
-        # one geodesic per complexity-4 component domain with two-sided
-        # subordinacy data, processed in vertex order for determinism
-        for j, v in enumerate(main_vertices):
-            for y in sf.proper_pieces(d, v):
-                if y.complexity() != 4:
-                    continue
-                if y.chart is None:
-                    raise BudgetExceeded(
-                        f"no coordinate chart for component domain {y.token}"
-                    )
-                kind, back, fwd = subordinacy(
-                    replace(main, terminal=terminal_marking), j, y
-                )
-                if kind != "both":
-                    continue
-                vertices, _ = tight_geodesic(y, back, fwd)
-                geodesics.append(
-                    TightGeodesic(
-                        gid=f"g{len(geodesics)}",
-                        domain=y,
-                        vertices=vertices,
-                        initial=back,
-                        terminal=fwd,
-                        parent=("g0", j),
-                    )
-                )
-
-    # annular geodesics: one per interior vertex curve of the main geodesic
-    for j, v in enumerate(main_vertices):
-        if j == 0 or j == len(main):
+    # one geodesic per component domain with two-sided subordinacy data,
+    # in vertex order for determinism
+    for j, y, back, fwd in subordinate_markings(
+        d, main_vertices, initial, terminal_marking
+    ):
+        if y.complexity() == 4 and y.chart is None:
+            raise BudgetExceeded(f"no coordinate chart for component domain {y.token}")
+        if back is None or fwd is None:
             continue
-        for y in sf.component_domains(d, sf.Simplex.of(d, v)):
-            if y.kind != "annulus":
-                continue
-            kind, back, fwd = subordinacy(main, j, y)
-            if kind != "both":
-                continue
-            t1 = back.base.curves[0].rep
-            t2 = fwd.base.curves[0].rep
-            geodesics.append(
-                TightGeodesic(
-                    gid=f"g{len(geodesics)}",
-                    domain=y,
-                    vertices=_twist_geodesic(y, t1, t2),
-                    initial=back,
-                    terminal=fwd,
-                    parent=("g0", j),
-                )
+        if y.kind == "annulus":
+            t1, t2 = back.base.curves[0].rep, fwd.base.curves[0].rep
+            vertices = _twist_geodesic(y, t1, t2)
+        else:
+            vertices, _ = tight_geodesic(y, back, fwd)
+        geodesics.append(
+            TightGeodesic(
+                gid=f"g{len(geodesics)}",
+                domain=y,
+                vertices=vertices,
+                initial=back,
+                terminal=fwd,
+                parent=("g0", j),
             )
+        )
 
     return Hierarchy(
         domain=d,
@@ -412,17 +379,12 @@ def verify_hierarchy(h: Hierarchy):
         if g.initial is None or g.terminal is None:
             violations.append(f"{g.gid} lacks subordinacy markings")
     # 4-completeness on the main geodesic
-    for j, v in enumerate(main.vertices):
-        if main.domain.complexity() <= 4:
-            break
-        for y in sf.proper_pieces(main.domain, v):
-            if y.complexity() != 4:
-                continue
-            try:
-                kind, _, _ = subordinacy(main, j, y)
-            except BudgetExceeded:
-                continue
-            if kind == "both" and y.token not in seen_domains:
+    if main.domain.complexity() >= 5:
+        for _, y, back, fwd in subordinate_markings(
+            main.domain, main.vertices, main.initial, main.terminal
+        ):
+            two_sided = back is not None and fwd is not None
+            if y.kind == "proper" and two_sided and y.token not in seen_domains:
                 violations.append(f"missing geodesic on component domain {y.token}")
     return (not violations, violations)
 

@@ -9,7 +9,6 @@ caller-supplied finite enumeration of curves.
 from __future__ import annotations
 
 from collections import deque
-from hashlib import sha1
 
 from . import charts
 from . import flatcurves as fc
@@ -413,6 +412,8 @@ def curve_tag(c: Curve) -> str:
         return f"F{val}"
     if kind == "A":
         return f"A{val}"
+    from hashlib import sha1  # loaded by the first N key only
+
     digest = sha1(repr(val).encode()).hexdigest()[:10]
     return f"N{digest}"
 

@@ -775,3 +775,34 @@ def test_a_cold_command_builds_each_ambient_class_once(tmp_path, argv, builds):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split() == ["0", str(builds)]
+
+
+# Imports the CLI, then decomposes each document given, and prints after
+# each step whether hashlib is loaded.
+HASHLIB_LOADS = """
+import contextlib, io, sys
+from brickforge import cli
+loaded = ["hashlib" in sys.modules]
+for path in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["decompose", path]) == 0
+    loaded.append("hashlib" in sys.modules)
+print(loaded)
+"""
+
+
+def test_hashlib_loads_with_the_first_polygonal_curve_tag(tmp_path):
+    """`surfaces.curve_tag` imports hashlib when it first hashes the key
+    of a polygonal curve: a fresh import of the CLI and a T(1,1) job leave
+    it unloaded, a T(1,2) job loads it."""
+    sb11 = single_path(tmp_path)
+    sb12 = tmp_path / "sb12.json"
+    sb12.write_text(BENCH_INPUTS["sb12_v0_v1"])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", HASHLIB_LOADS, sb11, str(sb12)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[False, False, True]"

@@ -9,7 +9,7 @@ from brickforge import flatcurves as fc
 from brickforge import hierarchy as hy
 from brickforge import surfaces as sf
 from brickforge.config import get_budget
-from brickforge.errors import BudgetExceeded, NoTightGeodesic, NotComponentDomain
+from brickforge.errors import BudgetExceeded, NoTightGeodesic
 from brickforge.farey import Slope
 
 
@@ -190,42 +190,58 @@ class TestTightGeodesicOnProperDomains:
             self.build(PROPER["strip"], (5,))
 
 
-class TestSubordinacy:
-    def test_not_component_domain(self):
-        h = hy.build_hierarchy(sf.TORUS_1_1, torus_marking(0, 1), torus_marking(3, 5))
-        wrong = sf.full_surface(sf.TORUS_1_2)
-        with pytest.raises(NotComponentDomain):
-            hy.subordinacy(h.main, 1, wrong)
+def annulus_of(domain, v):
+    return [
+        y
+        for y in sf.component_domains(domain, sf.Simplex.of(domain, v))
+        if y.kind == "annulus"
+    ][0]
 
+
+class TestSubordinacy:
     def test_interior_annulus_is_doubly_subordinate(self):
         h = hy.build_hierarchy(sf.TORUS_1_1, torus_marking(0, 1), torus_marking(3, 5))
-        v = h.main.vertices[1]
-        ann = [
-            y
-            for y in sf.component_domains(h.domain, sf.Simplex.of(h.domain, v))
-            if y.kind == "annulus"
-        ][0]
-        kind, back, fwd = hy.subordinacy(h.main, 1, ann)
-        assert kind == "both"
+        ann = annulus_of(h.domain, h.main.vertices[1])
+        walk = hy.subordinate_markings(
+            h.domain, h.main.vertices, h.main.initial, h.main.terminal
+        )
+        [(back, fwd)] = [(b, f) for j, y, b, f in walk if j == 1 and y == ann]
         assert back is not None and fwd is not None
+        assert any(g.domain == ann and g.parent == ("g0", 1) for g in h.geodesics)
 
     def test_first_vertex_has_no_backward_witness_without_crossing(self):
         # the initial marking contains the first vertex itself, so the
-        # annulus around it only sees the transversal side
+        # annulus around it only sees the next vertex's side
         d = torus()
         base = sf.slope_curve(d, 0, 1)
         initial = sf.Marking(sf.Simplex.of(d, base))
         h = hy.build_hierarchy(sf.TORUS_1_1, initial, torus_marking(3, 5))
-        ann = [
-            y
-            for y in sf.component_domains(
-                h.domain, sf.Simplex.of(h.domain, h.main.vertices[0])
-            )
-            if y.kind == "annulus"
-        ][0]
-        kind, back, fwd = hy.subordinacy(h.main, 0, ann)
-        assert back is None
-        assert fwd is not None
+        v0, v1 = h.main.vertices[:2]
+        ann = annulus_of(h.domain, v0)
+        assert sf.restrict_marking(initial, ann) is None
+        assert sf.restrict_marking(sf.Marking(sf.Simplex.of(d, v1)), ann) is not None
+        # an end vertex's annulus carries no subordinate geodesic
+        walk = hy.subordinate_markings(d, h.main.vertices, initial, h.main.terminal)
+        assert [(b, f) for j, y, b, f in walk if y == ann] == [(None, None)]
+
+    def test_a_piece_without_a_chart_is_never_restricted(self):
+        # v0 -> h on T(1,2): the strip of h has no chart, so the walk
+        # gives it no markings and the builder refuses it
+        d = sf.full_surface(sf.TORUS_1_2)
+        mv0 = sf.Marking(sf.Simplex.of(d, sf.line_class(d, 0, 1, 0)))
+        mh = sf.Marking(sf.Simplex.of(d, sf.line_class(d, 1, 0)))
+        vertices, finite = hy.tight_geodesic(d, mv0, mh)
+        assert len(vertices) == 3
+        strip = [
+            (j, y, back, fwd)
+            for j, y, back, fwd in hy.subordinate_markings(d, vertices, mv0, finite)
+            if y.token.startswith("strip:") and y.chart is None
+        ]
+        assert [(j, back, fwd) for j, _, back, fwd in strip] == [(2, None, None)]
+        token = strip[0][1].token
+        with pytest.raises(BudgetExceeded) as info:
+            hy.build_hierarchy(sf.TORUS_1_2, mv0, mh)
+        assert str(info.value) == f"no coordinate chart for component domain {token}"
 
 
 class TestFlatHierarchy:
@@ -249,6 +265,21 @@ class TestFlatHierarchy:
             assert g.parent is not None
             assert isinstance(g.initial, sf.Marking)
             assert isinstance(g.terminal, sf.Marking)
+
+    def test_a_missing_subordinate_geodesic_is_named(self):
+        # g1 is the strip of v0 and g2 the torus side of the second vertex;
+        # without either, the completeness check names its domain alone
+        _, initial, terminal = flat_markings()
+        h = hy.build_hierarchy(sf.TORUS_1_2, initial, terminal)
+        assert [g.domain.token.split(":")[0] for g in h.geodesics[1:]] == [
+            "strip", "torus-side"
+        ]
+        for g in h.geodesics[1:]:
+            kept = tuple(other for other in h.geodesics if other is not g)
+            pruned = hy.Hierarchy(domain=h.domain, geodesics=kept, main_gid="g0")
+            assert hy.verify_hierarchy(pruned) == (
+                False, [f"missing geodesic on component domain {g.domain.token}"]
+            )
 
     def test_adjacency_work_is_bounded(self, cold_caches, count_calls):
         # the main-geodesic search, the tightness check and verification

@@ -1,7 +1,8 @@
 """Every top-level function, class and constant of the library, and every
 method other than a dunder, has a caller; every field of a library class
-has a reader; every parameter with a default is set by some call; and
-every parameter of a library function is read in its body.
+has a reader; every parameter with a default is set by some call; every
+parameter of a library function is read in its body; and every name a
+library module imports is used in that module.
 
 A definition counts as used when its name is loaded, as a `Name` or an
 `Attribute`, or imported as an alias anywhere in `src/` or `demos/`.  An
@@ -11,7 +12,9 @@ local variable of the same name is not a read.  A parameter with a
 default counts as set when a call of its function's name passes it by
 keyword or by position, or passes `*args` or `**kwargs`.  A parameter
 is read when its function's body, nested functions included, loads it as
-a `Name`; the self or cls of a method is exempt.  Tests and the bench
+a `Name`; the self or cls of a method is exempt.  A name bound by a
+module-level import is used when the module loads it as a `Name`;
+`from __future__` imports are exempt.  Tests and the bench
 harness do not count: code that only they reach is not part of any
 command.
 """
@@ -299,4 +302,53 @@ def test_an_unread_parameter_is_found():
         ("lib.py", "f", "c"),
         ("lib.py", "f", "e"),
         ("lib.py", "s", "z"),
+    ]
+
+
+def unused_imports(tree, filename):
+    """(file, name) of every name that a module-level import of the module
+    binds and the module never loads as a `Name`; `from __future__`
+    imports are exempt."""
+    loads = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in loads:
+                yield filename, name
+
+
+def test_every_import_is_used():
+    unused = sorted(
+        entry
+        for path in sorted(PACKAGE.glob("*.py"))
+        for entry in unused_imports(_parse(path), path.name)
+    )
+    assert not unused, "imported but never used: " + ", ".join(
+        f"{f} {name}" for f, name in unused
+    )
+
+
+def test_an_unused_import_is_found():
+    library = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import sys\n"
+        "from . import surfaces as sf\n"
+        "from .records import record, replace\n"
+        "@record\n"
+        "class C:\n"
+        "    x: int\n"
+        "def f():\n"
+        "    from hashlib import sha1\n"
+        "    return sf.full_surface, sys.argv\n"
+    )
+    assert sorted(unused_imports(library, "lib.py")) == [
+        ("lib.py", "os"),
+        ("lib.py", "replace"),
     ]

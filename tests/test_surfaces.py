@@ -558,6 +558,22 @@ class TestChartConsistency:
         assert len(charts._CLASSIFIED) == 2
         assert side.classify(cls) is None and len(charts._CLASSIFIED) == 3
 
+    def test_a_torus_side_lets_a_genericity_error_through(self, monkeypatch):
+        """`TorusSideChart.realize` skips no line it cannot build: an
+        error from a `lin` description reaches its caller."""
+        build = charts.AMBIENT.curve
+
+        def curve(desc):
+            if desc.kind == "lin":
+                raise fc.GenericityError("refused")
+            return build(desc)
+
+        monkeypatch.setattr(charts.AMBIENT, "curve", curve)
+        side = charts.TorusSideChart(1, 0)
+        for s in (Slope(1, 0), Slope(0, 1)):
+            with pytest.raises(fc.GenericityError, match="refused"):
+                side.realize(s)
+
     def test_projection_of_transversals(self):
         strip = charts.StripChart(0)
         assert charts.project_to_chart(strip, fc.line_curve(1, 0)) == [Slope(0, 1)]
