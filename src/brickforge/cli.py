@@ -18,7 +18,7 @@ from . import metrics as mt
 from . import serialize as sz
 from . import surfaces as sf
 from .config import get_budget
-from .errors import BrickforgeError, ParseError
+from .errors import BrickforgeError, DomainError, ParseError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -34,7 +34,12 @@ def _read(path: str) -> str:
 
 
 def _load_model(path: str) -> bk.LevelSweep:
-    return bk.LevelSweep.of(*sz.parse_complex(sz.loads(_read(path))))
+    """The swept model of a document: bricks that do not fit are a parse error."""
+    k, e = sz.parse_complex(sz.loads(_read(path)))
+    try:
+        return bk.LevelSweep.of(k, e)
+    except DomainError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _emit(doc, stream=None):
@@ -104,6 +109,10 @@ def _cmd_metric(args):
     if args.k is not None and args.k < 0:
         raise ParseError(f"--k must be non-negative, not {args.k}")
     d = bl.decompose(_load_model(args.input))
+    ok, report = bl.verify_decomposition(d)
+    if not ok:
+        _emit({"error": "verify", "detail": report[0]}, sys.stderr)
+        return EXIT_FAIL
     ks = (0, args.k) if args.k else (0,)
     _emit(mt.metric_report(d, ks=ks))
     return EXIT_OK
@@ -182,8 +191,8 @@ def _cmd_crosscheck(args):
 
 
 def _cmd_export(args):
-    k, e = sz.parse_complex(sz.loads(_read(args.input)))
-    _emit(sz.complex_doc(k, e))
+    sweep = _load_model(args.input)
+    _emit(sz.complex_doc(sweep.complex, sweep.embedding))
     return EXIT_OK
 
 

@@ -6,7 +6,8 @@ class BrickforgeError(Exception):
 
 
 class DomainError(BrickforgeError):
-    """Two curves (or a curve and an operation) live on different domains."""
+    """Two curves (or a curve and an operation) live on different domains,
+    or the bricks present at a level do not fit there."""
 
 
 class CertificateError(BrickforgeError):
@@ -31,10 +32,6 @@ class MissingLabel(BrickforgeError):
 
 class NoTightGeodesic(BrickforgeError):
     """No tight geodesic could be certified within the enumeration budget."""
-
-
-class IterationOverflow(BrickforgeError):
-    """The decomposition pipeline ran more rounds than the complexity allows."""
 
 
 class ELViolation(BrickforgeError):

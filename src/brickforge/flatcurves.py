@@ -395,27 +395,22 @@ def line_curve(a: int, b: int, band: int = 0) -> FlatCurve:
         raise ValueError("direction must be primitive")
     k = 1 if a % 2 == 0 else 2
     disp = (k * a, k * b)
-    # deterministic per-direction jitter so distinct fixture curves do not
-    # share rational alignments
+    # one anchor per direction and band, with the transversal constant
+    # inside the band; the salt only fixes which polygon represents the
+    # class, since overlays are generic by symbolic perturbation and no
+    # alignment between curves needs avoiding
     salt = (3 * a + 5 * b + 7 * band) % 11
-    anchor = Fraction(3, 7) + Fraction(salt, 113)
-    for num in (3, 4, 5, 9, 11, 13, 17, 19, 23):
-        # keep the transversal constant inside the band but off every
-        # rational alignment that the other fixture curves use
-        c = Fraction(band) + Fraction(1, 2) + Fraction(num, 101)
-        if a != 0:
-            x0 = anchor + Fraction(num, 97)
-            y0 = (b * x0 - c) / a
-        else:
-            x0 = c / b if b > 0 else -c / b
-            y0 = anchor + Fraction(num, 97)
-        curve = FlatCurve(((x0, y0),), disp)
-        try:
-            curve.canonical()
-        except GenericityError:
-            continue
-        return curve
-    raise GenericityError("could not find a generic anchor")
+    anchor = Fraction(3, 7) + Fraction(salt, 113) + Fraction(3, 97)
+    c = Fraction(band) + Fraction(1, 2) + Fraction(3, 101)
+    if a != 0:
+        x0 = anchor
+        y0 = (b * x0 - c) / a
+    else:
+        x0 = c / b if b > 0 else -c / b
+        y0 = anchor
+    curve = FlatCurve(((x0, y0),), disp)
+    curve.canonical()  # raises GenericityError on a non-generic anchor
+    return curve
 
 
 def slot_curve(p, q) -> FlatCurve:
@@ -427,28 +422,22 @@ def slot_curve(p, q) -> FlatCurve:
     if gcd(abs(u), abs(v)) != 1:
         raise ValueError("arc direction must be primitive")
     s = abs(u) + abs(v)
-    for e1_den, e2_den in ((4, 5), (4, 7), (5, 9), (7, 11), (8, 13)):
-        # the corners p - d/a + n/b, p - d/a - n/b, q + d/a - n/b and
-        # q + d/a + n/b for d = (u, v) along the arc and n = (-v, u) across
-        # it, each over the one denominator a * b; n is not unit length, so
-        # the half-width 1/b must shrink like 1/s^2 to keep neighboring
-        # lattice points outside
-        a = e1_den * s
-        b = e2_den * s * s + 1
-        ab = a * b
-        corners = tuple(
-            (Fraction(x * ab + sd * u * b - sn * v * a, ab), Fraction(y * ab + sd * v * b + sn * u * a, ab))
-            for (x, y), sd, sn in ((p, -1, 1), (p, -1, -1), (q, 1, -1), (q, 1, 1))
-        )
-        curve = FlatCurve(corners, (0, 0))
-        try:
-            curve.canonical()
-        except GenericityError:
-            continue
-        if set(_enclosed_punctures(corners)) != {tuple(p), tuple(q)}:
-            raise GenericityError("corridor swallowed an extra puncture")
-        return curve
-    raise GenericityError("could not build a generic corridor")
+    # the corners p - d/a + n/b, p - d/a - n/b, q + d/a - n/b and q + d/a +
+    # n/b for d = (u, v) along the arc and n = (-v, u) across it, each over
+    # the one denominator a * b; n is not unit length, so the half-width
+    # 1/b must shrink like 1/s^2 to keep neighboring lattice points outside
+    a = 4 * s
+    b = 5 * s * s + 1
+    ab = a * b
+    corners = tuple(
+        (Fraction(x * ab + sd * u * b - sn * v * a, ab), Fraction(y * ab + sd * v * b + sn * u * a, ab))
+        for (x, y), sd, sn in ((p, -1, 1), (p, -1, -1), (q, 1, -1), (q, 1, 1))
+    )
+    curve = FlatCurve(corners, (0, 0))
+    curve.canonical()  # raises GenericityError on a non-generic corridor
+    if set(_enclosed_punctures(corners)) != {tuple(p), tuple(q)}:
+        raise GenericityError("corridor swallowed an extra puncture")
+    return curve
 
 
 def _enclosed_punctures(poly_points):

@@ -11,7 +11,7 @@ from brickforge import bricks as bk
 from brickforge import limits as lm
 from brickforge import serialize as sz
 from brickforge import surfaces as sf
-from brickforge.errors import NonStabilizing, NotAscending, ParseError
+from brickforge.errors import DomainError, NonStabilizing, NotAscending, ParseError
 from brickforge.records import replace
 
 F = Fraction
@@ -100,13 +100,13 @@ class TestValidate:
         assert any("disconnected" in r for r in report)
 
     def test_overlapping_full_bricks(self):
+        # validate_complex reads no levels: the sweep refuses the overlap
         full = sf.full_surface(sf.TORUS_1_1)
         b1 = bk.Brick("b1", full, "closed", F(1, 4), F(3, 4))
         b2 = bk.Brick("b2", full, "closed", F(1, 2), F(1))
         k = bk.BrickComplex(sf.TORUS_1_1, (b1, b2), ())
-        ok, report = bk.validate_complex(k)
-        assert not ok
-        assert any("overlap" in r for r in report)
+        with pytest.raises(DomainError, match="bricks b1, b2 overlap at level 5/8"):
+            bk.LevelSweep.of(k, bk.identity_embedding(k))
 
     def test_joint_level_mismatch(self):
         # a joint is where its upper brick starts and its lower brick ends:
@@ -190,28 +190,69 @@ class TestSlits:
     @pytest.mark.parametrize("a, b", AFFINE_MAPS)
     def test_open_ends_are_not_covered(self, a, b):
         # b1 is open at its embedded bottom, b2 at its embedded top, and
-        # they meet at their closed ends
+        # they meet at their closed ends; a slit is taken only off those
+        # three critical levels
         k = product_complex()
         e = moved(bk.identity_embedding(k), a, b)
-        for c, kinds in ((F(0), ["full"]), (F(1, 2), []), (F(1), ["full"])):
+        for c, kinds in (
+            (F(-1, 4), ["full"]), (F(1, 4), []), (F(3, 4), []), (F(5, 4), ["full"])
+        ):
             slit = bk.slit_at(k, e, a + b * c)
             assert [y.kind for y in slit] == kinds, c
+        for c in (F(0), F(1, 2), F(1)):
+            with pytest.raises(ValueError, match="critical level"):
+                bk.slit_at(k, e, a + b * c)
 
     @pytest.mark.parametrize("a, b", AFFINE_MAPS)
     @pytest.mark.parametrize("depth", [1, 2, 3])
     @pytest.mark.parametrize("kind", SCENARIO_KINDS)
     def test_slits_follow_affine_embedding(self, kind, depth, a, b):
-        # a brick covers its embedded closed ends and not its open ones,
-        # wherever the embedding puts them
+        # the slit between two critical levels moves with the embedding
         m, e = scenario(kind, depth)
         k, e_moved = m.complex, moved(e, a, b)
         levels = bk.critical_levels(k, e)
-        mids = [(lo + hi) / 2 for lo, hi in zip(levels, levels[1:])]
-        for c in levels + mids:
+        for c in off_levels(levels):
             assert (
                 bk.slit_at(k, e_moved, a + b * c)
                 == bk.slit_at(k, e, c)
             ), c
+
+
+def strip(full, curve):
+    """The proper piece of the full surface cut along one line curve."""
+    return next(
+        y for y in sf.component_domains(full, sf.Simplex.of(full, curve)) if y.kind == "proper"
+    )
+
+
+def overlapping(support1, support2):
+    """Two bricks on the given supports, over [0, 1/2] and [1/4, 3/4]."""
+    b1 = bk.Brick("b1", support1, "closed", F(0), F(1, 2))
+    b2 = bk.Brick("b2", support2, "closed", F(1, 4), F(3, 4))
+    k = bk.BrickComplex(support1.ambient, (b1, b2), ())
+    return k, bk.identity_embedding(k)
+
+
+class TestFit:
+    """The bricks present between two critical levels must be distinct
+    pieces of the cut along their boundary curves."""
+
+    def test_a_repeated_support_overlaps(self):
+        _, _, torus_side, _ = sigma_pieces()
+        with pytest.raises(DomainError, match="bricks b1, b2 overlap at level 3/8"):
+            bk.LevelSweep.of(*overlapping(torus_side, torus_side))
+
+    def test_a_full_brick_beside_a_proper_one_overlaps(self):
+        full, _, _, pants_side = sigma_pieces()
+        with pytest.raises(DomainError, match="bricks b1, b2 overlap at level 3/8"):
+            bk.LevelSweep.of(*overlapping(full, pants_side))
+
+    def test_crossing_boundary_curves_overlap(self):
+        full = sf.full_surface(sf.TORUS_1_2)
+        v0, h = sf.line_class(full, 0, 1, 0), sf.line_class(full, 1, 0, 0)
+        with pytest.raises(DomainError, match="bricks b1, b2 overlap at level 3/8") as info:
+            bk.LevelSweep.of(*overlapping(strip(full, v0), strip(full, h)))
+        assert "must be disjoint" in str(info.value.__cause__)
 
 
 class TestBoundary:
@@ -379,14 +420,12 @@ def level_by_scan(e, bid):
 
 
 def present_by_scan(k, e, c):
+    """The bricks whose embedded interval holds c, a level off the
+    critical levels."""
     out = []
     for b in k.bricks:
         alpha, beta = level_by_scan(e, b.bid)
-        if (
-            alpha < c < beta
-            or (c == alpha and not b.open_below())
-            or (c == beta and not b.open_above())
-        ):
+        if alpha < c < beta:
             out.append(b)
     return out
 
@@ -443,11 +482,17 @@ def model_curves(sweep):
     return list(dict.fromkeys(curves))
 
 
-def probe_levels(levels):
-    """Every critical level, every midpoint, and levels outside the span."""
+def off_levels(levels):
+    """Every midpoint of the critical levels, and levels outside their
+    span: the levels a slit is taken at."""
     mids = [(lo + hi) / 2 for lo, hi in zip(levels, levels[1:])]
     outside = [levels[0] - 1, levels[0] / 2, (levels[-1] + 1) / 2, levels[-1] + 1]
-    return levels + mids + outside
+    return mids + [x for x in outside if x not in levels]
+
+
+def probe_levels(levels):
+    """Every critical level, every midpoint, and levels outside the span."""
+    return levels + off_levels(levels)
 
 
 class TestLevelIndex:
@@ -457,7 +502,7 @@ class TestLevelIndex:
     @given(embedded_models())
     def test_present_agrees_with_scan(self, model):
         k, e = model
-        for c in probe_levels(bk.critical_levels(k, e)):
+        for c in off_levels(bk.critical_levels(k, e)):
             assert bk._present(k, e, c) == present_by_scan(k, e, c), c
 
     @settings(max_examples=40, deadline=None)

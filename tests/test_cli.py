@@ -115,6 +115,29 @@ def malformed(name, source, keys, value):
 # the separating curve of the brock model: brick p's support boundary
 SIGMA = sz.curve_str(sf.slot_class(sf.full_surface(sf.TORUS_1_2), (0, 0), (1, 0)))
 BAD_JOINT_LEVEL = malformed("bad_joint_level", brock_path, ("joints", 0, "level"), "1/3")
+H0_OVERLAPPED = malformed("h0_overlapped", brock_path, ("embedding", "h0"), ["2/5", "7/10"])
+
+
+def overlapping_path(name, support1, support2):
+    """Maker of a T(1,2) document of two bricks over [0, 1/2] and
+    [1/4, 3/4]; a support is "full" or the strip cut off by the line
+    curve "v0" (slope 0/1) or "h" (slope 1/0)."""
+    full = sf.full_surface(sf.TORUS_1_2)
+    lines = {"v0": (0, 1), "h": (1, 0)}
+
+    def support(name):
+        if name == "full":
+            return full
+        cut = sf.Simplex.of(full, sf.line_class(full, *lines[name], 0))
+        return next(y for y in sf.component_domains(full, cut) if y.kind == "proper")
+
+    def make(tmp_path):
+        b1 = bk.Brick("b1", support(support1), "closed", F(0), F(1, 2))
+        b2 = bk.Brick("b2", support(support2), "closed", F(1, 4), F(3, 4))
+        return write_model(tmp_path, f"{name}.json", bk.BrickComplex(sf.TORUS_1_2, (b1, b2), ()))
+
+    make.__name__ = name
+    return make
 reversed_levels_path = malformed(
     "reversed_levels_path", single_path, ("embedding", "b0"), ["1/1", "0/1"]
 )
@@ -162,6 +185,12 @@ MALFORMED = [
     BAD_JOINT_LEVEL,
     malformed("joint_pulled_apart", brock_path, ("embedding", "p"), ["9/20", "3/5"]),
     malformed("joint_overlapped", brock_path, ("embedding", "p"), ["1/2", "7/10"]),
+    # bricks that do not fit between two critical levels: h0, open at its
+    # top, moved over h1 (its own support) and buf1 (the full surface); two
+    # full bricks over one level; strips of two crossing curves
+    H0_OVERLAPPED,
+    overlapping_path("full_bricks_overlapped", "full", "full"),
+    overlapping_path("crossing_strips", "v0", "h"),
 ]
 
 
@@ -303,6 +332,16 @@ class TestMetric:
         kept = set(doc["filtrations"]["5"]["kept"])
         for t in doc["tubes"]:
             assert (t["id"] in kept) == (t["abs2"] >= 25)
+
+    def test_a_decomposition_that_fails_verification_has_no_report(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            bl, "verify_decomposition", lambda d: (False, ["tubes v0,v1 overlap"])
+        )
+        code, out, err = run_json(capsys, ["metric", kt_path(tmp_path)])
+        assert (code, out) == (1, None)
+        assert err == {"error": "verify", "detail": "tubes v0,v1 overlap"}
 
     def test_rationals_are_exact_strings(self, tmp_path, capsys):
         code, doc, _ = run_json(capsys, ["metric", kt_path(tmp_path)])
@@ -482,6 +521,18 @@ def test_malformed_complex_is_a_parse_error(tmp_path, capsys, argv, make):
     assert code == 2
     assert out is None
     assert err["error"] == "parse"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["decompose"], ["metric"], ["crosscheck"], ["export"],
+     ["limit", "--scenario"]],
+    ids=lambda argv: argv[0],
+)
+def test_overlap_error_names_the_bricks_and_the_level(tmp_path, capsys, argv):
+    code, out, err = run_json(capsys, argv + [H0_OVERLAPPED(tmp_path)])
+    assert (code, out) == (2, None)
+    assert err == {"error": "parse", "detail": "bricks p, h0, h1 overlap at level 11/20"}
 
 
 def test_joint_level_error_names_the_front(tmp_path, capsys):

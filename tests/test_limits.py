@@ -330,10 +330,12 @@ class TestExhaust:
         assert failed == {"leaf-embedding", "peripheral-gf"}
         assert len(doc["stages"]) == 2
         for stage in doc["stages"]:
-            w, _ = sz.parse_complex(stage["w"])
+            w, we = sz.parse_complex(stage["w"])
             ok, report = bk.validate_complex(w)
             assert ok, report
             assert w.joints
+            # its bricks fit at every level
+            bk.LevelSweep.of(w, we)
 
     def test_level_comparisons_are_bounded(self, count_calls):
         # slits, clear-annulus tests and gap fronts bisect level indices; a

@@ -1,8 +1,10 @@
 """Every top-level function, class and constant of the library, and every
 method other than a dunder, has a caller; every field of a library class
 has a reader; every parameter with a default is set by some call; every
-parameter of a library function is read in its body; and every name a
-library module imports is used in that module.
+parameter of a library function is read in its body; every name a
+library module imports is used in that module; and every exception
+handler raises, outside the few functions whose job is to turn an error
+into a result.
 
 A definition counts as used when its name is loaded, as a `Name` or an
 `Attribute`, or imported as an alias anywhere in `src/` or `demos/`.  An
@@ -351,4 +353,86 @@ def test_an_unused_import_is_found():
     assert sorted(unused_imports(library, "lib.py")) == [
         ("lib.py", "os"),
         ("lib.py", "replace"),
+    ]
+
+
+# (module, function) whose `except` handlers may end without raising:
+# each turns the error it catches into a result
+SWALLOW_ALLOWED = {
+    # the command line: every error becomes an exit code and a JSON detail
+    ("cli", "run"),
+    # a failed check becomes a violation, or a verdict, in the report
+    ("hierarchy", "verify_hierarchy"),
+    # a tube whose core does not project into the chart is skipped
+    ("blocks", "_nearby_tube_marking"),
+}
+
+
+def swallowing_handlers(tree, module):
+    """(module, function, line) of every `except` handler of the module
+    with no `raise` statement in its body; a handler outside any function
+    counts as in the function "<module>"."""
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, FUNCTIONS):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.ExceptHandler) and not any(
+                isinstance(n, ast.Raise) for stmt in child.body for n in ast.walk(stmt)
+            ):
+                yield module, function, child.lineno
+            yield from visit(child, function)
+
+    yield from visit(tree, "<module>")
+
+
+def test_every_handler_raises():
+    swallowed = sorted(
+        entry
+        for path in sorted(PACKAGE.glob("*.py"))
+        for entry in swallowing_handlers(_parse(path), path.stem)
+        if entry[:2] not in SWALLOW_ALLOWED
+    )
+    assert not swallowed, "handlers that raise nothing: " + ", ".join(
+        f"{m}.py:{line} {fn}" for m, fn, line in swallowed
+    )
+
+
+def test_allowed_handlers_still_swallow():
+    found = {
+        entry[:2]
+        for path in sorted(PACKAGE.glob("*.py"))
+        for entry in swallowing_handlers(_parse(path), path.stem)
+    }
+    assert SWALLOW_ALLOWED <= found
+
+
+def test_a_swallowing_handler_is_found():
+    library = ast.parse(
+        "def f():\n"
+        "    try:\n"
+        "        g()\n"
+        "    except ValueError:\n"
+        "        return None\n"
+        "    except KeyError as exc:\n"
+        "        raise TypeError() from exc\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        for x in xs:\n"
+        "            try:\n"
+        "                g()\n"
+        "            except OSError:\n"
+        "                if x:\n"
+        "                    raise\n"
+        "            except TypeError:\n"
+        "                continue\n"
+        "try:\n"
+        "    import h\n"
+        "except ImportError:\n"
+        "    h = None\n"
+    )
+    assert sorted(swallowing_handlers(library, "lib")) == [
+        ("lib", "<module>", 20),
+        ("lib", "f", 4),
+        ("lib", "m", 16),
     ]
