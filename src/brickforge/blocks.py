@@ -27,6 +27,7 @@ from .errors import (
 from .records import record, replace
 
 BLOCK_TYPES = ("S03", "S04", "S11")
+TUBE_INTERFACES = ("torus", "annulus")
 
 
 @record
@@ -38,6 +39,10 @@ class Tube:
     token: str  # placement domain token
     interface: str = "annulus"  # M[0]-interface: "torus" or "annulus"
     twist: int = 0
+
+    def __post_init__(self):
+        if self.interface not in TUBE_INTERFACES:
+            raise ValueError(f"unknown tube interface {self.interface}")
 
 
 @record
@@ -632,9 +637,9 @@ def _enforce_bb(blocks, sweep: bk.LevelSweep):
 
 
 def verify_decomposition(d: BlockDecomposition):
-    """Structural report: gap bands inside their blocks, tube interfaces,
-    disjoint bands for crossing cores, no merge-eligible pair, gap bands
-    clear of brick fronts of the normalized model."""
+    """Structural report: gap bands inside their blocks, disjoint bands
+    for crossing cores, no merge-eligible pair, gap bands clear of brick
+    fronts of the normalized model."""
     report = []
     sweep = d.sweep
     for bl in d.blocks:
@@ -642,9 +647,6 @@ def verify_decomposition(d: BlockDecomposition):
             bl.interval[0] <= bl.gap[0] <= bl.gap[1] <= bl.interval[1]
         ):
             report.append(f"block {bl.blid} gap outside its interval")
-    for t in d.tubes:
-        if t.interface not in ("torus", "annulus"):
-            report.append(f"tube {t.tid} interface {t.interface}")
     for i, a in enumerate(d.tubes):
         for b in d.tubes[i + 1 :]:
             overlap = a.band[0] < b.band[1] and b.band[0] < a.band[1]

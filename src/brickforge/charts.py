@@ -25,6 +25,7 @@ from __future__ import annotations
 from math import gcd
 
 from . import flatcurves as fc
+from .errors import DomainError
 from .farey import Slope, _bezout
 from .records import record
 
@@ -140,8 +141,20 @@ FAN_BOUND = 8
 
 
 # (cut description, class) -> the class's slope in that chart, or None;
-# filled as scans answer, since realizing a whole fan builds long lines
+# an answer realizes at most one fan slope, and errors are not kept
 _CLASSIFIED: dict = {}
+
+
+def _homology(canonical):
+    """The signed (V, H) crossing counts of a cyclic crossing word: the
+    displacement of the curve over one period, up to its sign."""
+    v = h = 0
+    for fam, _, sign in canonical:
+        if fam == "V":
+            v += sign
+        elif fam == "H":
+            h += sign
+    return v, h
 
 
 class _SlopeFanChart:
@@ -149,18 +162,16 @@ class _SlopeFanChart:
     description of the curve it is cut along fixes the chart."""
 
     def classify(self, canonical) -> Slope | None:
-        """Slope of an ambient class lying in the subdomain, if realizable."""
+        """Slope of an ambient class lying in the subdomain, if realizable:
+        the one fan slope the class's crossing counts point to, when the
+        realized curve of that slope has this class."""
         key = (self.cut_desc(), canonical)
         if key not in _CLASSIFIED:
-            _CLASSIFIED[key] = self._scan(canonical)
+            s = self._candidate(canonical)
+            desc = self.realize(s) if s in self.realizable_slopes() else None
+            found = desc is not None and AMBIENT.curve(desc).canonical() == canonical
+            _CLASSIFIED[key] = s if found else None
         return _CLASSIFIED[key]
-
-    def _scan(self, canonical) -> Slope | None:
-        for s in self.realizable_slopes():
-            desc = self.realize(s)
-            if desc is not None and AMBIENT.curve(desc).canonical() == canonical:
-                return s
-        return None
 
 
 class StripChart(_SlopeFanChart):
@@ -197,6 +208,21 @@ class StripChart(_SlopeFanChart):
             out.append(Slope(2 * n, 1))
         return out
 
+    def _candidate(self, canonical) -> Slope | None:
+        """The one slope whose curve can have this class.  A line inside
+        the strip is vertical; a corridor of slope 2n crosses the H and D
+        lines between the puncture columns, of class c1 mod 2, |2n| and
+        |2n - 2| times."""
+        v, h = _homology(canonical)
+        if (v, abs(h)) == (0, 1):
+            return Slope(1, 0)
+        if (v, h) != (0, 0):
+            return None
+        inner = self.c1 % 2
+        n_h = sum(1 for fam, cls, _ in canonical if fam == "H" and cls == inner)
+        n_d = sum(1 for fam, cls, _ in canonical if fam == "D" and cls == inner)
+        return Slope(n_h if n_d == abs(n_h - 2) else -n_h, 1)
+
 
 class TorusSideChart(_SlopeFanChart):
     """One-holed torus side of a separating corridor curve.
@@ -216,7 +242,8 @@ class TorusSideChart(_SlopeFanChart):
         fx, fy = -t, s
         if fx % 2 != 0:
             fx, fy = fx + u, fy + v
-        assert fx % 2 == 0 and u * fy - v * fx == 1
+        if fx % 2 != 0 or u * fy - v * fx != 1:
+            raise DomainError(f"no corridor fan for the arc direction ({u}, {v})")
         self.f = (fx, fy)
 
     def cut_desc(self):
@@ -247,6 +274,25 @@ class TorusSideChart(_SlopeFanChart):
         for n in range(-FAN_BOUND, FAN_BOUND + 1):
             out.append(Slope(n, 1))
         return out
+
+    def _candidate(self, canonical) -> Slope | None:
+        """The one slope whose line can have this class: a line's signed
+        crossing counts are proportional to its direction, (u, v) for
+        slope infinity and f + 2k(u, v) for slope k, the directions e with
+        det((u, v), e) = 1 up to sign."""
+        a, b = _homology(canonical)
+        g = gcd(a, b)
+        if g == 0:
+            return None
+        a, b = a // g, b // g
+        turn = self.u * b - self.v * a
+        if turn == 0:
+            return Slope(1, 0)
+        if abs(turn) != 1:
+            return None
+        # (a, b) - f = t(u, v), the fan's line for slope t/2
+        t = (turn * a - self.f[0]) // self.u
+        return Slope(t // 2, 1) if t % 2 == 0 else None
 
 
 def project_to_chart(chart, w: fc.FlatCurve):

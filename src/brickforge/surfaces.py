@@ -99,8 +99,9 @@ class Curve:
     rep: Slope | int | charts.CurveDesc
 
     # kept outside the fields, like FlatCurve.canonical: a curve builds its
-    # key and looks its polygon up once, so hashing builds no key again
+    # key, hashes it and looks its polygon up once
     _key = None
+    _hash = None
     _flat = None
 
     def key(self):
@@ -128,7 +129,9 @@ class Curve:
         return self.domain.token == other.domain.token and self.key() == other.key()
 
     def __hash__(self):
-        return hash((self.domain.token, self.key()))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.domain.token, self.key())))
+        return self._hash
 
     def __repr__(self):
         kind, val = self.key()
@@ -315,14 +318,22 @@ def subsurface_boundary(u: Curve, w: Curve) -> tuple:
     return tuple(out)
 
 
+# a curve, equal by (domain token, class) -> its number, in order of first
+# enumeration; a number is never reused, so it outlives every table below
+_CLASS_NUMBERS: dict = {}
+# (number, number), the smaller first -> whether the two curves are
+# adjacent, for every certificate of the process; errors are not kept
+_ADJACENT: dict = {}
+
+
 class DistanceCertificate:
     """Curve-graph distances certified inside a finite enumeration.
 
     Distances are exact for the induced subgraph on the enumerated
     curves; they upper-bound the true curve-graph distance and equal it
     whenever the enumeration contains a true geodesic.  The adjacency of
-    a pair of curves is computed the first time a search reaches it and
-    kept for every later search.
+    a pair of classes is computed the first time a search of any
+    certificate reaches it and kept for every later search.
     """
 
     def __init__(self, curves):
@@ -330,16 +341,17 @@ class DistanceCertificate:
         if not self.curves:
             raise CertificateError("empty enumeration")
         self._index = {c: i for i, c in enumerate(self.curves)}
-        self._adjacent = {}  # (i, j) with i < j -> bool
+        self._numbers = [_CLASS_NUMBERS.setdefault(c, len(_CLASS_NUMBERS)) for c in self.curves]
 
     def contains(self, c: Curve) -> bool:
         return c in self._index
 
     def _is_adjacent(self, i: int, j: int) -> bool:
-        key = (i, j) if i < j else (j, i)
-        if key not in self._adjacent:
-            self._adjacent[key] = are_adjacent(self.curves[key[0]], self.curves[key[1]])
-        return self._adjacent[key]
+        a, b = self._numbers[i], self._numbers[j]
+        key = (a, b) if a < b else (b, a)
+        if key not in _ADJACENT:
+            _ADJACENT[key] = are_adjacent(self.curves[i], self.curves[j])
+        return _ADJACENT[key]
 
     def path(self, u: Curve, w: Curve) -> list:
         """Vertices of a shortest path from u to w: BFS that scans
@@ -405,6 +417,10 @@ def is_tight_sequence(seq, certificate: DistanceCertificate | None = None) -> bo
 # component domains
 
 
+# canonical class of a polygonal curve -> its tag
+_TAGS: dict = {}
+
+
 def curve_tag(c: Curve) -> str:
     """Short deterministic token piece identifying a curve class."""
     kind, val = c.key()
@@ -412,10 +428,11 @@ def curve_tag(c: Curve) -> str:
         return f"F{val}"
     if kind == "A":
         return f"A{val}"
-    from hashlib import sha1  # loaded by the first N key only
+    if val not in _TAGS:
+        from hashlib import sha1  # loaded by the first N key only
 
-    digest = sha1(repr(val).encode()).hexdigest()[:10]
-    return f"N{digest}"
+        _TAGS[val] = "N" + sha1(repr(val).encode()).hexdigest()[:10]
+    return _TAGS[val]
 
 
 def _annulus_domain(d: EssentialSubsurface, c: Curve) -> EssentialSubsurface:

@@ -8,6 +8,7 @@ from brickforge import charts
 from brickforge import flatcurves as fc
 from brickforge import hierarchy as hy
 from brickforge import limits as lm
+from brickforge import surfaces as sf
 from brickforge.records import replace
 
 
@@ -58,7 +59,8 @@ def cold_caches():
     return the function that empties them, for a test to call again.
 
     The caches are the intersection and boundary-walk memos, the fan
-    charts' classifications, the ambient universes, the approximant memo
+    charts' classifications, the certificates' adjacency table, the curve
+    tags, the ambient universes, the approximant memo
     of `limits`, and the keys that `surfaces.Curve` keeps: a key lives on
     its curve, and the curves that outlive a job are the universes' own
     and the memoised approximants'."""
@@ -67,6 +69,8 @@ def cold_caches():
         fc._INTERSECTIONS.clear()
         fc._WALKS.clear()
         charts._CLASSIFIED.clear()
+        sf._ADJACENT.clear()
+        sf._TAGS.clear()
         hy._UNIVERSES.clear()
         lm._APPROXIMANTS.clear()
 

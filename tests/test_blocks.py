@@ -1,5 +1,6 @@
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -742,6 +743,12 @@ class TestVerify:
         with pytest.raises(ValueError):
             bl.Block("b0", "S12", "full:1,1", (F(0), F(1)))
 
+    def test_tube_interface_guard(self):
+        full = sf.full_surface(sf.TORUS_1_1)
+        core = sf.slope_curve(full, 1, 0)
+        with pytest.raises(ValueError, match="unknown tube interface sphere"):
+            bl.Tube("v0", core, (F(0), F(1)), (1, "b0"), full.token, "sphere")
+
 
 class TestHierarchyCrosscheck:
     pairs = [(0, 1, 1, 0), (0, 1, 5, 3), (1, 0, 3, 5), (1, 1, 8, 5), (0, 1, 2, 7)]
@@ -810,18 +817,31 @@ def test_repeated_decompose_runs_no_intersection_engine(cold_caches, count_calls
 
 def test_repeated_decompose_walks_each_class_pair_once(cold_caches, count_calls):
     """Two identical decomposes walk each unordered pair of classes at
-    most once, and the second scans no chart's fan: its projections read
-    the kept classifications, and realize no fan slope."""
+    most once, and the second realizes no fan slope to classify: its
+    projections read the kept classifications.  So it realizes only the
+    slopes its geodesics need, fewer than a third decompose whose
+    classifications are emptied, which realizes what the first did, at
+    most one slope more per classification."""
     text = json.loads(BENCH_INPUTS.read_text())["sb12_v0v1_sigma"]
     walks = count_calls(fc, "_walk_classes")
-    scans = count_calls(charts._SlopeFanChart, "_scan")
-    bl.decompose(bk.LevelSweep.of(*sz.parse_complex(sz.loads(text))))
-    assert scans
-    scans.clear()
-    bl.decompose(bk.LevelSweep.of(*sz.parse_complex(sz.loads(text))))
+    realized = [count_calls(kind, "realize") for kind in (charts.StripChart, charts.TorusSideChart)]
+
+    def realizations():
+        bl.decompose(bk.LevelSweep.of(*sz.parse_complex(sz.loads(text))))
+        out = Counter((chart.cut_desc(), s) for calls in realized for chart, s in calls)
+        for calls in realized:
+            calls.clear()
+        return out
+
+    first = realizations()
+    second = realizations()
     pairs = [frozenset((c1.canonical(), c2.canonical())) for c1, c2 in walks]
     assert walks and len(set(pairs)) == len(pairs)
-    assert scans == []
+    kept = len(charts._CLASSIFIED)
+    charts._CLASSIFIED.clear()
+    third = realizations()
+    assert third == first and second < third
+    assert 0 < (third - second).total() <= kept
 
 
 def test_engine_reads_only_crossing_words_after_the_overlay(cold_caches, monkeypatch):

@@ -294,6 +294,36 @@ class TestDistanceCertificate:
         with pytest.raises(CertificateError):
             SLOPE_CERTIFICATE.distance(sf.slope_curve(d, 0, 1), sf.slope_curve(d, 9, 10))
 
+    def test_a_second_certificate_reads_the_kept_adjacency(self, cold_caches, count_calls):
+        """Certificates of one process share the adjacency of each pair of
+        classes: a second certificate over the same curves, built anew and
+        listed in another order, computes none."""
+        curves = hy.ambient_universe(2)
+        first = sf.DistanceCertificate(curves)
+        distances = {(u, w): first.distance(u, w) for u in curves for w in curves}
+        assert max(distances.values()) >= 2
+        computed = count_calls(sf, "are_adjacent")
+        again = [sf.flat_curve(c.domain, c.rep) for c in reversed(curves)]
+        second = sf.DistanceCertificate(again)
+        assert {(u, w): second.distance(u, w) for u in again for w in again} == distances
+        assert computed == []
+
+    def test_an_adjacency_that_raises_is_not_kept(self, cold_caches, monkeypatch):
+        """A certificate whose adjacency raises leaves the shared table
+        as it was, so a later certificate computes the pair again."""
+        curves = hy.ambient_universe(2)
+
+        def refuse(a, b):
+            raise fc.GenericityError("refused")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sf, "are_adjacent", refuse)
+            with pytest.raises(fc.GenericityError):
+                sf.DistanceCertificate(curves).distance(curves[0], curves[1])
+        assert sf._ADJACENT == {}
+        assert sf.DistanceCertificate(curves).distance(curves[0], curves[1]) >= 1
+        assert sf._ADJACENT
+
     def test_disconnected_endpoints(self):
         d = torus()
         u, w = sf.slope_curve(d, 0, 1), sf.slope_curve(d, 2, 1)
@@ -459,6 +489,16 @@ def domain_charts():
     )
 
 
+def scan_fan(chart, canonical):
+    """The first fan slope whose realized curve has the class, or None:
+    the classification by a walk of the whole fan."""
+    for s in chart.realizable_slopes():
+        desc = chart.realize(s)
+        if desc is not None and charts.AMBIENT.curve(desc).canonical() == canonical:
+            return s
+    return None
+
+
 class TestChartConsistency:
     def test_domain_charts_cover_both_kinds(self):
         kinds = [type(chart) for chart in domain_charts()]
@@ -536,27 +576,81 @@ class TestChartConsistency:
         self, cold_caches, count_calls, monkeypatch
     ):
         """A fan chart is fixed by its cut curve's description, so a chart
-        with the same cut reads a kept classification and scans nothing;
-        a scan that raises keeps nothing."""
+        with the same cut reads a kept classification and realizes
+        nothing; a classification that raises keeps nothing."""
         cls = charts.AMBIENT.curve(charts.StripChart(0).realize(Slope(2, 1))).canonical()
         assert charts.StripChart(0).classify(cls) == Slope(2, 1)
         assert list(charts._CLASSIFIED) == [(charts.StripChart(0).cut_desc(), cls)]
-        scans = count_calls(charts._SlopeFanChart, "_scan")
+        realized = count_calls(charts.StripChart, "realize")
         assert charts.StripChart(0).classify(cls) == Slope(2, 1)
-        assert scans == []
+        assert realized == []
         other = charts.StripChart(1)
-        assert other.classify(cls) is None and len(scans) == 1
+        assert other.classify(cls) is None and len(realized) == 1
 
         def refuse(chart, s):
             raise fc.GenericityError("refused")
 
         side = charts.TorusSideChart(1, 0)
+        line = charts.AMBIENT.curve(side.realize(Slope(1, 0))).canonical()
         with monkeypatch.context() as patch:
             patch.setattr(charts.TorusSideChart, "realize", refuse)
             with pytest.raises(fc.GenericityError):
-                side.classify(cls)
+                side.classify(line)
         assert len(charts._CLASSIFIED) == 2
-        assert side.classify(cls) is None and len(charts._CLASSIFIED) == 3
+        assert side.classify(line) == Slope(1, 0) and len(charts._CLASSIFIED) == 3
+
+    def test_classify_agrees_with_the_fan_scan(self, cold_caches, count_calls):
+        """`classify` gives the slope that scanning the whole fan finds,
+        None included, on every fan slope of both strips and of the torus
+        side of each corridor description of `reference_descs(3)`, every
+        class of `descs(3)`, every boundary-walk class that projecting
+        the curves of `descs(3)` asks those charts about, and the curves
+        of the slopes just past the fan; a classification realizes at
+        most one fan slope."""
+        fans = [charts.StripChart(0), charts.StripChart(1)] + [
+            charts.TorusSideChart(q[0] - p[0], q[1] - p[1], base=p)
+            for p, q in (desc.data for desc in reference_descs(3) if desc.kind == "slot")
+        ]
+        curves = [charts.AMBIENT.curve(desc) for desc in charts.AMBIENT.descs(3)]
+        asked = {fan: {c.canonical() for c in curves} for fan in fans}
+        fan_slopes = 0
+        for fan in fans:
+            for s in fan.realizable_slopes():
+                desc = fan.realize(s)
+                if desc is not None:
+                    asked[fan].add(charts.AMBIENT.curve(desc).canonical())
+                    fan_slopes += 1
+            walked = count_calls(fan, "classify")
+            for w in curves:
+                charts.project_to_chart(fan, w)
+            asked[fan].update(cls for (cls,) in walked)
+        assert fan_slopes == 2 * 17 + 2 * 396 + 2
+        # the curves of the slopes just past the fan, which no scan reaches
+        side = charts.TorusSideChart(1, 0)
+        fans.append(side)
+        asked[side] = set()
+        for fan, step in ((fans[0], 2), (fans[1], 2), (side, 1)):
+            for k in (charts.FAN_BOUND + 1, -charts.FAN_BOUND - 1):
+                past = fan.realize(Slope(step * k, 1))
+                asked[fan].add(charts.AMBIENT.curve(past).canonical())
+        cold_caches()
+        realized = [count_calls(kind, "realize") for kind in (charts.StripChart, charts.TorusSideChart)]
+        found = []
+        for fan in fans:
+            for cls in sorted(asked[fan]):
+                for calls in realized:
+                    calls.clear()
+                s = fan.classify(cls)
+                assert sum(map(len, realized)) <= 1
+                assert s == scan_fan(fan, cls), (fan.cut_desc(), cls)
+                found.append(s is not None)
+        assert fan_slopes <= found.count(True) < len(found)
+
+    def test_a_torus_side_needs_an_odd_arc_direction(self):
+        """An arc between punctures of one class has no corridor, so no
+        fan: the chart refuses it by a `DomainError` naming (u, v)."""
+        with pytest.raises(DomainError, match=r"\(2, 1\)"):
+            charts.TorusSideChart(2, 1)
 
     def test_a_torus_side_lets_a_genericity_error_through(self, monkeypatch):
         """`TorusSideChart.realize` skips no line it cannot build: an
