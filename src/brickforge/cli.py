@@ -7,9 +7,9 @@ README says what the environment variable BRICKFORGE_BUDGET sets.
 
 from __future__ import annotations
 
-import argparse
-import functools
+import re
 import sys
+from types import SimpleNamespace
 
 from . import blocks as bl
 from . import bricks as bk
@@ -196,55 +196,204 @@ def _cmd_export(args):
     return EXIT_OK
 
 
-@functools.cache
-def _build_parser():
-    """The one parser of the process, built by the first `run`, not at
-    import.  argparse keeps no per-call state in it: `parse_args` returns a
-    new Namespace, and help and errors look up sys.stdout and sys.stderr
-    when they write."""
-    parser = argparse.ArgumentParser(
-        prog="brickforge",
-        description="exact combinatorial brick-manifold toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# name -> (handler, summary, whether it reads a positional `input`,
+# {option: (type, default, help)}); an option with the default _REQUIRED
+# must be given.  The namespace a handler reads holds `input` and each
+# option without its dashes.
+_REQUIRED = object()
+COMMANDS = {
+    "validate": (_cmd_validate, "admissibility report for a model", True, {}),
+    "decompose": (_cmd_decompose, "block and tube decomposition", True, {}),
+    "metric": (
+        _cmd_metric, "meridian coefficients and filtration", True,
+        {"--k": (int, None, "filtration level")},
+    ),
+    "limit": (
+        _cmd_limit, "scenario exhaustion pipeline", False,
+        {
+            "--scenario": (str, _REQUIRED, "scenario spec or model document"),
+            "--stages": (int, 1, "number of exhaustion stages"),
+        },
+    ),
+    "crosscheck": (_cmd_crosscheck, "hierarchy vs block agreement", True, {}),
+    "export": (_cmd_export, "canonical re-serialization", True, {}),
+}
+_HELP = ("-h", "--help")
+# a token argparse reads as a negative number, so as a value
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    p = sub.add_parser("validate", help="admissibility report for a model")
-    p.add_argument("input")
-    p.set_defaults(handler=_cmd_validate)
 
-    p = sub.add_parser("decompose", help="block and tube decomposition")
-    p.add_argument("input")
-    p.set_defaults(handler=_cmd_decompose)
+class _Stop(Exception):
+    """A parse that reaches no handler: help (exit 0, the text goes to
+    stdout) or a usage error (exit 2, to stderr)."""
 
-    p = sub.add_parser("metric", help="meridian coefficients and filtration")
-    p.add_argument("input")
-    p.add_argument("--k", type=int, default=None, help="filtration level")
-    p.set_defaults(handler=_cmd_metric)
+    def __init__(self, code, text):
+        super().__init__(text)
+        self.code = code
+        self.text = text
 
-    p = sub.add_parser("limit", help="scenario exhaustion pipeline")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--stages", type=int, default=1)
-    p.set_defaults(handler=_cmd_limit)
 
-    p = sub.add_parser("crosscheck", help="hierarchy vs block agreement")
-    p.add_argument("input")
-    p.set_defaults(handler=_cmd_crosscheck)
+def _usage(command):
+    if command is None:
+        return f"usage: brickforge [-h] {{{','.join(COMMANDS)}}} ...\n"
+    _, _, reads_input, options = COMMANDS[command]
+    words = ["usage: brickforge", command, "[-h]"]
+    for name, (_, default, _) in options.items():
+        word = f"{name} {name[2:].upper()}"
+        words.append(word if default is _REQUIRED else f"[{word}]")
+    return " ".join(words + ["input"] * reads_input) + "\n"
 
-    p = sub.add_parser("export", help="canonical re-serialization")
-    p.add_argument("input")
-    p.set_defaults(handler=_cmd_export)
-    return parser
+
+def _help(command):
+    rows = [("-h, --help", "show this help and exit")]
+    if command is None:
+        head = "exact combinatorial brick-manifold toolkit"
+        rows += [(name, entry[1]) for name, entry in COMMANDS.items()]
+    else:
+        _, head, _, options = COMMANDS[command]
+        rows += [
+            (f"{name} {name[2:].upper()}", text)
+            for name, (_, _, text) in options.items()
+        ]
+    lines = [f"  {left:<20} {right}" for left, right in rows]
+    return "\n".join([_usage(command), head, ""] + lines) + "\n"
+
+
+def _refuse(command, message):
+    prog = "brickforge" if command is None else f"brickforge {command}"
+    return _Stop(EXIT_PARSE, f"{_usage(command)}{prog}: error: {message}\n")
+
+
+def _option(token, names, command):
+    """How argparse reads one token of a parser with these option names:
+    None for a positional, else (the option it names, or None for an
+    unknown one; its attached value, or None).  A token that is the
+    prefix of several long options is refused."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return token, None
+    head, eq, value = token.partition("=")
+    if eq and head in names:
+        return head, value
+    if token[1] == "-":
+        found = [name for name in names if name.startswith(head)]
+        value = value if eq else None
+    else:
+        # a one-dash token names the option of its first two characters,
+        # and the rest is attached to it
+        found = [name for name in names if name == token[:2]]
+        value = token[2:]
+    if len(found) > 1:
+        raise _refuse(
+            command, f"ambiguous option: {token} could match {', '.join(found)}"
+        )
+    if found:
+        return found[0], value
+    if _NEGATIVE.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _help_flag(command, name, value):
+    """-h or --help, alone, or -h with a run of h's after it (-hhh)."""
+    if value is None or (name == "-h" and value and not value.strip("h")):
+        raise _Stop(EXIT_OK, _help(command))
+    raise _refuse(command, f"argument -h/--help: ignored explicit argument {value!r}")
+
+
+def _parse(argv):
+    """The handler and the namespace that argv asks for, read by
+    argparse's rules for the grammar of COMMANDS: options by unambiguous
+    prefix or with `=value`, negative numbers as values, `--` ending the
+    options, and help or an error at the first token that calls for it.
+    Raises _Stop for help and for usage errors."""
+    extras = []
+    for i, token in enumerate(argv):
+        if token == "--":
+            break
+        found = _option(token, _HELP, None)
+        if found is None:
+            command = token
+            break
+        if found[0] is None:
+            extras.append(token)
+        else:
+            _help_flag(None, *found)
+    else:
+        raise _refuse(None, "the following arguments are required: command")
+    if token == "--" or command not in COMMANDS:
+        raise _refuse(None, f"argument command: invalid choice: {token!r}")
+    handler, args, more = _parse_command(command, argv[i + 1 :])
+    if extras + more:
+        raise _refuse(None, f"unrecognized arguments: {' '.join(extras + more)}")
+    return handler, args
+
+
+def _parse_command(command, tokens):
+    """The handler, the namespace and the tokens left over of one command."""
+    handler, _, reads_input, options = COMMANDS[command]
+    names = _HELP + tuple(options)
+    cut = tokens.index("--") if "--" in tokens else len(tokens)
+    # every token before the first "--" is read before any is acted on,
+    # so an ambiguous one is refused even after -h
+    found = [_option(token, names, command) for token in tokens[:cut]]
+    values = {name[2:]: default for name, (_, default, _) in options.items()}
+    missing = ["input"] * reads_input
+    missing += [name for name, (_, d, _) in options.items() if d is _REQUIRED]
+    extras = []
+    last = max((j for j, f in enumerate(found) if f is not None), default=-1)
+    i = 0
+    while i <= last:
+        token, read = tokens[i], found[i]
+        i += 1
+        if read is None and "input" in missing:
+            values["input"] = token
+            missing.remove("input")
+            continue
+        if read is None or read[0] is None:
+            extras.append(token)
+            continue
+        name, value = read
+        if name in _HELP:
+            _help_flag(command, name, value)
+        if value is None:
+            if i >= cut or found[i] is not None:
+                raise _refuse(command, f"argument {name}: expected one argument")
+            value = tokens[i]
+            i += 1
+        kind = options[name][0]
+        try:
+            values[name[2:]] = kind(value)
+        except ValueError:
+            raise _refuse(
+                command, f"argument {name}: invalid {kind.__name__} value: {value!r}"
+            ) from None
+        if name in missing:
+            missing.remove(name)
+    if "input" in missing:
+        # the input is the next token, with one "--" before or after it dropped
+        j = i + (i == cut)
+        if j < len(tokens):
+            values["input"] = tokens[j]
+            missing.remove("input")
+            i = j + 1 + (j + 1 == cut)
+    if missing:
+        raise _refuse(
+            command, f"the following arguments are required: {', '.join(missing)}"
+        )
+    return handler, SimpleNamespace(**values), extras + tokens[i:]
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_PARSE if exc.code else EXIT_OK
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+    except _Stop as stop:
+        (sys.stdout if stop.code == EXIT_OK else sys.stderr).write(stop.text)
+        return stop.code
     try:
         get_budget()
-        return args.handler(args)
+        return handler(args)
     except ParseError as exc:
         _emit({"error": "parse", "detail": str(exc)}, sys.stderr)
         return EXIT_PARSE

@@ -199,17 +199,28 @@ def lamination_depth(budget: int) -> int:
     return max(2, min(12, budget // 100))
 
 
+# (initial, terminal, the reps of their curves) -> the vertex curves of
+# certified_main_geodesic; errors are not kept.  Markings equal by class
+# may name their curves by other reps, and a vertex keeps the rep it was
+# found with, which sets the chart of a corridor's component domains.
+_MAIN_GEODESICS: dict = {}
+
+
 def certified_main_geodesic(initial, terminal):
     """Tight geodesic between the base vertices of two markings on a
     complexity-5 surface, found by BFS over ambient_universe(2) plus the
-    markings' curves.  Returns the vertex curves.  Curves that do not fill
-    are at most 2 apart: a longer path between them means the enumeration
-    lacks a middle vertex, and raises BudgetExceeded."""
+    markings' curves, once per process for each key of _MAIN_GEODESICS.
+    Returns the vertex curves.  Curves that do not fill are at most 2
+    apart: a longer path between them means the enumeration lacks a
+    middle vertex, and raises BudgetExceeded."""
     marked = []
     for m in (initial, terminal):
         if isinstance(m, sf.Marking):
             marked += m.base.curves
             marked += [t for _, t in m.transversals]
+    key = (initial, terminal, tuple(c.rep for c in marked))
+    if key in _MAIN_GEODESICS:
+        return _MAIN_GEODESICS[key]
     # the certificate keeps the first occurrence of each curve
     certificate = sf.DistanceCertificate(ambient_universe(2) + marked)
     u = _base_vertex(initial)
@@ -220,7 +231,8 @@ def certified_main_geodesic(initial, terminal):
             f"{sf.curve_tag(u)} and {sf.curve_tag(w)} do not fill, but the "
             f"enumeration puts them {len(path) - 1} apart"
         )
-    return _tighten(path, certificate)
+    _MAIN_GEODESICS[key] = _tighten(path, certificate)
+    return _MAIN_GEODESICS[key]
 
 
 def _realizable(domain, vertices) -> bool:

@@ -60,10 +60,11 @@ def cold_caches():
 
     The caches are the intersection and boundary-walk memos, the fan
     charts' classifications, the certificates' adjacency table, the curve
-    tags, the ambient universes, the approximant memo
-    of `limits`, and the keys that `surfaces.Curve` keeps: a key lives on
-    its curve, and the curves that outlive a job are the universes' own
-    and the memoised approximants'."""
+    tags, the ambient universes, the certified main geodesics, the
+    approximant memo of `limits`, and the keys that `surfaces.Curve`
+    keeps: a key lives on its curve, and the curves that outlive a job are
+    the universes' own, the memoised approximants' and the kept main
+    geodesics'."""
 
     def empty():
         fc._INTERSECTIONS.clear()
@@ -72,6 +73,7 @@ def cold_caches():
         sf._ADJACENT.clear()
         sf._TAGS.clear()
         hy._UNIVERSES.clear()
+        hy._MAIN_GEODESICS.clear()
         lm._APPROXIMANTS.clear()
 
     empty()

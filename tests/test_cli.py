@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -9,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brickforge import blocks as bl
@@ -567,23 +568,139 @@ def test_out_of_range_argument_is_a_usage_error(tmp_path, capsys, argv):
 
 
 def test_one_parser_serves_every_job(tmp_path, capsys):
-    """The first run of a process builds the parser, and a usage error,
-    --help or an out-of-range argument leaves nothing in it that changes
-    a later job."""
+    """A usage error, --help or an out-of-range argument leaves nothing
+    behind that changes a later job."""
     path = single_path(tmp_path)
-    cli._build_parser.cache_clear()
     assert cli.run(["export", path]) == 0
     fresh = capsys.readouterr().out
-    cli._build_parser.cache_clear()
     assert cli.run(["frobnicate"]) == 2
-    assert "usage:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("usage:")
     assert cli.run(["--help"]) == 0
-    assert "usage:" in capsys.readouterr().out
+    assert capsys.readouterr().out.startswith("usage:")
+    assert cli.run(["export", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: brickforge export")
     assert cli.run(["limit", "--scenario", "kt:1", "--stages", "0"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "parse"
     assert cli.run(["export", path]) == 0
     assert capsys.readouterr().out == fresh
-    assert cli._build_parser.cache_info().misses == 1
+
+
+class _Oracle(argparse.ArgumentParser):
+    """argparse hands an option given as `--opt=--` the empty list, since
+    it drops a `--` from every option's values, and the handlers crashed
+    on that list.  The oracle reads that value as the string `--`,
+    as `cli._parse` does: `--k=--` is refused, `--scenario=--` names a
+    document `--`.  Every other reading is argparse's own."""
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            return self._get_value(action, "--")
+        return super()._get_values(action, arg_strings)
+
+
+def argparse_parser():
+    """The argparse parser that `cli` used before its command table."""
+    parser = _Oracle(
+        prog="brickforge",
+        description="exact combinatorial brick-manifold toolkit",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("validate", help="admissibility report for a model")
+    p.add_argument("input")
+    p.set_defaults(handler=cli._cmd_validate)
+
+    p = sub.add_parser("decompose", help="block and tube decomposition")
+    p.add_argument("input")
+    p.set_defaults(handler=cli._cmd_decompose)
+
+    p = sub.add_parser("metric", help="meridian coefficients and filtration")
+    p.add_argument("input")
+    p.add_argument("--k", type=int, default=None, help="filtration level")
+    p.set_defaults(handler=cli._cmd_metric)
+
+    p = sub.add_parser("limit", help="scenario exhaustion pipeline")
+    p.add_argument("--scenario", required=True)
+    p.add_argument("--stages", type=int, default=1)
+    p.set_defaults(handler=cli._cmd_limit)
+
+    p = sub.add_parser("crosscheck", help="hierarchy vs block agreement")
+    p.add_argument("input")
+    p.set_defaults(handler=cli._cmd_crosscheck)
+
+    p = sub.add_parser("export", help="canonical re-serialization")
+    p.add_argument("input")
+    p.set_defaults(handler=cli._cmd_export)
+    return parser
+
+
+ORACLE = argparse_parser()
+
+
+def read_by_argparse(argv):
+    """("exit", code, the stream written) or ("ok", handler, values)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            values = vars(ORACLE.parse_args(argv))
+    except SystemExit as exc:
+        return ("exit", exc.code or 0, (err if exc.code else out).getvalue())
+    del values["command"]
+    return ("ok", values.pop("handler"), values)
+
+
+def read_by_table(argv):
+    try:
+        handler, args = cli._parse(list(argv))
+    except cli._Stop as stop:
+        return ("exit", stop.code, stop.text)
+    return ("ok", handler, vars(args))
+
+
+NAMES = list(cli.COMMANDS) + ["--k", "--scenario", "--stages", "--help", "-h"]
+WORDS = [
+    "frobnicate", "doc.json", "kt:1", "bo:2,1:1", "x", "a b", "-x y", "", "-",
+    "---", "-x", "--x", "-k", "--", "-hh", "-hx", "-h=h", "-h=", "-1.5", "-.5",
+    "-1e3", "+3", " 4",
+]
+
+
+@st.composite
+def argvs(draw):
+    """argv drawn from command names, option names and their prefixes,
+    `--opt=value`, integers, paths, -h/--help, `--` and stray tokens."""
+    integers = st.integers(-12, 12).map(str)
+    prefixes = st.sampled_from(NAMES).flatmap(
+        lambda name: st.integers(1, len(name)).map(lambda n: name[:n])
+    )
+    attached = st.tuples(prefixes, st.sampled_from(WORDS) | integers).map("=".join)
+    token = st.sampled_from(WORDS) | prefixes | attached | integers
+    argv = draw(st.lists(token, max_size=6))
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(0, min(1, len(argv)))), draw(st.sampled_from(list(cli.COMMANDS))))
+    return argv
+
+
+@settings(max_examples=1500, deadline=None)
+@given(argv=argvs())
+@example(argv=["limit", "-h", "--s"])  # an ambiguous prefix is refused before help
+@example(argv=["--x", "validate", "-h"])  # help comes before the stray option's error
+@example(argv=["-1", "validate", "-h"])  # a negative number is a command name
+@example(argv=["metric", "-h=h", "f"])
+@example(argv=["metric", "--", "--", "--k", "2"])
+@example(argv=["metric", "f", "--k", "--", "2"])  # a value option before "--"
+@example(argv=["limit", "--stages", "-2", "--sc=kt:1"])
+@example(argv=["limit", "--scenario=--", "--st=--"])
+def test_parse_reads_argv_as_argparse_did(argv):
+    """`_parse` and the argparse oracle agree on every draw: both accept
+    with the same handler and values, or both stop with the same exit
+    code and a usage text (help on stdout, an error on stderr)."""
+    expected, got = read_by_argparse(argv), read_by_table(argv)
+    assert got[:2] == expected[:2]
+    if got[0] == "ok":
+        assert got[2] == expected[2]
+    else:
+        assert got[2].startswith("usage:") and expected[2].startswith("usage:")
 
 
 BENCH_INPUTS = json.loads(
@@ -857,3 +974,28 @@ def test_hashlib_loads_with_the_first_polygonal_curve_tag(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "[False, False, True]"
+
+
+# Imports the CLI, runs one command, and prints which of the modules
+# that an argument parser would load are loaded.
+PARSER_MODULES = """
+import contextlib, io, sys
+from brickforge import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+print(code, sorted({"argparse", "gettext", "locale"} & set(sys.modules)))
+"""
+
+
+def test_a_command_loads_no_argument_parser(tmp_path):
+    """A fresh process that imports the CLI and runs `validate` loads
+    neither argparse nor the gettext and locale it would bring."""
+    (tmp_path / "brock.json").write_text(BENCH_INPUTS["brock"])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", PARSER_MODULES, "validate", "brock.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["0", "[]"]

@@ -297,6 +297,45 @@ class TestFlatHierarchy:
             assert again == first[:-1] and again is not first
         assert len(built) == len(charts.AMBIENT.descs(2))
 
+    def test_main_geodesics_are_kept_per_markings_and_reps(
+        self, cold_caches, count_calls
+    ):
+        # one class named by both of its corridor descriptions: each rep
+        # is searched once, a repeat with equal markings searches nothing,
+        # and every answer keeps the reps a fresh search gives
+        d = sf.full_surface(sf.TORUS_1_2)
+        u = sf.line_class(d, -2, -1, 0)
+        descs = [
+            charts.CurveDesc("slot", ((0, 0), (-3, -2))),
+            charts.CurveDesc("slot", ((1, 0), (4, 2))),
+        ]
+
+        def geodesic(desc):
+            ends = (u, sf.flat_curve(d, desc))
+            return hy.certified_main_geodesic(
+                *(sf.Marking(sf.Simplex.of(d, c)) for c in ends)
+            )
+
+        searches = count_calls(hy, "_bfs_path")
+        kept = [geodesic(desc) for desc in descs]
+        assert kept[0] == kept[1] and len(searches) == 2
+        assert [g[-1].rep for g in kept] == descs
+        assert [geodesic(desc) for desc in descs] == kept and len(searches) == 2
+        cold_caches()
+        for desc, vertices in zip(descs, kept):
+            assert [c.rep for c in geodesic(desc)] == [c.rep for c in vertices]
+        assert len(searches) == 4
+
+    def test_a_main_geodesic_that_raises_is_not_kept(self, cold_caches, count_calls):
+        d = sf.full_surface(sf.TORUS_1_2)
+        ends = (sf.line_class(d, -2, -1, 0), sf.slot_class(d, (0, 0), (-1, -2)))
+        initial, terminal = (sf.Marking(sf.Simplex.of(d, c)) for c in ends)
+        searches = count_calls(hy, "_bfs_path")
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded, match="outside the curve enumeration"):
+                hy.certified_main_geodesic(initial, terminal)
+        assert len(searches) == 2 and not hy._MAIN_GEODESICS
+
     def test_overlay_work_is_bounded(self, cold_caches, count_calls):
         # each curve pair is overlaid once per intersection or boundary walk
         calls = count_calls(fc, "overlay")

@@ -30,6 +30,7 @@ from brickforge import bricks as bk
 from brickforge import charts
 from brickforge import cli
 from brickforge import flatcurves as fc
+from brickforge import hierarchy as hy
 from brickforge import limits as lm
 from brickforge import records
 from brickforge import serialize as sz
@@ -116,8 +117,8 @@ def built_in_real_runs():
     a torus model, and `validate` of the brock document, also with a
     symbolic lamination; and the polygon of each ambient class of
     `descs(2)`, which a warm process has already built.  The
-    intersection memos are emptied first, so that the runs overlay
-    crossing curves."""
+    intersection memos and the kept main geodesics are emptied first, so
+    that the runs overlay crossing curves."""
     built = {cls: [] for cls in RECORDS}
     inits = {cls: cls.__init__ for cls in RECORDS}
 
@@ -146,6 +147,7 @@ def built_in_real_runs():
     }
     fc._INTERSECTIONS.clear()
     fc._WALKS.clear()
+    hy._MAIN_GEODESICS.clear()
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in documents.items():
             (Path(tmp) / name).write_text(text)
