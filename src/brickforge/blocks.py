@@ -18,6 +18,7 @@ from heapq import heappop, heappush
 from . import bricks as bk
 from . import hierarchy as hy
 from . import surfaces as sf
+from .config import get_budget
 from .errors import (
     BudgetExceeded,
     DomainError,
@@ -487,7 +488,20 @@ def merge_homotopic(tubes, sweep: bk.LevelSweep):
 
 def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
     """Cut the swept model into standard blocks and a tube union, in the
-    levels of its embedding."""
+    levels of its embedding.
+
+    The decomposition is kept on the sweep, once for each budget: it reads
+    nothing but the sweep and, where `hierarchy.tight_geodesic` truncates
+    a lamination end, the budget.  A decomposition that raises keeps
+    nothing."""
+    kept = sweep.decompositions
+    budget = get_budget()
+    if budget not in kept:
+        kept[budget] = _decompose(sweep)
+    return kept[budget]
+
+
+def _decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
     if not bk.check_el(sweep):
         raise ELViolation(
             "simply degenerate descriptors repeat on homotopic supports"

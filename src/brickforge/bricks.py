@@ -352,6 +352,12 @@ class LevelSweep:
         None until a question needs it."""
         return {}
 
+    @cached_property
+    def decompositions(self):
+        """budget -> the block decomposition of this sweep, which
+        `blocks.decompose` keeps here."""
+        return {}
+
     def meets_between(self, c: sf.Curve, lo, hi) -> bool:
         """Whether the curve meets the slit of a sample interval (a, b)
         with a < hi and lo < b: one overlapping the levels from lo to hi.

@@ -157,8 +157,7 @@ def _cmd_limit(args):
     if scenario is None:
         sweep = _load_model(args.scenario)
     else:
-        m, e = lm.generate(scenario)
-        sweep = bk.LevelSweep.of(m.complex, e)
+        sweep = lm.scenario_sweep(scenario)
     states = lm.exhaust(sweep, args.stages)
     theorem = lm.verify_theorem_a(sweep)
     ok = theorem["pass"] and all(s.acylindrical for s in states)

@@ -246,16 +246,20 @@ def reduce_cyclic(word):
 
 
 def canonical_class(word):
-    """Canonical form of a cyclic word up to rotation and inversion."""
+    """Canonical form of a cyclic word up to rotation and inversion: the
+    least rotation of the word or of its inverse.  That rotation starts
+    with the least letter of the two, so only those rotations are built."""
     w = reduce_cyclic(word)
     if not w:
         return ()
-    candidates = []
     rev = [_inv_letter(l) for l in reversed(w)]
-    for base in (w, rev):
-        for i in range(len(base)):
-            candidates.append(tuple(base[i:] + base[:i]))
-    return min(candidates)
+    least = min(min(w), min(rev))
+    return min(
+        tuple(base[i:] + base[:i])
+        for base in (w, rev)
+        for i, letter in enumerate(base)
+        if letter == least
+    )
 
 
 _COORD_KEYS = (("V", 0), ("V", 1), ("H", 0), ("H", 1), ("D", 0), ("D", 1))

@@ -170,6 +170,40 @@ def generate(s: Scenario):
     return bk.LabelledBrickManifold(k), e
 
 
+# The process-wide memos of this module hold at most this many entries;
+# an entry keeps a 10-40 KB level sweep.
+_MAX_KEPT = 64
+
+
+def _kept(memo, key, build):
+    """memo[key], built once per process; a build that raises stores
+    nothing, and a full memo is emptied before the next entry goes in."""
+    if key not in memo:
+        value = build()
+        if len(memo) >= _MAX_KEPT:
+            memo.clear()
+        memo[key] = value
+    return memo[key]
+
+
+# Scenario -> the level sweep of its generated model
+_SCENARIO_SWEEPS: dict = {}
+
+
+def scenario_sweep(s: Scenario) -> bk.LevelSweep:
+    """The level sweep of a scenario's generated model, built once per
+    process for each scenario.  This is exact: the generators and the
+    sweep read nothing but the scenario and build their curves from fixed
+    descriptions, and the sweep keeps its decompositions, which read
+    nothing but the sweep and the budget."""
+
+    def build():
+        m, e = generate(s)
+        return bk.LevelSweep.of(m.complex, e)
+
+    return _kept(_SCENARIO_SWEEPS, s, build)
+
+
 # ---------------------------------------------------------------------------
 # ascending exhaustions
 
@@ -276,24 +310,20 @@ def _find_obstructors(base, removals):
     )
 
 
-# (base, removals) -> (obstructors, Z, the A2 oracle's verdict on Z); a
-# search that raises stores nothing.  An entry keeps Z's sweep, 10-40 KB,
-# so a full memo is emptied before the next entry goes in.
+# (base, removals) -> (obstructors, Z, the A2 oracle's verdict on Z)
 _APPROXIMANTS: dict = {}
-_MAX_APPROXIMANTS = 64
 
 
 def _approximant(base, removals):
     """The obstructors, the approximant Z and the brute-force oracle's
     verdict on Z, searched once per process for each removal set: the
     search reads nothing but the key, and curves compare by class."""
-    key = (base, tuple(removals))
-    if key not in _APPROXIMANTS:
+
+    def search():
         obstructors, z = _find_obstructors(base, removals)
-        if len(_APPROXIMANTS) >= _MAX_APPROXIMANTS:
-            _APPROXIMANTS.clear()
-        _APPROXIMANTS[key] = (tuple(obstructors), z, bk.check_a2_bruteforce(z))
-    return _APPROXIMANTS[key]
+        return tuple(obstructors), z, bk.check_a2_bruteforce(z)
+
+    return _kept(_APPROXIMANTS, (base, tuple(removals)), search)
 
 
 def exhaust(sweep: bk.LevelSweep, stages: int):

@@ -61,10 +61,11 @@ def cold_caches():
     The caches are the intersection and boundary-walk memos, the fan
     charts' classifications, the certificates' adjacency table, the curve
     tags, the ambient universes, the certified main geodesics, the
-    approximant memo of `limits`, and the keys that `surfaces.Curve`
-    keeps: a key lives on its curve, and the curves that outlive a job are
-    the universes' own, the memoised approximants' and the kept main
-    geodesics'."""
+    approximant and scenario memos of `limits` (a scenario's sweep keeps
+    its decompositions), and the keys that `surfaces.Curve` keeps: a key
+    lives on its curve, and the curves that outlive a job are the
+    universes' own, the memoised approximants' and scenario models', and
+    the kept main geodesics'."""
 
     def empty():
         fc._INTERSECTIONS.clear()
@@ -75,6 +76,7 @@ def cold_caches():
         hy._UNIVERSES.clear()
         hy._MAIN_GEODESICS.clear()
         lm._APPROXIMANTS.clear()
+        lm._SCENARIO_SWEEPS.clear()
 
     empty()
     return empty

@@ -364,7 +364,7 @@ class TestLimit:
         assert all(s["acylindrical"] for s in doc["stages"])
         assert doc["theorem"]["pass"] is True
 
-    def test_sweeps_per_job(self, capsys, monkeypatch, cold_caches):
+    def test_sweeps_per_job(self, capsys, monkeypatch, cold_caches, count_calls):
         # the model, swept once for decompose, exhaust and the theorem
         # report, and the one approximant of the single stage
         builds = count_sweeps(monkeypatch)
@@ -373,6 +373,15 @@ class TestLimit:
         )
         assert code == 0
         assert len(builds) == 2
+        # the same scenario at another stage count finds its model swept
+        # and decomposed, and the approximant its stages share searched
+        decompositions = count_calls(bl, "_decompose")
+        code, _, _ = run_json(
+            capsys, ["limit", "--scenario", "kt:1", "--stages", "3"]
+        )
+        assert code == 0
+        assert len(builds) == 2
+        assert not decompositions
 
     def test_one_conditions_report_per_job(self, capsys, count_calls):
         # the theorem report builds it; decompose inside exhaust checks

@@ -215,6 +215,23 @@ class TestWords:
         assert fc.canonical_class(word) == fc.canonical_class(rotated)
         assert fc.canonical_class(word) == fc.canonical_class(inverted)
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from("VHD"), st.integers(0, 1), st.sampled_from((1, -1))
+            ),
+            max_size=14,
+        )
+    )
+    def test_canonical_is_the_least_of_all_rotations(self, word):
+        # the oracle builds every rotation of the word and of its inverse
+        w = fc.reduce_cyclic(word)
+        rev = [fc._inv_letter(l) for l in reversed(w)]
+        rotations = [tuple(base[i:] + base[:i]) for base in (w, rev) for i in range(len(w))]
+        assert fc.canonical_class(w) == min(rotations, default=())
+        assert fc.canonical_class(word) == fc.canonical_class(w)
+
     def test_normal_coords_frozen(self):
         cs = curves()
         assert cs["v0"].normal_coords() == (0, 0, 1, 0, 1, 0)

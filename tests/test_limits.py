@@ -9,9 +9,11 @@ import pytest
 from brickforge import blocks as bl
 from brickforge import bricks as bk
 from brickforge import cli
+from brickforge import hierarchy as hy
 from brickforge import limits as lm
 from brickforge import serialize as sz
 from brickforge import surfaces as sf
+from brickforge.config import get_budget
 from brickforge.errors import ObstructionSearchFailure
 
 F = Fraction
@@ -206,7 +208,7 @@ class TestExhaust:
         assert len({x[1].complex for x in (a, b, c)}) == 3
         # a full memo is emptied before the next entry goes in, and a
         # dropped entry is searched again with the same answer
-        monkeypatch.setattr(lm, "_MAX_APPROXIMANTS", 3)
+        monkeypatch.setattr(lm, "_MAX_KEPT", 3)
         d = lm._approximant(sf.TORUS_1_1, removals(1, 0, F(1, 4)))
         assert list(lm._APPROXIMANTS.values()) == [d]
         again = lm._approximant(sf.TORUS_1_1, removals(0, 1))
@@ -249,11 +251,12 @@ class TestExhaust:
         assert len(calls) <= 30
         assert len(searches) == len(oracle_checks) == 1
 
-    def test_merge_work_is_bounded(self, monkeypatch, count_calls):
+    def test_merge_work_is_bounded(self, monkeypatch, cold_caches, count_calls):
         # the merge tests each same-core pair it holds at most once: for a
         # core with n tubes placed and m merges, the n(n - 1)/2 placed
         # pairs and, for the k-th merge, the n - k - 2 pairs of the merged
-        # tube (k from 0)
+        # tube (k from 0).  Cold, so that the model is decomposed, and its
+        # tubes merged, in this run
         gaps = count_calls(bk.LevelSweep, "clear_gap")
         merges = []
         merge = bl.merge_homotopic
@@ -275,10 +278,11 @@ class TestExhaust:
                 held += n * (n - 1) // 2 + sum(n - k - 2 for k in range(m))
             assert 0 < tests <= held
 
-    def test_slit_tests_are_bounded(self, monkeypatch):
+    def test_slit_tests_are_bounded(self, monkeypatch, cold_caches):
         # a sweep asks whether a core meets a slit at most once per slit
         # of that sweep; calls outside `meets_between` (the brute-force
-        # oracle) are not counted
+        # oracle) are not counted.  Cold, so that the model is swept, and
+        # its slits tested, in this run
         asked = []  # the (sweep, core) of the running meets_between
         calls = {}  # (id(sweep), core) -> (sweep, ids of the slits tested)
         meets_between = bk.LevelSweep.meets_between
@@ -398,3 +402,98 @@ class TestVerifyTheoremA:
         report = lm.verify_theorem_a(sweep_of(m, e))
         assert report["basepoint"]["brick"] == "gf0"
         assert report["basepoint"]["level"] == "0/1"
+
+
+def limit_stdout(capsys, spec, stages):
+    assert cli.run(["limit", "--scenario", spec, "--stages", str(stages)]) == 0
+    return capsys.readouterr().out
+
+
+class TestScenarioMemo:
+    @pytest.mark.parametrize("spec", ["kt:2", "bo:3", "kt:1,2:2", "bo:1,2:1", "brock"])
+    def test_a_kept_model_prints_the_cold_bytes(self, spec, capsys, cold_caches):
+        # each stage count runs after other stage counts of its scenario,
+        # with the model swept and decomposed by the first job
+        warm = {}
+        for stages in (4, 1, 3, 2):
+            warm[stages] = limit_stdout(capsys, spec, stages)
+        assert len(lm._SCENARIO_SWEEPS) == 1
+        for stages in (1, 3, 2):
+            cold_caches()
+            assert limit_stdout(capsys, spec, stages) == warm[stages]
+
+    def test_one_sweep_and_decomposition_per_scenario(self, cold_caches, count_calls):
+        s = lm.Scenario("bonahon-otal", sf.TORUS_1_1, depth=2)
+        generated = count_calls(lm, "generate")
+        decomposed = count_calls(bl, "_decompose")
+        sweep = lm.scenario_sweep(s)
+        again = lm.scenario_sweep(lm.Scenario("bonahon-otal", sf.TORUS_1_1, depth=2))
+        assert again is sweep
+        assert bl.decompose(sweep) is bl.decompose(again)
+        assert len(generated) == len(decomposed) == 1
+
+    def test_a_full_memo_is_emptied_and_reports_stay(self, capsys, cold_caches):
+        specs = [f"kt:{n}" for n in range(1, 66)]
+        warm = [limit_stdout(capsys, spec, 1) for spec in specs]
+        assert len(lm._SCENARIO_SWEEPS) <= 64
+        # the 65th entry found the memo full: only it is kept
+        assert list(lm._SCENARIO_SWEEPS) == [
+            lm.Scenario("kerckhoff-thurston", sf.TORUS_1_1, depth=65)
+        ]
+        for spec, out in zip(specs, warm):
+            cold_caches()
+            assert limit_stdout(capsys, spec, 1) == out
+
+    def test_each_budget_decomposes_once(self, monkeypatch, count_calls):
+        # a lamination end is truncated at the budget's depth: the
+        # decomposition kept under one budget answers for that budget only
+        full = sf.full_surface(sf.TORUS_1_1)
+        b = bk.Brick(
+            "b0", full, "closed", F(0), F(1),
+            initial=sf.Marking(sf.Simplex.of(full, sf.slope_curve(full, 0, 1))),
+            terminal=sf.LaminationDescriptor(full, sf.IrrationalSlope((1,) * 10)),
+        )
+        k = bk.BrickComplex(sf.TORUS_1_1, (b,), ())
+
+        def sweep():
+            return bk.LevelSweep.of(k, bk.identity_embedding(k))
+
+        kept = sweep()
+        geodesics = count_calls(hy, "tight_geodesic")
+        monkeypatch.setenv("BRICKFORGE_BUDGET", "10000")
+        deep = bl.decompose(kept)
+        assert geodesics and bl.decompose(kept) is deep
+        monkeypatch.setenv("BRICKFORGE_BUDGET", "600")
+        del geodesics[:]
+        shallow = bl.decompose(kept)
+        assert geodesics
+        assert len(shallow.tubes) < len(deep.tubes)
+        assert shallow.tubes == bl.decompose(sweep()).tubes
+        monkeypatch.setenv("BRICKFORGE_BUDGET", "10000")
+        del geodesics[:]
+        assert bl.decompose(kept) is deep
+        assert not geodesics
+
+    def test_a_budget_change_reaches_a_kept_scenario(
+        self, capsys, monkeypatch, cold_caches
+    ):
+        # a spy on the geodesic builder reads the budget of each call:
+        # under the second budget the kept model is decomposed again, and
+        # the report is the one a cold process prints under that budget
+        budgets = []
+        tight_geodesic = hy.tight_geodesic
+
+        def spy(*args):
+            budgets.append(get_budget())
+            return tight_geodesic(*args)
+
+        monkeypatch.setattr(hy, "tight_geodesic", spy)
+        monkeypatch.setenv("BRICKFORGE_BUDGET", "10000")
+        limit_stdout(capsys, "brock", 2)
+        assert set(budgets) == {10000}
+        monkeypatch.setenv("BRICKFORGE_BUDGET", "300")
+        del budgets[:]
+        warm = limit_stdout(capsys, "brock", 3)
+        assert budgets and set(budgets) == {300}
+        cold_caches()
+        assert limit_stdout(capsys, "brock", 3) == warm

@@ -117,8 +117,9 @@ def built_in_real_runs():
     a torus model, and `validate` of the brock document, also with a
     symbolic lamination; and the polygon of each ambient class of
     `descs(2)`, which a warm process has already built.  The
-    intersection memos and the kept main geodesics are emptied first, so
-    that the runs overlay crossing curves."""
+    intersection memos, the kept main geodesics and the scenario memo are
+    emptied first, so that the runs overlay crossing curves and generate
+    the limit's model."""
     built = {cls: [] for cls in RECORDS}
     inits = {cls: cls.__init__ for cls in RECORDS}
 
@@ -148,6 +149,7 @@ def built_in_real_runs():
     fc._INTERSECTIONS.clear()
     fc._WALKS.clear()
     hy._MAIN_GEODESICS.clear()
+    lm._SCENARIO_SWEEPS.clear()
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in documents.items():
             (Path(tmp) / name).write_text(text)

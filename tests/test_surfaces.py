@@ -8,6 +8,7 @@ from brickforge import charts
 from brickforge import cli
 from brickforge import flatcurves as fc
 from brickforge import hierarchy as hy
+from brickforge import limits as lm
 from brickforge import surfaces as sf
 from brickforge.errors import CertificateError, DomainError
 from brickforge.farey import (
@@ -98,9 +99,12 @@ class TestIntersection:
 
     def test_each_curve_builds_its_key_once(self, count_calls, capsys):
         # a warm limit report compares and hashes its cores thousands of
-        # times; each read of a key after the first finds it on its curve
+        # times; each read of a key after the first finds it on its curve.
+        # The scenario memo is emptied, so that the measured run builds
+        # its model's curves afresh
         argv = ["limit", "--scenario", "bo:80", "--stages", "2"]
         assert cli.run(argv) == 0
+        lm._SCENARIO_SWEEPS.clear()
         reads = count_calls(sf.Curve, "key")
         built = count_calls(sf.Curve, "_class_key")
         assert cli.run(argv) == 0
