@@ -492,13 +492,8 @@ def decompose(sweep: bk.LevelSweep) -> BlockDecomposition:
 
     The decomposition is kept on the sweep, once for each budget: it reads
     nothing but the sweep and, where `hierarchy.tight_geodesic` truncates
-    a lamination end, the budget.  A decomposition that raises keeps
-    nothing."""
-    kept = sweep.decompositions
-    budget = get_budget()
-    if budget not in kept:
-        kept[budget] = _decompose(sweep)
-    return kept[budget]
+    a lamination end, the budget."""
+    return sweep.decompositions.keep(get_budget(), lambda: _decompose(sweep))
 
 
 def _decompose(sweep: bk.LevelSweep) -> BlockDecomposition:

@@ -28,7 +28,7 @@ from .errors import (
     NonStabilizing,
     NotAscending,
 )
-from .records import record
+from .records import Memo, record
 
 KINDS = ("closed", "half-open-below", "half-open-above", "open")
 
@@ -350,13 +350,13 @@ class LevelSweep:
     def _met(self):
         """core -> per sample interval, whether the core meets its slit, or
         None until a question needs it."""
-        return {}
+        return Memo()
 
     @cached_property
     def decompositions(self):
         """budget -> the block decomposition of this sweep, which
         `blocks.decompose` keeps here."""
-        return {}
+        return Memo()
 
     def meets_between(self, c: sf.Curve, lo, hi) -> bool:
         """Whether the curve meets the slit of a sample interval (a, b)
@@ -364,9 +364,7 @@ class LevelSweep:
         Sample interval i is (levels[i], levels[i + 1]), so those are the
         intervals from the last level <= lo to the last level < hi.  Each
         answer of `curve_meets_slit` is kept, so it runs once per slit."""
-        met = self._met.get(c)
-        if met is None:
-            met = self._met[c] = [None] * len(self.slits)
+        met = self._met.keep(c, lambda: [None] * len(self.slits))
         first = max(self.rank(lo, right=True) - 1, 0)
         for i in range(first, min(self.rank(hi), len(met))):
             if met[i] is None:

@@ -27,7 +27,7 @@ from math import gcd
 from . import flatcurves as fc
 from .errors import DomainError
 from .farey import Slope, _bezout
-from .records import record
+from .records import Memo, record
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +141,8 @@ FAN_BOUND = 8
 
 
 # (cut description, class) -> the class's slope in that chart, or None;
-# an answer realizes at most one fan slope, and errors are not kept
-_CLASSIFIED: dict = {}
+# an answer realizes at most one fan slope
+_CLASSIFIED = Memo()
 
 
 def _homology(canonical):
@@ -165,13 +165,14 @@ class _SlopeFanChart:
         """Slope of an ambient class lying in the subdomain, if realizable:
         the one fan slope the class's crossing counts point to, when the
         realized curve of that slope has this class."""
-        key = (self.cut_desc(), canonical)
-        if key not in _CLASSIFIED:
+
+        def build():
             s = self._candidate(canonical)
             desc = self.realize(s) if s in self.realizable_slopes() else None
             found = desc is not None and AMBIENT.curve(desc).canonical() == canonical
-            _CLASSIFIED[key] = s if found else None
-        return _CLASSIFIED[key]
+            return s if found else None
+
+        return _CLASSIFIED.keep((self.cut_desc(), canonical), build)
 
 
 class StripChart(_SlopeFanChart):

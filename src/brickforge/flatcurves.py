@@ -46,7 +46,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import BrickforgeError
-from .records import record
+from .records import Memo, record
 
 Point = tuple[Fraction, Fraction]
 
@@ -546,8 +546,8 @@ def _minimal_crossings(c1: FlatCurve, c2: FlatCurve):
     return out, letters
 
 
-# (class, class) in sorted order -> intersection number; errors are not kept
-_INTERSECTIONS: dict = {}
+# (class, class) in sorted order -> intersection number
+_INTERSECTIONS = Memo()
 
 
 def flat_intersection(c1: FlatCurve, c2: FlatCurve):
@@ -557,17 +557,15 @@ def flat_intersection(c1: FlatCurve, c2: FlatCurve):
     if a == b:
         return 0
     key = (a, b) if a <= b else (b, a)
-    if key not in _INTERSECTIONS:
-        _INTERSECTIONS[key] = len(_minimal_crossings(c1, c2)[0])
-    return _INTERSECTIONS[key]
+    return _INTERSECTIONS.keep(key, lambda: len(_minimal_crossings(c1, c2)[0]))
 
 
 # ---------------------------------------------------------------------------
 # neighborhood boundary walks
 
 
-# (class, class) in sorted order -> sorted walk classes; errors are not kept
-_WALKS: dict = {}
+# (class, class) in sorted order -> sorted walk classes
+_WALKS = Memo()
 
 
 def boundary_walk_classes(c1: FlatCurve, c2: FlatCurve):
@@ -578,9 +576,7 @@ def boundary_walk_classes(c1: FlatCurve, c2: FlatCurve):
     """
     a, b = c1.canonical(), c2.canonical()
     key = (a, b) if a <= b else (b, a)
-    if key not in _WALKS:
-        _WALKS[key] = tuple(_walk_classes(c1, c2))
-    return list(_WALKS[key])
+    return list(_WALKS.keep(key, lambda: tuple(_walk_classes(c1, c2))))
 
 
 def _walk_classes(c1: FlatCurve, c2: FlatCurve):

@@ -15,7 +15,7 @@ from . import surfaces as sf
 from .config import get_budget
 from .errors import BudgetExceeded, CertificateError, DomainError, NoTightGeodesic
 from .farey import Slope
-from .records import record
+from .records import Memo, record
 
 
 @record
@@ -119,19 +119,19 @@ def _twist_geodesic(domain, t1: int, t2: int):
 
 
 # radius -> the curves; a desc always builds the same curve
-_UNIVERSES: dict = {}
+_UNIVERSES = Memo()
 
 
 def ambient_universe(budget_radius: int = 2):
     """The curves of the twice-punctured torus enumeration, one per class,
     built once per radius.  Each call returns its own list."""
-    if budget_radius not in _UNIVERSES:
+
+    def build():
         d = sf.full_surface(sf.TORUS_1_2)
         charts.AMBIENT.ensure_enumerated(budget_radius)
-        _UNIVERSES[budget_radius] = [
-            sf.flat_curve(d, desc) for desc in charts.AMBIENT.descs(budget_radius)
-        ]
-    return list(_UNIVERSES[budget_radius])
+        return [sf.flat_curve(d, desc) for desc in charts.AMBIENT.descs(budget_radius)]
+
+    return list(_UNIVERSES.keep(budget_radius, build))
 
 
 def _bfs_path(certificate, u, w):
@@ -200,10 +200,10 @@ def lamination_depth(budget: int) -> int:
 
 
 # (initial, terminal, the reps of their curves) -> the vertex curves of
-# certified_main_geodesic; errors are not kept.  Markings equal by class
-# may name their curves by other reps, and a vertex keeps the rep it was
-# found with, which sets the chart of a corridor's component domains.
-_MAIN_GEODESICS: dict = {}
+# certified_main_geodesic.  Markings equal by class may name their curves
+# by other reps, and a vertex keeps the rep it was found with, which sets
+# the chart of a corridor's component domains.
+_MAIN_GEODESICS = Memo()
 
 
 def certified_main_geodesic(initial, terminal):
@@ -218,21 +218,21 @@ def certified_main_geodesic(initial, terminal):
         if isinstance(m, sf.Marking):
             marked += m.base.curves
             marked += [t for _, t in m.transversals]
-    key = (initial, terminal, tuple(c.rep for c in marked))
-    if key in _MAIN_GEODESICS:
-        return _MAIN_GEODESICS[key]
-    # the certificate keeps the first occurrence of each curve
-    certificate = sf.DistanceCertificate(ambient_universe(2) + marked)
-    u = _base_vertex(initial)
-    w = _base_vertex(terminal)
-    path = _bfs_path(certificate, u, w)
-    if len(path) > 3 and sf.subsurface_boundary(u, w):
-        raise BudgetExceeded(
-            f"{sf.curve_tag(u)} and {sf.curve_tag(w)} do not fill, but the "
-            f"enumeration puts them {len(path) - 1} apart"
-        )
-    _MAIN_GEODESICS[key] = _tighten(path, certificate)
-    return _MAIN_GEODESICS[key]
+
+    def build():
+        # the certificate keeps the first occurrence of each curve
+        certificate = sf.DistanceCertificate(ambient_universe(2) + marked)
+        u = _base_vertex(initial)
+        w = _base_vertex(terminal)
+        path = _bfs_path(certificate, u, w)
+        if len(path) > 3 and sf.subsurface_boundary(u, w):
+            raise BudgetExceeded(
+                f"{sf.curve_tag(u)} and {sf.curve_tag(w)} do not fill, but the "
+                f"enumeration puts them {len(path) - 1} apart"
+            )
+        return _tighten(path, certificate)
+
+    return _MAIN_GEODESICS.keep((initial, terminal, tuple(c.rep for c in marked)), build)
 
 
 def _realizable(domain, vertices) -> bool:

@@ -19,7 +19,7 @@ from . import surfaces as sf
 from .config import get_budget
 from .errors import BudgetExceeded, ObstructionSearchFailure
 from .farey import enumerate_slopes
-from .records import record, replace
+from .records import Memo, record, replace
 
 SCENARIO_KINDS = ("kerckhoff-thurston", "brock", "bonahon-otal")
 
@@ -174,20 +174,8 @@ def generate(s: Scenario):
 # an entry keeps a 10-40 KB level sweep.
 _MAX_KEPT = 64
 
-
-def _kept(memo, key, build):
-    """memo[key], built once per process; a build that raises stores
-    nothing, and a full memo is emptied before the next entry goes in."""
-    if key not in memo:
-        value = build()
-        if len(memo) >= _MAX_KEPT:
-            memo.clear()
-        memo[key] = value
-    return memo[key]
-
-
 # Scenario -> the level sweep of its generated model
-_SCENARIO_SWEEPS: dict = {}
+_SCENARIO_SWEEPS = Memo(_MAX_KEPT)
 
 
 def scenario_sweep(s: Scenario) -> bk.LevelSweep:
@@ -201,7 +189,7 @@ def scenario_sweep(s: Scenario) -> bk.LevelSweep:
         m, e = generate(s)
         return bk.LevelSweep.of(m.complex, e)
 
-    return _kept(_SCENARIO_SWEEPS, s, build)
+    return _SCENARIO_SWEEPS.keep(s, build)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +299,7 @@ def _find_obstructors(base, removals):
 
 
 # (base, removals) -> (obstructors, Z, the A2 oracle's verdict on Z)
-_APPROXIMANTS: dict = {}
+_APPROXIMANTS = Memo(_MAX_KEPT)
 
 
 def _approximant(base, removals):
@@ -323,7 +311,7 @@ def _approximant(base, removals):
         obstructors, z = _find_obstructors(base, removals)
         return tuple(obstructors), z, bk.check_a2_bruteforce(z)
 
-    return _kept(_APPROXIMANTS, (base, tuple(removals)), search)
+    return _APPROXIMANTS.keep((base, tuple(removals)), search)
 
 
 def exhaust(sweep: bk.LevelSweep, stages: int):

@@ -5,12 +5,14 @@
 `Name(field=value, ...)` and no assignment, as `@dataclass(frozen=True)`
 did; a `HIDDEN` field defaults to None and is left out of all three.  Only
 `__init__` is compiled, so a fresh process imports neither `dataclasses`
-nor `inspect`.
+nor `inspect`.  A `Memo` is the one table of answers that other modules
+keep: `keep(key, build)` builds each answer once.
 """
 
 from operator import attrgetter
 
 HIDDEN = object()  # a field default: None, left out of ==, hash and repr
+_MISS = object()
 
 
 def _hash(self):
@@ -61,3 +63,22 @@ def replace(obj, **changes):
     for name in obj._record_fields:
         changes.setdefault(name, getattr(obj, name))
     return obj.__class__(**changes)
+
+
+class Memo(dict):
+    """A table of answers, each built once.  `keep(key, build)` is
+    `self[key]`, calling `build()` only on a miss; a build that raises
+    keeps nothing.  A memo made with a bound empties itself before the
+    entry that would go past it."""
+
+    def __init__(self, bound=None):
+        self.bound = bound
+
+    def keep(self, key, build):
+        value = self.get(key, _MISS)
+        if value is _MISS:
+            value = build()
+            if self.bound is not None and len(self) >= self.bound:
+                self.clear()
+            self[key] = value
+        return value

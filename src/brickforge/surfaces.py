@@ -23,7 +23,7 @@ from .farey import (
     slope_intersection,
     slopes_adjacent,
 )
-from .records import HIDDEN, record
+from .records import HIDDEN, Memo, record
 
 
 @record
@@ -322,8 +322,8 @@ def subsurface_boundary(u: Curve, w: Curve) -> tuple:
 # enumeration; a number is never reused, so it outlives every table below
 _CLASS_NUMBERS: dict = {}
 # (number, number), the smaller first -> whether the two curves are
-# adjacent, for every certificate of the process; errors are not kept
-_ADJACENT: dict = {}
+# adjacent, for every certificate of the process
+_ADJACENT = Memo()
 
 
 class DistanceCertificate:
@@ -349,9 +349,7 @@ class DistanceCertificate:
     def _is_adjacent(self, i: int, j: int) -> bool:
         a, b = self._numbers[i], self._numbers[j]
         key = (a, b) if a < b else (b, a)
-        if key not in _ADJACENT:
-            _ADJACENT[key] = are_adjacent(self.curves[i], self.curves[j])
-        return _ADJACENT[key]
+        return _ADJACENT.keep(key, lambda: are_adjacent(self.curves[i], self.curves[j]))
 
     def path(self, u: Curve, w: Curve) -> list:
         """Vertices of a shortest path from u to w: BFS that scans
@@ -418,7 +416,7 @@ def is_tight_sequence(seq, certificate: DistanceCertificate | None = None) -> bo
 
 
 # canonical class of a polygonal curve -> its tag
-_TAGS: dict = {}
+_TAGS = Memo()
 
 
 def curve_tag(c: Curve) -> str:
@@ -428,11 +426,13 @@ def curve_tag(c: Curve) -> str:
         return f"F{val}"
     if kind == "A":
         return f"A{val}"
-    if val not in _TAGS:
+
+    def build():
         from hashlib import sha1  # loaded by the first N key only
 
-        _TAGS[val] = "N" + sha1(repr(val).encode()).hexdigest()[:10]
-    return _TAGS[val]
+        return "N" + sha1(repr(val).encode()).hexdigest()[:10]
+
+    return _TAGS.keep(val, build)
 
 
 def _annulus_domain(d: EssentialSubsurface, c: Curve) -> EssentialSubsurface:

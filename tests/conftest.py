@@ -1,3 +1,4 @@
+import sys
 from math import gcd
 
 import pytest
@@ -5,11 +6,7 @@ import pytest
 from brickforge import blocks as bl
 from brickforge import bricks as bk
 from brickforge import charts
-from brickforge import flatcurves as fc
-from brickforge import hierarchy as hy
-from brickforge import limits as lm
-from brickforge import surfaces as sf
-from brickforge.records import replace
+from brickforge.records import Memo, replace
 
 
 def reference_descs(radius: int):
@@ -53,33 +50,37 @@ def count_calls(monkeypatch):
     return install
 
 
+def tables():
+    """(module, name) -> each dict bound at the top level of a loaded
+    brickforge module, and, as (module, "name.attribute"), each dict one
+    attribute deep in an instance of a brickforge class bound there."""
+    out = {}
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] != "brickforge":
+            continue
+        for name, value in vars(module).items():
+            if isinstance(value, dict) and not name.startswith("__"):
+                out[modname, name] = value
+            elif type(value).__module__.startswith("brickforge."):
+                for attr, inner in getattr(value, "__dict__", {}).items():
+                    if isinstance(inner, dict):
+                        out[modname, f"{name}.{attr}"] = inner
+    return out
+
+
+def empty_memos():
+    """Empty every `Memo` that `tables` finds."""
+    for table in tables().values():
+        if isinstance(table, Memo):
+            table.clear()
+
+
 @pytest.fixture
 def cold_caches():
-    """Empty the process-wide class-keyed caches before the test, and
-    return the function that empties them, for a test to call again.
-
-    The caches are the intersection and boundary-walk memos, the fan
-    charts' classifications, the certificates' adjacency table, the curve
-    tags, the ambient universes, the certified main geodesics, the
-    approximant and scenario memos of `limits` (a scenario's sweep keeps
-    its decompositions), and the keys that `surfaces.Curve` keeps: a key
-    lives on its curve, and the curves that outlive a job are the
-    universes' own, the memoised approximants' and scenario models', and
-    the kept main geodesics'."""
-
-    def empty():
-        fc._INTERSECTIONS.clear()
-        fc._WALKS.clear()
-        charts._CLASSIFIED.clear()
-        sf._ADJACENT.clear()
-        sf._TAGS.clear()
-        hy._UNIVERSES.clear()
-        hy._MAIN_GEODESICS.clear()
-        lm._APPROXIMANTS.clear()
-        lm._SCENARIO_SWEEPS.clear()
-
-    empty()
-    return empty
+    """Empty every module-level `Memo` of the library before the test, and
+    return the function that empties them, for a test to call again."""
+    empty_memos()
+    return empty_memos
 
 
 @pytest.fixture

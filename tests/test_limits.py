@@ -208,7 +208,7 @@ class TestExhaust:
         assert len({x[1].complex for x in (a, b, c)}) == 3
         # a full memo is emptied before the next entry goes in, and a
         # dropped entry is searched again with the same answer
-        monkeypatch.setattr(lm, "_MAX_KEPT", 3)
+        monkeypatch.setattr(lm._APPROXIMANTS, "bound", 3)
         d = lm._approximant(sf.TORUS_1_1, removals(1, 0, F(1, 4)))
         assert list(lm._APPROXIMANTS.values()) == [d]
         again = lm._approximant(sf.TORUS_1_1, removals(0, 1))

@@ -29,14 +29,13 @@ import brickforge
 from brickforge import bricks as bk
 from brickforge import charts
 from brickforge import cli
-from brickforge import flatcurves as fc
-from brickforge import hierarchy as hy
 from brickforge import limits as lm
 from brickforge import records
 from brickforge import serialize as sz
 from brickforge import surfaces as sf
 from brickforge.farey import Slope
 from brickforge.records import replace
+from conftest import empty_memos
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH_INPUTS = json.loads((ROOT / "bench" / "inputs.json").read_text())
@@ -116,8 +115,7 @@ def built_in_real_runs():
     brick from (v0, v1) to sigma, a `limit` report, a `metric` report of
     a torus model, and `validate` of the brock document, also with a
     symbolic lamination; and the polygon of each ambient class of
-    `descs(2)`, which a warm process has already built.  The
-    intersection memos, the kept main geodesics and the scenario memo are
+    `descs(2)`, which a warm process has already built.  Every memo is
     emptied first, so that the runs overlay crossing curves and generate
     the limit's model."""
     built = {cls: [] for cls in RECORDS}
@@ -146,10 +144,7 @@ def built_in_real_runs():
         "brock": BENCH_INPUTS["brock"],
         "symbolic": symbolic(BENCH_INPUTS["brock"]),
     }
-    fc._INTERSECTIONS.clear()
-    fc._WALKS.clear()
-    hy._MAIN_GEODESICS.clear()
-    lm._SCENARIO_SWEEPS.clear()
+    empty_memos()
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in documents.items():
             (Path(tmp) / name).write_text(text)
