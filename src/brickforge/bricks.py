@@ -358,6 +358,12 @@ class LevelSweep:
         `blocks.decompose` keeps here."""
         return Memo()
 
+    @cached_property
+    def exhaustions(self):
+        """budget -> the stages and theorem report of this sweep that
+        `limits.exhaust` and `limits.verify_theorem_a` keep here."""
+        return Memo()
+
     def meets_between(self, c: sf.Curve, lo, hi) -> bool:
         """Whether the curve meets the slit of a sample interval (a, b)
         with a < hi and lo < b: one overlapping the levels from lo to hi.

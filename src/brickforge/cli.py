@@ -164,7 +164,7 @@ def _cmd_limit(args):
     _emit(
         {
             "scenario": args.scenario,
-            "stages": lm.exhaustion_docs(states),
+            "stages": lm.exhaustion_docs(sweep, states),
             "theorem": theorem,
             "pass": ok,
         }

@@ -170,8 +170,9 @@ def generate(s: Scenario):
     return bk.LabelledBrickManifold(k), e
 
 
-# The process-wide memos of this module hold at most this many entries;
-# an entry keeps a 10-40 KB level sweep.
+# The process-wide memos of this module hold at most this many entries; a
+# kept scenario, with its decomposition and 4 stages, holds 60-140 KB in
+# the bench pools and 1.3 MB at bo:80, and its approximants 6-22 KB.
 _MAX_KEPT = 64
 
 # Scenario -> the level sweep of its generated model
@@ -314,9 +315,29 @@ def _approximant(base, removals):
     return _APPROXIMANTS.keep((base, tuple(removals)), search)
 
 
+class _Exhaustion:
+    """What a sweep keeps per budget: the stage states built so far, the
+    margin that the next stage halves, the stage documents with their one
+    memo of documents, and the theorem report."""
+
+    def __init__(self):
+        self.states, self.docs, self.parts = [], [], {}
+        self.margin = self.theorem = None
+
+
+def _exhaustion(sweep):
+    return sweep.exhaustions.keep(get_budget(), _Exhaustion)
+
+
 def exhaust(sweep: bk.LevelSweep, stages: int):
     """Ascending truncations W_n with externally crossing tubes, plus
-    acylindrical finite approximants Z_n, for the swept model."""
+    acylindrical finite approximants Z_n, for the swept model.  Stage n
+    reads only the sweep and the budget, so the sweep keeps the states per
+    budget: a call builds the stages that no call has built, and a stage
+    whose build raises keeps nothing."""
+    kept = _exhaustion(sweep)
+    if len(kept.states) >= stages:
+        return kept.states[:stages]
     k, e = sweep.complex, sweep.embedding
     d = bl.decompose(sweep)
     tubes = sorted(d.tubes, key=lambda v: (v.band, v.tid))
@@ -327,9 +348,8 @@ def exhaust(sweep: bk.LevelSweep, stages: int):
         1 for v in tubes if span_lo < v.band[0] and v.band[1] < span_hi
     )
     tori = [c for c in sweep.boundary if c.kind == "torus"]
-    out = []
-    margin = width / 8
-    for n in range(1, stages + 1):
+    margin = width / 8 if kept.margin is None else kept.margin
+    for n in range(len(kept.states) + 1, stages + 1):
         margin = margin / 2
         window = (span_lo + margin, span_hi - margin)
         want = min(n, interior)
@@ -366,7 +386,7 @@ def exhaust(sweep: bk.LevelSweep, stages: int):
         # the search has shown A2 on Z; the flag is the brute-force
         # oracle's independent verdict on that answer
         obstructors, z, acyl = _approximant(k.base, removals)
-        out.append(
+        kept.states.append(
             ExhaustionState(
                 n=n,
                 window=window,
@@ -379,15 +399,20 @@ def exhaust(sweep: bk.LevelSweep, stages: int):
                 acylindrical=acyl,
             )
         )
-    return out
+        kept.margin = margin
+    return kept.states[:stages]
 
 
-def exhaustion_docs(states) -> list:
-    """Per-stage reports in the shared document format.  A stage repeats
-    the bricks of the stages before it, and stages often share their
-    approximant, so the stages are built with one memo of documents."""
-    docs = {}
-    return [
+def exhaustion_docs(sweep: bk.LevelSweep, states) -> list:
+    """Per-stage reports in the shared document format, for states that
+    `exhaust(sweep, len(states))` returned.  A stage repeats the bricks of
+    the stages before it, and stages often share their approximant, so the
+    stages are built with one memo of documents.  The sweep keeps the
+    documents and that memo with its states, so every report of a stage
+    holds one document, which no caller may edit."""
+    kept = _exhaustion(sweep)
+    docs = kept.parts
+    kept.docs += [
         {
             "stage": state.n,
             "window": [sz.frac_str(state.window[0]), sz.frac_str(state.window[1])],
@@ -409,8 +434,9 @@ def exhaustion_docs(states) -> list:
                 "strong convergence of the approximants",
             ],
         }
-        for state in states
+        for state in states[len(kept.docs):]
     ]
+    return kept.docs[: len(states)]
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +445,15 @@ def exhaustion_docs(states) -> list:
 
 def verify_theorem_a(sweep: bk.LevelSweep) -> dict:
     """End and boundary classification report for the swept labelled
-    model."""
+    model.  It reads nothing but the sweep and the budget, so it is kept
+    with the sweep's exhaustion, and no caller may edit it."""
+    kept = _exhaustion(sweep)
+    if kept.theorem is None:
+        kept.theorem = _theorem_a(sweep)
+    return kept.theorem
+
+
+def _theorem_a(sweep):
     k, e = sweep.complex, sweep.embedding
     conditions = bk.check_conditions(sweep)
     comps = sweep.boundary

@@ -307,11 +307,13 @@ def parse_joint(doc: dict):
 
 def complex_doc(k: bk.BrickComplex, e: bk.LeafEmbedding, docs=None) -> dict:
     """The document of a complex and its embedding.  Without `docs` it is
-    new on each call, so a caller may edit it.  The documents of complexes
-    that share parts, the stages of one report, are built with one `docs`
-    memo, a dict kept across the calls: each brick, joint, support and
-    complex then has one document, which every place that shows it holds,
-    and which `dumps` encodes once."""
+    new on each call.  The documents of complexes that share parts, the
+    stages of an exhaustion, are built with one `docs` memo, a dict kept
+    across the calls: each brick, joint, support and complex then has one
+    document, which every place that shows it holds, and which `dumps`
+    encodes once.  `limits` keeps that memo and its documents for every
+    later report of the stages, so no caller may edit a document built
+    with `docs`."""
     return _part(docs, (k, e), lambda: _complex_doc(k, e, docs))
 
 

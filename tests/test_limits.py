@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -370,8 +372,8 @@ class TestExhaust:
 
     def test_stage_report_serializable(self):
         m, e = bo(2)
-        state = lm.exhaust(sweep_of(m, e), 1)[0]
-        (doc,) = lm.exhaustion_docs([state])
+        sweep = sweep_of(m, e)
+        (doc,) = lm.exhaustion_docs(sweep, lm.exhaust(sweep, 1))
         text = json.dumps(doc, sort_keys=True)
         assert json.loads(text) == doc
         assert doc["stage"] == 1
@@ -497,3 +499,114 @@ class TestScenarioMemo:
         assert budgets and set(budgets) == {300}
         cold_caches()
         assert limit_stdout(capsys, "brock", 3) == warm
+
+    def test_a_job_builds_only_the_stages_not_yet_kept(
+        self, capsys, cold_caches, count_calls
+    ):
+        # each stage of bo:6 has its own window; all share one removal set
+        truncated = count_calls(lm, "_truncate_model")
+        searched = count_calls(lm, "_approximant")
+        for stages, built in ((2, 2), (2, 0), (4, 2), (1, 0), (3, 0), (4, 0)):
+            del truncated[:], searched[:]
+            limit_stdout(capsys, "bo:6", stages)
+            assert len(truncated) == len(searched) == built, stages
+
+    def test_a_budget_change_keeps_nothing_of_the_first_budget(
+        self, capsys, monkeypatch, cold_caches, count_calls
+    ):
+        # brock has 4 ends: at budget 4 its stages are built and kept, but
+        # the end count refuses the report on every job
+        args = ["limit", "--scenario", "brock", "--stages", "2"]
+        monkeypatch.setenv("BRICKFORGE_BUDGET", "10000")
+        limit_stdout(capsys, "brock", 2)
+        truncated = count_calls(lm, "_truncate_model")
+        reported = count_calls(lm, "_theorem_a")
+        monkeypatch.setenv("BRICKFORGE_BUDGET", "4")
+        for _ in range(2):
+            assert cli.run(args) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "BudgetExceeded"
+        assert (len(truncated), len(reported)) == (2, 2)
+        monkeypatch.setenv("BRICKFORGE_BUDGET", "300")
+        warm = limit_stdout(capsys, "brock", 2)
+        assert (len(truncated), len(reported)) == (4, 3)
+        cold_caches()
+        assert limit_stdout(capsys, "brock", 2) == warm
+
+    def test_a_failed_stage_keeps_nothing(
+        self, capsys, monkeypatch, cold_caches, count_calls
+    ):
+        limit_stdout(capsys, "bo:6", 2)
+        truncated = count_calls(lm, "_truncate_model")
+
+        def fail(base, removals):
+            raise ObstructionSearchFailure("patched search")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(lm, "_approximant", fail)
+            assert cli.run(["limit", "--scenario", "bo:6", "--stages", "4"]) == 1
+        assert json.loads(capsys.readouterr().err)["detail"] == "patched search"
+        assert len(truncated) == 1  # stage 3, whose search raised
+        del truncated[:]
+        warm = limit_stdout(capsys, "bo:6", 4)
+        assert len(truncated) == 2  # stages 3 and 4
+        cold_caches()
+        assert limit_stdout(capsys, "bo:6", 4) == warm
+
+    def test_kept_stage_documents_are_never_edited(self, capsys, cold_caches, tmp_path):
+        # every report and export that shows a kept part holds it, so a
+        # caller that edited one would change later reports
+        sweep = lm.scenario_sweep(lm.Scenario("bonahon-otal", sf.TORUS_1_1, depth=6))
+        kept = lm.exhaustion_docs(sweep, lm.exhaust(sweep, 4))
+        theorem = lm.verify_theorem_a(sweep)
+        before = copy.deepcopy((kept, theorem))
+        path = tmp_path / "w.json"
+        path.write_text(sz.dumps(kept[-1]["w"]))
+        for stages in (1, 2, 3, 4, 5):
+            limit_stdout(capsys, "bo:6", stages)
+        assert cli.run(["export", str(path)]) == 0
+        assert lm.exhaustion_docs(sweep, lm.exhaust(sweep, 4)) == kept
+        assert (kept, theorem) == before
+
+    def test_kept_stages_hold_at_most_a_megabyte(self, capsys, cold_caches):
+        # the twelve c4-stream scenarios, each swept and decomposed: what
+        # their first four stages, stage documents and reports keep
+        scenarios = {
+            f"{spec}:{d}": lm.Scenario(kind, sf.TORUS_1_1, depth=d)
+            for spec, kind in (("kt", "kerckhoff-thurston"), ("bo", "bonahon-otal"))
+            for d in range(1, 7)
+        }
+        for s in scenarios.values():
+            bl.decompose(lm.scenario_sweep(s))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for spec in scenarios:
+                for stages in (1, 2, 3, 4):
+                    limit_stdout(capsys, spec, stages)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert held <= 1 << 20
+
+
+class TestStagesExtend:
+    """Stage n of an exhaustion reads the model and the budget, never the
+    stage count, and the theorem report reads no stage: the facts that let
+    a process keep the stages.  Each job runs with cold caches, so nothing
+    kept answers."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [f"kt:{d}" for d in range(1, 7)]
+        + [f"bo:{d}" for d in range(1, 7)]
+        + ["kt:1,2:1", "bo:1,2:1", "brock"],
+    )
+    def test_a_stage_count_extends_the_one_before(self, spec, capsys, cold_caches):
+        reports = []
+        for stages in (1, 2, 3, 4):
+            cold_caches()
+            reports.append(json.loads(limit_stdout(capsys, spec, stages)))
+        for shorter, longer in zip(reports, reports[1:]):
+            assert longer["stages"][: len(shorter["stages"])] == shorter["stages"]
+            assert longer["theorem"] == shorter["theorem"]
